@@ -12,9 +12,10 @@
 //!   (module [`seed`], a line-for-line port of the previous
 //!   `Llc`/`replay` hot loop) to stay measurable. This is the gate
 //!   baseline.
-//! * **fallback** — the in-tree compatibility driver `replay()`: still a
-//!   boxed policy, aux provider and observer per access, but over the new
-//!   SoA storage. Reported for transparency; not gated.
+//! * **fallback** — the in-tree generic driver `replay_on()` over a
+//!   boxed policy, a boxed aux provider and a `MultiObserver`: still
+//!   virtual calls per access, but over the new SoA storage. Reported for
+//!   transparency; not gated.
 //! * **mono** — `replay_kind()`: dispatched once per run through
 //!   `with_policy!` to a driver compiled against the concrete policy and
 //!   `NullObserver` types, with no aux provider installed at all.
@@ -39,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use criterion::black_box;
 use llc_policies::{build_policy, PolicyKind};
-use llc_sharing::{record_stream, replay, replay_kind};
-use llc_sim::{CacheConfig, HierarchyConfig, Inclusion, LlcStats, NoAux};
+use llc_sharing::{record_stream, replay_kind, replay_on};
+use llc_sim::{CacheConfig, HierarchyConfig, Inclusion, LlcStats, MultiObserver, NoAux};
 use llc_trace::{App, Scale};
 
 const APP: App = App::Swaptions;
@@ -574,12 +575,12 @@ fn main() {
             samples,
             || seed::replay(&cfg, seed::build_policy(kind, sets, ways), &stream),
             || {
-                replay(
+                replay_on(
                     &cfg,
                     build_policy(kind, sets, ways),
                     Some(Box::new(NoAux)),
                     &stream,
-                    vec![],
+                    &mut MultiObserver::new(Vec::new()),
                 )
                 .expect("fallback replay runs")
                 .llc

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use llc_policies::{PolicyKind, ProtectMode};
-use llc_sharing::{simulate_kind, simulate_oracle};
+use llc_sharing::{oracle_window, simulate, ReplayDesc};
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
 
@@ -34,9 +34,9 @@ fn bench_policies(c: &mut Criterion) {
     ] {
         g.bench_with_input(BenchmarkId::new("run", kind.label()), &kind, |b, &kind| {
             b.iter(|| {
-                simulate_kind(
+                simulate(
                     &cfg,
-                    kind,
+                    &ReplayDesc::plain(kind),
                     &mut || App::Water.workload(8, Scale::Tiny),
                     vec![],
                 )
@@ -48,11 +48,9 @@ fn bench_policies(c: &mut Criterion) {
     }
     g.bench_function("run/Oracle(LRU)", |b| {
         b.iter(|| {
-            simulate_oracle(
+            simulate(
                 &cfg,
-                PolicyKind::Lru,
-                ProtectMode::Eviction,
-                None,
+                &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
                 &mut || App::Water.workload(8, Scale::Tiny),
                 vec![],
             )

@@ -1,9 +1,9 @@
 //! Bench: set-sharded replay vs sequential replay.
 //!
 //! Records one LLC reference stream, then replays a 3-policy per-set
-//! suite — LRU, SRRIP, OPT — through `replay_kind_sharded` at 1, 2, 4
-//! and 8 shards. Shard count 1 is the sequential path; the others fan
-//! the set ranges out over `scoped_workers`. Sharded replay is
+//! suite — LRU, SRRIP, OPT — through `replay` with `Exec::Shards(n)`
+//! at 1, 2, 4 and 8 shards. Shard count 1 is the sequential path; the
+//! others fan the set ranges out over `scoped_workers`. Sharded replay is
 //! bit-identical to sequential replay (asserted here on the summed miss
 //! counts, and property-tested in `tests/shard_equivalence.rs`), so the
 //! only thing this benchmark measures is wall-clock.
@@ -35,7 +35,9 @@ use std::time::{Duration, Instant};
 
 use criterion::black_box;
 use llc_policies::PolicyKind;
-use llc_sharing::{record_stream, register_stream, replay_kind_sharded, set_host_thread_override};
+use llc_sharing::{
+    record_stream, register_stream, replay, set_host_thread_override, Exec, ReplayDesc,
+};
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
 
@@ -95,20 +97,34 @@ fn main() {
                 set_host_thread_override(Some(1));
                 let start = Instant::now();
                 checksum += black_box(
-                    replay_kind_sharded(&cfg, kind, &stream, shards)
-                        .expect("replay runs")
-                        .llc
-                        .misses(),
+                    replay(
+                        &cfg,
+                        &ReplayDesc::plain(kind),
+                        &stream,
+                        None,
+                        Exec::Shards(shards),
+                        vec![],
+                    )
+                    .expect("replay runs")
+                    .llc
+                    .misses(),
                 );
                 cell_1t[k][i] = cell_1t[k][i].min(start.elapsed());
 
                 set_host_thread_override(None);
                 let start = Instant::now();
                 checksum += black_box(
-                    replay_kind_sharded(&cfg, kind, &stream, shards)
-                        .expect("replay runs")
-                        .llc
-                        .misses(),
+                    replay(
+                        &cfg,
+                        &ReplayDesc::plain(kind),
+                        &stream,
+                        None,
+                        Exec::Shards(shards),
+                        vec![],
+                    )
+                    .expect("replay runs")
+                    .llc
+                    .misses(),
                 );
                 cell_mt[k][i] = cell_mt[k][i].min(start.elapsed());
             }

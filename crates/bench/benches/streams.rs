@@ -23,8 +23,8 @@ use std::time::{Duration, Instant};
 use criterion::black_box;
 use llc_policies::{build_oracle_policy_with_mode, build_policy, PolicyKind, ProtectMode};
 use llc_sharing::{
-    compute_next_use, compute_shared_soon, oracle_window, record_stream, replay_kind,
-    replay_oracle, simulate, NextUseProvider, OracleProvider,
+    compute_next_use, compute_shared_soon, oracle_window, record_stream, replay, replay_kind,
+    simulate_on, Exec, NextUseProvider, OracleProvider, ReplayDesc,
 };
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
@@ -72,7 +72,7 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
     let ways = cfg.llc.ways;
     let mut misses = 0;
     for kind in [PolicyKind::Lru, PolicyKind::Srrip] {
-        let r = simulate(
+        let r = simulate_on(
             cfg,
             build_policy(kind, sets, ways),
             None,
@@ -83,7 +83,7 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
         misses += r.llc.misses();
     }
     let next = compute_next_use(cfg, APP.workload(CORES, SCALE)).expect("next-use pre-pass runs");
-    let r = simulate(
+    let r = simulate_on(
         cfg,
         build_policy(PolicyKind::Opt, sets, ways),
         Some(Box::new(NextUseProvider::new(next))),
@@ -94,7 +94,7 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
     misses += r.llc.misses();
     let shared = compute_shared_soon(cfg, APP.workload(CORES, SCALE), oracle_window(cfg))
         .expect("shared-soon pre-pass runs");
-    let r = simulate(
+    let r = simulate_on(
         cfg,
         build_oracle_policy_with_mode(PolicyKind::Lru, sets, ways, ProtectMode::Eviction),
         Some(Box::new(OracleProvider::new(shared))),
@@ -118,17 +118,11 @@ fn replay_suite(cfg: &HierarchyConfig) -> u64 {
             .llc
             .misses();
     }
-    misses += replay_oracle(
-        cfg,
-        PolicyKind::Lru,
-        ProtectMode::Eviction,
-        None,
-        &stream,
-        vec![],
-    )
-    .expect("oracle replay runs")
-    .llc
-    .misses();
+    let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(cfg));
+    misses += replay(cfg, &oracle, &stream, None, Exec::Auto, vec![])
+        .expect("oracle replay runs")
+        .llc
+        .misses();
     misses
 }
 

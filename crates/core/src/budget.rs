@@ -4,12 +4,11 @@
 //! A suite (or the `llc-serve` daemon) knows how many workers the user
 //! granted (`--jobs`) and how many are actually busy; whatever is left
 //! over is *donated* here as a process-global pool of spare-worker
-//! permits. The replay drivers ([`crate::replay_kind`] and friends)
-//! borrow from the pool when they are about to replay a per-set-state
+//! permits. [`crate::replay()`] under [`Exec::Auto`](crate::Exec::Auto)
+//! borrows from the pool when it is about to replay a per-set-state
 //! policy with no observers attached: `k` borrowed permits turn one
-//! sequential replay into a `k + 1`-way set-sharded replay (see
-//! [`crate::replay_sharded`]), so a lone runnable experiment still
-//! saturates the machine.
+//! sequential replay into a `k + 1`-way set-sharded replay, so a lone
+//! runnable experiment still saturates the machine.
 //!
 //! Borrowing only ever changes *how fast* a replay runs, never what it
 //! computes — sharded replay is bit-identical to sequential replay — so
@@ -18,7 +17,7 @@
 //! when workers become busy again (the count may transiently go
 //! negative while both race; borrowers simply see an empty pool), and
 //! borrows are returned by an RAII guard. Processes that never donate —
-//! unit tests, library users driving [`crate::replay`] directly — keep
+//! unit tests, library users driving [`crate::replay()`] directly — keep
 //! an empty pool and always replay sequentially.
 
 use std::sync::atomic::{AtomicIsize, Ordering};

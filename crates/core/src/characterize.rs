@@ -66,47 +66,10 @@ impl Default for SharingProfile {
     }
 }
 
-impl ClassTally {
-    /// Adds another tally's counts into this one.
-    pub fn merge(&mut self, other: &ClassTally) {
-        self.generations += other.generations;
-        self.hits += other.hits;
-        self.occupancy += other.occupancy;
-        self.writes += other.writes;
-    }
-}
-
 impl SharingProfile {
     /// Creates an empty profile.
     pub fn new() -> Self {
         SharingProfile::default()
-    }
-
-    /// Merges another profile into this one.
-    ///
-    /// Merging is exact for profiles gathered over disjoint generation
-    /// populations — e.g. the per-shard observers of a set-sharded
-    /// replay (`llc_sharing::replay_characterized_sharded`): every
-    /// counter is a sum over generations, the degree histogram adds
-    /// bin-wise, and the footprint unions with OR ("was this block
-    /// *ever* shared"). The operation is associative and
-    /// order-insensitive, so any merge tree over the same parts yields
-    /// the same profile.
-    pub fn merge(&mut self, other: &SharingProfile) {
-        self.shared.merge(&other.shared);
-        self.private.merge(&other.private);
-        self.read_only_shared_hits += other.read_only_shared_hits;
-        self.read_write_shared_hits += other.read_write_shared_hits;
-        self.read_only_shared_gens += other.read_only_shared_gens;
-        self.read_write_shared_gens += other.read_write_shared_gens;
-        for (bin, count) in self.degree_histogram.iter_mut().zip(other.degree_histogram) {
-            *bin += count;
-        }
-        self.hits_by_non_filler += other.hits_by_non_filler;
-        for (&block, &shared) in &other.footprint {
-            let e = self.footprint.entry(block).or_insert(false);
-            *e |= shared;
-        }
     }
 
     /// Total generations observed.

@@ -1,14 +1,15 @@
 //! `table1` (machine configuration) and `abl2` (inclusion ablation).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_sim::BLOCK_BYTES;
 
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay_kind, replay_oracle};
+use crate::replay::{replay, replay_kind, Exec};
 use crate::report::{pct, Table};
-use crate::runner::{simulate_kind, simulate_oracle};
+use crate::runner::{oracle_window, simulate};
 
 /// Table 1: the simulated machine.
 pub(crate) fn table1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
@@ -71,7 +72,7 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         for inclusive in [false, true] {
             // Non-inclusive: LLC-only replay of the cached stream.
             // Inclusive: the stream is policy-dependent, so the measured
-            // runs must stay full simulations (simulate_* falls back).
+            // runs must stay full simulations (simulate falls back).
             let cfg = if inclusive {
                 ctx.config_inclusive(cap)?
             } else {
@@ -79,9 +80,9 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             };
             let mut profile = SharingProfile::new();
             let lru = if inclusive {
-                simulate_kind(
+                simulate(
                     &cfg,
-                    PolicyKind::Lru,
+                    &ReplayDesc::plain(PolicyKind::Lru),
                     &mut || app.workload(ctx.cores, ctx.scale),
                     vec![&mut profile],
                 )?
@@ -90,22 +91,28 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
                 replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?
             };
             let oracle = if inclusive {
-                simulate_oracle(
+                simulate(
                     &cfg,
-                    PolicyKind::Lru,
-                    ProtectMode::Eviction,
-                    None,
+                    &ReplayDesc::oracle(
+                        PolicyKind::Lru,
+                        ProtectMode::Eviction,
+                        oracle_window(&cfg),
+                    ),
                     &mut || app.workload(ctx.cores, ctx.scale),
                     vec![],
                 )?
             } else {
                 let stream = ctx.stream(app, &cfg)?;
-                replay_oracle(
+                replay(
                     &cfg,
-                    PolicyKind::Lru,
-                    ProtectMode::Eviction,
-                    None,
+                    &ReplayDesc::oracle(
+                        PolicyKind::Lru,
+                        ProtectMode::Eviction,
+                        oracle_window(&cfg),
+                    ),
                     &stream,
+                    None,
+                    Exec::Auto,
                     vec![],
                 )?
             };

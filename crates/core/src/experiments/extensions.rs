@@ -2,18 +2,18 @@
 //! prediction-requirement ladder), `abl5` (multi-programmed contrast) and
 //! `fig12` (first-order performance impact).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
-use llc_predictors::{build_predictor, PredictorKind};
+use llc_predictors::PredictorKind;
 use llc_trace::{App, Multiprogram};
 
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
 use crate::model::LatencyModel;
-use crate::replay::{
-    replay_kind, replay_oracle, replay_predictor_wrap, replay_reactive, StreamKey, WorkloadId,
-};
+use crate::replay::{replay, replay_kind, Exec, StreamKey, WorkloadId};
 use crate::report::f3;
 use crate::report::{mean, pct, Table};
+use crate::runner::oracle_window;
 
 fn miss_reduction(base: u64, improved: u64) -> f64 {
     1.0 - improved as f64 / base.max(1) as f64
@@ -43,24 +43,32 @@ pub(crate) fn abl4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?
             .llc
             .misses();
-        let reactive = replay_reactive(&cfg, PolicyKind::Lru, &stream, vec![])?
-            .llc
-            .misses();
-        let predicted = replay_predictor_wrap(
+        let reactive = replay(
             &cfg,
-            PolicyKind::Lru,
-            build_predictor(PredictorKind::PcPhase),
+            &ReplayDesc::reactive(PolicyKind::Lru),
             &stream,
+            None,
+            Exec::Auto,
             vec![],
         )?
         .llc
         .misses();
-        let oracle = replay_oracle(
+        let predicted = replay(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::predicted(PolicyKind::Lru, PredictorKind::PcPhase),
             &stream,
+            None,
+            Exec::Auto,
+            vec![],
+        )?
+        .llc
+        .misses();
+        let oracle = replay(
+            &cfg,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
+            &stream,
+            None,
+            Exec::Auto,
             vec![],
         )?
         .llc
@@ -145,12 +153,12 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             .get_or_record(key, || Multiprogram::new(&apps, 2, ctx.scale))?;
         let mut profile = crate::characterize::SharingProfile::new();
         let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
-        let oracle = replay_oracle(
+        let oracle = replay(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &stream,
+            None,
+            Exec::Auto,
             vec![],
         )?;
         t.row(vec![
@@ -182,12 +190,12 @@ pub(crate) fn fig12(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let rows: Vec<(String, f64, f64, f64)> = per_app_try(&ctx.apps, |app| {
             let stream = ctx.stream(app, &cfg)?;
             let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?;
-            let oracle = replay_oracle(
+            let oracle = replay(
                 &cfg,
-                PolicyKind::Lru,
-                ProtectMode::Eviction,
-                None,
+                &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
                 &stream,
+                None,
+                Exec::Auto,
                 vec![],
             )?;
             Ok((

@@ -1,6 +1,7 @@
 //! Predictor experiments: `fig9` (achievable accuracy), `fig10`
 //! (end-to-end gain recovery) and `table3` (hardware budget sweep).
 
+use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_predictors::{
     build_predictor, build_predictor_with, PredictorKind, PredictorStudy, TableConfig,
@@ -8,8 +9,9 @@ use llc_predictors::{
 
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay_kind, replay_oracle, replay_predictor_wrap};
+use crate::replay::{replay, replay_kind, Exec};
 use crate::report::{f3, mean, pct, Table};
+use crate::runner::oracle_window;
 
 /// Fig. 9: the paper's predictability study — what accuracy can
 /// fill-time, history-based sharing predictors achieve?
@@ -95,12 +97,12 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             .llc
             .misses();
         let red = |m: u64| 1.0 - m as f64 / lru.max(1) as f64;
-        let oracle = replay_oracle(
+        let oracle = replay(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &stream,
+            None,
+            Exec::Auto,
             vec![],
         )?;
         let mut vals = vec![red(oracle.llc.misses())];
@@ -111,11 +113,12 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             PredictorKind::Region,
             PredictorKind::PcPhase,
         ] {
-            let r = replay_predictor_wrap(
+            let r = replay(
                 &cfg,
-                PolicyKind::Lru,
-                build_predictor(design),
+                &ReplayDesc::predicted(PolicyKind::Lru, design),
                 &stream,
+                None,
+                Exec::Auto,
                 vec![],
             )?;
             vals.push(red(r.llc.misses()));

@@ -5,9 +5,12 @@
 //! and `llc-predictors` predictors, and implements everything the paper
 //! *contributes*:
 //!
-//! * the **runner** with its exact offline pre-passes — Belady next-use
-//!   chains and per-access oracle sharing outcomes
-//!   ([`runner::simulate_opt`], [`runner::simulate_oracle`]);
+//! * **one replay entry point** — a [`ReplayDesc`] (base policy plus
+//!   wrap: bare, oracle, reactive or predictor-driven) in, a
+//!   [`RunResult`] out — over a once-recorded LLC reference stream
+//!   ([`fn@replay`]), with its full-hierarchy twin ([`simulate`]) and the
+//!   exact offline pre-passes they share: Belady next-use chains and
+//!   per-access oracle sharing outcomes ([`compute_annotations`]);
 //! * the **characterization passes** — hit/occupancy decomposition by
 //!   sharing class ([`SharingProfile`]), premature shared-victimization
 //!   rates ([`VictimizationStats`]), epoch-resolved sharing
@@ -18,23 +21,25 @@
 //! ## Example
 //!
 //! ```
-//! use llc_policies::PolicyKind;
-//! use llc_sharing::{simulate_kind, SharingProfile};
+//! use llc_policies::{PolicyKind, ProtectMode};
+//! use llc_sharing::{oracle_window, record_stream, replay, Exec, ReplayDesc, SharingProfile};
 //! use llc_sim::HierarchyConfig;
 //! use llc_trace::{App, Scale};
 //!
 //! # fn main() -> Result<(), llc_sharing::RunError> {
 //! let cfg = HierarchyConfig::tiny();
+//! // Record the policy-independent LLC reference stream once ...
+//! let stream = record_stream(&cfg, App::Bodytrack.workload(cfg.cores, Scale::Tiny))?;
+//! // ... then replay any descriptor over it.
 //! let mut profile = SharingProfile::new();
-//! let result = simulate_kind(
-//!     &cfg,
-//!     PolicyKind::Lru,
-//!     &mut || App::Bodytrack.workload(cfg.cores, Scale::Tiny),
-//!     vec![&mut profile],
-//! )?;
+//! let lru = ReplayDesc::plain(PolicyKind::Lru);
+//! let result = replay(&cfg, &lru, &stream, None, Exec::Auto, vec![&mut profile])?;
 //! assert!(result.llc.accesses > 0);
 //! // bodytrack's shared model makes shared generations matter:
 //! assert!(profile.shared_hit_fraction() > 0.0);
+//! let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg));
+//! let protected = replay(&cfg, &oracle, &stream, None, Exec::Auto, vec![])?;
+//! assert_eq!(protected.llc.accesses, result.llc.accesses);
 //! # Ok(())
 //! # }
 //! ```
@@ -63,22 +68,20 @@ pub use characterize::{ClassTally, SharingProfile};
 pub use epochs::{EpochSeries, EpochStat};
 pub use error::RunError;
 pub use experiments::{per_app, run_experiment, ExperimentCtx, ExperimentId};
+pub use llc_dag::{ReplayDesc, ReplayWrap};
 pub use memo::{record_of, result_of};
 pub use model::LatencyModel;
 pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
-    compute_annotations, record_stream, register_stream, replay, replay_characterized_sharded,
-    replay_kind, replay_kind_sharded, replay_on, replay_opt, replay_opt_sharded, replay_oracle,
-    replay_oracle_sharded, replay_predictor_wrap, replay_reactive, replay_sharded,
-    set_host_thread_override, Annotations, AuxFactory, CachedAccessIter, CachedStream,
-    PolicyFactory, StreamCache, StreamCacheStats, StreamKey, WorkloadId,
+    compute_annotations, record_stream, register_stream, replay, replay_kind, replay_on,
+    set_host_thread_override, Annotations, CachedAccessIter, CachedStream, Exec, StreamCache,
+    StreamCacheStats, StreamKey, WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{
-    compute_next_use, compute_shared_soon, oracle_window, run_simple, simulate, simulate_kind,
-    simulate_opt, simulate_oracle, simulate_oracle_opt, simulate_predictor_wrap, simulate_reactive,
-    CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder,
+    compute_next_use, compute_shared_soon, oracle_window, simulate, simulate_on, CombinedProvider,
+    NextUseProvider, OracleProvider, RunResult, StreamRecorder,
 };
 pub use suite::pool::scoped_workers;
 pub use suite::{

@@ -12,9 +12,9 @@
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
 //!    the store or computed once with the fused backward scan and
 //!    persisted.
-//! 3. The replay executes through the annotation-injected drivers
-//!    ([`replay_opt_with`]/[`replay_oracle_with`]) and the result is
-//!    persisted as a new replay node.
+//! 3. The replay executes through [`replay`] with the resolved
+//!    annotations injected, and the result is persisted as a new replay
+//!    node.
 //!
 //! Bit-identity holds by construction: a replay node stores the exact
 //! counters of the run that produced it, and annotation artifacts store
@@ -30,17 +30,13 @@ use std::sync::Arc;
 
 use llc_dag::{
     annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc, ReplayRecord,
-    ReplayWrap,
 };
-use llc_policies::PolicyKind;
 use llc_sim::HierarchyConfig;
 use llc_trace::{App, StreamAccess};
 
 use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
-use crate::replay::{
-    compute_annotations, replay_kind, replay_opt_with, replay_oracle_with, CachedStream,
-};
+use crate::replay::{compute_annotations, replay, Annotations, CachedStream, Exec};
 use crate::runner::RunResult;
 
 /// Converts a run result into its storable record.
@@ -76,16 +72,18 @@ fn resolve_annotations<S: StreamAccess>(
     dag: Option<(&DagStore, u64)>,
     stream: &S,
     window: u64,
-) -> (Arc<Vec<u64>>, Arc<Vec<bool>>) {
+) -> Annotations {
     let Some((dag, stream_fp)) = dag else {
-        let ann = compute_annotations(stream, window);
-        return (Arc::new(ann.next_use), Arc::new(ann.shared_soon));
+        return compute_annotations(stream, window);
     };
     let fp = annotations_fp(stream_fp, window);
     if let Some(data) = dag.load_annotations(fp) {
         if data.window == window && data.next_use.len() == stream.len() {
             dag.record_hit(NodeKind::Annotations);
-            return (Arc::new(data.next_use), Arc::new(data.shared_soon));
+            return Annotations {
+                next_use: Arc::new(data.next_use),
+                shared_soon: Arc::new(data.shared_soon),
+            };
         }
     }
     dag.record_miss(NodeKind::Annotations);
@@ -94,14 +92,14 @@ fn resolve_annotations<S: StreamAccess>(
         fp,
         &AnnotationsData {
             window,
-            next_use: ann.next_use.clone(),
-            shared_soon: ann.shared_soon.clone(),
+            next_use: ann.next_use.to_vec(),
+            shared_soon: ann.shared_soon.to_vec(),
         },
     );
     if saved.is_err() {
         dag.record_disk_error();
     }
-    (Arc::new(ann.next_use), Arc::new(ann.shared_soon))
+    ann
 }
 
 /// Runs one descriptor over `stream`, resolving any needed annotations
@@ -115,25 +113,10 @@ fn execute<S: StreamAccess + Sync>(
     desc: &ReplayDesc,
     stream: &S,
 ) -> Result<RunResult, RunError> {
-    match desc.wrap {
-        ReplayWrap::Plain if desc.kind == PolicyKind::Opt => {
-            let (next_use, _) = resolve_annotations(dag, stream, 0);
-            replay_opt_with(config, next_use, stream, vec![])
-        }
-        ReplayWrap::Plain => replay_kind(config, desc.kind, stream, vec![]),
-        ReplayWrap::Oracle { mode, window } => {
-            let (next_use, shared_soon) = resolve_annotations(dag, stream, window);
-            replay_oracle_with(
-                config,
-                desc.kind,
-                mode,
-                next_use,
-                shared_soon,
-                stream,
-                vec![],
-            )
-        }
-    }
+    let ann = desc
+        .annotation_window()
+        .map(|window| resolve_annotations(dag, stream, window));
+    replay(config, desc, stream, ann.as_ref(), Exec::Auto, vec![])
 }
 
 /// The single point where a [`CachedStream`]'s representation is

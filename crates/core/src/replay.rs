@@ -12,7 +12,7 @@
 //! counters and instruction totals, which are equally policy-independent)
 //! from one full-hierarchy run; [`replay`] then drives a bare
 //! [`Llc`] with it, producing **bit-identical** [`LlcStats`] to a full
-//! [`simulate`](crate::simulate) run of the same policy.
+//! [`simulate_on`](crate::simulate_on) run of the same policy.
 //!
 //! # The inclusive-hierarchy caveat
 //!
@@ -23,15 +23,15 @@
 //! always used exactly this approximation for the `abl2` ablation), but
 //! the replay drivers refuse inclusive configurations — measured runs
 //! must fall back to full simulation there, and
-//! [`simulate_opt`](crate::simulate_opt) /
-//! [`simulate_oracle`](crate::simulate_oracle) do exactly that.
+//! [`simulate`](crate::simulate) does exactly that.
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
 
 use fxhash::FxHashMap;
-use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ProtectMode, ReactiveWrap};
-use llc_predictors::{PredictorWrap, SharingPredictor};
+use llc_dag::{ReplayDesc, ReplayWrap};
+use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ReactiveWrap};
+use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
     AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, HierarchyConfig, Inclusion, Llc, LlcObserver,
     LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
@@ -47,11 +47,8 @@ use llc_trace::{
 };
 
 use crate::budget;
-use crate::characterize::SharingProfile;
 use crate::error::RunError;
-use crate::runner::{
-    oracle_window, CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder,
-};
+use crate::runner::{CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder};
 use crate::suite::pool::scoped_workers;
 
 /// Global mirrors of [`StreamCacheStats`] plus the stream-recording
@@ -292,44 +289,197 @@ fn check_replayable<S: StreamAccess>(config: &HierarchyConfig, stream: &S) -> Re
     Ok(())
 }
 
-/// Replays `policy` over a recorded stream (owned [`RecordedStream`],
-/// zero-copy [`StreamView`] or cache-handle [`CachedStream`] — anything
-/// [`StreamAccess`]): the `LlcOnly` driver. Only the LLC is simulated;
-/// the result's L1/L2 counters and instruction totals come from the
-/// recording. For any non-inclusive configuration the returned
-/// [`LlcStats`](llc_sim::LlcStats) are bit-identical to a full
-/// [`simulate`](crate::simulate) of the same policy over the same
-/// workload — whichever stream representation drives it.
+/// How [`replay`] spreads an observer-free replay of a per-set-state
+/// policy ([`StateScope::PerSet`]) over worker threads. The choice only
+/// changes wall-clock time: sharded replay is bit-identical to
+/// sequential replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Exec {
+    /// Borrow whatever spare workers a suite or daemon has donated (see
+    /// [`crate::budget`]) and run `borrowed + 1` set-range shards;
+    /// processes that never donate replay sequentially.
+    Auto,
+    /// Split the stream into (at most) this many set-range shards,
+    /// ignoring the donation pool. `Shards(1)` is the sequential path.
+    Shards(usize),
+}
+
+/// Replays the policy `desc` names over a recorded stream (owned
+/// [`RecordedStream`], zero-copy [`StreamView`] or cache-handle
+/// [`CachedStream`] — anything [`StreamAccess`]): the one entry point
+/// for every base policy, wrap and execution strategy. Only the LLC is
+/// simulated; the result's L1/L2 counters and instruction totals come
+/// from the recording. For any non-inclusive configuration the returned
+/// [`LlcStats`] are bit-identical to a full-hierarchy
+/// [`simulate_on`](crate::simulate_on) of the same policy over the same
+/// workload, whichever stream representation and [`Exec`] drive it.
+///
+/// * `ann` supplies the descriptor's annotation vectors (see
+///   [`ReplayDesc::annotation_window`]) when the caller already holds
+///   them — the DAG memo layer loads them from its store. `None`
+///   derives them from `stream` with one fused scan; descriptors that
+///   need no annotations ignore the argument.
+/// * Non-empty `observers` replay sequentially, fed in stream order.
+///   Without observers a per-set-state policy runs set-sharded when
+///   `exec` yields more than one shard and the stream is indexable
+///   (positions fit `u32`); global-state policies — DIP/DRRIP (PSEL),
+///   SHiP (SHCT), reactive and predictor wraps — always run
+///   sequentially.
+///
+/// The policy is built once per shard straight from its monomorphized
+/// constructor, so every inner loop is specialized to the concrete
+/// policy and observer types.
 ///
 /// # Errors
 ///
 /// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
 /// (see the module docs), or does not match the stream's fingerprint.
-pub fn replay<S: StreamAccess>(
+pub fn replay<S: StreamAccess + Sync>(
     config: &HierarchyConfig,
-    policy: Box<dyn ReplacementPolicy>,
-    aux: Option<Box<dyn AuxProvider>>,
+    desc: &ReplayDesc,
+    stream: &S,
+    ann: Option<&Annotations>,
+    exec: Exec,
+    observers: Vec<&mut dyn LlcObserver>,
+) -> Result<RunResult, RunError> {
+    let computed;
+    let ann = match (desc.annotation_window(), ann) {
+        (None, _) => None,
+        (Some(_), Some(ann)) => Some(ann),
+        (Some(window), None) => {
+            computed = compute_annotations(stream, window);
+            Some(&computed)
+        }
+    };
+    let make_aux = || ann.map(|ann| aux_provider(desc, ann));
+    let sets = config.llc.sets() as usize;
+    let ways = config.llc.ways;
+    with_policy!(desc.kind, |ctor| match desc.wrap {
+        ReplayWrap::Plain => execute(
+            config,
+            &|| ctor(sets, ways),
+            &make_aux,
+            stream,
+            exec,
+            observers,
+        ),
+        ReplayWrap::Oracle { mode, .. } => execute(
+            config,
+            &|| OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
+            &make_aux,
+            stream,
+            exec,
+            observers,
+        ),
+        ReplayWrap::Reactive => execute(
+            config,
+            &|| ReactiveWrap::new(ctor(sets, ways)),
+            &make_aux,
+            stream,
+            exec,
+            observers,
+        ),
+        ReplayWrap::Predictor(predictor) => execute(
+            config,
+            &|| PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
+            &make_aux,
+            stream,
+            exec,
+            observers,
+        ),
+    })
+}
+
+/// Replays a bare `kind` with [`Exec::Auto`]: shorthand for [`replay`]
+/// of [`ReplayDesc::plain`].
+///
+/// # Errors
+///
+/// Same conditions as [`replay`].
+pub fn replay_kind<S: StreamAccess + Sync>(
+    config: &HierarchyConfig,
+    kind: PolicyKind,
     stream: &S,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
-    replay_on(
+    replay(
         config,
-        policy,
-        aux,
+        &ReplayDesc::plain(kind),
         stream,
-        &mut MultiObserver::new(observers),
+        None,
+        Exec::Auto,
+        observers,
     )
 }
 
-/// The monomorphized replay driver: [`replay`] generic over the concrete
-/// policy *and* observer types, so each (`P`, `O`) pair compiles its own
-/// specialized inner loop — policy callbacks and observer hooks are
-/// static calls (inlined for trivial hooks like [`NullObserver`]'s), and
-/// a policy replayed without an aux provider skips the per-access virtual
-/// `aux_for` call entirely. The `PolicyKind`-driven entry points
-/// ([`replay_kind`] & co.) dispatch here through
-/// [`with_policy!`](llc_policies::with_policy); [`replay`] is the
-/// `Box<dyn>` compatibility wrapper for external policies.
+/// The aux provider feeding `desc`'s annotations to its policy: the
+/// oracle wrap reads the shared-soon answers (plus next-use chains
+/// around OPT); every other annotated descriptor is OPT-based and reads
+/// the next-use chains.
+pub(crate) fn aux_provider(desc: &ReplayDesc, ann: &Annotations) -> Box<dyn AuxProvider> {
+    match desc.wrap {
+        ReplayWrap::Oracle { .. } if desc.kind == PolicyKind::Opt => Box::new(
+            CombinedProvider::shared(Arc::clone(&ann.next_use), Arc::clone(&ann.shared_soon)),
+        ),
+        ReplayWrap::Oracle { .. } => Box::new(OracleProvider::shared(Arc::clone(&ann.shared_soon))),
+        _ => Box::new(NextUseProvider::shared(Arc::clone(&ann.next_use))),
+    }
+}
+
+/// The execution decision [`replay`] makes for every descriptor, over
+/// the concrete policy type `P`.
+fn execute<P, FP, FA, S>(
+    config: &HierarchyConfig,
+    make_policy: &FP,
+    make_aux: &FA,
+    stream: &S,
+    exec: Exec,
+    observers: Vec<&mut dyn LlcObserver>,
+) -> Result<RunResult, RunError>
+where
+    P: ReplacementPolicy,
+    FP: Fn() -> P + Sync,
+    FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
+    S: StreamAccess + Sync,
+{
+    if !observers.is_empty() {
+        return replay_on(
+            config,
+            make_policy(),
+            make_aux(),
+            stream,
+            &mut MultiObserver::new(observers),
+        );
+    }
+    let policy = make_policy();
+    // Scope before budget: a global-state policy never takes donated
+    // workers away from a replay that could use them.
+    if policy.state_scope() == StateScope::PerSet {
+        let borrowed;
+        let shards = match exec {
+            Exec::Shards(n) => n,
+            Exec::Auto => {
+                borrowed = budget::borrow(MAX_DONATED_WORKERS);
+                borrowed.count() + 1
+            }
+        };
+        if shards > 1 {
+            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
+                return replay_sharded_on(config, make_policy, make_aux, stream, &index);
+            }
+        }
+    }
+    replay_on(config, policy, make_aux(), stream, &mut NullObserver)
+}
+
+/// The generic replay driver over a concrete policy `P` and observer
+/// `O`: each (`P`, `O`) pair compiles its own specialized inner loop —
+/// policy callbacks and observer hooks are static calls (inlined for
+/// trivial hooks like [`NullObserver`]'s), and a policy replayed without
+/// an aux provider skips the per-access virtual `aux_for` call
+/// entirely. [`replay`] dispatches here through
+/// [`with_policy!`](llc_policies::with_policy); call it directly to
+/// replay a boxed or custom policy.
 ///
 /// All telemetry is phase-level: one span per replay, zero atomics on the
 /// per-access path (see `tests/telemetry.rs`).
@@ -393,15 +543,6 @@ where
     })
 }
 
-/// A thread-safe factory producing one replacement-policy instance per
-/// shard of a set-sharded replay.
-pub type PolicyFactory<'a> = &'a (dyn Fn() -> Box<dyn ReplacementPolicy> + Sync);
-
-/// A thread-safe factory producing one aux provider per shard of a
-/// set-sharded replay (providers built from [`Arc`]-shared annotation
-/// vectors, so the factories are cheap).
-pub type AuxFactory<'a> = &'a (dyn Fn() -> Box<dyn AuxProvider> + Sync);
-
 /// The largest number of spare workers one replay will borrow from the
 /// donation pool — a sanity bound far above any realistic core count,
 /// not a tuning knob (the pool itself reflects the `--jobs` grant).
@@ -427,7 +568,7 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 }
 
 /// Replays a stream split into contiguous set-range shards, one LLC (and
-/// one policy instance, and one observer) per shard, fanned out over
+/// one policy instance) per shard, fanned out over
 /// scoped worker threads — the parallel twin of [`replay_on`].
 ///
 /// Each shard's LLC covers only its set range but keeps the full
@@ -437,34 +578,29 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 /// **bit-identical** to the sequential replay: sets never interact, every
 /// timestamp matches, and [`LlcStats`] merging is pure `u64` addition in
 /// fixed shard order. The caller is responsible for the scope check —
-/// the public wrappers ([`replay_kind_sharded`] & co.) fall back to
-/// sequential replay for [`StateScope::Global`] policies.
+/// [`replay`] falls back to sequential replay for [`StateScope::Global`]
+/// policies.
 ///
-/// Generic over the policy factory's return type, so the `PolicyKind`
-/// entry points construct one *concrete* policy per shard — no `Box<dyn>`
+/// Generic over the policy factory's return type, so [`replay`]
+/// constructs one *concrete* policy per shard — no `Box<dyn>`
 /// allocation and no virtual dispatch inside any shard's loop. The loop
 /// itself walks the shard's own gathered access planes
 /// ([`llc_trace::StreamShard`]) front to back: sequential reads of
 /// shard-compact arrays instead of strided gathers through the full
 /// stream, which is what makes k shards on one host thread cost ~the
 /// sequential replay instead of k× its memory traffic.
-///
-/// Returns the merged result plus the per-shard observers (in ascending
-/// set order) for the caller to merge.
-fn replay_sharded_on<P, O, S, FP, FO>(
+fn replay_sharded_on<P, S, FP, FA>(
     config: &HierarchyConfig,
     make_policy: &FP,
-    make_aux: Option<AuxFactory<'_>>,
+    make_aux: &FA,
     stream: &S,
     index: &ShardIndex,
-    make_obs: &FO,
-) -> Result<(RunResult, Vec<O>), RunError>
+) -> Result<RunResult, RunError>
 where
     P: ReplacementPolicy,
-    O: LlcObserver + Send,
     S: StreamAccess + Sync,
-    FP: Fn() -> P + Sync + ?Sized,
-    FO: Fn() -> O + Sync + ?Sized,
+    FP: Fn() -> P + Sync,
+    FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
 {
     check_replayable(config, stream)?;
     if index.sets() != config.llc.sets() {
@@ -477,16 +613,15 @@ where
     }
     let shards = index.shards();
     let _span = spans::span_with(|| format!("replay_sharded x{}", shards.len()));
-    let slots: Vec<Mutex<Option<(String, LlcStats, O)>>> =
+    let slots: Vec<Mutex<Option<(String, LlcStats)>>> =
         shards.iter().map(|_| Mutex::new(None)).collect();
     let run_shard = |w: usize| {
         let shard = &shards[w];
         let _span = spans::span_with(|| format!("shard {w}"));
         let mut llc = Llc::new_range(config.llc, make_policy(), shard.set_base, shard.set_len);
-        if let Some(make_aux) = make_aux {
-            llc.set_aux_provider(make_aux());
+        if let Some(aux) = make_aux() {
+            llc.set_aux_provider(aux);
         }
-        let mut obs = make_obs();
         let upgrades = stream.upgrades();
         let mut up = 0usize;
         let mut next_at = shard
@@ -513,7 +648,6 @@ where
                         break;
                     }
                     llc.note_upgrade(u.block, u.core);
-                    obs.on_upgrade(u.block, u.core);
                     up += 1;
                 }
                 next_at = shard
@@ -522,21 +656,19 @@ where
                     .map_or(u64::MAX, |&u| upgrades[u as usize].at);
             }
             // The shard's logical clock is the *global* stream index, so
-            // every timestamp the policy or observer sees (LRU order,
-            // OPT next-use chains, generation spans) matches the
-            // sequential run exactly.
+            // every timestamp the policy sees (LRU order, OPT next-use
+            // chains) matches the sequential run exactly.
             llc.seek_time(i);
-            llc.access(block, pc, core, kind, &mut obs);
+            llc.access(block, pc, core, kind, &mut NullObserver);
         }
         while up < shard.upgrades.len() {
             let u = &upgrades[shard.upgrades[up] as usize];
             llc.note_upgrade(u.block, u.core);
-            obs.on_upgrade(u.block, u.core);
             up += 1;
         }
         llc.seek_time(stream.len() as u64);
-        llc.flush(&mut obs);
-        *lock_recovering(&slots[w]) = Some((llc.policy().name(), llc.stats(), obs));
+        llc.flush(&mut NullObserver);
+        *lock_recovering(&slots[w]) = Some((llc.policy().name(), llc.stats()));
     };
     // More shards than hardware threads just timeslice against each
     // other (context switches plus cache churn between shard working
@@ -568,9 +700,8 @@ where
     let _merge_span = spans::span("merge shards");
     let mut llc_stats = LlcStats::default();
     let mut policy = String::new();
-    let mut observers = Vec::with_capacity(shards.len());
     for slot in slots {
-        let (name, stats, obs) = slot
+        let (name, stats) = slot
             .into_inner()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             // infallible: `scoped_workers` re-raises worker panics, so
@@ -578,41 +709,15 @@ where
             .expect("every shard slot is filled");
         llc_stats += stats;
         policy = name;
-        observers.push(obs);
     }
-    Ok((
-        RunResult {
-            policy,
-            llc: llc_stats,
-            l1: stream.l1_stats(),
-            l2: stream.l2_stats(),
-            instructions: stream.instructions(),
-            trace_accesses: stream.trace_accesses(),
-        },
-        observers,
-    ))
-}
-
-/// Set-sharded replay with no observers: stats only. See
-/// [`replay_sharded_core`] for the exactness argument; the caller is
-/// responsible for only passing per-set-state policies (the `*_sharded`
-/// wrappers check and fall back).
-///
-/// # Errors
-///
-/// Same conditions as [`replay`], plus a config error if `index` was
-/// built for a different set count.
-pub fn replay_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    make_policy: PolicyFactory<'_>,
-    make_aux: Option<AuxFactory<'_>>,
-    stream: &S,
-    index: &ShardIndex,
-) -> Result<RunResult, RunError> {
-    let (result, _) = replay_sharded_on(config, make_policy, make_aux, stream, index, &|| {
-        NullObserver
-    })?;
-    Ok(result)
+    Ok(RunResult {
+        policy,
+        llc: llc_stats,
+        l1: stream.l1_stats(),
+        l2: stream.l2_stats(),
+        instructions: stream.instructions(),
+        trace_accesses: stream.trace_accesses(),
+    })
 }
 
 /// Process-global registry associating streams handed out by a
@@ -713,485 +818,19 @@ fn shard_index_for<S: StreamAccess>(
     }
 }
 
-/// Replays a realistic policy ([`PolicyKind::Opt`] dispatches to
-/// [`replay_opt`]).
-///
-/// With no observers attached, a per-set-state policy
-/// ([`StateScope::PerSet`]) automatically borrows any spare workers a
-/// suite or daemon has donated (see [`crate::budget`]) and runs
-/// set-sharded — same bits, less wall-clock. Global-state policies,
-/// observer-carrying runs, and processes that never donate replay
-/// sequentially.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_kind<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    if kind == PolicyKind::Opt {
-        return replay_opt(config, stream, observers);
-    }
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if observers.is_empty() {
-            if policy.state_scope() == StateScope::PerSet {
-                let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-                if borrowed.count() > 0 {
-                    if let Some(index) =
-                        shard_index_for(stream, config.llc.sets(), borrowed.count() + 1)
-                    {
-                        let (result, _) = replay_sharded_on(
-                            config,
-                            &|| ctor(sets, ways),
-                            None,
-                            stream,
-                            &index,
-                            &|| NullObserver,
-                        )?;
-                        return Ok(result);
-                    }
-                }
-            }
-            replay_on(config, policy, None, stream, &mut NullObserver)
-        } else {
-            replay_on(
-                config,
-                policy,
-                None,
-                stream,
-                &mut MultiObserver::new(observers),
-            )
-        }
-    })
-}
-
-/// Explicitly set-sharded [`replay_kind`]: splits the stream into (at
-/// most) `shards` set ranges and replays them in parallel. For
-/// [`StateScope::Global`] policies — DIP/DRRIP (global PSEL), SHiP
-/// (global SHCT) — or streams too large to index, this transparently
-/// falls back to the sequential path and still returns the exact result.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_kind_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    if kind == PolicyKind::Opt {
-        return replay_opt_sharded(config, stream, shards);
-    }
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if shards > 1 && policy.state_scope() == StateScope::PerSet {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                // One concrete policy per shard, straight from the
-                // constructor — no per-shard `Box<dyn>` allocation.
-                let (result, _) =
-                    replay_sharded_on(config, &|| ctor(sets, ways), None, stream, &index, &|| {
-                        NullObserver
-                    })?;
-                return Ok(result);
-            }
-        }
-        replay_on(config, policy, None, stream, &mut NullObserver)
-    })
-}
-
-/// Set-sharded [`replay_kind`] that also gathers the paper's sharing
-/// characterization: one [`SharingProfile`] rides along each shard and
-/// the per-shard profiles are merged in fixed shard order. The merge is
-/// exact — every generation ends in exactly one shard with globally
-/// correct timestamps, and blocks never cross sets, so all counters are
-/// disjoint sums and the footprint union is disjoint too. Falls back to
-/// a sequential observer run under the same conditions as
-/// [`replay_kind_sharded`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_characterized_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    stream: &S,
-    shards: usize,
-) -> Result<(RunResult, SharingProfile), RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    // OPT needs its next-use annotations in either path.
-    let next_use =
-        (kind == PolicyKind::Opt).then(|| Arc::new(compute_annotations(stream, 0).next_use));
-    let make_aux = next_use.map(|next_use| {
-        move || Box::new(NextUseProvider::shared(Arc::clone(&next_use))) as Box<dyn AuxProvider>
-    });
-    with_policy!(kind, |ctor| {
-        let policy = ctor(sets, ways);
-        if shards > 1 && policy.state_scope() == StateScope::PerSet {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                let (result, profiles) = replay_sharded_on(
-                    config,
-                    &|| ctor(sets, ways),
-                    make_aux.as_ref().map(|f| f as AuxFactory<'_>),
-                    stream,
-                    &index,
-                    &SharingProfile::new,
-                )?;
-                let mut merged = SharingProfile::new();
-                for profile in &profiles {
-                    merged.merge(profile);
-                }
-                return Ok((result, merged));
-            }
-        }
-        let mut profile = SharingProfile::new();
-        let result = replay_on(
-            config,
-            policy,
-            make_aux.as_ref().map(|f| f()),
-            stream,
-            &mut profile,
-        )?;
-        Ok((result, profile))
-    })
-}
-
-/// Replays Belady's OPT, deriving the next-use chains from the recording
-/// itself (no extra simulation passes). Borrows donated spare workers
-/// for automatic set-sharding exactly like [`replay_kind`] — OPT's
-/// per-line next-use state is per-set, and the annotations are indexed
-/// by global stream position, which sharded replay preserves.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let next_use = Arc::new(compute_annotations(stream, 0).next_use);
-    replay_opt_with(config, next_use, stream, observers)
-}
-
-/// [`replay_opt`] with caller-supplied next-use annotations (the DAG
-/// memo layer injects a cached pre-pass instead of rescanning the
-/// stream). `next_use` must index `stream` positions — i.e. come from
-/// [`compute_annotations`] over this exact stream.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt_with<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    next_use: Arc<Vec<u64>>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    if observers.is_empty() && mono::opt(sets, ways).state_scope() == StateScope::PerSet {
-        let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-        if borrowed.count() > 0 {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), borrowed.count() + 1) {
-                return replay_opt_on(config, &next_use, stream, &index);
-            }
-        }
-        return replay_on(
-            config,
-            mono::opt(sets, ways),
-            Some(Box::new(NextUseProvider::shared(next_use))),
-            stream,
-            &mut NullObserver,
-        );
-    }
-    replay_on(
-        config,
-        mono::opt(sets, ways),
-        Some(Box::new(NextUseProvider::shared(next_use))),
-        stream,
-        &mut MultiObserver::new(observers),
-    )
-}
-
-/// Explicitly set-sharded [`replay_opt`] (the OPT arm of
-/// [`replay_kind_sharded`]).
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_opt_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let next_use = Arc::new(compute_annotations(stream, 0).next_use);
-    if shards > 1 && mono::opt(sets, ways).state_scope() == StateScope::PerSet {
-        if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-            return replay_opt_on(config, &next_use, stream, &index);
-        }
-    }
-    replay_on(
-        config,
-        mono::opt(sets, ways),
-        Some(Box::new(NextUseProvider::shared(next_use))),
-        stream,
-        &mut NullObserver,
-    )
-}
-
-/// Sharded OPT replay over an already-built index with already-computed
-/// annotations.
-fn replay_opt_on<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    next_use: &Arc<Vec<u64>>,
-    stream: &S,
-    index: &ShardIndex,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let make_aux = {
-        let next_use = Arc::clone(next_use);
-        move || Box::new(NextUseProvider::shared(Arc::clone(&next_use))) as Box<dyn AuxProvider>
-    };
-    let (result, _) = replay_sharded_on(
-        config,
-        &|| mono::opt(sets, ways),
-        Some(&make_aux),
-        stream,
-        index,
-        &|| NullObserver,
-    )?;
-    Ok(result)
-}
-
-/// Replays the sharing-aware oracle wrapper around `base`, deriving both
-/// annotation vectors from the recording in a single fused backward scan
-/// (`None` selects [`oracle_window`]). Borrows donated spare workers for
-/// automatic set-sharding exactly like [`replay_kind`]: the oracle
-/// wrapper's own state (per-line protection bits) is per-set, so its
-/// scope is its base policy's scope.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    window: Option<u64>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let window = window.unwrap_or_else(|| oracle_window(config));
-    let ann = compute_annotations(stream, window);
-    replay_oracle_with(
-        config,
-        base,
-        mode,
-        Arc::new(ann.next_use),
-        Arc::new(ann.shared_soon),
-        stream,
-        observers,
-    )
-}
-
-/// [`replay_oracle`] with caller-supplied annotation vectors (the DAG
-/// memo layer injects a cached pre-pass instead of rescanning the
-/// stream). Both vectors must come from [`compute_annotations`] over
-/// this exact stream; the retention window is already baked into
-/// `shared_soon`, so none is passed.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle_with<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    next_use: Arc<Vec<u64>>,
-    shared_soon: Arc<Vec<bool>>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(base, |ctor| {
-        let make_policy = || OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode);
-        // OPT under the oracle needs both annotation vectors; every other
-        // base only consumes the shared-soon answers.
-        let make_aux = || -> Box<dyn AuxProvider> {
-            if base == PolicyKind::Opt {
-                Box::new(CombinedProvider::shared(
-                    Arc::clone(&next_use),
-                    Arc::clone(&shared_soon),
-                ))
-            } else {
-                Box::new(OracleProvider::shared(Arc::clone(&shared_soon)))
-            }
-        };
-        if observers.is_empty() {
-            if make_policy().state_scope() == StateScope::PerSet {
-                let borrowed = budget::borrow(MAX_DONATED_WORKERS);
-                if borrowed.count() > 0 {
-                    if let Some(index) =
-                        shard_index_for(stream, config.llc.sets(), borrowed.count() + 1)
-                    {
-                        let (result, _) = replay_sharded_on(
-                            config,
-                            &make_policy,
-                            Some(&make_aux),
-                            stream,
-                            &index,
-                            &|| NullObserver,
-                        )?;
-                        return Ok(result);
-                    }
-                }
-            }
-            replay_on(
-                config,
-                make_policy(),
-                Some(make_aux()),
-                stream,
-                &mut NullObserver,
-            )
-        } else {
-            replay_on(
-                config,
-                make_policy(),
-                Some(make_aux()),
-                stream,
-                &mut MultiObserver::new(observers),
-            )
-        }
-    })
-}
-
-/// Explicitly set-sharded [`replay_oracle`]. Falls back to the
-/// sequential path when the base policy's state is global or the stream
-/// is not indexable, exactly like [`replay_kind_sharded`].
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_oracle_sharded<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    window: Option<u64>,
-    stream: &S,
-    shards: usize,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let window = window.unwrap_or_else(|| oracle_window(config));
-    let ann = compute_annotations(stream, window);
-    let next_use = Arc::new(ann.next_use);
-    let shared_soon = Arc::new(ann.shared_soon);
-    with_policy!(base, |ctor| {
-        let make_policy = || OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode);
-        let make_aux = || -> Box<dyn AuxProvider> {
-            if base == PolicyKind::Opt {
-                Box::new(CombinedProvider::shared(
-                    Arc::clone(&next_use),
-                    Arc::clone(&shared_soon),
-                ))
-            } else {
-                Box::new(OracleProvider::shared(Arc::clone(&shared_soon)))
-            }
-        };
-        if shards > 1 && make_policy().state_scope() == StateScope::PerSet {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                let (result, _) = replay_sharded_on(
-                    config,
-                    &make_policy,
-                    Some(&make_aux),
-                    stream,
-                    &index,
-                    &|| NullObserver,
-                )?;
-                return Ok(result);
-            }
-        }
-        replay_on(
-            config,
-            make_policy(),
-            Some(make_aux()),
-            stream,
-            &mut NullObserver,
-        )
-    })
-}
-
-/// Replays reactive (directory-driven, prediction-free) sharing
-/// protection around `base`.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_reactive<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    // ReactiveWrap's directory state is global, so no sharding arm.
-    with_policy!(base, |ctor| replay_on(
-        config,
-        ReactiveWrap::new(ctor(sets, ways)),
-        None,
-        stream,
-        &mut MultiObserver::new(observers),
-    ))
-}
-
-/// Replays a predictor-driven sharing-aware wrapper around `base`.
-///
-/// # Errors
-///
-/// Same conditions as [`replay`].
-pub fn replay_predictor_wrap<S: StreamAccess + Sync>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    predictor: Box<dyn SharingPredictor>,
-    stream: &S,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError> {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(base, |ctor| replay_on(
-        config,
-        PredictorWrap::new(ctor(sets, ways), predictor, sets, ways),
-        None,
-        stream,
-        &mut MultiObserver::new(observers),
-    ))
-}
-
 /// Both offline annotation vectors, produced by one fused backward scan
 /// over a recorded stream (see [`compute_annotations`]).
+///
+/// The vectors sit behind [`Arc`] so every shard of a set-sharded replay
+/// shares one copy.
 #[derive(Debug, Clone, Default)]
 pub struct Annotations {
     /// For each access, the stream index of the next access to the same
     /// block (`u64::MAX` = never used again). Feeds Belady's OPT.
-    pub next_use: Vec<u64>,
+    pub next_use: Arc<Vec<u64>>,
     /// For each access, whether a *different core* touches the block
     /// within the oracle retention window. Feeds the oracle wrapper.
-    pub shared_soon: Vec<bool>,
+    pub shared_soon: Arc<Vec<bool>>,
 }
 
 /// Computes `next_use` and `shared_soon` in **one** backward scan over
@@ -1243,8 +882,8 @@ pub fn compute_annotations<S: StreamAccess>(stream: &S, window: u64) -> Annotati
         };
     }
     Annotations {
-        next_use,
-        shared_soon,
+        next_use: Arc::new(next_use),
+        shared_soon: Arc::new(shared_soon),
     }
 }
 
@@ -1857,9 +1496,14 @@ mod tests {
     }
 
     fn full_sim(kind: PolicyKind, app: App) -> LlcStats {
-        crate::runner::simulate_kind(&cfg(), kind, &mut || app.workload(4, Scale::Tiny), vec![])
-            .expect("simulate")
-            .llc
+        crate::runner::simulate(
+            &cfg(),
+            &ReplayDesc::plain(kind),
+            &mut || app.workload(4, Scale::Tiny),
+            vec![],
+        )
+        .expect("simulate")
+        .llc
     }
 
     #[test]
@@ -1888,13 +1532,15 @@ mod tests {
         let c = cfg();
         let stream = stream_of(App::Streamcluster);
         for base in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-            let fast = replay_oracle(&c, base, ProtectMode::Eviction, None, &stream, vec![])
-                .expect("replay");
-            let slow = crate::runner::simulate_oracle(
-                &c,
+            let desc = ReplayDesc::oracle(
                 base,
-                ProtectMode::Eviction,
-                None,
+                llc_policies::ProtectMode::Eviction,
+                crate::runner::oracle_window(&c),
+            );
+            let fast = replay(&c, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+            let slow = crate::runner::simulate(
+                &c,
+                &desc,
                 &mut || App::Streamcluster.workload(4, Scale::Tiny),
                 vec![],
             )
@@ -1914,8 +1560,8 @@ mod tests {
         let shared_legacy =
             crate::runner::compute_shared_soon(&c, App::Dedup.workload(4, Scale::Tiny), window)
                 .expect("legacy shared-soon");
-        assert_eq!(ann.next_use, next_legacy);
-        assert_eq!(ann.shared_soon, shared_legacy);
+        assert_eq!(*ann.next_use, next_legacy);
+        assert_eq!(*ann.shared_soon, shared_legacy);
     }
 
     #[test]

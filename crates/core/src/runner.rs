@@ -13,22 +13,20 @@
 //! the second run performs at index `i`. This is what makes Belady's OPT
 //! exact and the oracle bits perfectly aligned.
 //!
-//! Since the stream-replay fast path landed, the annotated runs
-//! ([`simulate_opt`], [`simulate_oracle`]) exploit this property twice
-//! over: on a non-inclusive hierarchy they record the stream **once**
+//! Since the stream-replay fast path landed, annotated runs through
+//! [`simulate`] exploit this property twice over: on a non-inclusive
+//! hierarchy they record the stream **once**
 //! ([`crate::replay::record_stream`]), derive all annotations from the
 //! recording in a single fused backward scan, and replay only the LLC —
 //! instead of running up to three full hierarchy simulations. Inclusive
 //! hierarchies keep the historical full-simulation path (see the
-//! [`crate::replay`] module docs for why).
+//! [`mod@crate::replay`] module docs for why).
 
 use std::sync::Arc;
 
-use llc_policies::{
-    build_oracle_policy_with_mode, build_policy, build_reactive_policy, OracleWrap, PolicyKind,
-    ProtectMode,
-};
-use llc_predictors::{PredictorWrap, SharingPredictor};
+use llc_dag::{ReplayDesc, ReplayWrap};
+use llc_policies::{build_oracle_policy_with_mode, build_policy, build_reactive_policy};
+use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
     AccessCtx, AccessKind, Aux, AuxProvider, BlockAddr, Cmp, CoreId, HierarchyConfig, Inclusion,
     LiveGeneration, LlcObserver, LlcStats, MultiObserver, Pc, PrivateCacheStats, ReplacementPolicy,
@@ -36,7 +34,7 @@ use llc_sim::{
 use llc_trace::{TraceSource, UpgradeEvent};
 
 use crate::error::RunError;
-use crate::replay::{compute_annotations, record_stream, replay_opt, replay_oracle};
+use crate::replay::{aux_provider, compute_annotations, record_stream, replay, Exec};
 
 /// Aggregate result of one simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,9 +73,11 @@ impl RunResult {
     }
 }
 
-/// Runs `policy` over `trace` with optional aux annotations and
-/// observers. The hierarchy is flushed at the end so every generation is
-/// reported.
+/// Runs `policy` over `trace` through the full hierarchy with optional
+/// aux annotations and observers — the boxed reference driver, mirror of
+/// [`replay_on`](crate::replay_on), that the equivalence tests compare
+/// the replay fast path against. The hierarchy is flushed at the end so
+/// every generation is reported.
 ///
 /// # Errors
 ///
@@ -87,7 +87,7 @@ impl RunResult {
 /// decoder), and [`RunError::Trace`] if the trace source ended on a
 /// decode error (file replay of a corrupt trace) rather than clean
 /// exhaustion.
-pub fn simulate<W: TraceSource>(
+pub fn simulate_on<W: TraceSource>(
     config: &HierarchyConfig,
     policy: Box<dyn ReplacementPolicy>,
     aux: Option<Box<dyn AuxProvider>>,
@@ -117,10 +117,25 @@ pub fn simulate<W: TraceSource>(
     })
 }
 
-/// Runs a realistic policy (no annotations needed).
-pub fn simulate_kind<W, F>(
+/// Runs the policy `desc` names over the workload `make_trace` builds:
+///
+/// * a descriptor that needs no annotations runs one full simulation;
+/// * an annotated descriptor ([`ReplayDesc::annotation_window`]: OPT and
+///   the oracle wraps) records the LLC reference stream once and derives
+///   its annotations from the recording. On a non-inclusive hierarchy it
+///   then replays only the LLC ([`replay`](fn@crate::replay)); on an
+///   inclusive one, where the stream depends on the policy, the measured
+///   run is a second, full simulation fed the recording's annotations
+///   (the approximation experiment `abl2` quantifies).
+///
+/// `make_trace` is called once per pass over the workload.
+///
+/// # Errors
+///
+/// Same conditions as [`simulate_on`].
+pub fn simulate<W, F>(
     config: &HierarchyConfig,
-    kind: PolicyKind,
+    desc: &ReplayDesc,
     make_trace: &mut F,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError>
@@ -130,182 +145,39 @@ where
 {
     let sets = config.llc.sets() as usize;
     let ways = config.llc.ways;
-    if kind == PolicyKind::Opt {
-        return simulate_opt(config, make_trace, observers);
+    let Some(window) = desc.annotation_window() else {
+        let policy = boxed_policy(desc, sets, ways);
+        return simulate_on(config, policy, None, make_trace(), observers);
+    };
+    let stream = record_stream(config, make_trace())?;
+    if config.inclusion != Inclusion::Inclusive {
+        return replay(config, desc, &stream, None, Exec::Auto, observers);
     }
-    simulate(
+    let ann = compute_annotations(&stream, window);
+    simulate_on(
         config,
-        build_policy(kind, sets, ways),
-        None,
+        boxed_policy(desc, sets, ways),
+        Some(aux_provider(desc, &ann)),
         make_trace(),
         observers,
     )
 }
 
-/// Runs Belady's OPT: one recording pass captures the LLC reference
-/// stream, the next-use chains are derived from the recording, and the
-/// OPT run itself replays only the LLC (non-inclusive hierarchies).
-/// Inclusive hierarchies fall back to the historical pre-pass + full
-/// simulation.
-pub fn simulate_opt<W, F>(
-    config: &HierarchyConfig,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    if config.inclusion == Inclusion::Inclusive {
-        let sets = config.llc.sets() as usize;
-        let ways = config.llc.ways;
-        let next_use = compute_next_use(config, make_trace())?;
-        return simulate(
-            config,
-            build_policy(PolicyKind::Opt, sets, ways),
-            Some(Box::new(NextUseProvider::new(next_use))),
-            make_trace(),
-            observers,
-        );
-    }
-    let stream = record_stream(config, make_trace())?;
-    replay_opt(config, &stream, observers)
-}
-
-/// Runs the sharing-aware oracle wrapper around `base`.
-///
-/// One recording pre-pass over the (policy-independent) LLC reference
-/// stream computes, for every access, whether another core touches the
-/// block within the retention horizon (`window`; `None` selects
-/// [`oracle_window`]); the wrapper then protects lines whose most recent
-/// access carried a positive answer.
-pub fn simulate_oracle<W, F>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    mode: ProtectMode,
-    window: Option<u64>,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    if config.inclusion != Inclusion::Inclusive {
-        // Fast path: one recording, fused annotations, LLC-only replay.
-        // (Historically `base == Opt` here cost THREE full pre-pass
-        // simulations; the recording now happens exactly once.)
-        let stream = record_stream(config, make_trace())?;
-        return replay_oracle(config, base, mode, window, &stream, observers);
-    }
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let window = window.unwrap_or_else(|| oracle_window(config));
-    // Inclusive: the stream depends on the policy, so the measured run
-    // must be a full simulation — but both annotation vectors still come
-    // from a single recording of the LRU-run approximation.
-    let stream = record_stream(config, make_trace())?;
-    let ann = compute_annotations(&stream, window);
-    if base == PolicyKind::Opt {
-        let policy = Box::new(OracleWrap::with_mode(
-            build_policy(PolicyKind::Opt, sets, ways),
+/// The boxed policy `desc` names, for the full-hierarchy driver.
+fn boxed_policy(desc: &ReplayDesc, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    match desc.wrap {
+        ReplayWrap::Plain => build_policy(desc.kind, sets, ways),
+        ReplayWrap::Oracle { mode, .. } => {
+            build_oracle_policy_with_mode(desc.kind, sets, ways, mode)
+        }
+        ReplayWrap::Reactive => build_reactive_policy(desc.kind, sets, ways),
+        ReplayWrap::Predictor(predictor) => Box::new(PredictorWrap::new(
+            build_policy(desc.kind, sets, ways),
+            build_predictor(predictor),
             sets,
             ways,
-            mode,
-        ));
-        return simulate(
-            config,
-            policy,
-            Some(Box::new(CombinedProvider::new(
-                ann.next_use,
-                ann.shared_soon,
-            ))),
-            make_trace(),
-            observers,
-        );
+        )),
     }
-    let policy = build_oracle_policy_with_mode(base, sets, ways, mode);
-    simulate(
-        config,
-        policy,
-        Some(Box::new(OracleProvider::new(ann.shared_soon))),
-        make_trace(),
-        observers,
-    )
-}
-
-/// Runs the oracle wrapper around Belady's OPT (needs both annotation
-/// kinds). Of theoretical interest only: OPT is already optimal, so the
-/// wrapper's victim restriction can only *add* misses. The integration
-/// tests assert exactly this one-sided bound — it is the quantitative
-/// form of "OPT is naturally sharing-aware: there is nothing left for the
-/// oracle to protect".
-pub fn simulate_oracle_opt<W, F>(
-    config: &HierarchyConfig,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    simulate_oracle(
-        config,
-        PolicyKind::Opt,
-        ProtectMode::Eviction,
-        None,
-        make_trace,
-        observers,
-    )
-}
-
-/// Runs reactive (directory-driven, prediction-free) sharing protection
-/// around `base`: lines whose current generation is already shared are
-/// protected. The gap between this and the oracle is the part of the gain
-/// that genuinely requires fill-time prediction (experiment `abl4`).
-pub fn simulate_reactive<W, F>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    simulate(
-        config,
-        build_reactive_policy(base, sets, ways),
-        None,
-        make_trace(),
-        observers,
-    )
-}
-
-/// Runs a predictor-driven sharing-aware wrapper around `base` (the
-/// realistic end-to-end configuration of experiment `fig10`).
-pub fn simulate_predictor_wrap<W, F>(
-    config: &HierarchyConfig,
-    base: PolicyKind,
-    predictor: Box<dyn SharingPredictor>,
-    make_trace: &mut F,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let policy = Box::new(PredictorWrap::new(
-        build_policy(base, sets, ways),
-        predictor,
-        sets,
-        ways,
-    ));
-    simulate(config, policy, None, make_trace(), observers)
 }
 
 /// Records the LLC reference stream and computes, for each access, the
@@ -315,7 +187,9 @@ pub fn compute_next_use<W: TraceSource>(
     trace: W,
 ) -> Result<Vec<u64>, RunError> {
     let stream = record_stream(config, trace)?;
-    Ok(compute_annotations(&stream, 0).next_use)
+    Ok(Arc::unwrap_or_clone(
+        compute_annotations(&stream, 0).next_use,
+    ))
 }
 
 /// Computes the oracle's answer vector from the (policy-independent) LLC
@@ -341,7 +215,9 @@ pub fn compute_shared_soon<W: TraceSource>(
     window: u64,
 ) -> Result<Vec<bool>, RunError> {
     let stream = record_stream(config, trace)?;
-    Ok(compute_annotations(&stream, window).shared_soon)
+    Ok(Arc::unwrap_or_clone(
+        compute_annotations(&stream, window).shared_soon,
+    ))
 }
 
 /// The default oracle retention horizon for a hierarchy: four times the
@@ -354,7 +230,7 @@ pub fn oracle_window(config: &HierarchyConfig) -> u64 {
 
 /// Observer recording every LLC access (block, core, PC, kind) plus the
 /// interleaved coherence upgrades, in stream order — everything a
-/// [`crate::replay::replay`] run needs to reproduce the LLC
+/// [`replay`](fn@crate::replay) run needs to reproduce the LLC
 /// bit-identically.
 #[derive(Debug, Default)]
 pub struct StreamRecorder {
@@ -418,7 +294,7 @@ impl LlcObserver for StreamRecorder {
 ///
 /// Annotation vectors are held behind [`Arc`] so set-sharded replays can
 /// hand every shard its own provider without cloning megabytes of
-/// annotations (see [`crate::replay::replay_sharded`]).
+/// annotations.
 #[derive(Debug, Clone)]
 pub struct NextUseProvider {
     next_use: Arc<Vec<u64>>,
@@ -450,7 +326,8 @@ impl AuxProvider for NextUseProvider {
     }
 }
 
-/// Aux provider feeding oracle sharing outcomes to [`OracleWrap`].
+/// Aux provider feeding oracle sharing outcomes to
+/// [`OracleWrap`](llc_policies::OracleWrap).
 #[derive(Debug, Clone)]
 pub struct OracleProvider {
     outcome: Arc<Vec<bool>>,
@@ -486,11 +363,6 @@ pub struct CombinedProvider {
 }
 
 impl CombinedProvider {
-    /// Combines a next-use vector and an outcome vector.
-    pub fn new(next_use: Vec<u64>, outcome: Vec<bool>) -> Self {
-        CombinedProvider::shared(Arc::new(next_use), Arc::new(outcome))
-    }
-
     /// Combines already-shared annotation vectors.
     pub fn shared(next_use: Arc<Vec<u64>>, outcome: Arc<Vec<bool>>) -> Self {
         CombinedProvider { next_use, outcome }
@@ -512,26 +384,10 @@ impl AuxProvider for CombinedProvider {
     }
 }
 
-/// Convenience: runs a policy (including OPT) with no observers.
-///
-/// # Errors
-///
-/// Same conditions as [`simulate`].
-pub fn run_simple<W, F>(
-    config: &HierarchyConfig,
-    kind: PolicyKind,
-    make_trace: &mut F,
-) -> Result<RunResult, RunError>
-where
-    W: TraceSource,
-    F: FnMut() -> W,
-{
-    simulate_kind(config, kind, make_trace, vec![])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llc_policies::{PolicyKind, ProtectMode};
     use llc_trace::{App, Scale};
 
     fn cfg() -> HierarchyConfig {
@@ -547,7 +403,7 @@ mod tests {
         let mut rec_lru = StreamRecorder::default();
         let mut rec_rand = StreamRecorder::default();
         let c = cfg();
-        simulate(
+        simulate_on(
             &c,
             build_policy(PolicyKind::Lru, c.llc.sets() as usize, c.llc.ways),
             None,
@@ -555,7 +411,7 @@ mod tests {
             vec![&mut rec_lru],
         )
         .expect("run");
-        simulate(
+        simulate_on(
             &c,
             build_policy(PolicyKind::Random, c.llc.sets() as usize, c.llc.ways),
             None,
@@ -571,7 +427,7 @@ mod tests {
     fn next_use_chains_are_consistent() {
         let c = cfg();
         let mut rec = StreamRecorder::default();
-        simulate(
+        simulate_on(
             &c,
             build_policy(PolicyKind::Lru, c.llc.sets() as usize, c.llc.ways),
             None,
@@ -598,9 +454,16 @@ mod tests {
     fn opt_beats_every_realistic_policy() {
         let c = cfg();
         for app in [App::Bodytrack, App::Fft, App::Canneal] {
-            let opt = simulate_opt(&c, &mut make(app), vec![]).expect("run");
+            let opt = simulate(
+                &c,
+                &ReplayDesc::plain(PolicyKind::Opt),
+                &mut make(app),
+                vec![],
+            )
+            .expect("run");
             for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Random] {
-                let r = simulate_kind(&c, kind, &mut make(app), vec![]).expect("run");
+                let r =
+                    simulate(&c, &ReplayDesc::plain(kind), &mut make(app), vec![]).expect("run");
                 assert!(
                     opt.llc.misses() <= r.llc.misses(),
                     "{app}: OPT {} > {} {}",
@@ -618,12 +481,16 @@ mod tests {
     fn oracle_never_hurts_much_and_usually_helps() {
         let c = cfg();
         for app in [App::Bodytrack, App::Streamcluster] {
-            let lru = simulate_kind(&c, PolicyKind::Lru, &mut make(app), vec![]).expect("run");
-            let oracle = simulate_oracle(
+            let lru = simulate(
                 &c,
-                PolicyKind::Lru,
-                ProtectMode::Eviction,
-                None,
+                &ReplayDesc::plain(PolicyKind::Lru),
+                &mut make(app),
+                vec![],
+            )
+            .expect("run");
+            let oracle = simulate(
+                &c,
+                &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&c)),
                 &mut make(app),
                 vec![],
             )
@@ -645,7 +512,7 @@ mod tests {
     fn shared_soon_matches_brute_force() {
         let c = cfg();
         let mut rec = StreamRecorder::default();
-        simulate(
+        simulate_on(
             &c,
             build_policy(PolicyKind::Lru, c.llc.sets() as usize, c.llc.ways),
             None,
@@ -676,20 +543,16 @@ mod tests {
     #[test]
     fn oracle_run_is_deterministic() {
         let c = cfg();
-        let a = simulate_oracle(
+        let a = simulate(
             &c,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&c)),
             &mut make(App::Water),
             vec![],
         )
         .expect("run");
-        let b = simulate_oracle(
+        let b = simulate(
             &c,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&c)),
             &mut make(App::Water),
             vec![],
         )
@@ -700,7 +563,13 @@ mod tests {
     #[test]
     fn run_result_mpki_uses_instructions() {
         let c = cfg();
-        let r = simulate_kind(&c, PolicyKind::Lru, &mut make(App::Swaptions), vec![]).expect("run");
+        let r = simulate(
+            &c,
+            &ReplayDesc::plain(PolicyKind::Lru),
+            &mut make(App::Swaptions),
+            vec![],
+        )
+        .expect("run");
         assert!(r.instructions > r.trace_accesses);
         assert!(r.llc_mpki() > 0.0);
         assert!(r.l1_mpki() >= r.llc_mpki());

@@ -1,6 +1,6 @@
 //! A crash-isolating, resumable experiment-suite runner.
 //!
-//! [`run_experiment`](crate::experiments::run_experiment) runs one
+//! [`run_experiment`] runs one
 //! experiment and returns its tables or a typed error. This module wraps
 //! that in the harness a long unattended campaign needs:
 //!
@@ -262,7 +262,7 @@ impl SuiteReport {
 
 /// Runs the given experiments under the full harness (isolation,
 /// watchdog, checkpoint/resume) using the real
-/// [`run_experiment`](crate::experiments::run_experiment).
+/// [`run_experiment`].
 ///
 /// # Errors
 ///

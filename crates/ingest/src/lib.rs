@@ -4,7 +4,7 @@
 //! rest of the workspace only *generates* traces (the synthetic PARSEC /
 //! SPLASH-2 models in `llc-trace`). This crate is the way in for traces
 //! produced elsewhere: each supported foreign format decodes into the
-//! native [`MemAccess`](llc_sim::MemAccess) record through a
+//! native [`MemAccess`] record through a
 //! [`TraceSource`] implementation, so an ingested trace flows through the
 //! exact same `StreamRecorder` → `.llcs` → replay path as a synthetic
 //! workload — the DAG, the sharded replay drivers and the zero-copy views
@@ -27,7 +27,7 @@
 //! `llc-trace`: every way an input can be malformed maps to a typed
 //! [`TraceError`] (truncation, bad magic, out-of-range cores, and the
 //! foreign-format [`TraceError::MalformedRecord`]); nothing panics; and
-//! because each parser reads from any [`Read`](std::io::Read) they are
+//! because each parser reads from any [`Read`] they are
 //! fault-injectable byte-by-byte through
 //! [`llc_trace::CorruptingReader`].
 //!

@@ -5,7 +5,7 @@
 //! evaluates two history-based designs — indexed by the **block address**
 //! and by the **fill PC** — trained at eviction time with the observed
 //! generation outcome. Both are instances of
-//! [`HistoryTable`](crate::table::HistoryTable) with different keys, plus a
+//! [`HistoryTable`] with different keys, plus a
 //! tournament combiner and two trivial baselines used to calibrate the
 //! metrics.
 

@@ -1,7 +1,7 @@
 //! The daemon: a `TcpListener` accept loop, per-connection handler
 //! threads behind a connection cap, and a bounded worker pool (the same
 //! [`llc_sharing::scoped_workers`] primitive the suite runner schedules
-//! on), all over one shared [`ServerState`].
+//! on), all over one shared `ServerState`.
 //!
 //! Worker 0 owns the socket and, once shutdown is requested, supervises
 //! the drain; workers `1..=jobs` pop the bounded job queue. Every

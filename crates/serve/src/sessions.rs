@@ -1,7 +1,7 @@
 //! Live streaming characterization sessions.
 //!
 //! A session is a durable, incrementally-updated
-//! [`OnlineCharacterizer`](llc_sharing::OnlineCharacterizer): clients
+//! [`OnlineCharacterizer`]: clients
 //! `POST /sessions` to open one, push access batches to
 //! `POST /sessions/{id}/batch`, and read the sliding-window sharing
 //! taxonomy and predictor accuracy back from every batch response or

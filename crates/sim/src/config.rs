@@ -238,7 +238,7 @@ impl HierarchyConfig {
     /// # Errors
     ///
     /// Returns an error if the core count is zero or exceeds
-    /// [`MAX_CORES`](crate::addr::MAX_CORES), or any member cache is
+    /// [`MAX_CORES`], or any member cache is
     /// invalid.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cores == 0 {

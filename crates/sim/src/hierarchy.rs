@@ -434,7 +434,7 @@ impl<P: ReplacementPolicy> Cmp<P> {
 /// victims write back to memory and LLC evictions never touch the private
 /// levels), so *recording* the stream does not require simulating the LLC
 /// at all. This kernel runs only the private levels and the coherence
-/// directory — the exact [`PrivateLevels`] logic the full [`Cmp`] uses —
+/// directory — the exact `PrivateLevels` logic the full [`Cmp`] uses —
 /// and reports every LLC-bound reference to the observer via
 /// [`LlcObserver::on_fill`] with a monotonically increasing logical time.
 ///

@@ -236,7 +236,7 @@ pub struct LlcAccess {
 ///   bitmask. These are the only state the resident-line scan reads, and
 ///   the scan compiles to a branchless, SIMD-friendly compare-to-mask
 ///   over the tag row.
-/// * **bookkeeping plane** — one [`LineMeta`] record per line holding the
+/// * **bookkeeping plane** — one `LineMeta` record per line holding the
 ///   sharing masks, hit/write counters and fill metadata. These fields
 ///   are always read and written *together* (on a hit, a fill or a
 ///   generation end), so they stay struct-grouped: one meta record is one

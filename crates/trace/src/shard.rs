@@ -1,4 +1,4 @@
-//! Set-range shard indices over a [`RecordedStream`].
+//! Set-range shard indices over a [`RecordedStream`](crate::RecordedStream).
 //!
 //! LLC sets do not interact during non-inclusive replay, so the recorded
 //! reference stream can be partitioned by set index and each partition
@@ -59,7 +59,8 @@ pub struct StreamShard {
     pub kinds: Vec<AccessKind>,
 }
 
-/// Per-set-range access/upgrade index lists over one [`RecordedStream`],
+/// Per-set-range access/upgrade index lists over one
+/// [`RecordedStream`](crate::RecordedStream),
 /// for one (set count, shard count) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardIndex {
@@ -75,7 +76,7 @@ impl ShardIndex {
     /// even as possible (sizes differ by at most one set). Every access and
     /// upgrade lands in exactly one shard, so the concatenation of the
     /// per-shard lists is a permutation of the stream — the property the
-    /// deterministic merge in `llc_sharing::replay_sharded` relies on.
+    /// deterministic merge of a set-sharded replay relies on.
     ///
     /// Returns `None` if the stream is too large to index with `u32`
     /// positions; callers must then use the sequential path.

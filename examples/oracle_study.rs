@@ -30,30 +30,35 @@ fn main() {
     let mut gains_drrip = Vec::new();
     for app in App::ALL {
         let mut make = || app.workload(cfg.cores, Scale::Small);
-        let lru = simulate_kind(&cfg, PolicyKind::Lru, &mut make, vec![])
+        let lru = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Lru), &mut make, vec![])
             .expect("run")
             .llc
             .misses();
-        let o_lru = simulate_oracle(
+        let o_lru = simulate(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &mut make,
             vec![],
         )
         .expect("run")
         .llc
         .misses();
-        let drrip = simulate_kind(&cfg, PolicyKind::Drrip, &mut make, vec![])
-            .expect("run")
-            .llc
-            .misses();
-        let o_drrip = simulate_oracle(
+        let drrip = simulate(
             &cfg,
-            PolicyKind::Drrip,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::plain(PolicyKind::Drrip),
+            &mut make,
+            vec![],
+        )
+        .expect("run")
+        .llc
+        .misses();
+        let o_drrip = simulate(
+            &cfg,
+            &ReplayDesc::oracle(
+                PolicyKind::Drrip,
+                ProtectMode::Eviction,
+                oracle_window(&cfg),
+            ),
             &mut make,
             vec![],
         )

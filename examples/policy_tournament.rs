@@ -38,9 +38,9 @@ fn main() {
     lineup.push(PolicyKind::Opt);
     for kind in lineup {
         let mut vic = VictimizationStats::new(window);
-        let r = simulate_kind(
+        let r = simulate(
             &cfg,
-            kind,
+            &ReplayDesc::plain(kind),
             &mut || app.workload(cfg.cores, Scale::Small),
             vec![&mut vic],
         )

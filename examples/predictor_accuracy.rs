@@ -40,9 +40,9 @@ fn main() {
             PredictorKind::AlwaysShared,
         ] {
             let mut study = PredictorStudy::new(build_predictor(kind));
-            simulate_kind(
+            simulate(
                 &cfg,
-                PolicyKind::Lru,
+                &ReplayDesc::plain(PolicyKind::Lru),
                 &mut || app.workload(cfg.cores, Scale::Small),
                 vec![&mut study],
             )

@@ -38,9 +38,9 @@ fn main() {
     println!("scale    : {scale}\n");
 
     let mut profile = SharingProfile::new();
-    let result = simulate_kind(
+    let result = simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || app.workload(cfg.cores, scale),
         vec![&mut profile],
     )

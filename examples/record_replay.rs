@@ -88,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Phase 3 — the disk-restored stream replays bit-identically to
     // simulating the live generator.
-    let live = simulate_kind(
+    let live = simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || app.workload(cfg.cores, Scale::Tiny),
         vec![],
     )?;

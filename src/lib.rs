@@ -17,9 +17,11 @@
 //!   Belady's OPT, and the paper's generic sharing-aware oracle wrapper;
 //! * [`predictors`] — the fill-time sharing predictors (address- and
 //!   PC-indexed) and their metrics;
-//! * [`sharing`] — the characterization passes, the exact oracle/OPT
-//!   pre-passes, and the experiment index regenerating every table and
-//!   figure;
+//! * [`sharing`] — the replay entry point (a
+//!   [`ReplayDesc`](sharing::ReplayDesc) in, a
+//!   [`RunResult`](sharing::RunResult) out), the characterization passes, the exact
+//!   oracle/OPT pre-passes, and the experiment index regenerating every
+//!   table and figure;
 //! * [`serve`] — the job-queue simulation daemon (`repro serve`) with its
 //!   persistent content-addressed stream & result store;
 //! * [`telemetry`] — process-global metrics (Prometheus text exposition)
@@ -39,9 +41,9 @@
 //! // blocks on a small test machine.
 //! let cfg = HierarchyConfig::tiny();
 //! let mut profile = SharingProfile::new();
-//! simulate_kind(
+//! simulate(
 //!     &cfg,
-//!     PolicyKind::Lru,
+//!     &ReplayDesc::plain(PolicyKind::Lru),
 //!     &mut || App::Bodytrack.workload(cfg.cores, Scale::Tiny),
 //!     vec![&mut profile],
 //! )
@@ -70,10 +72,9 @@ pub mod prelude {
         SharingPredictor, TableConfig,
     };
     pub use llc_sharing::{
-        run_experiment, run_suite, run_suite_with, simulate, simulate_kind, simulate_opt,
-        simulate_oracle, simulate_predictor_wrap, EpochSeries, ExperimentCtx, ExperimentId,
-        ExperimentOutcome, RunError, RunResult, SharingProfile, SuiteConfig, SuiteReport, Table,
-        VictimizationStats,
+        oracle_window, replay, run_experiment, run_suite, run_suite_with, simulate, simulate_on,
+        EpochSeries, Exec, ExperimentCtx, ExperimentId, ExperimentOutcome, ReplayDesc, RunError,
+        RunResult, SharingProfile, SuiteConfig, SuiteReport, Table, VictimizationStats,
     };
     pub use llc_sim::{
         AccessKind, Addr, BlockAddr, CacheConfig, Cmp, CoreId, GenerationEnd, HierarchyConfig,

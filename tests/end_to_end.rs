@@ -16,9 +16,9 @@ fn test_cfg() -> HierarchyConfig {
 
 fn profile_of(app: App, cfg: &HierarchyConfig) -> (RunResult, SharingProfile) {
     let mut profile = SharingProfile::new();
-    let r = simulate_kind(
+    let r = simulate(
         cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || app.workload(cfg.cores, Scale::Tiny),
         vec![&mut profile],
     )
@@ -79,9 +79,9 @@ fn accounting_identities_hold() {
     let cfg = test_cfg();
     for app in [App::Dedup, App::Fft, App::Canneal] {
         let mut profile = SharingProfile::new();
-        let r = simulate_kind(
+        let r = simulate(
             &cfg,
-            PolicyKind::Srrip,
+            &ReplayDesc::plain(PolicyKind::Srrip),
             &mut || app.workload(cfg.cores, Scale::Tiny),
             vec![&mut profile],
         )
@@ -116,12 +116,12 @@ fn opt_lower_bounds_all_policies_on_all_test_apps() {
     let cfg = test_cfg();
     for app in [App::Bodytrack, App::Water, App::Radix, App::Swim] {
         let mut make = || app.workload(cfg.cores, Scale::Tiny);
-        let opt = simulate_opt(&cfg, &mut make, vec![])
+        let opt = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Opt), &mut make, vec![])
             .expect("run")
             .llc
             .misses();
         for kind in PolicyKind::REALISTIC {
-            let m = simulate_kind(&cfg, kind, &mut make, vec![])
+            let m = simulate(&cfg, &ReplayDesc::plain(kind), &mut make, vec![])
                 .expect("run")
                 .llc
                 .misses();
@@ -135,15 +135,13 @@ fn oracle_gains_concentrate_on_sharing_heavy_apps() {
     let cfg = test_cfg();
     let gain = |app: App| {
         let mut make = || app.workload(cfg.cores, Scale::Tiny);
-        let lru = simulate_kind(&cfg, PolicyKind::Lru, &mut make, vec![])
+        let lru = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Lru), &mut make, vec![])
             .expect("run")
             .llc
             .misses();
-        let oracle = simulate_oracle(
+        let oracle = simulate(
             &cfg,
-            PolicyKind::Lru,
-            ProtectMode::Eviction,
-            None,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &mut make,
             vec![],
         )
@@ -170,14 +168,19 @@ fn oracle_cannot_improve_opt() {
     let cfg = test_cfg();
     let app = App::Bodytrack;
     let mut make = || app.workload(cfg.cores, Scale::Tiny);
-    let opt = simulate_opt(&cfg, &mut make, vec![])
+    let opt = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Opt), &mut make, vec![])
         .expect("run")
         .llc
         .misses();
-    let wrapped = llc_sharing::simulate_oracle_opt(&cfg, &mut make, vec![])
-        .expect("run")
-        .llc
-        .misses();
+    let wrapped = llc_sharing::simulate(
+        &cfg,
+        &ReplayDesc::oracle(PolicyKind::Opt, ProtectMode::Eviction, oracle_window(&cfg)),
+        &mut make,
+        vec![],
+    )
+    .expect("run")
+    .llc
+    .misses();
     assert!(
         wrapped >= opt,
         "wrapping OPT cannot reduce misses ({wrapped} < {opt})"
@@ -189,9 +192,9 @@ fn predictor_study_runs_end_to_end() {
     let cfg = test_cfg();
     let mut addr = PredictorStudy::new(build_predictor(PredictorKind::Address));
     let mut pc = PredictorStudy::new(build_predictor(PredictorKind::Pc));
-    simulate_kind(
+    simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || App::Ferret.workload(cfg.cores, Scale::Tiny),
         vec![&mut addr, &mut pc],
     )
@@ -212,14 +215,13 @@ fn predictor_wrapper_is_safe_even_with_bad_predictions() {
     let cfg = test_cfg();
     let app = App::Ocean;
     let mut make = || app.workload(cfg.cores, Scale::Tiny);
-    let lru = simulate_kind(&cfg, PolicyKind::Lru, &mut make, vec![])
+    let lru = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Lru), &mut make, vec![])
         .expect("run")
         .llc
         .misses();
-    let wrapped = simulate_predictor_wrap(
+    let wrapped = simulate(
         &cfg,
-        PolicyKind::Lru,
-        build_predictor(PredictorKind::AlwaysShared),
+        &ReplayDesc::predicted(PolicyKind::Lru, PredictorKind::AlwaysShared),
         &mut make,
         vec![],
     )
@@ -236,17 +238,17 @@ fn phase_shifting_apps_are_burstier_than_steady_ones() {
     let mut cfg = test_cfg();
     cfg.llc = CacheConfig::from_kib(512, 8).expect("valid LLC");
     let burstiness = |app: App| {
-        let probe = simulate_kind(
+        let probe = simulate(
             &cfg,
-            PolicyKind::Lru,
+            &ReplayDesc::plain(PolicyKind::Lru),
             &mut || app.workload(cfg.cores, Scale::Tiny),
             vec![],
         )
         .expect("run");
         let mut series = EpochSeries::new((probe.llc.accesses / 16).max(1));
-        simulate_kind(
+        simulate(
             &cfg,
-            PolicyKind::Lru,
+            &ReplayDesc::plain(PolicyKind::Lru),
             &mut || app.workload(cfg.cores, Scale::Tiny),
             vec![&mut series],
         )

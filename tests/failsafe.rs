@@ -33,9 +33,9 @@ fn truncated_trace_surfaces_as_typed_error_through_the_driver() {
     let bytes = recorded(App::Fft, 4);
     let cut = bytes.len() - 7; // mid-record
     let cfg = test_cfg(4);
-    let err = simulate_kind(
+    let err = simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || TraceFileSource::new(&bytes[..cut]).expect("header intact"),
         vec![],
     )
@@ -57,9 +57,9 @@ fn corrupted_traces_never_panic_the_driver() {
         if let Ok(src) = TraceFileSource::new(CorruptingReader::new(bytes.as_slice(), &plan)) {
             let full = bytes.clone();
             let p2 = plan.clone();
-            let _ = simulate_kind(
+            let _ = simulate(
                 &cfg,
-                PolicyKind::Lru,
+                &ReplayDesc::plain(PolicyKind::Lru),
                 &mut || {
                     TraceFileSource::new(CorruptingReader::new(full.as_slice(), &p2))
                         .expect("checked above")
@@ -78,9 +78,9 @@ fn replaying_a_wider_trace_on_a_narrower_machine_is_a_typed_error() {
     // letting it corrupt per-core state downstream.
     let bytes = recorded(App::Ocean, 8);
     let cfg = test_cfg(4);
-    let err = simulate_kind(
+    let err = simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || {
             TraceFileSource::new(bytes.as_slice())
                 .expect("header intact")

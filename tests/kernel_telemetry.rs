@@ -4,15 +4,22 @@
 //! of events per replay regardless of stream length.
 //!
 //! This lives in its own integration-test binary (its own process) so no
-//! concurrently running test can flip the process-global span switch
-//! under the assertions.
+//! test elsewhere can flip the process-global span switch under the
+//! assertions, and the tests below take turns on [`SPAN_SWITCH`] because
+//! the test harness runs them on parallel threads.
+
+use std::sync::{Mutex, PoisonError};
 
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::sharing::{record_stream, replay_kind};
 use sharing_aware_llc::telemetry::spans;
 
+/// Held by every test that reads or flips the span switch.
+static SPAN_SWITCH: Mutex<()> = Mutex::new(());
+
 #[test]
 fn disabled_telemetry_is_zero_atomics_per_replay_access() {
+    let _switch = SPAN_SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = HierarchyConfig::tiny();
     let small = record_stream(&cfg, App::Bodytrack.workload(cfg.cores, Scale::Tiny))
         .expect("record small stream");
@@ -64,6 +71,7 @@ fn disabled_telemetry_is_zero_atomics_per_record_access() {
     // and one span per *recording*, never per trace record. With spans
     // disabled a recording buffers nothing; enabled, a trace twice the
     // length buffers exactly as many events.
+    let _switch = SPAN_SWITCH.lock().unwrap_or_else(PoisonError::into_inner);
     let cfg = HierarchyConfig::tiny();
     assert!(!spans::enabled(), "spans must start disabled");
     let before = spans::event_count();

@@ -77,9 +77,9 @@ fn llcs_files_round_trip_and_replay_identically() {
     assert_eq!(loaded, **recorded, "disk round-trip is lossless");
 
     // And the loaded copy replays bit-identically to the live workload.
-    let live = simulate_kind(
+    let live = simulate(
         &cfg,
-        PolicyKind::Lru,
+        &ReplayDesc::plain(PolicyKind::Lru),
         &mut || App::Bodytrack.workload(cfg.cores, Scale::Tiny),
         vec![],
     )

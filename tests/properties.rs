@@ -38,9 +38,9 @@ fn trace_strategy(len: usize) -> impl Strategy<Value = Vec<MemAccess>> {
 fn run_policy(kind: PolicyKind, trace: Vec<MemAccess>) -> (RunResult, SharingProfile) {
     let cfg = tiny_cfg();
     let mut profile = SharingProfile::new();
-    let r = llc_sharing::simulate_kind(
+    let r = llc_sharing::simulate(
         &cfg,
-        kind,
+        &ReplayDesc::plain(kind),
         &mut || VecSource::new(trace.clone()),
         vec![&mut profile],
     )
@@ -70,8 +70,7 @@ proptest! {
     #[test]
     fn opt_is_optimal(trace in trace_strategy(600)) {
         let cfg = tiny_cfg();
-        let opt = llc_sharing::simulate_opt(
-            &cfg, &mut || VecSource::new(trace.clone()), vec![]).expect("run").llc.misses();
+        let opt = llc_sharing::simulate(&cfg, &ReplayDesc::plain(PolicyKind::Opt), &mut || VecSource::new(trace.clone()), vec![]).expect("run").llc.misses();
         for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Random,
                      PolicyKind::Ship, PolicyKind::Dip] {
             let m = run_policy(kind, trace.clone()).0.llc.misses();
@@ -113,11 +112,9 @@ proptest! {
         let small = tiny_cfg();
         let mut big = small;
         big.llc = CacheConfig::from_kib(8, 8).expect("valid LLC");
-        let ms = llc_sharing::simulate_kind(
-            &small, PolicyKind::Lru, &mut || VecSource::new(trace.clone()), vec![])
+        let ms = llc_sharing::simulate(&small, &ReplayDesc::plain(PolicyKind::Lru), &mut || VecSource::new(trace.clone()), vec![])
             .expect("run").llc.misses();
-        let mb = llc_sharing::simulate_kind(
-            &big, PolicyKind::Lru, &mut || VecSource::new(trace.clone()), vec![])
+        let mb = llc_sharing::simulate(&big, &ReplayDesc::plain(PolicyKind::Lru), &mut || VecSource::new(trace.clone()), vec![])
             .expect("run").llc.misses();
         prop_assert!(mb <= ms, "8KB LRU missed more ({mb}) than 4KB ({ms})");
     }
@@ -127,11 +124,9 @@ proptest! {
     #[test]
     fn oracle_wrapper_bounded_regression(trace in trace_strategy(600)) {
         let cfg = tiny_cfg();
-        let lru = llc_sharing::simulate_kind(
-            &cfg, PolicyKind::Lru, &mut || VecSource::new(trace.clone()), vec![])
+        let lru = llc_sharing::simulate(&cfg, &ReplayDesc::plain(PolicyKind::Lru), &mut || VecSource::new(trace.clone()), vec![])
             .expect("run").llc.misses();
-        let oracle = llc_sharing::simulate_oracle(
-            &cfg, PolicyKind::Lru, ProtectMode::Eviction, None,
+        let oracle = llc_sharing::simulate(&cfg, &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &mut || VecSource::new(trace.clone()), vec![]).expect("run").llc.misses();
         // Identical access counts, and misses within a generous envelope.
         prop_assert!(oracle <= lru + lru / 4 + 8,
@@ -194,8 +189,8 @@ proptest! {
             }
         }
         let mut check = Check(Vec::new());
-        llc_sharing::simulate_kind(
-            &tiny_cfg(), PolicyKind::Lru,
+        llc_sharing::simulate(
+            &tiny_cfg(), &ReplayDesc::plain(PolicyKind::Lru),
             &mut || VecSource::new(trace.clone()), vec![&mut check]).expect("run");
         prop_assert!(check.0.is_empty(), "{}", check.0.join("; "));
     }

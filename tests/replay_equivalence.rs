@@ -1,6 +1,6 @@
 //! Equivalence of the stream-replay fast path with full-hierarchy
 //! simulation, plus the pre-pass-count regression from the
-//! `simulate_oracle(base == Opt)` bugfix.
+//! oracle-around-OPT `simulate` bugfix.
 //!
 //! The legacy annotation vectors are recomputed *test-locally* (an LLC
 //! observer captures the stream, then separate plain-`HashMap` scans
@@ -12,13 +12,12 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use llc_sharing::{
-    compute_annotations, oracle_window, record_stream, replay, replay_kind, replay_kind_sharded,
-    replay_oracle, simulate, simulate_opt, simulate_oracle, CombinedProvider, NextUseProvider,
-    OracleProvider,
+    compute_annotations, oracle_window, record_stream, replay, replay_kind, replay_on, simulate,
+    simulate_on, CombinedProvider, Exec, NextUseProvider, OracleProvider, ReplayDesc, ReplayWrap,
 };
 use llc_sim::{AccessCtx, AuxProvider, LiveGeneration};
 use proptest::prelude::*;
-use sharing_aware_llc::policies::build_oracle_policy_with_mode;
+use sharing_aware_llc::policies::{build_oracle_policy_with_mode, build_reactive_policy};
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::trace::VecSource;
 
@@ -113,7 +112,7 @@ fn capture_stream(cfg: &HierarchyConfig, trace: &[MemAccess]) -> Capture {
     let sets = cfg.llc.sets() as usize;
     let ways = cfg.llc.ways;
     let mut cap = Capture::default();
-    simulate(
+    simulate_on(
         cfg,
         build_policy(PolicyKind::Lru, sets, ways),
         None,
@@ -155,26 +154,35 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// LLC-only replay is bit-identical to full-hierarchy simulation for
-    /// every policy kind, on hierarchies with and without an L2.
+    /// every policy kind and for the reactive and predictor-driven wraps,
+    /// on hierarchies with and without an L2. The wraps hold global
+    /// state, so an explicit shard request must take the sequential
+    /// fallback and give the same bits.
     #[test]
     fn replay_matches_full_simulation(trace in trace_strategy(600)) {
         for cfg in [no_l2_cfg(), with_l2_cfg()] {
             let sets = cfg.llc.sets() as usize;
             let ways = cfg.llc.ways;
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-            for kind in [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Nru,
+            let plain = [PolicyKind::Lru, PolicyKind::Random, PolicyKind::Nru,
                          PolicyKind::Srrip, PolicyKind::Brrip, PolicyKind::Drrip,
                          PolicyKind::TaDrrip, PolicyKind::Lip, PolicyKind::Bip,
-                         PolicyKind::Dip, PolicyKind::Ship] {
-                let full = simulate(
-                    &cfg, build_policy(kind, sets, ways), None,
+                         PolicyKind::Dip, PolicyKind::Ship].map(ReplayDesc::plain);
+            for desc in plain.into_iter().chain(protection_wraps()) {
+                let full = simulate_on(
+                    &cfg, boxed_policy(&desc, sets, ways), None,
                     VecSource::new(trace.clone()), vec![]).expect("full run");
-                let fast = replay_kind(&cfg, kind, &stream, vec![]).expect("replay");
-                prop_assert_eq!(full.llc, fast.llc, "kind {}", kind.label());
+                let fast = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+                prop_assert_eq!(full.llc, fast.llc, "{}", desc.label());
                 prop_assert_eq!(full.l1, fast.l1);
                 prop_assert_eq!(full.l2, fast.l2);
                 prop_assert_eq!(full.instructions, fast.instructions);
                 prop_assert_eq!(full.trace_accesses, fast.trace_accesses);
+                if desc.wrap != ReplayWrap::Plain {
+                    let sharded = replay(&cfg, &desc, &stream, None, Exec::Shards(4), vec![])
+                        .expect("sharded replay");
+                    prop_assert_eq!(&fast, &sharded, "{} at 4 shards", desc.label());
+                }
             }
         }
     }
@@ -187,15 +195,19 @@ proptest! {
             let sets = cfg.llc.sets() as usize;
             let ways = cfg.llc.ways;
             let cap = capture_stream(&cfg, &trace);
-            let full = simulate(
+            let full = simulate_on(
                 &cfg,
                 build_policy(PolicyKind::Opt, sets, ways),
                 Some(Box::new(NextUseProvider::new(legacy_next_use(&cap.blocks)))),
                 VecSource::new(trace.clone()),
                 vec![],
             ).expect("legacy OPT run");
-            let fast = simulate_opt(
-                &cfg, &mut || VecSource::new(trace.clone()), vec![]).expect("fast OPT run");
+            let fast = simulate(
+                &cfg,
+                &ReplayDesc::plain(PolicyKind::Opt),
+                &mut || VecSource::new(trace.clone()),
+                vec![],
+            ).expect("fast OPT run");
             prop_assert_eq!(full.llc, fast.llc);
         }
     }
@@ -212,7 +224,7 @@ proptest! {
         let cap = capture_stream(&cfg, &trace);
         let shared = legacy_shared_soon(&cap.blocks, &cap.cores, window);
         for base in [PolicyKind::Lru, PolicyKind::Srrip] {
-            let full = simulate(
+            let full = simulate_on(
                 &cfg,
                 build_oracle_policy_with_mode(base, sets, ways, ProtectMode::Eviction),
                 Some(Box::new(OracleProvider::new(shared.clone()))),
@@ -220,8 +232,9 @@ proptest! {
                 vec![],
             ).expect("legacy oracle run");
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-            let fast = replay_oracle(
-                &cfg, base, ProtectMode::Eviction, None, &stream, vec![]).expect("oracle replay");
+            let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
+            let fast = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![])
+                .expect("oracle replay");
             prop_assert_eq!(full.llc, fast.llc, "base {}", base.label());
         }
     }
@@ -242,6 +255,38 @@ const ALL_KINDS: [PolicyKind; 12] = [
     PolicyKind::Ship,
     PolicyKind::Opt,
 ];
+
+/// The reactive (abl4) and predictor-driven (fig9/fig10) wraps over LRU
+/// and SRRIP, one per predictor kind.
+fn protection_wraps() -> Vec<ReplayDesc> {
+    [PolicyKind::Lru, PolicyKind::Srrip]
+        .into_iter()
+        .flat_map(|base| {
+            std::iter::once(ReplayDesc::reactive(base)).chain(
+                PredictorKind::ALL
+                    .into_iter()
+                    .map(move |predictor| ReplayDesc::predicted(base, predictor)),
+            )
+        })
+        .collect()
+}
+
+/// The boxed reference policy for a plain, reactive or predictor-driven
+/// descriptor, built from the policy crates directly rather than
+/// through the descriptor dispatch under test.
+fn boxed_policy(desc: &ReplayDesc, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    match desc.wrap {
+        ReplayWrap::Plain => build_policy(desc.kind, sets, ways),
+        ReplayWrap::Reactive => build_reactive_policy(desc.kind, sets, ways),
+        ReplayWrap::Predictor(predictor) => Box::new(PredictorWrap::new(
+            build_policy(desc.kind, sets, ways),
+            build_predictor(predictor),
+            sets,
+            ways,
+        )),
+        ReplayWrap::Oracle { .. } => unreachable!("oracle references need their annotations"),
+    }
+}
 
 /// A small deterministic multi-threaded trace (blocks conflict across a
 /// compact universe so replacement decisions actually differ by policy).
@@ -265,8 +310,8 @@ fn fixed_trace(len: usize, blocks: u64) -> Vec<MemAccess> {
 }
 
 /// The monomorphized drivers (`replay_kind`, dispatched per `PolicyKind`
-/// through `with_policy!`) are bit-identical to the `Box<dyn>`
-/// compatibility path (`replay` over `build_policy`) for **every** kind.
+/// through `with_policy!`) are bit-identical to the `Box<dyn>` path
+/// (`replay_on` over `build_policy`) for **every** kind.
 #[test]
 fn monomorphized_replay_matches_dyn_for_every_kind() {
     let cfg = no_l2_cfg();
@@ -276,19 +321,25 @@ fn monomorphized_replay_matches_dyn_for_every_kind() {
     let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
     for kind in ALL_KINDS {
         let aux: Option<Box<dyn AuxProvider>> = (kind == PolicyKind::Opt).then(|| {
-            Box::new(NextUseProvider::new(
+            Box::new(NextUseProvider::shared(
                 compute_annotations(&stream, 0).next_use,
             )) as Box<dyn AuxProvider>
         });
-        let dyn_run =
-            replay(&cfg, build_policy(kind, sets, ways), aux, &stream, vec![]).expect("dyn replay");
+        let dyn_run = replay_on(
+            &cfg,
+            build_policy(kind, sets, ways),
+            aux,
+            &stream,
+            &mut NullObserver,
+        )
+        .expect("dyn replay");
         let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
         assert_eq!(dyn_run.llc, mono_run.llc, "kind {}", kind.label());
         assert_eq!(dyn_run.policy, mono_run.policy, "kind {}", kind.label());
     }
 }
 
-/// Same differential, oracle-wrapped: the monomorphized `replay_oracle`
+/// Same differential, oracle-wrapped: the monomorphized oracle replay
 /// matches the boxed `build_oracle_policy_with_mode` path for every base
 /// kind (including OPT, which consumes both annotation vectors).
 #[test]
@@ -302,30 +353,24 @@ fn monomorphized_oracle_matches_dyn_for_every_base() {
     let ann = compute_annotations(&stream, window);
     for base in ALL_KINDS {
         let aux: Box<dyn AuxProvider> = if base == PolicyKind::Opt {
-            Box::new(CombinedProvider::new(
+            Box::new(CombinedProvider::shared(
                 ann.next_use.clone(),
                 ann.shared_soon.clone(),
             ))
         } else {
-            Box::new(OracleProvider::new(ann.shared_soon.clone()))
+            Box::new(OracleProvider::shared(ann.shared_soon.clone()))
         };
-        let dyn_run = replay(
+        let dyn_run = replay_on(
             &cfg,
             build_oracle_policy_with_mode(base, sets, ways, ProtectMode::Eviction),
             Some(aux),
             &stream,
-            vec![],
+            &mut NullObserver,
         )
         .expect("dyn oracle replay");
-        let mono_run = replay_oracle(
-            &cfg,
-            base,
-            ProtectMode::Eviction,
-            Some(window),
-            &stream,
-            vec![],
-        )
-        .expect("mono oracle replay");
+        let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
+        let mono_run =
+            replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("mono oracle replay");
         assert_eq!(dyn_run.llc, mono_run.llc, "oracle base {}", base.label());
     }
 }
@@ -357,18 +402,20 @@ proptest! {
         let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
         for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Opt] {
             let aux: Option<Box<dyn AuxProvider>> = (kind == PolicyKind::Opt).then(|| {
-                Box::new(NextUseProvider::new(compute_annotations(&stream, 0).next_use))
+                Box::new(NextUseProvider::shared(compute_annotations(&stream, 0).next_use))
                     as Box<dyn AuxProvider>
             });
-            let dyn_run = replay(
+            let dyn_run = replay_on(
                 &cfg,
                 build_policy(kind, cfg.llc.sets() as usize, ways),
                 aux,
                 &stream,
-                vec![],
+                &mut NullObserver,
             ).expect("dyn replay");
             let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
-            let sharded = replay_kind_sharded(&cfg, kind, &stream, shards).expect("sharded");
+            let desc = ReplayDesc::plain(kind);
+            let sharded = replay(&cfg, &desc, &stream, None, Exec::Shards(shards), vec![])
+                .expect("sharded");
             prop_assert_eq!(
                 &dyn_run.llc, &mono_run.llc,
                 "mono vs dyn, kind {} ways {} sets {}", kind.label(), ways, sets);
@@ -380,7 +427,7 @@ proptest! {
     }
 }
 
-/// The `simulate_oracle(base == Opt)` bugfix: the trace must be
+/// The oracle-around-OPT pre-pass bugfix: the trace must be
 /// instantiated exactly once per run (historically the OPT-base oracle
 /// paid THREE pre-pass instantiations).
 #[test]
@@ -400,50 +447,28 @@ fn annotated_runs_instantiate_the_trace_once() {
         })
         .collect();
 
+    let window = oracle_window(&cfg);
     let count = Rc::new(Cell::new(0usize));
-    simulate_opt(
-        &cfg,
-        &mut || CountingSource::new(trace.clone(), &count),
-        vec![],
-    )
-    .expect("OPT run");
-    assert_eq!(
-        count.get(),
-        1,
-        "simulate_opt must record the stream exactly once"
-    );
-
-    count.set(0);
-    simulate_oracle(
-        &cfg,
-        PolicyKind::Opt,
-        ProtectMode::Eviction,
-        None,
-        &mut || CountingSource::new(trace.clone(), &count),
-        vec![],
-    )
-    .expect("oracle(OPT) run");
-    assert_eq!(
-        count.get(),
-        1,
-        "simulate_oracle(base=Opt) must record the stream exactly once"
-    );
-
-    count.set(0);
-    simulate_oracle(
-        &cfg,
-        PolicyKind::Lru,
-        ProtectMode::Eviction,
-        None,
-        &mut || CountingSource::new(trace.clone(), &count),
-        vec![],
-    )
-    .expect("oracle(LRU) run");
-    assert_eq!(
-        count.get(),
-        1,
-        "simulate_oracle(base=Lru) must record the stream exactly once"
-    );
+    for desc in [
+        ReplayDesc::plain(PolicyKind::Opt),
+        ReplayDesc::oracle(PolicyKind::Opt, ProtectMode::Eviction, window),
+        ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, window),
+    ] {
+        count.set(0);
+        simulate(
+            &cfg,
+            &desc,
+            &mut || CountingSource::new(trace.clone(), &count),
+            vec![],
+        )
+        .expect("annotated run");
+        assert_eq!(
+            count.get(),
+            1,
+            "simulate({}) must record the stream exactly once",
+            desc.label()
+        );
+    }
 }
 
 /// Builds a zero-copy [`StreamView`] over the in-memory `.llcs` encoding
@@ -458,7 +483,8 @@ fn view_of(
 }
 
 /// Zero-copy view-backed replay is bit-identical to owned replay for
-/// **every** policy kind and **every** oracle base: the daemon's
+/// **every** policy kind, **every** oracle base and the reactive and
+/// predictor-driven wraps: the daemon's
 /// store-hit fast path (one arena allocation, per-record decode inside
 /// the kernel) must never change a single replayed bit.
 #[test]
@@ -489,10 +515,11 @@ fn view_replay_matches_owned_for_every_kind_and_oracle_base() {
     }
     for base in ALL_KINDS {
         for mode in [ProtectMode::Eviction, ProtectMode::Insertion] {
-            let owned = replay_oracle(&cfg, base, mode, Some(window), &stream, vec![])
+            let desc = ReplayDesc::oracle(base, mode, window);
+            let owned = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![])
                 .expect("owned oracle replay");
-            let viewed = replay_oracle(&cfg, base, mode, Some(window), &view, vec![])
-                .expect("view oracle replay");
+            let viewed =
+                replay(&cfg, &desc, &view, None, Exec::Auto, vec![]).expect("view oracle replay");
             assert_eq!(
                 owned.llc,
                 viewed.llc,
@@ -500,6 +527,11 @@ fn view_replay_matches_owned_for_every_kind_and_oracle_base() {
                 base.label()
             );
         }
+    }
+    for desc in protection_wraps() {
+        let owned = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("owned replay");
+        let viewed = replay(&cfg, &desc, &view, None, Exec::Auto, vec![]).expect("view replay");
+        assert_eq!(owned, viewed, "{}", desc.label());
     }
 }
 

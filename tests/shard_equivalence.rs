@@ -4,21 +4,18 @@
 //! policy, and Global-scope policies must transparently fall back to the
 //! sequential path with identical results.
 //!
-//! Baselines use an explicit shard count of 1 (`replay_*_sharded(.., 1)`
-//! is documented to take the sequential path), so these tests stay
+//! Baselines use an explicit shard count of 1 (`Exec::Shards(1)` is
+//! documented to take the sequential path), so these tests stay
 //! deterministic even while the donated-worker budget test below is
 //! running in a sibling thread.
 
 use std::sync::Arc;
 
-use llc_sharing::{
-    budget, record_stream, replay_characterized_sharded, replay_kind, replay_kind_sharded,
-    replay_opt, replay_oracle_sharded,
-};
-use llc_sim::{EvictCause, LlcStats};
+use llc_sharing::{budget, oracle_window, record_stream, replay, replay_kind, Exec, ReplayDesc};
+use llc_sim::LlcStats;
 use proptest::prelude::*;
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::trace::VecSource;
+use sharing_aware_llc::trace::{StreamAccess, VecSource};
 
 /// 8-set LLC (2 KiB, 4-way), no L2.
 fn cfg_8_sets() -> HierarchyConfig {
@@ -40,6 +37,16 @@ fn cfg_16_sets() -> HierarchyConfig {
         llc: CacheConfig::from_kib(8, 8).expect("valid LLC"),
         inclusion: Inclusion::NonInclusive,
     }
+}
+
+/// Replays `desc` over `shards` set ranges (`1` = sequential).
+fn replay_sharded<S: StreamAccess + Sync>(
+    cfg: &HierarchyConfig,
+    desc: ReplayDesc,
+    stream: &S,
+    shards: usize,
+) -> RunResult {
+    replay(cfg, &desc, stream, None, Exec::Shards(shards), vec![]).expect("replay")
 }
 
 const ALL_KINDS: [PolicyKind; 12] = [
@@ -91,10 +98,9 @@ proptest! {
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
             let sets = cfg.llc.sets() as usize;
             for kind in ALL_KINDS {
-                let seq = replay_kind_sharded(&cfg, kind, &stream, 1).expect("sequential");
+                let seq = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, 1);
                 for shards in [2usize, 7, sets] {
-                    let sharded =
-                        replay_kind_sharded(&cfg, kind, &stream, shards).expect("sharded");
+                    let sharded = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, shards);
                     prop_assert_eq!(
                         &seq, &sharded,
                         "kind {} at {} shards over {} sets", kind.label(), shards, sets
@@ -113,11 +119,10 @@ proptest! {
         let sets = cfg.llc.sets() as usize;
         for base in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
             for mode in [ProtectMode::Eviction, ProtectMode::Insertion] {
-                let seq = replay_oracle_sharded(&cfg, base, mode, None, &stream, 1)
-                    .expect("sequential oracle");
+                let desc = ReplayDesc::oracle(base, mode, oracle_window(&cfg));
+                let seq = replay_sharded(&cfg, desc, &stream, 1);
                 for shards in [2usize, sets] {
-                    let sharded = replay_oracle_sharded(&cfg, base, mode, None, &stream, shards)
-                        .expect("sharded oracle");
+                    let sharded = replay_sharded(&cfg, desc, &stream, shards);
                     prop_assert_eq!(
                         &seq, &sharded,
                         "oracle base {} at {} shards", base.label(), shards
@@ -126,96 +131,10 @@ proptest! {
             }
         }
     }
-
-    /// The characterized sharded replay merges per-shard
-    /// [`SharingProfile`]s into exactly the profile a sequential observer
-    /// run produces (generation counts, hits, occupancy, degree
-    /// histogram, and footprint alike).
-    #[test]
-    fn sharded_characterization_matches_sequential(trace in trace_strategy(400)) {
-        let cfg = cfg_8_sets();
-        let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-        let sets = cfg.llc.sets() as usize;
-        for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt, PolicyKind::Ship] {
-            let (seq_result, seq_profile) =
-                replay_characterized_sharded(&cfg, kind, &stream, 1).expect("sequential");
-            for shards in [2usize, 7, sets] {
-                let (result, profile) =
-                    replay_characterized_sharded(&cfg, kind, &stream, shards).expect("sharded");
-                prop_assert_eq!(&seq_result, &result, "kind {}", kind.label());
-                prop_assert_eq!(&seq_profile, &profile, "kind {}", kind.label());
-            }
-        }
-    }
-}
-
-/// Builds a synthetic finished generation for merge-property tests.
-fn generation(block: u64, sharers: u32, hits: u32, writes: u32) -> GenerationEnd {
-    GenerationEnd {
-        block: BlockAddr::new(block),
-        set: (block % 8) as usize,
-        fill_pc: Pc::new(0x400),
-        fill_core: CoreId::new(0),
-        fill_time: 0,
-        end_time: 100,
-        sharer_mask: (1u32 << sharers.min(8)) - 1,
-        writer_mask: u32::from(writes > 0),
-        hits,
-        hits_by_non_filler: if sharers > 1 { hits } else { 0 },
-        writes,
-        cause: EvictCause::Replacement,
-    }
-}
-
-fn profile_of(gens: &[GenerationEnd]) -> SharingProfile {
-    let mut p = SharingProfile::new();
-    for g in gens {
-        p.on_generation_end(g);
-    }
-    p
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `SharingProfile::merge` is associative and order-insensitive: any
-    /// merge tree over the same disjoint parts equals the profile built
-    /// from all generations directly. (This is what makes the per-shard
-    /// profile merge of `replay_characterized_sharded` exact.)
-    #[test]
-    fn profile_merge_is_associative_and_order_insensitive(
-        gens in prop::collection::vec((0u64..48, 1u32..=8, 0u32..16, 0u32..4), 0..120),
-        cut_a in 0usize..1000,
-        cut_b in 0usize..1000,
-    ) {
-        let gens: Vec<GenerationEnd> =
-            gens.into_iter().map(|(b, s, h, w)| generation(b, s, h, w)).collect();
-        let n = gens.len();
-        let (mut i, mut j) = (cut_a % (n + 1), cut_b % (n + 1));
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
-        }
-        let (p1, p2, p3) = (profile_of(&gens[..i]), profile_of(&gens[i..j]), profile_of(&gens[j..]));
-        let whole = profile_of(&gens);
-
-        // Left association, in shard order.
-        let mut left = p1.clone();
-        left.merge(&p2);
-        left.merge(&p3);
-        // Right association.
-        let mut right = p2.clone();
-        right.merge(&p3);
-        let mut right_assoc = p1.clone();
-        right_assoc.merge(&right);
-        // A permuted part order.
-        let mut permuted = p3.clone();
-        permuted.merge(&p1);
-        permuted.merge(&p2);
-
-        prop_assert_eq!(&left, &whole, "left-associated merge != direct profile");
-        prop_assert_eq!(&right_assoc, &whole, "right-associated merge != direct profile");
-        prop_assert_eq!(&permuted, &whole, "permuted merge != direct profile");
-    }
 
     /// `LlcStats` accumulation (`+=`) is associative and commutative, so
     /// summing per-shard stats in any fixed order reproduces the
@@ -271,11 +190,11 @@ proptest! {
     }
 }
 
-/// Donated spare workers make the plain `replay_kind`/`replay_opt` entry
-/// points shard automatically — and the result must still be
+/// Donated spare workers make `replay_kind` (`Exec::Auto`) shard
+/// automatically — OPT included — and the result must still be
 /// bit-identical to the sequential path. (Other tests in this binary use
-/// explicit `replay_*_sharded(.., 1)` baselines, so this test's donation
-/// cannot perturb them.)
+/// explicit `Exec::Shards(1)` baselines, so this test's donation cannot
+/// perturb them.)
 #[test]
 fn donated_budget_auto_shards_and_stays_exact() {
     let cfg = cfg_16_sets();
@@ -296,14 +215,9 @@ fn donated_budget_auto_shards_and_stays_exact() {
     let stream = Arc::new(stream);
 
     for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        let seq = replay_kind_sharded(&cfg, kind, &stream, 1).expect("sequential");
+        let seq = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, 1);
         budget::donate(3);
-        let auto = if kind == PolicyKind::Opt {
-            replay_opt(&cfg, &stream, vec![])
-        } else {
-            replay_kind(&cfg, kind, &stream, vec![])
-        }
-        .expect("auto-sharded");
+        let auto = replay_kind(&cfg, kind, &stream, vec![]).expect("auto-sharded");
         // The replay borrows workers for its own duration only; the pool
         // must be whole again afterwards.
         let drained = budget::borrow(usize::MAX);
@@ -348,8 +262,8 @@ fn view_backed_sharded_replay_is_bit_identical() {
     let sets = cfg.llc.sets() as usize;
     for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
         for shards in [1usize, 2, 7, sets] {
-            let owned = replay_kind_sharded(&cfg, kind, &stream, shards).expect("owned sharded");
-            let viewed = replay_kind_sharded(&cfg, kind, &view, shards).expect("view sharded");
+            let owned = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, shards);
+            let viewed = replay_sharded(&cfg, ReplayDesc::plain(kind), &view, shards);
             assert_eq!(owned, viewed, "kind {} at {shards} shards", kind.label());
         }
     }
