@@ -150,7 +150,7 @@ pub fn plan_experiment(id: ExperimentId, ctx: &ExperimentCtx, dag: Option<&DagSt
             windows.dedup();
             for w in windows {
                 let fp = annotations_fp(stream_fp, w);
-                let bytes = dag.and_then(|d| d.bytes_of(NodeKind::Annotations, fp));
+                let bytes = dag.and_then(|d| d.ann().size_of(fp));
                 plan.push(
                     NodeKind::Annotations,
                     fp,
@@ -161,7 +161,7 @@ pub fn plan_experiment(id: ExperimentId, ctx: &ExperimentCtx, dag: Option<&DagSt
             }
             for desc in descs {
                 let fp = llc_dag::replay_fp(stream_fp, desc.fingerprint());
-                let bytes = dag.and_then(|d| d.bytes_of(NodeKind::Replay, fp));
+                let bytes = dag.and_then(|d| d.replays().size_of(fp));
                 plan.push(
                     NodeKind::Replay,
                     fp,

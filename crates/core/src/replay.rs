@@ -33,8 +33,8 @@ use llc_dag::{ReplayDesc, ReplayWrap};
 use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ReactiveWrap};
 use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
-    AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, HierarchyConfig, Inclusion, Llc, LlcObserver,
-    LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
+    AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, Fold, HierarchyConfig, Inclusion, Llc,
+    LlcObserver, LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
     ReplacementPolicy, SimError, StateScope,
 };
 use llc_telemetry::metrics::{global, Counter, Gauge};
@@ -42,7 +42,7 @@ use llc_telemetry::spans;
 use llc_trace::stream::OwnedAccessIter;
 use llc_trace::view::ViewAccessIter;
 use llc_trace::{
-    AccessRecord, App, RecordedStream, Scale, ShardIndex, ShardIndexSlot, StreamAccess,
+    AccessRecord, App, LoadError, RecordedStream, Scale, ShardIndex, ShardIndexSlot, StreamAccess,
     StreamStore, StreamView, TraceSource, UpgradeEvent,
 };
 
@@ -62,7 +62,6 @@ struct ReplayMetrics {
     cache_misses: Arc<Counter>,
     cache_evictions: Arc<Counter>,
     cache_disk_errors: Arc<Counter>,
-    cache_quarantined: Arc<Counter>,
     cache_bytes: Arc<Gauge>,
     view_loads: Arc<Counter>,
     index_hits: Arc<Counter>,
@@ -93,11 +92,6 @@ static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
     cache_disk_errors: global().counter(
         "llc_stream_cache_disk_errors_total",
         "Stored-copy failures recovered by re-recording or shrugged off",
-    ),
-    cache_quarantined: global().counter_with(
-        "llc_store_quarantined_total",
-        "Corrupt store entries moved to quarantine/ instead of being deleted",
-        &[("store", "streams")],
     ),
     cache_bytes: global().gauge(
         "llc_stream_cache_bytes",
@@ -906,17 +900,6 @@ impl WorkloadId {
     }
 }
 
-/// FNV-1a over a byte string; folded into the splitmix chain of
-/// [`StreamKey::fingerprint`] so workload names contribute stably.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// Cache key: workload identity × thread count × scale × hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamKey {
@@ -933,22 +916,21 @@ pub struct StreamKey {
 impl StreamKey {
     /// A stable 64-bit fingerprint of the key, safe to persist: it
     /// content-addresses `.llcs` recordings in an on-disk
-    /// [`StreamStore`], so — unlike `Hash` — it is defined by this crate
-    /// (a splitmix64 chain over the workload name, thread count, scale
-    /// and the hierarchy's own stable fingerprint) and does not change
-    /// across Rust releases, platforms or process restarts.
+    /// [`StreamStore`], so — unlike `Hash` — it is an [`llc_sim::Fold`]
+    /// over the workload name, thread count, scale and the hierarchy's
+    /// own stable fingerprint, and does not change across Rust
+    /// releases, platforms or process restarts.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0x4c4c_4353_4b45_5931; // "LLCSKEY1"
-        let mut fold = |v: u64| h = llc_sim::splitmix64(h ^ v);
-        fold(match self.workload {
-            WorkloadId::App(_) => 1,
-            WorkloadId::Mix(_) => 2,
-        });
-        fold(fnv1a64(self.workload.label().as_bytes()));
-        fold(self.cores as u64);
-        fold(fnv1a64(self.scale.to_string().as_bytes()));
-        fold(self.config.fingerprint());
-        h
+        Fold::new(0x4c4c_4353_4b45_5931) // "LLCSKEY1"
+            .u64(match self.workload {
+                WorkloadId::App(_) => 1,
+                WorkloadId::Mix(_) => 2,
+            })
+            .str(self.workload.label())
+            .u64(self.cores as u64)
+            .str(&self.scale.to_string())
+            .u64(self.config.fingerprint())
+            .finish()
     }
 }
 
@@ -1192,7 +1174,7 @@ struct CacheInner {
 ///   the cap (the newest entry is never evicted, so a single oversized
 ///   stream still caches). Counters are exposed via
 ///   [`StreamCache::stats`].
-/// * **A persistent backing store** ([`StreamCache::attach_store`]): the
+/// * **A persistent backing store** ([`StreamCache::with_store`]): the
 ///   in-memory cache becomes a read-through layer over an on-disk
 ///   [`StreamStore`] keyed by [`StreamKey::fingerprint`]. A miss first
 ///   tries the store (a *disk hit* skips the recording simulation
@@ -1225,16 +1207,11 @@ impl StreamCache {
         Self::evict_over_limit(&mut inner, None);
     }
 
-    /// Attaches a persistent [`StreamStore`]; the cache becomes a
-    /// read-through/write-through layer over it.
-    pub fn attach_store(&self, store: StreamStore) {
-        lock_recovering(&self.inner).store = Some(store);
-    }
-
-    /// Builds a cache backed by `store` with an in-memory cap.
+    /// Builds a cache backed by `store` with an in-memory cap: a
+    /// read-through/write-through layer over the persistent store.
     pub fn with_store(store: StreamStore, limit_bytes: Option<u64>) -> Self {
         let cache = StreamCache::new();
-        cache.attach_store(store);
+        lock_recovering(&cache.inner).store = Some(store);
         cache.set_limit(limit_bytes);
         cache
     }
@@ -1288,10 +1265,7 @@ impl StreamCache {
                 return Some(stream.encoded_len() as u64);
             }
         }
-        let store = store?;
-        std::fs::metadata(store.path_for(key.fingerprint()))
-            .ok()
-            .map(|m| m.len())
+        store?.size_of(key.fingerprint())
     }
 
     /// `true` if `key`'s stream is resident in memory right now — the
@@ -1361,26 +1335,25 @@ impl StreamCache {
         // out of the arena, with no per-record decode into plane vectors.
         let fp = key.fingerprint();
         let mut from_disk = false;
-        let stream = match store.as_ref().map(|s| s.load_view(fp)) {
+        let stream = match store.as_ref().map(|s| s.fetch_view(fp)) {
             Some(Ok(Some(view))) => {
                 from_disk = true;
                 CachedStream::View(Arc::new(view))
             }
-            Some(Err(_)) => {
-                // Corrupt stored copy: count it, move the evidence to
-                // quarantine/ (never delete it), re-record, overwrite.
+            Some(Err(e)) => {
+                // Unreadable or corrupt stored copy (the load moved a
+                // corrupt one to quarantine/): count it, re-record,
+                // overwrite.
+                let mut inner = lock_recovering(&self.inner);
+                inner.stats.disk_errors += 1;
+                METRICS.cache_disk_errors.inc();
+                if let LoadError::Corrupt {
+                    quarantined: true, ..
+                } = e
                 {
-                    let mut inner = lock_recovering(&self.inner);
-                    inner.stats.disk_errors += 1;
-                    METRICS.cache_disk_errors.inc();
-                    if let Some(store) = inner.store.clone() {
-                        drop(inner);
-                        if let Ok(Some(_)) = store.quarantine(fp) {
-                            lock_recovering(&self.inner).stats.quarantined += 1;
-                            METRICS.cache_quarantined.inc();
-                        }
-                    }
+                    inner.stats.quarantined += 1;
                 }
+                drop(inner);
                 CachedStream::Owned(Arc::new(record_stream(&key.config, make_trace())?))
             }
             Some(Ok(None)) | None => {

@@ -13,7 +13,7 @@
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_predictors::PredictorKind;
 
-use crate::fingerprint::Fold;
+use llc_sim::Fold;
 
 /// The wrapper (if any) around the base policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

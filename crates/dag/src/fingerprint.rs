@@ -1,53 +1,14 @@
 //! Stable node fingerprints.
 //!
 //! Every DAG node is content-addressed by a 64-bit fingerprint of its
-//! *own* inputs, derived with the same primitives the existing stores
-//! use — a splitmix64 chain seeded per node kind, with strings folded in
-//! through FNV-1a — so fingerprints are defined by this workspace and do
-//! not change across Rust releases, platforms or process restarts.
+//! *own* inputs, derived with the workspace's one key scheme — an
+//! [`llc_sim::Fold`] chain seeded per node kind — so fingerprints do not
+//! change across Rust releases, platforms or process restarts.
 //! Distinct node kinds use distinct seeds, so a stream fingerprint can
 //! never collide with (say) the annotation node derived from it by
 //! construction rather than by luck.
 
-/// FNV-1a over a byte string; folded into splitmix chains so labels and
-/// other strings contribute stably.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// A splitmix64 fold chain — the builder behind every fingerprint in
-/// this crate. Seeded per node kind; each folded word permutes the whole
-/// state, so field order matters (and is part of each format's contract).
-#[derive(Debug, Clone, Copy)]
-pub struct Fold(u64);
-
-impl Fold {
-    /// Starts a chain from a kind-specific seed.
-    pub fn new(seed: u64) -> Fold {
-        Fold(seed)
-    }
-
-    /// Folds one word into the chain.
-    pub fn u64(&mut self, v: u64) -> &mut Fold {
-        self.0 = llc_sim::splitmix64(self.0 ^ v);
-        self
-    }
-
-    /// Folds a string (via FNV-1a) into the chain.
-    pub fn str(&mut self, s: &str) -> &mut Fold {
-        self.u64(fnv1a64(s.as_bytes()))
-    }
-
-    /// The chain's current value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
+use llc_sim::Fold;
 
 /// Fingerprint of an annotation node: the fused next-use/shared-soon
 /// pre-pass over `stream_fp` with retention window `window`. Nothing

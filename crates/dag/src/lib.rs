@@ -24,12 +24,15 @@
 //! replays) lives in `llc-sharing`; the daemon wiring (plan before
 //! admission, `/plan` route, `repro explain`) lives in `llc-serve`.
 //!
-//! Persistence follows the stores it sits beside: crash-safe
-//! [`atomic_write`](llc_trace::store::atomic_write) for every artifact, a
-//! trailing FNV checksum plus an embedded fingerprint so corruption is
-//! detected on load, corrupt files moved to `quarantine/` (never
-//! deleted) and transparently recomputed, and an mtime touch on every
-//! load so `repro gc` evicts DAG partials least-recently-*used* first.
+//! Every node key is an [`llc_sim::Fold`] — the one fingerprint scheme
+//! of the workspace, re-exported here with [`fnv1a64`] — seeded per node
+//! kind. Persistence is the stores' one primitive: each of the three
+//! directories is an [`llc_trace::ArtifactDir`], which gives crash-safe
+//! writes, an mtime touch on every load so `repro gc` evicts DAG
+//! partials least-recently-*used* first, and corrupt files moved to
+//! `quarantine/` (never deleted) and transparently recomputed. The
+//! formats add a trailing FNV checksum plus an embedded fingerprint so
+//! corruption is detected on load.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -40,7 +43,8 @@ pub mod node;
 pub mod store;
 
 pub use desc::{ReplayDesc, ReplayWrap};
-pub use fingerprint::{annotations_fp, fnv1a64, index_fp, replay_fp, Fold};
+pub use fingerprint::{annotations_fp, index_fp, replay_fp};
+pub use llc_sim::{fnv1a64, Fold};
 pub use node::{NodeKind, Plan, PlanNode};
 pub use store::{
     decode_annotations, decode_manifest, decode_replay, encode_annotations, encode_manifest,

@@ -17,13 +17,14 @@ use std::time::Duration;
 use llc_ingest::{ingest_fingerprint, IngestFormat, IngestSource};
 use llc_sharing::json::{table_from_json, Value};
 use llc_sim::HierarchyConfig;
-use llc_trace::{atomic_write, App, Scale, StreamStore};
+use llc_trace::{atomic_write, App, Scale};
 
 use crate::client::{job_id_of, Client};
 use crate::gc;
 use crate::jobs::JobId;
 use crate::server::{Server, ServerConfig};
 use crate::spec::JobSpec;
+use crate::store::Store;
 use crate::ServeError;
 
 /// The default daemon address used when `--addr`/`--listen` is omitted.
@@ -665,34 +666,16 @@ fn run_ingest(
         .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
     let stream = llc_sharing::record_stream(&config, source)?;
     let fingerprint = ingest_fingerprint(format, &raw, cores, config.fingerprint());
+    let bytes = stream
+        .to_vec()
+        .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
     let saved = match (store, out) {
-        (Some(store), _) => {
-            let streams = StreamStore::open(store.join("streams")).map_err(|e| {
-                crate::io_err(format!("opening stream store under {}", store.display()), e)
-            })?;
-            streams
-                .save(fingerprint, &stream)
-                .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
-            streams.path_for(fingerprint)
-        }
-        (None, Some(out)) => {
-            let bytes = stream
-                .to_vec()
-                .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
-            atomic_write(out, &bytes)
-                .map_err(|e| crate::io_err(format!("writing {}", out.display()), e))?;
-            out.to_path_buf()
-        }
-        (None, None) => {
-            let sibling = input.with_extension("llcs");
-            let bytes = stream
-                .to_vec()
-                .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
-            atomic_write(&sibling, &bytes)
-                .map_err(|e| crate::io_err(format!("writing {}", sibling.display()), e))?;
-            sibling
-        }
+        (Some(store), _) => Store::open(store)?.streams.path_for(fingerprint),
+        (None, Some(out)) => out.to_path_buf(),
+        (None, None) => input.with_extension("llcs"),
     };
+    atomic_write(&saved, &bytes)
+        .map_err(|e| crate::io_err(format!("writing {}", saved.display()), e))?;
     let mut text = format!(
         "ingested {} ({format}): {} accesses, {} upgrades, {} instructions\n\
          recorded under {} cores / {llc_mib} MiB LLC (config {:016x})\n\

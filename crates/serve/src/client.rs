@@ -31,11 +31,12 @@ use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
 use llc_sharing::json::{self, Value};
+use llc_sim::{fnv1a64, splitmix64};
 use llc_telemetry::metrics::{global, Counter};
 
 use crate::http::parse_response_full;
 use crate::jobs::JobId;
-use crate::spec::{fnv1a64, JobSpec};
+use crate::spec::JobSpec;
 use crate::{io_err, ServeError};
 
 static RETRIES: LazyLock<std::sync::Arc<Counter>> = LazyLock::new(|| {
@@ -83,7 +84,7 @@ impl RetryPolicy {
             .base
             .saturating_mul(1u32 << attempt.min(16))
             .min(self.cap);
-        let draw = llc_sim::splitmix64(seed ^ fnv1a64(path.as_bytes()) ^ u64::from(attempt));
+        let draw = splitmix64(seed ^ fnv1a64(path.as_bytes()) ^ u64::from(attempt));
         // 50%..100% of the exponential step.
         let scaled = exp.mul_f64(0.5 + (draw % 512) as f64 / 1024.0);
         scaled.min(self.cap)
@@ -376,6 +377,17 @@ pub fn job_id_of(doc: &Value) -> Result<JobId, ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that retry: `RETRIES` is process-global, so
+    /// a retrying test on a parallel thread would skew another's count.
+    static RETRYING: Mutex<()> = Mutex::new(());
+
+    fn retrying() -> MutexGuard<'static, ()> {
+        RETRYING
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn backoff_grows_is_jittered_and_capped() {
@@ -396,6 +408,7 @@ mod tests {
 
     #[test]
     fn retries_connect_failures_until_budget_then_reports_io() {
+        let _serial = retrying();
         // Nothing listens on this port (bound-then-dropped).
         let addr = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
@@ -415,6 +428,7 @@ mod tests {
 
     #[test]
     fn honors_retry_after_from_429_then_succeeds() {
+        let _serial = retrying();
         use std::io::{Read as _, Write as _};
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr").to_string();

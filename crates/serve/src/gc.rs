@@ -8,117 +8,72 @@
 //! space, never correctness, which is what makes an automatic background
 //! sweep (`repro serve --store-cap-mb`) acceptable.
 //!
-//! Recency comes from file mtimes, which every store touches on each
-//! successful load; eviction removes the oldest entries first until the
-//! combined `streams/` + `results/` + `dag/` footprint fits the cap,
-//! then fsyncs each affected directory so the new directory contents
-//! are durable. Corrupt entries found by `--verify` are moved into
-//! `quarantine/` (bytes preserved for post-mortems) and do not count
-//! against the cap. `--verify` also walks the DAG manifests: annotation
-//! and replay partials referenced by no manifest are orphans (their
-//! producing job's manifest was evicted, or the job never finished) and
-//! are collected outright.
+//! The sweep is one loop over the [`Store`] layout's directories
+//! (`Store::dirs`). Recency comes from file mtimes, which every load
+//! touches; eviction removes the oldest entries first until the combined
+//! `streams/` + `results/` + `dag/` footprint fits the cap, then fsyncs
+//! each affected directory so the new directory contents are durable.
+//! `--verify` checks every entry with the decoder that serves it (the
+//! zero-copy stream view for streams) from a plain read that leaves its
+//! mtime alone, so verifying never reorders eviction. Corrupt entries
+//! are moved into `quarantine/` (bytes preserved for post-mortems) and
+//! do not count against the cap. `--verify` also collects orphans:
+//! annotation and replay partials referenced by no manifest (their
+//! producing job's manifest was evicted, or the job never finished).
+//! Session checkpoints are verified and quarantined but never evicted.
 
-use std::collections::HashSet;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::sync::LazyLock;
-use std::time::SystemTime;
 
-use llc_dag::{
-    decode_annotations, decode_manifest, decode_replay, NodeKind, ANN_FILE_EXT, MANIFEST_FILE_EXT,
-    REPLAY_FILE_EXT,
-};
 use llc_sharing::json::Value;
 use llc_telemetry::metrics::{global, Counter};
-use llc_trace::{quarantine_file, sync_dir, StreamStore};
+use llc_trace::sync_dir;
 
-use crate::store::{ResultStore, RESULT_FILE_EXT};
+use crate::store::Store;
 use crate::{io_err, ServeError};
 
-/// `llc_store_gc_*` counters, labelled by store.
+/// `llc_store_gc_evicted_total{store=…}` for one store label.
+fn evicted(store: &'static str) -> Arc<Counter> {
+    global().counter_with(
+        "llc_store_gc_evicted_total",
+        "Store entries evicted by LRU garbage collection",
+        &[("store", store)],
+    )
+}
+
+/// The unlabelled `llc_store_gc_*` counters.
 struct GcMetrics {
-    evicted_streams: Arc<Counter>,
-    evicted_results: Arc<Counter>,
-    evicted_dag: Arc<Counter>,
     evicted_bytes: Arc<Counter>,
-    quarantined_streams: Arc<Counter>,
-    quarantined_results: Arc<Counter>,
-    quarantined_dag: Arc<Counter>,
-    quarantined_sessions: Arc<Counter>,
     orphaned_dag: Arc<Counter>,
 }
 
-static METRICS: LazyLock<GcMetrics> = LazyLock::new(|| {
-    let evicted = |store| {
-        global().counter_with(
-            "llc_store_gc_evicted_total",
-            "Store entries evicted by LRU garbage collection",
-            &[("store", store)],
-        )
-    };
-    let quarantined = |store| {
-        global().counter_with(
-            "llc_store_quarantined_total",
-            "Corrupt store entries moved to quarantine/ instead of being deleted",
-            &[("store", store)],
-        )
-    };
-    GcMetrics {
-        evicted_streams: evicted("streams"),
-        evicted_results: evicted("results"),
-        evicted_dag: evicted("dag"),
-        evicted_bytes: global().counter(
-            "llc_store_gc_evicted_bytes_total",
-            "Bytes reclaimed by LRU store garbage collection",
-        ),
-        quarantined_streams: quarantined("streams"),
-        quarantined_results: quarantined("results"),
-        quarantined_dag: quarantined("dag"),
-        quarantined_sessions: quarantined("sessions"),
-        orphaned_dag: global().counter(
-            "llc_store_gc_orphaned_total",
-            "DAG partials collected because no manifest references them",
-        ),
-    }
+static METRICS: LazyLock<GcMetrics> = LazyLock::new(|| GcMetrics {
+    evicted_bytes: global().counter(
+        "llc_store_gc_evicted_bytes_total",
+        "Bytes reclaimed by LRU store garbage collection",
+    ),
+    orphaned_dag: global().counter(
+        "llc_store_gc_orphaned_total",
+        "DAG partials collected because no manifest references them",
+    ),
 });
 
 /// Forces registration of the GC metric series (all-zero until the
 /// first sweep) so scrapes see them from daemon start-up.
 pub(crate) fn register_metrics() {
     LazyLock::force(&METRICS);
-}
-
-/// Which store an entry belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    Streams,
-    Results,
-    DagAnn,
-    DagReplay,
-    DagManifest,
-}
-
-impl Kind {
-    fn is_dag(self) -> bool {
-        matches!(self, Kind::DagAnn | Kind::DagReplay | Kind::DagManifest)
+    for store in ["streams", "results", "dag"] {
+        evicted(store);
     }
-}
-
-#[derive(Debug)]
-struct Entry {
-    path: PathBuf,
-    kind: Kind,
-    bytes: u64,
-    mtime: SystemTime,
 }
 
 /// What one GC sweep did, reported by `repro gc` and logged by the
 /// daemon's background sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcReport {
-    /// Entries examined across both stores.
+    /// Entries examined across all store directories.
     pub scanned_files: u64,
     /// Their combined size before the sweep.
     pub scanned_bytes: u64,
@@ -150,97 +105,11 @@ impl GcReport {
     }
 }
 
-/// Collects the entries of one store subdirectory (non-recursive; the
-/// `quarantine/` subdirectory is skipped by the extension check).
-fn scan(dir: &Path, ext: &str, kind: Kind, out: &mut Vec<Entry>) -> Result<(), ServeError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io_err(format!("scanning {}", dir.display()), e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(format!("scanning {}", dir.display()), e))?;
-        let path = entry.path();
-        if path.extension().is_none_or(|e| e != ext) {
-            continue;
-        }
-        let meta = entry
-            .metadata()
-            .map_err(|e| io_err(format!("inspecting {}", path.display()), e))?;
-        out.push(Entry {
-            path,
-            kind,
-            bytes: meta.len(),
-            mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
-        });
-    }
-    Ok(())
-}
-
-/// The entry's fingerprint, recovered from its `%016x` file stem.
-fn stem_fingerprint(path: &Path) -> Option<u64> {
-    let stem = path.file_stem()?.to_str()?;
-    u64::from_str_radix(stem, 16).ok()
-}
-
-/// `true` when the entry decodes and validates under its fingerprint.
-/// DAG entries are decoded directly from bytes (not through
-/// [`llc_dag::DagStore`], whose loads quarantine as a side effect —
-/// the sweep wants to count and quarantine on its own terms).
-fn verifies(entry: &Entry, streams: &StreamStore, results: &ResultStore) -> bool {
-    let Some(fp) = stem_fingerprint(&entry.path) else {
-        // A store file whose name is not a fingerprint cannot be
-        // validated (or ever loaded) — treat it as corrupt.
-        return false;
-    };
-    let decodes =
-        |f: &dyn Fn(&[u8], u64) -> bool| fs::read(&entry.path).is_ok_and(|raw| f(&raw, fp));
-    match entry.kind {
-        Kind::Streams => matches!(streams.load(fp), Ok(Some(_))),
-        Kind::Results => matches!(results.load(fp), Ok(Some(_))),
-        Kind::DagAnn => decodes(&|raw, fp| decode_annotations(raw, fp).is_ok()),
-        Kind::DagReplay => decodes(&|raw, fp| decode_replay(raw, fp).is_ok()),
-        Kind::DagManifest => decodes(&|raw, fp| decode_manifest(raw, fp).is_ok()),
-    }
-}
-
-/// Walks `<store>/sessions/` and quarantines checkpoints that do not
-/// decode back into a session (corrupt JSON, wrong version, or a
-/// characterizer state that fails restoration).
-fn verify_sessions(dir: &Path, report: &mut GcReport) -> Result<(), ServeError> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(io_err(format!("scanning {}", dir.display()), e)),
-    };
-    for entry in entries {
-        let entry = entry.map_err(|e| io_err(format!("scanning {}", dir.display()), e))?;
-        let path = entry.path();
-        if path
-            .extension()
-            .is_none_or(|e| e != crate::sessions::SESSION_FILE_EXT)
-        {
-            continue;
-        }
-        report.scanned_files += 1;
-        report.scanned_bytes += entry.metadata().map(|m| m.len()).unwrap_or(0);
-        let valid =
-            fs::read_to_string(&path).is_ok_and(|text| crate::sessions::checkpoint_is_valid(&text));
-        if valid {
-            continue;
-        }
-        if let Ok(Some(_)) = quarantine_file(&path) {
-            report.quarantined_files += 1;
-            METRICS.quarantined_sessions.inc();
-        }
-    }
-    Ok(())
-}
-
 /// Sweeps the store rooted at `root` (the daemon's `--store` directory):
-/// optionally verifies every entry (corrupt ones are quarantined), then
-/// evicts least-recently-used entries until the combined footprint of
-/// `streams/` and `results/` fits under `cap_bytes`.
+/// optionally verifies every entry (corrupt ones are quarantined, orphan
+/// DAG partials collected), then evicts least-recently-used entries
+/// until the combined footprint of the content-addressed directories
+/// fits under `cap_bytes`.
 ///
 /// Safe to run against a live daemon's store: writes are atomic renames
 /// and a concurrently-evicted entry is re-recorded on next use.
@@ -250,118 +119,68 @@ fn verify_sessions(dir: &Path, report: &mut GcReport) -> Result<(), ServeError> 
 /// Propagates filesystem errors; per-entry verification failures are
 /// handled (quarantined), not raised.
 pub fn sweep(root: &Path, cap_bytes: Option<u64>, verify: bool) -> Result<GcReport, ServeError> {
-    let streams_dir = root.join("streams");
-    let results_dir = root.join("results");
-    let dag_dir = root.join("dag");
-    let ann_dir = dag_dir.join("ann");
-    let replays_dir = dag_dir.join("replays");
-    let manifests_dir = dag_dir.join("manifests");
+    let store = Store::open(root)?;
+    let dirs = store.dirs();
+    let mut report = GcReport::default();
+    let mut touched = dirs.map(|_| false);
+    // Eviction candidates: (directory index, entry).
     let mut entries = Vec::new();
-    scan(
-        &streams_dir,
-        llc_trace::store::STREAM_FILE_EXT,
-        Kind::Streams,
-        &mut entries,
-    )?;
-    scan(&results_dir, RESULT_FILE_EXT, Kind::Results, &mut entries)?;
-    scan(&ann_dir, ANN_FILE_EXT, Kind::DagAnn, &mut entries)?;
-    scan(&replays_dir, REPLAY_FILE_EXT, Kind::DagReplay, &mut entries)?;
-    scan(
-        &manifests_dir,
-        MANIFEST_FILE_EXT,
-        Kind::DagManifest,
-        &mut entries,
-    )?;
-
-    let mut report = GcReport {
-        scanned_files: entries.len() as u64,
-        scanned_bytes: entries.iter().map(|e| e.bytes).sum(),
-        ..GcReport::default()
-    };
-
-    // Session checkpoints are live daemon state, not content-addressed
-    // cache: they are verified (and quarantined when corrupt) but never
-    // LRU-evicted — evicting one would silently kill a drained session's
-    // restart survival. Ingested streams need no special casing: they
-    // live in `streams/` under their content fingerprint and are swept
-    // like any recorded stream.
-    if verify {
-        verify_sessions(&root.join(crate::sessions::SESSIONS_DIR), &mut report)?;
+    for (i, dir) in dirs.iter().enumerate() {
+        // A cap-only sweep never looks at session checkpoints.
+        if !dir.evictable && !verify {
+            continue;
+        }
+        let listed = dir
+            .files
+            .entries()
+            .map_err(|e| io_err(format!("scanning {}", dir.files.dir().display()), e))?;
+        for entry in listed {
+            report.scanned_files += 1;
+            report.scanned_bytes += entry.bytes;
+            if verify && !fs::read(&entry.path).is_ok_and(|raw| (dir.verify)(raw, entry.fp)) {
+                // Quarantine failures are not fatal to the sweep: a
+                // vanished entry is simply no longer ours to manage.
+                if let Ok(Some(_)) = dir.files.quarantine_path(&entry.path) {
+                    report.quarantined_files += 1;
+                }
+                continue;
+            }
+            if dir.evictable {
+                entries.push((i, entry));
+            }
+        }
     }
 
     if verify {
-        let streams = StreamStore::open(&streams_dir)
-            .map_err(|e| io_err(format!("opening stream store {}", streams_dir.display()), e))?;
-        let results = ResultStore::open(&results_dir)?;
-        entries.retain(|entry| {
-            if verifies(entry, &streams, &results) {
-                return true;
-            }
-            // Quarantine failures are not fatal to the sweep: a vanished
-            // entry is simply no longer ours to manage.
-            if let Ok(Some(_)) = quarantine_file(&entry.path) {
-                report.quarantined_files += 1;
-                match entry.kind {
-                    Kind::Streams => METRICS.quarantined_streams.inc(),
-                    Kind::Results => METRICS.quarantined_results.inc(),
-                    k if k.is_dag() => METRICS.quarantined_dag.inc(),
-                    _ => unreachable!(),
-                }
-            }
-            false
-        });
-
         // Orphan collection: a DAG partial that no (surviving) manifest
-        // references can never be resolved by a plan — its producing
-        // job's manifest was evicted, or the job never completed.
-        // Partials are cheap to recompute, so collect them outright
-        // rather than quarantining.
-        let mut live: HashSet<(NodeKind, u64)> = HashSet::new();
-        for entry in entries.iter().filter(|e| e.kind == Kind::DagManifest) {
-            let Some(fp) = stem_fingerprint(&entry.path) else {
-                continue;
+        // references can never be resolved by a plan. Partials are cheap
+        // to recompute, so collect them outright rather than
+        // quarantining.
+        let live = store
+            .dag
+            .referenced()
+            .map_err(|e| io_err("reading DAG manifests", e))?;
+        entries.retain(|(i, entry)| {
+            let Some(kind) = dirs[*i].partial else {
+                return true;
             };
-            if let Some(manifest) = fs::read(&entry.path)
-                .ok()
-                .and_then(|raw| decode_manifest(&raw, fp).ok())
-            {
-                live.extend(manifest.nodes);
-            }
-        }
-        entries.retain(|entry| {
-            let node_kind = match entry.kind {
-                Kind::DagAnn => NodeKind::Annotations,
-                Kind::DagReplay => NodeKind::Replay,
-                _ => return true,
-            };
-            let referenced =
-                stem_fingerprint(&entry.path).is_some_and(|fp| live.contains(&(node_kind, fp)));
-            if referenced {
+            if entry.fp.is_some_and(|fp| live.contains(&(kind, fp))) {
                 return true;
             }
             // A concurrently-vanished orphan was collected for us.
             if fs::remove_file(&entry.path).is_ok() {
                 report.orphaned_files += 1;
                 METRICS.orphaned_dag.inc();
+                touched[*i] = true;
             }
             false
         });
-        if report.orphaned_files > 0 {
-            for dir in [&ann_dir, &replays_dir] {
-                if dir.exists() {
-                    sync_dir(dir).map_err(|e| io_err("syncing dag/ after orphan collection", e))?;
-                }
-            }
-        }
     }
 
-    let mut remaining: u64 = entries.iter().map(|e| e.bytes).sum();
+    let mut remaining: u64 = entries.iter().map(|(_, e)| e.bytes).sum();
     if let Some(cap) = cap_bytes {
-        entries.sort_by_key(|e| e.mtime);
-        let mut touched_streams = false;
-        let mut touched_results = false;
-        let mut touched_dag = false;
-        for entry in &entries {
+        entries.sort_by_key(|(_, e)| e.mtime);
+        for (i, entry) in &entries {
             if remaining <= cap {
                 break;
             }
@@ -374,37 +193,15 @@ pub fn sweep(root: &Path, cap_bytes: Option<u64>, verify: bool) -> Result<GcRepo
             remaining = remaining.saturating_sub(entry.bytes);
             report.evicted_files += 1;
             report.evicted_bytes += entry.bytes;
-            match entry.kind {
-                Kind::Streams => {
-                    METRICS.evicted_streams.inc();
-                    touched_streams = true;
-                }
-                Kind::Results => {
-                    METRICS.evicted_results.inc();
-                    touched_results = true;
-                }
-                k if k.is_dag() => {
-                    METRICS.evicted_dag.inc();
-                    touched_dag = true;
-                }
-                _ => unreachable!(),
-            }
+            evicted(dirs[*i].files.label()).inc();
+            touched[*i] = true;
         }
         METRICS.evicted_bytes.add(report.evicted_bytes);
-        // Make the deletions durable before reporting them reclaimed.
-        if touched_streams {
-            sync_dir(&streams_dir).map_err(|e| io_err("syncing streams/ after GC", e))?;
-        }
-        if touched_results {
-            sync_dir(&results_dir).map_err(|e| io_err("syncing results/ after GC", e))?;
-        }
-        if touched_dag {
-            for dir in [&ann_dir, &replays_dir, &manifests_dir] {
-                if dir.exists() {
-                    sync_dir(dir).map_err(|e| io_err("syncing dag/ after GC", e))?;
-                }
-            }
-        }
+    }
+    // Make the deletions durable before reporting them reclaimed.
+    for (dir, _) in dirs.iter().zip(touched).filter(|(_, t)| *t) {
+        let path = dir.files.dir();
+        sync_dir(path).map_err(|e| io_err(format!("syncing {} after GC", path.display()), e))?;
     }
     report.remaining_bytes = remaining;
     Ok(report)
@@ -413,8 +210,12 @@ pub fn sweep(root: &Path, cap_bytes: Option<u64>, verify: bool) -> Result<GcRepo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ResultStore;
     use filetime_shim::set_mtime;
+    use llc_dag::NodeKind;
     use llc_sharing::Table;
+    use llc_trace::StreamStore;
+    use std::path::PathBuf;
 
     /// Sets a file's mtime without external crates: `File::set_modified`.
     mod filetime_shim {
@@ -526,6 +327,85 @@ mod tests {
     }
 
     #[test]
+    fn verify_rejects_streams_the_serving_decoder_rejects() {
+        // Trailing bytes after a well-formed `.llcs` payload: the owned
+        // decoder would stop reading early and accept the file, but the
+        // zero-copy view that serves it rejects the arena size, so a
+        // verify sweep must quarantine it.
+        let root = temp_root("padded-stream");
+        let streams = StreamStore::open(root.join("streams")).expect("open streams");
+        let mut bytes = llc_trace::RecordedStream::default()
+            .to_vec()
+            .expect("encode");
+        bytes.extend_from_slice(&[0; 4]);
+        llc_trace::atomic_write(&streams.path_for(0x7), &bytes).expect("write");
+        assert!(streams.load_view(0x7).is_err(), "the daemon rejects it");
+        llc_trace::atomic_write(&streams.path_for(0x7), &bytes).expect("rewrite");
+
+        let report = sweep(&root, None, true).expect("sweep");
+        assert_eq!(report.quarantined_files, 1, "{report:?}");
+        assert!(!streams.contains(0x7));
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn verify_leaves_recency_alone() {
+        use llc_dag::{DagStore, Manifest, ReplayRecord};
+        let root = temp_root("recency");
+        let results = seed_results(&root, &[1, 2]);
+        let streams = StreamStore::open(root.join("streams")).expect("open streams");
+        let stream = llc_trace::RecordedStream::default();
+        streams.save(3, &stream).expect("save stream");
+        let dag = DagStore::open(root.join("dag")).expect("open dag");
+        dag.save_replay(4, &ReplayRecord::default())
+            .expect("save replay");
+        dag.save_manifest(
+            5,
+            &Manifest {
+                nodes: vec![(NodeKind::Replay, 4)],
+            },
+        )
+        .expect("save manifest");
+        // Ages in days; the oldest is result 1, the newest the stream.
+        let aged = [
+            (results.path_for(1), 5u64),
+            (dag.manifests().path_for(5), 4),
+            (results.path_for(2), 3),
+            (dag.replays().path_for(4), 2),
+            (streams.path_for(3), 1),
+        ];
+        for (path, days) in &aged {
+            set_mtime(path, std::time::Duration::from_secs(days * 86_400));
+        }
+        let mtimes = || -> Vec<_> {
+            aged.iter()
+                .map(|(p, _)| fs::metadata(p).and_then(|m| m.modified()).expect("mtime"))
+                .collect()
+        };
+        let before = mtimes();
+        let report = sweep(&root, None, true).expect("verify");
+        assert_eq!(
+            (report.quarantined_files, report.orphaned_files),
+            (0, 0),
+            "{report:?}"
+        );
+        assert_eq!(mtimes(), before, "verifying is not using");
+
+        // A capped sweep now evicts strictly oldest-first: keeping the
+        // newest two entries evicts the three oldest.
+        let keep: u64 = aged[3..]
+            .iter()
+            .map(|(p, _)| fs::metadata(p).expect("meta").len())
+            .sum();
+        let report = sweep(&root, Some(keep), false).expect("capped");
+        assert_eq!(report.evicted_files, 3, "{report:?}");
+        for (i, (path, _)) in aged.iter().enumerate() {
+            assert_eq!(path.exists(), i >= 3, "{}", path.display());
+        }
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn verify_collects_unreferenced_dag_partials_and_quarantines_corrupt_ones() {
         use llc_dag::{AnnotationsData, DagStore, Manifest, ReplayRecord};
         let root = temp_root("dag");
@@ -547,7 +427,7 @@ mod tests {
         dag.save_replay(0xB1, &rec).expect("save replay");
         dag.save_annotations(0xA2, &ann).expect("save orphan ann");
         dag.save_replay(0xB2, &rec).expect("save orphan replay");
-        llc_trace::atomic_write(&dag.replay_path(0xB3), b"not a replay").expect("corrupt");
+        llc_trace::atomic_write(&dag.replays().path_for(0xB3), b"not a replay").expect("corrupt");
         dag.save_manifest(
             0xF1,
             &Manifest {
@@ -561,12 +441,9 @@ mod tests {
         assert_eq!(report.orphaned_files, 2, "{report:?}");
         assert!(dag.load_annotations(0xA1).is_some(), "referenced ann stays");
         assert!(dag.load_replay(0xB1).is_some(), "referenced replay stays");
-        assert!(!dag.ann_path(0xA2).exists(), "orphan ann collected");
-        assert!(!dag.replay_path(0xB2).exists(), "orphan replay collected");
-        assert!(
-            !dag.replay_path(0xB3).exists(),
-            "corrupt replay quarantined"
-        );
+        assert!(!dag.ann().contains(0xA2), "orphan ann collected");
+        assert!(!dag.replays().contains(0xB2), "orphan replay collected");
+        assert!(!dag.replays().contains(0xB3), "corrupt replay quarantined");
 
         // A second verify sweep is a fixed point.
         let again = sweep(&root, None, true).expect("sweep again");

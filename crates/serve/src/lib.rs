@@ -64,7 +64,7 @@ pub use jobs::{JobId, JobState};
 pub use server::{Server, ServerConfig, ServerControl};
 pub use sessions::SessionTable;
 pub use spec::JobSpec;
-pub use store::ResultStore;
+pub use store::{ResultStore, Store};
 
 use std::fmt;
 use std::io;

@@ -44,12 +44,12 @@ use std::sync::{Arc, Condvar, LazyLock, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use llc_dag::{DagStore, Manifest, NodeKind, Plan};
+use llc_dag::{Manifest, NodeKind, Plan};
 use llc_sharing::json::{self, Value};
 use llc_sharing::{plan_experiment, run_experiment, scoped_workers, StreamCache, Table};
 use llc_telemetry::metrics::{global, Counter, Gauge, Histogram, TIME_BOUNDS};
 use llc_telemetry::spans;
-use llc_trace::{atomic_write, StreamStore};
+use llc_trace::{atomic_write, LoadError};
 
 use crate::chaos::{ChaosPlan, ChaosPoint};
 use crate::gc;
@@ -57,7 +57,7 @@ use crate::http::{read_request_deadline, write_response, Request, Response};
 use crate::jobs::{run_cancellable, GuardedOutcome, JobId, JobRecord, JobState, JobTable};
 use crate::sessions::SessionTable;
 use crate::spec::JobSpec;
-use crate::store::ResultStore;
+use crate::store::Store;
 use crate::{io_err, ServeError};
 
 /// File name (under the store root) of the queued-jobs checkpoint
@@ -112,16 +112,6 @@ fn admission_rejected(reason: &'static str) -> Arc<Counter> {
     )
 }
 
-/// `llc_store_quarantined_total{store="results"}` (the `streams` series
-/// lives with the stream cache in `llc-sharing`).
-fn quarantined_results() -> Arc<Counter> {
-    global().counter_with(
-        "llc_store_quarantined_total",
-        "Corrupt store entries moved to quarantine/ instead of being deleted",
-        &[("store", "results")],
-    )
-}
-
 /// Registers every metric series the daemon can ever emit, so scrapes
 /// (and the CI smoke test) see the full set from the first response,
 /// not only after the corresponding event fired.
@@ -130,7 +120,6 @@ fn register_eager_metrics() {
     for reason in ["queue_full", "inflight", "shutdown", "connections"] {
         admission_rejected(reason);
     }
-    quarantined_results();
     gc::register_metrics();
     llc_dag::register_metrics();
     llc_ingest::register_metrics();
@@ -358,11 +347,8 @@ impl JobQueue {
 #[derive(Debug)]
 struct ServerState {
     jobs: JobTable,
-    results: ResultStore,
-    dag: DagStore,
+    store: Store,
     streams: StreamCache,
-    stream_store: StreamStore,
-    store_dir: PathBuf,
     timeout: Option<Duration>,
     /// The `--jobs` worker grant, reported as `budget.granted` in
     /// `GET /store/stats`.
@@ -471,32 +457,17 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| io_err("reading bound address", e))?;
-        let stream_store = StreamStore::open(config.store_dir.join("streams")).map_err(|e| {
-            io_err(
-                format!("creating stream store under {}", config.store_dir.display()),
-                e,
-            )
-        })?;
-        let results = ResultStore::open(config.store_dir.join("results"))?;
-        let dag = DagStore::open(config.store_dir.join("dag")).map_err(|e| {
-            io_err(
-                format!("creating DAG store under {}", config.store_dir.display()),
-                e,
-            )
-        })?;
+        let store = Store::open(&config.store_dir)?;
         let workers = config.jobs.max(1);
         let limit = config
             .stream_cache_limit
             .unwrap_or_else(|| StreamCache::default_limit(workers));
-        let streams = StreamCache::with_store(stream_store.clone(), Some(limit));
+        let streams = StreamCache::with_store(store.streams.clone(), Some(limit));
         register_eager_metrics();
         let state = Arc::new(ServerState {
             jobs: JobTable::new(),
-            results,
-            dag,
+            store,
             streams,
-            stream_store,
-            store_dir: config.store_dir.clone(),
             timeout: config.timeout,
             workers,
             queue: JobQueue::new(config.max_queue),
@@ -626,7 +597,7 @@ fn maybe_sweep(state: &Arc<ServerState>, next_gc: &mut Instant) {
         .spawn(move || {
             // Sweep failures are logged-by-metric (the counters simply
             // do not move) and retried at the next tick.
-            let _ = gc::sweep(&sweeper.store_dir, Some(cap), false);
+            let _ = gc::sweep(&sweeper.store.root, Some(cap), false);
             sweeper.gc_running.store(false, Ordering::SeqCst);
         });
     if spawned.is_err() {
@@ -783,17 +754,16 @@ fn load_result(state: &ServerState, fp: u64) -> Result<Option<Vec<Table>>, Serve
             "chaos: injected store-read fault".into(),
         ));
     }
-    match state.results.load(fp) {
-        Ok(found) => Ok(found),
-        Err(e) => {
-            state.jobs.count(|c| c.result_errors += 1);
-            if let Ok(Some(_)) = state.results.quarantine(fp) {
-                state.jobs.count(|c| c.quarantined += 1);
-                quarantined_results().inc();
-            }
-            Err(e)
+    state.store.results.fetch(fp).map_err(|e| {
+        state.jobs.count(|c| c.result_errors += 1);
+        if let LoadError::Corrupt {
+            quarantined: true, ..
+        } = e
+        {
+            state.jobs.count(|c| c.quarantined += 1);
         }
-    }
+        state.store.results.error(fp, e)
+    })
 }
 
 /// Persists a computed result, with the chaos `StoreWrite` seam in
@@ -809,21 +779,18 @@ fn save_result(
             "chaos: injected store-write fault".into(),
         ));
     }
-    state.results.save(fp, experiment, tables)
+    state.store.results.save(fp, experiment, tables)
 }
 
-/// Plans `spec` against the stream cache, the DAG store and the result
-/// store: every artifact node its run would resolve, plus the final
-/// merged-table node (keyed by the whole-spec fingerprint, like the
-/// result store itself). Observes planner latency.
-fn plan_spec(state: &ServerState, spec: &JobSpec, fingerprint: u64) -> (Plan, Duration) {
-    let started = Instant::now();
+/// Plans `spec` with `streams` as its stream cache against `store`'s
+/// DAG and result directories: every artifact node its run would
+/// resolve, plus the final merged-table node (keyed by the whole-spec
+/// fingerprint, like the result store itself).
+fn plan_against(store: &Store, streams: StreamCache, spec: &JobSpec, fingerprint: u64) -> Plan {
     let mut ctx = spec.build_ctx();
-    ctx.streams = state.streams.clone();
-    let mut plan = plan_experiment(spec.experiment, &ctx, Some(&state.dag));
-    let table_bytes = fs::metadata(state.results.path_for(fingerprint))
-        .map(|m| m.len())
-        .ok();
+    ctx.streams = streams;
+    let mut plan = plan_experiment(spec.experiment, &ctx, Some(&store.dag));
+    let table_bytes = store.results.size_of(fingerprint);
     plan.push(
         NodeKind::Table,
         fingerprint,
@@ -831,6 +798,14 @@ fn plan_spec(state: &ServerState, spec: &JobSpec, fingerprint: u64) -> (Plan, Du
         table_bytes.is_some(),
         table_bytes.unwrap_or(0),
     );
+    plan
+}
+
+/// Plans `spec` against the daemon's live stream cache and store.
+/// Observes planner latency.
+fn plan_spec(state: &ServerState, spec: &JobSpec, fingerprint: u64) -> (Plan, Duration) {
+    let started = Instant::now();
+    let plan = plan_against(&state.store, state.streams.clone(), spec, fingerprint);
     let elapsed = started.elapsed();
     METRICS.plan_latency.observe_duration(elapsed);
     (plan, elapsed)
@@ -892,34 +867,11 @@ pub(crate) fn plan_offline(
     store_dir: &std::path::Path,
     spec: &JobSpec,
 ) -> Result<Value, ServeError> {
-    let stream_store = StreamStore::open(store_dir.join("streams")).map_err(|e| {
-        io_err(
-            format!("opening stream store under {}", store_dir.display()),
-            e,
-        )
-    })?;
-    let dag = DagStore::open(store_dir.join("dag")).map_err(|e| {
-        io_err(
-            format!("opening DAG store under {}", store_dir.display()),
-            e,
-        )
-    })?;
-    let results = ResultStore::open(store_dir.join("results"))?;
+    let store = Store::open(store_dir)?;
     let started = Instant::now();
     let fingerprint = spec.fingerprint();
-    let mut ctx = spec.build_ctx();
-    ctx.streams = StreamCache::with_store(stream_store, None);
-    let mut plan = plan_experiment(spec.experiment, &ctx, Some(&dag));
-    let table_bytes = fs::metadata(results.path_for(fingerprint))
-        .map(|m| m.len())
-        .ok();
-    plan.push(
-        NodeKind::Table,
-        fingerprint,
-        format!("{} merged table", spec.experiment.label()),
-        table_bytes.is_some(),
-        table_bytes.unwrap_or(0),
-    );
+    let streams = StreamCache::with_store(store.streams.clone(), None);
+    let plan = plan_against(&store, streams, spec, fingerprint);
     Ok(plan_document(spec, fingerprint, &plan, started.elapsed()))
 }
 
@@ -1060,10 +1012,10 @@ fn job_result(state: &ServerState, job: &JobRecord) -> Response {
 /// the job counters and the admission/queue state.
 fn store_stats(state: &ServerState) -> Response {
     let s = state.streams.stats();
-    let (stream_files, stream_bytes) = state.stream_store.disk_stats().unwrap_or((0, 0));
-    let (result_files, result_bytes) = state.results.disk_stats().unwrap_or((0, 0));
-    let (dag_files, dag_bytes) = state.dag.disk_stats().unwrap_or((0, 0));
-    let d = state.dag.stats();
+    let (stream_files, stream_bytes) = state.store.streams.disk_stats().unwrap_or((0, 0));
+    let (result_files, result_bytes) = state.store.results.disk_stats().unwrap_or((0, 0));
+    let (dag_files, dag_bytes) = state.store.dag.disk_stats().unwrap_or((0, 0));
+    let d = state.store.dag.stats();
     let c = state.jobs.counters();
     let num = |n: u64| Value::Num(n as f64);
     let doc = Value::object(vec![
@@ -1258,7 +1210,7 @@ fn execute_job(state: &ServerState, id: JobId) {
     // the artifact DAG: pure-stats replays resolve through cached
     // per-policy partials instead of re-simulating.
     ctx.streams = state.streams.clone();
-    ctx.dag = Some(state.dag.clone());
+    ctx.dag = Some(state.store.dag.clone());
     let experiment = job.spec.experiment;
     let label = format!("{}-job{}", experiment.label(), id.0);
     // The watchdog is the tighter of the server budget and what remains
@@ -1331,8 +1283,13 @@ fn save_manifest(state: &ServerState, job: &JobRecord) {
     let manifest = Manifest {
         nodes: plan.nodes.iter().map(|n| (n.kind, n.fp)).collect(),
     };
-    if state.dag.save_manifest(job.fingerprint, &manifest).is_err() {
-        state.dag.record_disk_error();
+    if state
+        .store
+        .dag
+        .save_manifest(job.fingerprint, &manifest)
+        .is_err()
+    {
+        state.store.dag.record_disk_error();
     }
 }
 
@@ -1368,7 +1325,7 @@ fn drain(state: &Arc<ServerState>) {
                 Value::Array(specs.iter().map(JobSpec::to_json).collect()),
             ),
         ]);
-        let path = state.store_dir.join(CHECKPOINT_FILE);
+        let path = state.store.root.join(CHECKPOINT_FILE);
         // Checkpoint failure only costs the queued work its restart
         // survival, never the drain itself.
         let _ = atomic_write(&path, doc.render().as_bytes());
@@ -1389,7 +1346,7 @@ fn drain(state: &Arc<ServerState>) {
 /// files (or specs past the queue bound) are dropped — the checkpoint is
 /// best-effort continuity, not a durability promise.
 fn restore_checkpoint(state: &ServerState) {
-    let path = state.store_dir.join(CHECKPOINT_FILE);
+    let path = state.store.root.join(CHECKPOINT_FILE);
     let Ok(text) = fs::read_to_string(&path) else {
         return;
     };

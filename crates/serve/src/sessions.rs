@@ -36,7 +36,7 @@ use llc_sharing::json::{self, Value};
 use llc_sharing::OnlineCharacterizer;
 use llc_sim::{AccessKind, Addr, CoreId, Pc, MAX_CORES};
 use llc_telemetry::metrics::{global, Counter, Gauge};
-use llc_trace::atomic_write;
+use llc_trace::{atomic_write, ArtifactDir};
 
 use crate::http::Response;
 
@@ -175,7 +175,8 @@ struct Inner {
 #[derive(Debug)]
 pub struct SessionTable {
     inner: Mutex<Inner>,
-    dir: PathBuf,
+    /// `<store>/sessions/`, written only by drains.
+    files: ArtifactDir,
     max_sessions: usize,
     max_bytes: u64,
     idle: Duration,
@@ -265,7 +266,7 @@ impl SessionTable {
     pub fn new(store_dir: &Path, max_sessions: usize, max_bytes: u64, idle: Duration) -> Self {
         SessionTable {
             inner: Mutex::new(Inner::default()),
-            dir: store_dir.join(SESSIONS_DIR),
+            files: checkpoints(store_dir),
             max_sessions: max_sessions.max(1),
             max_bytes,
             idle,
@@ -283,7 +284,7 @@ impl SessionTable {
     }
 
     fn checkpoint_path(&self, id: u64) -> PathBuf {
-        self.dir.join(format!("{id}.{SESSION_FILE_EXT}"))
+        self.files.dir().join(format!("{id}.{SESSION_FILE_EXT}"))
     }
 
     /// `POST /sessions`: `{"cores": N, "window": W}` (both optional;
@@ -469,7 +470,7 @@ impl SessionTable {
         if inner.map.is_empty() {
             return;
         }
-        if fs::create_dir_all(&self.dir).is_err() {
+        if fs::create_dir_all(self.files.dir()).is_err() {
             return;
         }
         for (&id, session) in &inner.map {
@@ -493,16 +494,12 @@ impl SessionTable {
     /// restore and the next drain still has *a* checkpoint, merely a
     /// stale one.
     pub fn restore(&self) {
-        let Ok(entries) = fs::read_dir(&self.dir) else {
+        let Ok(entries) = self.files.entries() else {
             return;
         };
         let mut inner = lock(self);
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != SESSION_FILE_EXT) {
-                continue;
-            }
-            let Some(session) = fs::read_to_string(&path)
+        for entry in entries {
+            let Some(session) = fs::read_to_string(&entry.path)
                 .ok()
                 .and_then(|text| json::parse(&text).ok())
                 .and_then(|doc| restore_one(&doc))
@@ -520,6 +517,12 @@ impl SessionTable {
         }
         METRICS.open.set(inner.map.len() as i64);
     }
+}
+
+/// The checkpoint directory `<store>/sessions/`: named by session id
+/// rather than by fingerprint, and not created until a drain writes.
+pub(crate) fn checkpoints(store_dir: &Path) -> ArtifactDir {
+    ArtifactDir::new(store_dir.join(SESSIONS_DIR), SESSION_FILE_EXT, "sessions")
 }
 
 /// `true` when `text` is a checkpoint that would restore into a live

@@ -1,12 +1,24 @@
-//! The persistent result store: completed experiment tables, one JSON
-//! document per job fingerprint, written crash-safely with the same
-//! atomic-rename discipline as the `.llcs` stream store.
+//! The persistent store's layout, and the result store inside it.
+//!
+//! One `--store` root holds every persisted artifact, each directory an
+//! [`ArtifactDir`] (content-addressed, crash-safe writes, mtime touch on
+//! load, quarantine on corruption):
 //!
 //! ```text
-//! <dir>/<%016x fingerprint>.json
+//! <root>/streams/<fp>.llcs        recorded LLC reference streams  (StreamStore)
+//! <root>/results/<fp>.json        merged experiment tables        (ResultStore)
+//! <root>/dag/ann/<fp>.llca        annotation pre-pass partials    (DagStore)
+//! <root>/dag/replays/<fp>.llcr    per-policy replay partials      (DagStore)
+//! <root>/dag/manifests/<fp>.llcm  per-spec node lists             (DagStore)
+//! <root>/sessions/<id>.json       live-session checkpoints (id-named)
+//! <root>/queued-jobs.json         drain checkpoint of queued specs
 //! ```
 //!
-//! Each document is self-describing:
+//! [`Store::open`] opens that layout in one place for the daemon,
+//! `repro explain`, `repro ingest` and `repro gc`, and `Store::dirs`
+//! hands GC every directory with the decoder that serves it.
+//!
+//! A result document is self-describing:
 //!
 //! ```json
 //! {"version": 1, "fingerprint": "00123abc...", "experiment": "fig7",
@@ -15,17 +27,19 @@
 //!
 //! A document that is missing is `Ok(None)`; one that exists but cannot
 //! be decoded (truncated, corrupted, wrong fingerprint after a rename) is
-//! a [`ServeError::Protocol`] — the daemon treats that exactly like the
-//! stream cache treats a bad `.llcs`: count it, recompute, overwrite.
+//! a [`ServeError::Protocol`] and has been quarantined — the daemon
+//! treats that exactly like the stream cache treats a bad `.llcs`: count
+//! it, recompute, overwrite.
 
-use std::fs;
-use std::io;
-use std::path::{Path, PathBuf};
+use std::ops::Deref;
+use std::path::PathBuf;
 
+use llc_dag::{decode_annotations, decode_manifest, decode_replay, DagStore, NodeKind};
 use llc_sharing::json::{self, table_from_json, table_to_json, Value};
 use llc_sharing::Table;
-use llc_trace::atomic_write;
+use llc_trace::{ArtifactDir, LoadError, StreamStore};
 
+use crate::sessions::{checkpoint_is_valid, checkpoints};
 use crate::{io_err, ServeError};
 
 /// File extension of stored result documents.
@@ -34,13 +48,142 @@ pub const RESULT_FILE_EXT: &str = "json";
 /// Format version of the stored documents.
 pub const RESULT_FORMAT_VERSION: u64 = 1;
 
-/// A directory of content-addressed experiment results.
-///
-/// Cloning is cheap (the store is just a path); concurrent access is safe
-/// because writes are atomic renames.
+/// The persistent store rooted at one directory (see the module docs
+/// for the layout).
+#[derive(Debug, Clone)]
+pub struct Store {
+    /// The root directory.
+    pub root: PathBuf,
+    /// `streams/`: recorded `.llcs` streams.
+    pub streams: StreamStore,
+    /// `results/`: merged experiment tables.
+    pub results: ResultStore,
+    /// `dag/`: annotation and replay partials plus spec manifests.
+    pub dag: DagStore,
+    /// `sessions/`: live-session checkpoints, named by session id rather
+    /// than by fingerprint.
+    pub sessions: ArtifactDir,
+}
+
+/// One directory of the layout as GC sees it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StoreDir<'a> {
+    /// The directory.
+    pub files: &'a ArtifactDir,
+    /// `true` when an entry's bytes load through the decoder that serves
+    /// the directory, given the fingerprint its name carries.
+    pub verify: fn(Vec<u8>, Option<u64>) -> bool,
+    /// `false` for session checkpoints: live state, verified but never
+    /// evicted.
+    pub evictable: bool,
+    /// The node kind of a DAG partial, collected when no manifest
+    /// references it.
+    pub partial: Option<NodeKind>,
+}
+
+impl Store {
+    /// Opens (creating if needed) the store rooted at `root`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a store directory cannot be created.
+    pub fn open(root: impl Into<PathBuf>) -> Result<Store, ServeError> {
+        let root = root.into();
+        let opening =
+            |what: &str, e| io_err(format!("opening {what} store under {}", root.display()), e);
+        Ok(Store {
+            streams: StreamStore::open(root.join("streams")).map_err(|e| opening("stream", e))?,
+            results: ResultStore::open(root.join("results"))?,
+            dag: DagStore::open(root.join("dag")).map_err(|e| opening("DAG", e))?,
+            sessions: checkpoints(&root),
+            root,
+        })
+    }
+
+    /// Every directory GC sweeps, each with the decoder that serves it.
+    pub(crate) fn dirs(&self) -> [StoreDir<'_>; 6] {
+        let cached = |files, verify, partial| StoreDir {
+            files,
+            verify,
+            evictable: true,
+            partial,
+        };
+        [
+            cached(
+                &*self.streams,
+                |raw, fp| fp.is_some() && StreamStore::decode(raw).is_ok(),
+                None,
+            ),
+            cached(
+                &*self.results,
+                |raw, fp| fp.is_some_and(|fp| decode_result(&raw, fp).is_ok()),
+                None,
+            ),
+            cached(
+                self.dag.ann(),
+                |raw, fp| fp.is_some_and(|fp| decode_annotations(&raw, fp).is_ok()),
+                Some(NodeKind::Annotations),
+            ),
+            cached(
+                self.dag.replays(),
+                |raw, fp| fp.is_some_and(|fp| decode_replay(&raw, fp).is_ok()),
+                Some(NodeKind::Replay),
+            ),
+            cached(
+                self.dag.manifests(),
+                |raw, fp| fp.is_some_and(|fp| decode_manifest(&raw, fp).is_ok()),
+                None,
+            ),
+            StoreDir {
+                files: &self.sessions,
+                verify: |raw, _| std::str::from_utf8(&raw).is_ok_and(checkpoint_is_valid),
+                evictable: false,
+                partial: None,
+            },
+        ]
+    }
+}
+
+/// Decodes and validates a result document stored under `fp`.
+fn decode_result(raw: &[u8], fp: u64) -> Result<Vec<Table>, String> {
+    let text = std::str::from_utf8(raw).map_err(|_| "not UTF-8".to_string())?;
+    let v = json::parse(text).map_err(|e| format!("bad JSON: {e}"))?;
+    let version = v.field("version").and_then(Value::as_u64);
+    if version != Some(RESULT_FORMAT_VERSION) {
+        return Err(format!("unsupported result version {version:?}"));
+    }
+    let stored_fp = v
+        .field("fingerprint")
+        .and_then(Value::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or("missing fingerprint")?;
+    if stored_fp != fp {
+        return Err(format!(
+            "fingerprint mismatch: document says {stored_fp:016x}, file name says {fp:016x}"
+        ));
+    }
+    v.field("tables")
+        .and_then(Value::as_array)
+        .ok_or("missing tables")?
+        .iter()
+        .map(table_from_json)
+        .collect()
+}
+
+/// A directory of content-addressed experiment results: the result
+/// codec over an [`ArtifactDir`] (which it derefs to for paths,
+/// quarantine and disk statistics).
 #[derive(Debug, Clone)]
 pub struct ResultStore {
-    dir: PathBuf,
+    files: ArtifactDir,
+}
+
+impl Deref for ResultStore {
+    type Target = ArtifactDir;
+
+    fn deref(&self) -> &ArtifactDir {
+        &self.files
+    }
 }
 
 impl ResultStore {
@@ -51,24 +194,26 @@ impl ResultStore {
     /// Fails if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<ResultStore, ServeError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir)
+        let files = ArtifactDir::open(&dir, RESULT_FILE_EXT, "results")
             .map_err(|e| io_err(format!("creating result store {}", dir.display()), e))?;
-        Ok(ResultStore { dir })
+        Ok(ResultStore { files })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The on-disk path for fingerprint `fp`.
-    pub fn path_for(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("{fp:016x}.{RESULT_FILE_EXT}"))
-    }
-
-    /// `true` if a result for `fp` is on disk.
-    pub fn contains(&self, fp: u64) -> bool {
-        self.path_for(fp).exists()
+    /// Loads the tables stored under `fp`, or `Ok(None)` if there is no
+    /// stored result, keeping a corrupt copy's quarantine outcome (see
+    /// [`ArtifactDir::load_with`]).
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Corrupt`] with a [`ServeError::Protocol`] when the
+    /// document does not decode or validate; [`LoadError::Io`] when it
+    /// cannot be read.
+    pub fn fetch(&self, fp: u64) -> Result<Option<Vec<Table>>, LoadError<ServeError>> {
+        self.files.load_with(fp, |raw| {
+            decode_result(&raw, fp).map_err(|msg| {
+                ServeError::Protocol(format!("{}: {msg}", self.path_for(fp).display()))
+            })
+        })
     }
 
     /// Loads the tables stored under `fp`, or `Ok(None)` if there is no
@@ -78,46 +223,16 @@ impl ResultStore {
     ///
     /// A document that exists but cannot be decoded or fails validation
     /// (bad JSON, unknown version, fingerprint mismatch, malformed
-    /// tables) is a [`ServeError::Protocol`], so the caller can
-    /// distinguish "never computed" from "stored copy is bad" and fall
-    /// back to recomputing.
+    /// tables) is a [`ServeError::Protocol`] (and has been moved to
+    /// `quarantine/`), so the caller can distinguish "never computed"
+    /// from "stored copy is bad" and fall back to recomputing.
     pub fn load(&self, fp: u64) -> Result<Option<Vec<Table>>, ServeError> {
-        let path = self.path_for(fp);
-        let text = match fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err(format!("reading {}", path.display()), e)),
-        };
-        // Touch the mtime so LRU eviction (`repro gc`) ranks results by
-        // last use. Best-effort: a read-only store is still servable.
-        if let Ok(f) = fs::File::open(&path) {
-            let _ = f.set_modified(std::time::SystemTime::now());
-        }
-        let bad = |msg: String| ServeError::Protocol(format!("{}: {msg}", path.display()));
-        let v = json::parse(&text).map_err(|e| bad(format!("bad JSON: {e}")))?;
-        let version = v.field("version").and_then(Value::as_u64);
-        if version != Some(RESULT_FORMAT_VERSION) {
-            return Err(bad(format!("unsupported result version {version:?}")));
-        }
-        let stored_fp = v
-            .field("fingerprint")
-            .and_then(Value::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or_else(|| bad("missing fingerprint".into()))?;
-        if stored_fp != fp {
-            return Err(bad(format!(
-                "fingerprint mismatch: document says {stored_fp:016x}, file name says {fp:016x}"
-            )));
-        }
-        let tables = v
-            .field("tables")
-            .and_then(Value::as_array)
-            .ok_or_else(|| bad("missing tables".into()))?
-            .iter()
-            .map(table_from_json)
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(bad)?;
-        Ok(Some(tables))
+        self.fetch(fp).map_err(|e| self.error(fp, e))
+    }
+
+    /// The typed error of a failed [`ResultStore::fetch`].
+    pub(crate) fn error(&self, fp: u64, e: LoadError<ServeError>) -> ServeError {
+        e.into_error(|e| io_err(format!("reading {}", self.path_for(fp).display()), e))
     }
 
     /// Persists `tables` under `fp` with an atomic, fsynced write,
@@ -136,37 +251,16 @@ impl ResultStore {
                 Value::Array(tables.iter().map(table_to_json).collect()),
             ),
         ]);
-        let path = self.path_for(fp);
-        atomic_write(&path, doc.render().as_bytes())
-            .map_err(|e| io_err(format!("writing {}", path.display()), e))
-    }
-
-    /// Moves the (presumed corrupt) entry for `fp` into the store's
-    /// `quarantine/` subdirectory instead of deleting it, preserving the
-    /// evidence for post-mortems. Returns the quarantine path, or
-    /// `Ok(None)` when there was no entry to move.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn quarantine(&self, fp: u64) -> io::Result<Option<PathBuf>> {
-        llc_trace::quarantine_file(&self.path_for(fp))
-    }
-
-    /// Counts the stored results and their total size in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-walk errors; a missing directory counts as
-    /// empty.
-    pub fn disk_stats(&self) -> io::Result<(u64, u64)> {
-        llc_trace::store::dir_stats(&self.dir, RESULT_FILE_EXT)
+        self.files
+            .write(fp, doc.render().as_bytes())
+            .map_err(|e| io_err(format!("writing {}", self.path_for(fp).display()), e))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn temp_store(tag: &str) -> ResultStore {
         let dir = std::env::temp_dir().join(format!("llcs-results-{tag}-{}", std::process::id()));
@@ -225,9 +319,18 @@ mod tests {
         store.save(0xabad, "fig7", &sample_tables()).expect("save");
         let path = store.path_for(0xabad);
         fs::write(&path, "{ not json").expect("corrupt");
-        assert!(matches!(store.load(0xabad), Err(ServeError::Protocol(_))));
-        let moved = store.quarantine(0xabad).expect("quarantine").expect("some");
-        assert!(moved.starts_with(store.dir().join(llc_trace::QUARANTINE_DIR)));
+        // The failing load itself moves the document aside.
+        assert!(matches!(
+            store.fetch(0xabad),
+            Err(LoadError::Corrupt {
+                error: ServeError::Protocol(_),
+                quarantined: true
+            })
+        ));
+        let moved = store
+            .dir()
+            .join(llc_trace::QUARANTINE_DIR)
+            .join(path.file_name().expect("name"));
         assert_eq!(fs::read_to_string(&moved).expect("evidence"), "{ not json");
         assert!(!store.contains(0xabad));
         assert!(store.load(0xabad).expect("now a miss").is_none());

@@ -299,7 +299,7 @@ mod tests {
             let block = (x >> 8) % 5000;
             let bit = 1u32 << (x % 8);
             match x % 5 {
-                0 | 1 | 2 => {
+                0..=2 => {
                     dir.set_bit(block, bit);
                     *oracle.entry(block).or_insert(0) |= bit;
                 }

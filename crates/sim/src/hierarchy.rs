@@ -814,12 +814,12 @@ mod tests {
                 x ^= x << 17;
                 let core = (x as usize >> 4) % cores;
                 // Small shared region + per-core private region.
-                let addr = if x % 3 == 0 {
+                let addr = if x.is_multiple_of(3) {
                     (x >> 16) % 0x40 * 64
                 } else {
                     0x10000 * (core as u64 + 1) + ((x >> 16) % 0x200) * 64
                 };
-                let kind = if x % 4 == 0 {
+                let kind = if x.is_multiple_of(4) {
                     AccessKind::Write
                 } else {
                     AccessKind::Read

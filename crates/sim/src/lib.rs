@@ -54,6 +54,7 @@
 pub mod addr;
 pub mod config;
 pub mod dir;
+pub mod fingerprint;
 pub mod hierarchy;
 pub mod l1;
 pub mod llc;
@@ -65,6 +66,7 @@ pub use addr::{
 };
 pub use config::{CacheConfig, ConfigError, HierarchyConfig, Inclusion, SimError};
 pub use dir::CoherenceDir;
+pub use fingerprint::{fnv1a64, Fold};
 pub use hierarchy::{Cmp, MemAccess, RecordCmp};
 pub use l1::{L1Access, L1Victim, PrivateCache};
 pub use llc::{

@@ -52,7 +52,9 @@ pub use patterns::{
 };
 pub use shard::{ShardIndex, ShardIndexSlot, StreamShard};
 pub use source::{TraceSource, VecSource};
-pub use store::{atomic_write, quarantine_file, sync_dir, StreamStore, QUARANTINE_DIR};
+pub use store::{
+    atomic_write, sync_dir, ArtifactDir, ArtifactEntry, LoadError, StreamStore, QUARANTINE_DIR,
+};
 pub use stream::{
     read_stream, write_stream, AccessRecord, RecordedStream, StreamAccess, UpgradeEvent,
 };

@@ -1,36 +1,54 @@
-//! A persistent, content-addressed store of `.llcs` stream recordings.
+//! Content-addressed artifact directories, and the `.llcs` stream store
+//! built on one.
 //!
-//! The store maps a 64-bit key fingerprint (computed by the caller from
-//! the workload identity and the hierarchy it was recorded under — see
-//! `llc_sharing::StreamKey::fingerprint`) to one `.llcs` file under a
-//! directory:
+//! Every persisted artifact of the reproduction — stream recordings,
+//! merged result tables, DAG annotation/replay partials and spec
+//! manifests — lives in an [`ArtifactDir`]: one directory of files named
+//! by a 64-bit key fingerprint (an `llc_sim::Fold` computed by the
+//! caller) and one extension:
 //!
 //! ```text
-//! <dir>/streams/<%016x fingerprint>.llcs
+//! <dir>/<%016x fingerprint>.<ext>
+//! <dir>/quarantine/           corrupt entries, moved — never deleted
 //! ```
 //!
-//! Everything follows the PR 1 failure model: a stored file that is
+//! The directory owns the whole file discipline, so each store on top of
+//! it is only a typed codec:
+//!
+//! * writes are crash-safe ([`atomic_write`]): a temporary sibling,
+//!   fsynced, renamed into place, parent directory fsynced — a crash
+//!   never leaves a half-written artifact where a load would find it;
+//! * a load ([`ArtifactDir::load_with`]) is one open: read, decode, touch
+//!   the mtime on success (so `repro gc` evicts by last *use*), and on a
+//!   decode failure move the file to `quarantine/` and return the typed
+//!   error — the caller recomputes and overwrites;
+//! * [`ArtifactDir::quarantine`] is the one place that counts
+//!   `llc_store_quarantined_total{store=<label>}`;
+//! * [`ArtifactDir::entries`] lists the stored files with their size and
+//!   mtime, for `disk_stats` and GC.
+//!
+//! [`StreamStore`] is the `.llcs` codec: a stored file that is
 //! truncated, bit-flipped or not a stream at all surfaces as a typed
-//! [`TraceError`] from [`StreamStore::load`], never a panic — callers fall
-//! back to re-recording and overwrite the bad file. Writes are
-//! crash-safe: the encoded stream goes to a temporary file in the same
-//! directory, is fsynced, and is atomically renamed into place, so a
-//! crash mid-write can never leave a half-written `.llcs` where a later
-//! load would find it.
+//! [`TraceError`] from [`StreamStore::load_view`], never a panic.
 
 use std::fs;
-use std::io;
+use std::io::{self, Read};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::SystemTime;
+
+use llc_telemetry::metrics::{global, Counter};
 
 use crate::error::TraceError;
-use crate::stream::{read_stream, RecordedStream};
+use crate::stream::RecordedStream;
 use crate::view::StreamView;
 
 /// File extension of stored stream recordings.
 pub const STREAM_FILE_EXT: &str = "llcs";
 
-/// Name of the per-store directory that corrupt entries are moved into
-/// (instead of being deleted) by [`quarantine_file`].
+/// Name of the per-directory subdirectory that corrupt entries are moved
+/// into (instead of being deleted) by [`ArtifactDir::quarantine`].
 pub const QUARANTINE_DIR: &str = "quarantine";
 
 /// Fsyncs a directory so renames inside it are durable — a crash right
@@ -77,53 +95,286 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
     result
 }
 
-/// Moves `path` into its directory's `quarantine/` subdirectory (created
-/// on demand) with a durable rename, returning the quarantined path.
-/// A missing source is `Ok(None)` — another process may have quarantined
-/// or overwritten it first. An existing quarantined copy of the same
-/// name (the same content address re-corrupting) is replaced.
-///
-/// This is the shared "never delete evidence" primitive behind
-/// [`StreamStore::quarantine`] and `llc-serve`'s result store: corrupt
-/// entries leave the serving path immediately but stay on disk for
-/// inspection.
-///
-/// # Errors
-///
-/// Propagates filesystem errors other than the source vanishing.
-pub fn quarantine_file(path: &Path) -> io::Result<Option<PathBuf>> {
-    if !path.exists() {
-        return Ok(None);
-    }
-    let parent = path
-        .parent()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no parent"))?;
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
-    let qdir = parent.join(QUARANTINE_DIR);
-    fs::create_dir_all(&qdir)?;
-    let dest = qdir.join(file_name);
-    match fs::rename(path, &dest) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    // Both directory entries changed: the source lost a name, the
-    // quarantine gained one. Sync both so neither rolls back.
-    sync_dir(&qdir)?;
-    sync_dir(parent)?;
-    Ok(Some(dest))
+/// A failed [`ArtifactDir::load_with`].
+#[derive(Debug)]
+pub enum LoadError<E> {
+    /// The file exists but could not be read; it is left in place.
+    Io(io::Error),
+    /// The file did not decode. `quarantined` is `true` when this load
+    /// moved it to `quarantine/` (`false` if another process moved or
+    /// replaced it first, or the move failed).
+    Corrupt {
+        /// The decoder's typed error.
+        error: E,
+        /// Whether this load quarantined the file.
+        quarantined: bool,
+    },
 }
 
-/// A directory of content-addressed `.llcs` stream recordings.
+impl<E> LoadError<E> {
+    /// The typed error, with read failures converted by `io`.
+    pub fn into_error(self, io: impl FnOnce(io::Error) -> E) -> E {
+        match self {
+            LoadError::Io(e) => io(e),
+            LoadError::Corrupt { error, .. } => error,
+        }
+    }
+}
+
+/// One file of an [`ArtifactDir`], as listed by [`ArtifactDir::entries`].
+#[derive(Debug, Clone)]
+pub struct ArtifactEntry {
+    /// The fingerprint the file is named by, or `None` when its stem is
+    /// not a canonical `%016x` fingerprint (such a file is never loaded).
+    pub fp: Option<u64>,
+    /// The file's path.
+    pub path: PathBuf,
+    /// Its size in bytes.
+    pub bytes: u64,
+    /// Its last-use time (loads touch it).
+    pub mtime: SystemTime,
+}
+
+/// A directory of content-addressed artifacts: `<dir>/<%016x fp>.<ext>`.
 ///
-/// Cloning is cheap (the store is just a path); concurrent readers and
-/// writers are safe because every write is an atomic rename and every
-/// read opens a complete, already-renamed file.
+/// Cloning is cheap (a path and a counter handle); concurrent readers
+/// and writers are safe because every write is an atomic rename and
+/// every read opens a complete, already-renamed file.
+#[derive(Debug, Clone)]
+pub struct ArtifactDir {
+    dir: PathBuf,
+    ext: &'static str,
+    label: &'static str,
+    quarantined: Arc<Counter>,
+}
+
+impl ArtifactDir {
+    /// A handle on `dir` without creating it (for directories that only
+    /// appear once something is written, such as session checkpoints).
+    /// `label` names the store in `llc_store_quarantined_total`.
+    pub fn new(dir: impl Into<PathBuf>, ext: &'static str, label: &'static str) -> ArtifactDir {
+        ArtifactDir {
+            dir: dir.into(),
+            ext,
+            label,
+            quarantined: global().counter_with(
+                "llc_store_quarantined_total",
+                "Corrupt store entries moved to quarantine/ instead of being deleted",
+                &[("store", label)],
+            ),
+        }
+    }
+
+    /// Opens (creating if needed) the directory.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the directory cannot be created.
+    pub fn open(
+        dir: impl Into<PathBuf>,
+        ext: &'static str,
+        label: &'static str,
+    ) -> io::Result<ArtifactDir> {
+        let files = ArtifactDir::new(dir, ext, label);
+        fs::create_dir_all(&files.dir)?;
+        Ok(files)
+    }
+
+    /// The directory.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// The store label of the quarantine and eviction counters.
+    pub fn label(&self) -> &'static str {
+        self.label
+    }
+
+    /// The on-disk path for fingerprint `fp`.
+    pub fn path_for(&self, fp: u64) -> PathBuf {
+        self.dir.join(format!("{fp:016x}.{}", self.ext))
+    }
+
+    /// `true` if an entry for `fp` is on disk.
+    pub fn contains(&self, fp: u64) -> bool {
+        self.path_for(fp).exists()
+    }
+
+    /// On-disk size of the entry for `fp`, or `None` if absent — a cheap
+    /// existence probe for planners (no read, no mtime touch).
+    pub fn size_of(&self, fp: u64) -> Option<u64> {
+        fs::metadata(self.path_for(fp)).ok().map(|m| m.len())
+    }
+
+    fn open_read(&self, fp: u64) -> io::Result<Option<(fs::File, Vec<u8>)>> {
+        let mut file = match fs::File::open(self.path_for(fp)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let mut bytes = Vec::with_capacity(file.metadata().map_or(0, |m| m.len() as usize));
+        file.read_to_end(&mut bytes)?;
+        Ok(Some((file, bytes)))
+    }
+
+    /// The stored bytes of `fp`, or `Ok(None)` if absent. One open, no
+    /// decode and no mtime touch, so inspecting an entry does not count
+    /// as using it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates read failures other than the file being absent.
+    pub fn read(&self, fp: u64) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.open_read(fp)?.map(|(_, bytes)| bytes))
+    }
+
+    /// Loads and decodes the entry for `fp`, or `Ok(None)` if absent.
+    ///
+    /// One open: the bytes are read and handed to `decode`; on success
+    /// the file's mtime is touched so LRU eviction (`repro gc`) ranks
+    /// entries by last *use*, not last write (best-effort: a read-only
+    /// store is still servable). On a decode failure the file is moved
+    /// to `quarantine/` and the typed error returned, so the caller can
+    /// recompute and overwrite.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::Io`] for read failures, [`LoadError::Corrupt`] for
+    /// decode failures.
+    pub fn load_with<T, E>(
+        &self,
+        fp: u64,
+        decode: impl FnOnce(Vec<u8>) -> Result<T, E>,
+    ) -> Result<Option<T>, LoadError<E>> {
+        let Some((file, bytes)) = self.open_read(fp).map_err(LoadError::Io)? else {
+            return Ok(None);
+        };
+        match decode(bytes) {
+            Ok(value) => {
+                let _ = file.set_modified(SystemTime::now());
+                Ok(Some(value))
+            }
+            Err(error) => Err(LoadError::Corrupt {
+                error,
+                quarantined: matches!(self.quarantine(fp), Ok(Some(_))),
+            }),
+        }
+    }
+
+    /// Persists `bytes` under `fp` with an atomic, fsynced write,
+    /// replacing any previous (possibly corrupt) copy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors.
+    pub fn write(&self, fp: u64, bytes: &[u8]) -> io::Result<()> {
+        atomic_write(&self.path_for(fp), bytes)
+    }
+
+    /// Moves the (presumed corrupt) entry for `fp` into `quarantine/`.
+    /// See [`ArtifactDir::quarantine_path`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors other than the entry vanishing.
+    pub fn quarantine(&self, fp: u64) -> io::Result<Option<PathBuf>> {
+        self.quarantine_path(&self.path_for(fp))
+    }
+
+    /// Moves `path` (a file of this directory) into its `quarantine/`
+    /// subdirectory with a durable rename and counts it in
+    /// `llc_store_quarantined_total{store=<label>}`, returning the
+    /// quarantined path. Corrupt entries leave the serving path at once
+    /// but stay on disk for inspection. A missing source is `Ok(None)` —
+    /// another process may have quarantined or overwritten it first. An
+    /// existing quarantined copy of the same name is replaced.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors other than the source vanishing.
+    pub fn quarantine_path(&self, path: &Path) -> io::Result<Option<PathBuf>> {
+        let file_name = path
+            .file_name()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?;
+        if !path.exists() {
+            return Ok(None);
+        }
+        let qdir = self.dir.join(QUARANTINE_DIR);
+        fs::create_dir_all(&qdir)?;
+        let dest = qdir.join(file_name);
+        match fs::rename(path, &dest) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(e),
+        }
+        // Both directory entries changed: the source lost a name, the
+        // quarantine gained one. Sync both so neither rolls back.
+        sync_dir(&qdir)?;
+        sync_dir(&self.dir)?;
+        self.quarantined.inc();
+        Ok(Some(dest))
+    }
+
+    /// Every stored file with this directory's extension (temporary
+    /// files of in-flight writes and `quarantine/` are excluded).
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-walk errors; a missing directory is empty.
+    pub fn entries(&self) -> io::Result<Vec<ArtifactEntry>> {
+        let listing = match fs::read_dir(&self.dir) {
+            Ok(l) => l,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+            Err(e) => return Err(e),
+        };
+        let mut entries = Vec::new();
+        for entry in listing {
+            let entry = entry?;
+            let path = entry.path();
+            if path.extension().is_none_or(|e| e != self.ext) {
+                continue;
+            }
+            let meta = entry.metadata()?;
+            let fp = path.file_stem().and_then(|s| s.to_str()).and_then(|stem| {
+                u64::from_str_radix(stem, 16)
+                    .ok()
+                    .filter(|fp| format!("{fp:016x}") == stem)
+            });
+            entries.push(ArtifactEntry {
+                fp,
+                path,
+                bytes: meta.len(),
+                mtime: meta.modified().unwrap_or(SystemTime::UNIX_EPOCH),
+            });
+        }
+        Ok(entries)
+    }
+
+    /// Counts the stored files and their total size in bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-walk errors.
+    pub fn disk_stats(&self) -> io::Result<(u64, u64)> {
+        let entries = self.entries()?;
+        Ok((entries.len() as u64, entries.iter().map(|e| e.bytes).sum()))
+    }
+}
+
+/// A directory of content-addressed `.llcs` stream recordings: the
+/// stream codec over an [`ArtifactDir`] (which it derefs to for paths,
+/// quarantine and disk statistics).
 #[derive(Debug, Clone)]
 pub struct StreamStore {
-    dir: PathBuf,
+    files: ArtifactDir,
+}
+
+impl Deref for StreamStore {
+    type Target = ArtifactDir;
+
+    fn deref(&self) -> &ArtifactDir {
+        &self.files
+    }
 }
 
 impl StreamStore {
@@ -133,47 +384,28 @@ impl StreamStore {
     ///
     /// Fails if the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<StreamStore> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir)?;
-        Ok(StreamStore { dir })
+        Ok(StreamStore {
+            files: ArtifactDir::open(dir, STREAM_FILE_EXT, "streams")?,
+        })
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The validity check of a stored recording: the same zero-copy
+    /// [`StreamView`] validation a load applies.
+    pub fn decode(bytes: Vec<u8>) -> Result<StreamView, TraceError> {
+        StreamView::new(bytes.into())
     }
 
-    /// The on-disk path for fingerprint `fp`.
-    pub fn path_for(&self, fp: u64) -> PathBuf {
-        self.dir.join(format!("{fp:016x}.{STREAM_FILE_EXT}"))
-    }
-
-    /// `true` if a recording for `fp` is on disk.
-    pub fn contains(&self, fp: u64) -> bool {
-        self.path_for(fp).exists()
-    }
-
-    /// Loads the recording stored under `fp`, or `Ok(None)` if there is
-    /// none.
+    /// Loads the recording stored under `fp` as a zero-copy
+    /// [`StreamView`], or `Ok(None)` if there is none, keeping a
+    /// corrupt copy's quarantine outcome (see [`ArtifactDir::load_with`]).
     ///
     /// # Errors
     ///
-    /// A file that exists but cannot be decoded — truncated, corrupted or
-    /// not a `.llcs` stream — is a typed [`TraceError`], so the caller can
-    /// distinguish "never recorded" (`Ok(None)`) from "stored copy is
-    /// bad" and fall back to re-recording in the latter case.
-    pub fn load(&self, fp: u64) -> Result<Option<RecordedStream>, TraceError> {
-        let path = self.path_for(fp);
-        let file = match fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(TraceError::Io(e)),
-        };
-        // Touch the mtime so LRU eviction (`repro gc`) ranks entries by
-        // last *use*, not last write. Best-effort: a read-only store is
-        // still servable.
-        let _ = file.set_modified(std::time::SystemTime::now());
-        read_stream(io::BufReader::new(file)).map(Some)
+    /// [`LoadError::Corrupt`] with the typed [`TraceError`] when the
+    /// stored file does not validate; [`LoadError::Io`] when it cannot be
+    /// read.
+    pub fn fetch_view(&self, fp: u64) -> Result<Option<StreamView>, LoadError<TraceError>> {
+        self.files.load_with(fp, StreamStore::decode)
     }
 
     /// Loads the recording stored under `fp` as a zero-copy
@@ -186,26 +418,13 @@ impl StreamStore {
     ///
     /// # Errors
     ///
-    /// Same contract as [`StreamStore::load`]: a file that exists but
-    /// does not validate is a typed [`TraceError`], so callers can
-    /// quarantine it and fall back to re-recording.
+    /// A file that exists but does not validate is a typed
+    /// [`TraceError`] (and has been moved to `quarantine/`), so callers
+    /// can distinguish "never recorded" (`Ok(None)`) from "stored copy
+    /// is bad" and fall back to re-recording.
     pub fn load_view(&self, fp: u64) -> Result<Option<StreamView>, TraceError> {
-        let path = self.path_for(fp);
-        let mut file = match fs::File::open(&path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(TraceError::Io(e)),
-        };
-        // Touch the mtime so LRU eviction (`repro gc`) ranks entries by
-        // last *use*, not last write. Best-effort: a read-only store is
-        // still servable.
-        let _ = file.set_modified(std::time::SystemTime::now());
-        let mut bytes = match file.metadata() {
-            Ok(m) => Vec::with_capacity(m.len() as usize),
-            Err(_) => Vec::new(),
-        };
-        io::Read::read_to_end(&mut file, &mut bytes).map_err(TraceError::Io)?;
-        StreamView::new(bytes.into()).map(Some)
+        self.fetch_view(fp)
+            .map_err(|e| e.into_error(TraceError::Io))
     }
 
     /// Persists `stream` under `fp` with an atomic, fsynced write,
@@ -215,68 +434,10 @@ impl StreamStore {
     ///
     /// Propagates encoding errors and filesystem errors as [`TraceError`].
     pub fn save(&self, fp: u64, stream: &RecordedStream) -> Result<(), TraceError> {
-        let bytes = stream.to_vec()?;
-        atomic_write(&self.path_for(fp), &bytes).map_err(TraceError::Io)
+        self.files
+            .write(fp, &stream.to_vec()?)
+            .map_err(TraceError::Io)
     }
-
-    /// Moves the (presumed corrupt) recording stored under `fp` into the
-    /// store's `quarantine/` subdirectory instead of deleting it, so a
-    /// bad `.llcs` leaves the serving path but remains inspectable.
-    /// Returns the quarantined path, or `None` when there was nothing to
-    /// move.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors (see [`quarantine_file`]).
-    pub fn quarantine(&self, fp: u64) -> io::Result<Option<PathBuf>> {
-        quarantine_file(&self.path_for(fp))
-    }
-
-    /// Removes the recording stored under `fp` (missing files are fine).
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors other than `NotFound`.
-    pub fn remove(&self, fp: u64) -> io::Result<()> {
-        match fs::remove_file(self.path_for(fp)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
-        }
-    }
-
-    /// Counts the stored recordings and their total size in bytes
-    /// (temporary files from in-flight writes are excluded).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-walk errors.
-    pub fn disk_stats(&self) -> io::Result<(u64, u64)> {
-        dir_stats(&self.dir, STREAM_FILE_EXT)
-    }
-}
-
-/// Counts files with extension `ext` directly under `dir` and sums their
-/// sizes. Shared by the stream store and `llc-serve`'s result store.
-///
-/// # Errors
-///
-/// Propagates directory-walk errors; a missing directory counts as empty.
-pub fn dir_stats(dir: &Path, ext: &str) -> io::Result<(u64, u64)> {
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, 0)),
-        Err(e) => return Err(e),
-    };
-    let mut files = 0u64;
-    let mut bytes = 0u64;
-    for entry in entries {
-        let entry = entry?;
-        if entry.path().extension().is_some_and(|e| e == ext) {
-            files += 1;
-            bytes += entry.metadata()?.len();
-        }
-    }
-    Ok((files, bytes))
 }
 
 #[cfg(test)]
@@ -300,6 +461,14 @@ mod tests {
         s
     }
 
+    /// The owned stream stored under `fp` (decoded through the view).
+    fn load(store: &StreamStore, fp: u64) -> Result<Option<RecordedStream>, TraceError> {
+        store
+            .load_view(fp)?
+            .map(|view| view.to_owned_stream())
+            .transpose()
+    }
+
     fn temp_store(tag: &str) -> StreamStore {
         let dir = std::env::temp_dir().join(format!("llcs-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -310,11 +479,15 @@ mod tests {
     fn save_load_round_trips() {
         let store = temp_store("roundtrip");
         let s = sample(20);
-        assert!(store.load(7).expect("empty load").is_none());
+        assert!(load(&store, 7).expect("empty load").is_none());
         assert!(!store.contains(7));
         store.save(7, &s).expect("save");
         assert!(store.contains(7));
-        let back = store.load(7).expect("load").expect("present");
+        assert_eq!(
+            store.size_of(7),
+            Some(s.to_vec().expect("encode").len() as u64)
+        );
+        let back = load(&store, 7).expect("load").expect("present");
         assert_eq!(back, s);
         let (files, bytes) = store.disk_stats().expect("stats");
         assert_eq!(files, 1);
@@ -331,14 +504,20 @@ mod tests {
         let path = store.path_for(9);
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate");
-        assert!(matches!(store.load(9), Err(TraceError::Truncated { .. })));
+        assert!(matches!(
+            store.load_view(9),
+            Err(TraceError::Truncated { .. })
+        ));
         // Garbage that is not a stream at all (long enough to pass the
         // header read, so the magic check is what rejects it).
         fs::write(&path, vec![b'X'; 256]).expect("garbage");
-        assert!(matches!(store.load(9), Err(TraceError::BadMagic { .. })));
+        assert!(matches!(
+            store.load_view(9),
+            Err(TraceError::BadMagic { .. })
+        ));
         // The recovery path: re-save over the bad copy and load cleanly.
         store.save(9, &s).expect("re-save");
-        assert_eq!(store.load(9).expect("load").expect("present"), s);
+        assert_eq!(load(&store, 9).expect("load").expect("present"), s);
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -356,7 +535,7 @@ mod tests {
             leftovers.is_empty(),
             "temp files left behind: {leftovers:?}"
         );
-        assert_eq!(store.load(1).expect("load").expect("present").len(), 8);
+        assert_eq!(load(&store, 1).expect("load").expect("present").len(), 8);
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -368,15 +547,27 @@ mod tests {
         let path = store.path_for(5);
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
-        assert!(store.load(5).is_err(), "truncated copy must not decode");
-        let dest = store.quarantine(5).expect("quarantine").expect("moved");
-        assert!(dest.starts_with(store.dir().join(QUARANTINE_DIR)));
-        assert!(dest.exists(), "evidence is preserved, not deleted");
+        // The failing load itself moves the copy aside.
+        assert!(
+            matches!(
+                store.fetch_view(5),
+                Err(LoadError::Corrupt {
+                    error: TraceError::Truncated { .. },
+                    quarantined: true
+                })
+            ),
+            "truncated copy must not decode"
+        );
+        let dest = store
+            .dir()
+            .join(QUARANTINE_DIR)
+            .join(path.file_name().expect("name"));
+        assert_eq!(fs::read(&dest).expect("evidence"), bytes[..bytes.len() / 3]);
         // The serving path is clean again: a load is a miss, not an
         // error, and a re-save heals the entry.
-        assert!(store.load(5).expect("load after quarantine").is_none());
+        assert!(load(&store, 5).expect("load after quarantine").is_none());
         store.save(5, &s).expect("re-save");
-        assert_eq!(store.load(5).expect("load").expect("present"), s);
+        assert_eq!(load(&store, 5).expect("load").expect("present"), s);
         // Quarantining nothing (or racing another process) is Ok(None);
         // re-quarantining the same fingerprint replaces the old copy.
         assert!(store.quarantine(999).expect("missing fp").is_none());
@@ -427,24 +618,82 @@ mod tests {
             // truncated bytes self-consistent again, so Ok is possible
             // in principle; what is *required* is no panic, and that
             // every detected corruption quarantines and heals.
-            if store.load(fp).is_err() {
-                let moved = store.quarantine(fp).expect("quarantine");
-                assert!(moved.is_some(), "seed {seed}: corrupt entry must move");
-                assert!(store.load(fp).expect("post-quarantine load").is_none());
+            if let Err(e) = store.fetch_view(fp) {
+                assert!(
+                    matches!(
+                        e,
+                        LoadError::Corrupt {
+                            quarantined: true,
+                            ..
+                        }
+                    ),
+                    "seed {seed}: corrupt entry must move"
+                );
+                assert!(load(&store, fp).expect("post-quarantine load").is_none());
             }
             store.save(fp, &s).expect("heal");
-            assert_eq!(store.load(fp).expect("load").expect("present"), s);
+            assert_eq!(load(&store, fp).expect("load").expect("present"), s);
         }
         let _ = fs::remove_dir_all(store.dir());
     }
 
     #[test]
-    fn remove_is_idempotent() {
+    fn an_evicted_entry_is_a_clean_miss() {
+        // GC evicts by deleting the file; the store must then answer a
+        // miss (not an error), and quarantining it is a no-op.
         let store = temp_store("remove");
         store.save(3, &sample(4)).expect("save");
-        store.remove(3).expect("remove");
-        store.remove(3).expect("remove again");
-        assert!(store.load(3).expect("load").is_none());
+        fs::remove_file(store.path_for(3)).expect("evict");
+        assert!(load(&store, 3).expect("load").is_none());
+        assert!(store.quarantine(3).expect("quarantine").is_none());
+        assert_eq!(store.disk_stats().expect("stats"), (0, 0));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn loads_touch_mtimes_and_reads_do_not() {
+        let store = temp_store("mtime");
+        store.save(4, &sample(6)).expect("save");
+        let path = store.path_for(4);
+        let old = SystemTime::now() - std::time::Duration::from_secs(86_400);
+        let age = || {
+            fs::File::options()
+                .write(true)
+                .open(&path)
+                .and_then(|f| f.set_modified(old))
+                .expect("age");
+        };
+        let mtime = || {
+            fs::metadata(&path)
+                .and_then(|m| m.modified())
+                .expect("mtime")
+        };
+        age();
+        assert!(store.read(4).expect("read").is_some());
+        let entry = store.entries().expect("entries").pop().expect("one");
+        assert_eq!((entry.fp, entry.mtime), (Some(4), old));
+        assert_eq!(mtime(), old, "reading is not using");
+        assert!(store.load_view(4).expect("load").is_some());
+        assert!(mtime() > old, "a load counts as a use");
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn entries_name_only_canonical_fingerprints() {
+        let store = temp_store("names");
+        store.save(0xab, &sample(2)).expect("save");
+        for stray in ["ab.llcs", "00000000000000AB.llcs", "junk.llcs"] {
+            fs::write(store.dir().join(stray), b"x").expect("stray");
+        }
+        fs::write(store.dir().join("ignored.txt"), b"x").expect("other ext");
+        let mut fps: Vec<_> = store
+            .entries()
+            .expect("entries")
+            .iter()
+            .map(|e| e.fp)
+            .collect();
+        fps.sort();
+        assert_eq!(fps, [None, None, None, Some(0xab)]);
         let _ = fs::remove_dir_all(store.dir());
     }
 }

@@ -76,7 +76,7 @@ fn disabled_telemetry_is_zero_atomics_per_record_access() {
     assert!(!spans::enabled(), "spans must start disabled");
     let before = spans::event_count();
     let stream = record_stream(&cfg, App::Fft.workload(cfg.cores, Scale::Small)).expect("record");
-    assert!(stream.len() > 0);
+    assert!(!stream.is_empty());
     assert_eq!(
         spans::event_count(),
         before,

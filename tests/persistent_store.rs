@@ -70,9 +70,11 @@ fn llcs_files_round_trip_and_replay_identically() {
     // loads the identical stream.
     let reopened = StreamStore::open(&dir).expect("reopen store");
     let loaded = reopened
-        .load(key.fingerprint())
+        .load_view(key.fingerprint())
         .expect("load")
-        .expect("present");
+        .expect("present")
+        .to_owned_stream()
+        .expect("decode");
     let recorded = recorded.as_owned().expect("recorded in this process");
     assert_eq!(loaded, **recorded, "disk round-trip is lossless");
 
@@ -108,11 +110,14 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
     std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
     assert!(
         matches!(
-            store.load(key.fingerprint()),
+            store.load_view(key.fingerprint()),
             Err(TraceError::Truncated { .. })
         ),
         "truncation surfaces as TraceError::Truncated"
     );
+    // That load moved the bad copy to quarantine/; damage the store
+    // again for the cache below.
+    std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate again");
 
     // A fresh cache over the damaged store falls back to re-recording —
     // the caller never sees the corruption — and heals the disk copy.
@@ -130,9 +135,11 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
     assert_eq!(stats.disk_errors, 1, "the bad copy was counted");
     assert_eq!(stats.misses, 1, "recovery ran one recording simulation");
     let healed = store
-        .load(key.fingerprint())
+        .load_view(key.fingerprint())
         .expect("healed load")
-        .expect("present");
+        .expect("present")
+        .to_owned_stream()
+        .expect("decode");
     assert_eq!(healed, **original, "the overwritten file is intact again");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -296,7 +303,7 @@ fn load_view_survives_random_corruption_with_typed_errors() {
         let pos = (x as usize >> 8) % bytes.len();
         bytes[pos] ^= (x as u8) | 1;
         // Truncations too, every few mutants.
-        if x % 7 == 0 {
+        if x.is_multiple_of(7) {
             bytes.truncate(pos);
         }
         std::fs::write(&path, &bytes).expect("write mutant");
