@@ -95,3 +95,18 @@ proptest! {
         }
     }
 }
+
+/// The checked-in `sample.llcb` is the LLCB encoding of `sample.csv`:
+/// decoding the CSV and re-encoding it must reproduce the file byte for
+/// byte, so a change to the LLCB writer cannot silently alter the format.
+#[test]
+fn sample_csv_reencodes_to_the_checked_in_llcb() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/traces");
+    let csv = std::fs::read(format!("{dir}/sample.csv")).expect("read sample.csv");
+    let golden = std::fs::read(format!("{dir}/sample.llcb")).expect("read sample.llcb");
+    let source =
+        IngestSource::open(IngestFormat::ChampsimCsv, csv.as_slice(), 4).expect("open csv");
+    let mut bytes = Vec::new();
+    write_binary_trace(source, &mut bytes).expect("encode llcb");
+    assert!(bytes == golden, "LLCB re-encoding of sample.csv changed");
+}
