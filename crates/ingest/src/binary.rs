@@ -1,9 +1,11 @@
 //! The compact `LLCB` binary access-trace format.
 //!
-//! For bulk foreign traces where CSV is too fat: a fixed little-endian
-//! header and fixed-size records, mirroring the failure model of the
-//! native `.llct`/`.llcs` formats (distinct [`TraceError`] per malformed
-//! shape, never a panic).
+//! The one raw access-trace format: for traces made elsewhere, and for
+//! bulk traces where CSV is too fat. A fixed little-endian header and
+//! fixed-size records, with the failure model of the native `.llcs`
+//! format (a distinct [`TraceError`] per malformed shape, never a panic).
+//! Records are lossless: the full `u32` instruction gap and the full
+//! `u64` pc and address are stored.
 //!
 //! ```text
 //! header (16 bytes):
@@ -16,7 +18,7 @@
 use std::io::{Read, Write};
 
 use llc_sim::{AccessKind, Addr, CoreId, MemAccess, Pc, MAX_CORES};
-use llc_trace::{TraceError, TraceSource};
+use llc_trace::{TraceError, TraceSource, VecSource};
 
 /// `LLCB` file-format magic bytes.
 pub const LLCB_MAGIC: [u8; 4] = *b"LLCB";
@@ -165,32 +167,46 @@ fn read_up_to<R: Read>(reader: &mut R, buf: &mut [u8]) -> Result<usize, TraceErr
     Ok(filled)
 }
 
-/// Encodes a [`TraceSource`] as an `LLCB` image. The source is drained
-/// into memory first so the header can declare an exact record count.
-/// Returns the number of records written.
+/// Encodes a [`TraceSource`] as an `LLCB` image and returns the number
+/// of records written.
+///
+/// A source with a [`TraceSource::len_hint`] has its header written up
+/// front and its records streamed, so it must produce exactly the
+/// declared count. A source without a hint is drained into memory first
+/// so the header can declare an exact count.
 ///
 /// # Errors
 ///
-/// [`TraceError::CoreUnencodable`] for a core id that does not fit the
-/// 1-byte record encoding, [`TraceError::Io`] on a sink failure, and any
-/// parked error of the source itself.
+/// [`TraceError::RecordOverflow`] for a source that produces more records
+/// than its hint and [`TraceError::CountMismatch`] for one that produces
+/// fewer; [`TraceError::CoreUnencodable`] for a core id that does not fit
+/// the 1-byte record encoding; [`TraceError::Io`] on a sink failure; and
+/// any parked error of the source itself. On error the sink may hold a
+/// partial image.
 pub fn write_binary_trace<S: TraceSource, W: Write>(
     mut source: S,
     mut sink: W,
 ) -> Result<u64, TraceError> {
-    let mut records = Vec::new();
-    while let Some(a) = source.next_access() {
-        records.push(a);
-    }
-    if let Some(e) = source.take_error() {
-        return Err(e);
-    }
+    let Some(declared) = source.len_hint() else {
+        let mut records = Vec::new();
+        while let Some(a) = source.next_access() {
+            records.push(a);
+        }
+        if let Some(e) = source.take_error() {
+            return Err(e);
+        }
+        return write_binary_trace(VecSource::new(records), sink);
+    };
     let mut header = [0u8; LLCB_HEADER_BYTES];
     header[..4].copy_from_slice(&LLCB_MAGIC);
     header[4..6].copy_from_slice(&LLCB_VERSION.to_le_bytes());
-    header[8..16].copy_from_slice(&(records.len() as u64).to_le_bytes());
+    header[8..16].copy_from_slice(&declared.to_le_bytes());
     sink.write_all(&header)?;
-    for a in &records {
+    let mut written = 0u64;
+    while let Some(a) = source.next_access() {
+        if written == declared {
+            return Err(TraceError::RecordOverflow { declared });
+        }
         let core = a.core.index();
         let Ok(core) = u8::try_from(core) else {
             return Err(TraceError::CoreUnencodable { core });
@@ -202,15 +218,21 @@ pub fn write_binary_trace<S: TraceSource, W: Write>(
         rec[6..14].copy_from_slice(&a.pc.raw().to_le_bytes());
         rec[14..22].copy_from_slice(&a.addr.raw().to_le_bytes());
         sink.write_all(&rec)?;
+        written += 1;
+    }
+    if let Some(e) = source.take_error() {
+        return Err(e);
+    }
+    if written != declared {
+        return Err(TraceError::CountMismatch { declared, written });
     }
     sink.flush()?;
-    Ok(records.len() as u64)
+    Ok(written)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_trace::VecSource;
 
     fn sample(n: usize) -> Vec<MemAccess> {
         (0..n)

@@ -18,7 +18,9 @@
 //!   round-trips are testable.
 //! * **Compact binary** ([`binary`]) — the `LLCB` fixed-record format:
 //!   a 16-byte header and 22-byte records, for bulk traces where CSV is
-//!   too fat.
+//!   too fat. It is the workspace's one raw access-trace format;
+//!   [`write_binary_trace`] writes it and rejects a source whose record
+//!   count disagrees with its declared length.
 //! * **Cachegrind-like logs** ([`cachegrind`]) — `I`/`L`/`S`/`M` lines as
 //!   printed by valgrind's cache simulators, with a `T <core>` extension
 //!   for multi-threaded logs.

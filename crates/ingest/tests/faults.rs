@@ -5,14 +5,18 @@
 //! core outside the configured limit.
 //!
 //! The sweeps reuse [`llc_trace::CorruptingReader`] so the adversary is
-//! the same deterministic one the `.llct` decoder is hardened against.
+//! the same deterministic one the `.llcs` validator is hardened against.
+//! The LLCB writer is attacked from the other side by
+//! [`llc_trace::FaultInjectingSource`], whose length hint lies.
 
 use llc_ingest::{
     export_champsim_csv, write_binary_trace, IngestFormat, IngestSource, LLCB_HEADER_BYTES,
     LLCB_RECORD_BYTES,
 };
 use llc_sim::{splitmix64, AccessKind, Addr, CoreId, MemAccess, Pc};
-use llc_trace::{CorruptingReader, Fault, FaultPlan, TraceError, TraceSource, VecSource};
+use llc_trace::{
+    CorruptingReader, Fault, FaultInjectingSource, FaultPlan, TraceError, TraceSource, VecSource,
+};
 
 const CORES: usize = 4;
 
@@ -306,4 +310,74 @@ fn cachegrind_corrupt_lines_are_typed_errors() {
         matches!(err, Some(TraceError::CoreOutOfRange { core: 31, .. })),
         "core past the limit surfaced as {err:?}"
     );
+}
+
+/// Writes `sample_trace()` through a [`FaultInjectingSource`] applying
+/// `fault`: the source still declares the clean length.
+fn write_faulty(fault: Fault) -> Result<u64, TraceError> {
+    let faulty = FaultInjectingSource::new(
+        VecSource::new(sample_trace()),
+        &FaultPlan::new().with(fault),
+    );
+    write_binary_trace(faulty, Vec::new())
+}
+
+#[test]
+fn duplicate_record_trips_writer_overflow() {
+    let declared = sample_trace().len() as u64;
+    let err = write_faulty(Fault::DuplicateRecord { index: 2 }).expect_err("overflow");
+    assert!(
+        matches!(err, TraceError::RecordOverflow { declared: d } if d == declared),
+        "duplicate surfaced as {err:?}"
+    );
+}
+
+#[test]
+fn dropped_record_trips_count_mismatch() {
+    let declared = sample_trace().len() as u64;
+    for index in [0, 42, declared - 1] {
+        let err = write_faulty(Fault::DropRecord { index }).expect_err("mismatch");
+        assert!(
+            matches!(
+                err,
+                TraceError::CountMismatch { declared: d, written: w }
+                    if d == declared && w == declared - 1
+            ),
+            "drop at {index} surfaced as {err:?}"
+        );
+    }
+}
+
+#[test]
+fn write_binary_trace_propagates_sink_errors() {
+    struct FailingSink {
+        budget: usize,
+    }
+    impl std::io::Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.budget < buf.len() {
+                return Err(std::io::ErrorKind::StorageFull.into());
+            }
+            self.budget -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    // The budget covers the header and one record; the second record
+    // hits the sink error, with and without a length hint.
+    let budget = LLCB_HEADER_BYTES + LLCB_RECORD_BYTES;
+    let streamed = write_binary_trace(VecSource::new(sample_trace()), FailingSink { budget });
+    let csv = sample_bytes(IngestFormat::ChampsimCsv);
+    let unhinted =
+        IngestSource::open(IngestFormat::ChampsimCsv, csv.as_slice(), CORES).expect("open csv");
+    assert_eq!(unhinted.len_hint(), None);
+    let buffered = write_binary_trace(unhinted, FailingSink { budget });
+    for r in [streamed, buffered] {
+        assert!(
+            matches!(r, Err(TraceError::Io(ref e)) if e.kind() == std::io::ErrorKind::StorageFull),
+            "sink failure surfaced as {r:?}"
+        );
+    }
 }

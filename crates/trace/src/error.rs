@@ -1,9 +1,10 @@
-//! Typed errors for the binary trace format.
+//! Typed errors for every trace format: the recorded `.llcs` stream, the
+//! `LLCB` raw access trace and the foreign text formats of `llc-ingest`.
 
 use std::fmt;
 use std::io;
 
-/// Error produced while encoding or decoding an `LLCT` trace.
+/// Error produced while encoding or decoding a trace.
 ///
 /// Every way a trace file can be malformed maps to a distinct variant, so
 /// callers can distinguish "the file is not a trace at all" from "the
@@ -13,7 +14,7 @@ use std::io;
 pub enum TraceError {
     /// An underlying I/O error other than a clean truncation.
     Io(io::Error),
-    /// The file does not start with the `LLCT` magic bytes.
+    /// The file does not start with its format's magic bytes.
     BadMagic {
         /// The bytes actually found.
         found: [u8; 4],
@@ -27,7 +28,7 @@ pub enum TraceError {
     TruncatedHeader {
         /// Header bytes actually present.
         got: usize,
-        /// Header bytes the format requires (16 for `.llct` traces,
+        /// Header bytes the format requires (16 for `LLCB` traces,
         /// 128 for `.llcs` stream recordings).
         expected: usize,
     },
@@ -56,14 +57,16 @@ pub enum TraceError {
         /// Index of the offending record.
         index: u64,
     },
-    /// The writer finished with a different record count than declared.
+    /// A writer's source produced fewer records than its length hint
+    /// declared, so the header already written would lie.
     CountMismatch {
         /// Records the header declared.
         declared: u64,
         /// Records actually written.
         written: u64,
     },
-    /// More records were written than the header declared.
+    /// A writer's source produced more records than its length hint
+    /// declared in the header.
     RecordOverflow {
         /// Records the header declared.
         declared: u64,
@@ -114,76 +117,12 @@ pub enum TraceError {
     },
 }
 
-impl TraceError {
-    /// Clones the error for callers that need to both store and return it.
-    ///
-    /// `io::Error` is not `Clone`, so the `Io` variant clones as kind plus
-    /// message, losing any wrapped source — acceptable for the
-    /// park-and-replay use in the streaming decoder.
-    pub fn clone_inexact(&self) -> TraceError {
-        match self {
-            TraceError::Io(e) => TraceError::Io(io::Error::new(e.kind(), e.to_string())),
-            TraceError::BadMagic { found } => TraceError::BadMagic { found: *found },
-            TraceError::UnsupportedVersion { version } => {
-                TraceError::UnsupportedVersion { version: *version }
-            }
-            TraceError::TruncatedHeader { got, expected } => TraceError::TruncatedHeader {
-                got: *got,
-                expected: *expected,
-            },
-            TraceError::Truncated { decoded, declared } => TraceError::Truncated {
-                decoded: *decoded,
-                declared: *declared,
-            },
-            TraceError::CoreOutOfRange { core, limit, index } => TraceError::CoreOutOfRange {
-                core: *core,
-                limit: *limit,
-                index: *index,
-            },
-            TraceError::BadKind { kind, index } => TraceError::BadKind {
-                kind: *kind,
-                index: *index,
-            },
-            TraceError::CountMismatch { declared, written } => TraceError::CountMismatch {
-                declared: *declared,
-                written: *written,
-            },
-            TraceError::RecordOverflow { declared } => TraceError::RecordOverflow {
-                declared: *declared,
-            },
-            TraceError::CoreUnencodable { core } => TraceError::CoreUnencodable { core: *core },
-            TraceError::MalformedRecord {
-                format,
-                index,
-                reason,
-            } => TraceError::MalformedRecord {
-                format,
-                index: *index,
-                reason,
-            },
-            TraceError::ArenaSizeMismatch { expected, actual } => TraceError::ArenaSizeMismatch {
-                expected: *expected,
-                actual: *actual,
-            },
-            TraceError::BadUpgrade {
-                at,
-                accesses,
-                index,
-            } => TraceError::BadUpgrade {
-                at: *at,
-                accesses: *accesses,
-                index: *index,
-            },
-        }
-    }
-}
-
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace I/O error: {e}"),
             TraceError::BadMagic { found } => {
-                write!(f, "not an LLCT trace (magic bytes {found:02x?})")
+                write!(f, "unrecognised magic bytes {found:02x?}")
             }
             TraceError::UnsupportedVersion { version } => {
                 write!(f, "unsupported trace version {version}")
@@ -270,7 +209,7 @@ mod tests {
         let cases: Vec<(TraceError, &str)> = vec![
             (
                 TraceError::BadMagic { found: *b"NOPE" },
-                "not an LLCT trace",
+                "unrecognised magic bytes",
             ),
             (TraceError::UnsupportedVersion { version: 9 }, "version 9"),
             (

@@ -28,7 +28,6 @@
 pub mod apps;
 pub mod error;
 pub mod fault;
-pub mod file;
 pub mod layout;
 pub mod multiprogram;
 pub mod patterns;
@@ -43,7 +42,6 @@ pub mod zipf;
 pub use apps::{App, Scale, SharingClass, Suite};
 pub use error::TraceError;
 pub use fault::{CorruptingReader, Fault, FaultInjectingSource, FaultPlan};
-pub use file::{write_trace, TraceFileSource, TraceWriter};
 pub use layout::{AddressSpace, PcAllocator, PcSite, Region, PAGE_BYTES};
 pub use multiprogram::Multiprogram;
 pub use patterns::{
@@ -55,9 +53,7 @@ pub use source::{TraceSource, VecSource};
 pub use store::{
     atomic_write, sync_dir, ArtifactDir, ArtifactEntry, LoadError, StreamStore, QUARANTINE_DIR,
 };
-pub use stream::{
-    read_stream, write_stream, AccessRecord, RecordedStream, StreamAccess, UpgradeEvent,
-};
+pub use stream::{write_stream, AccessRecord, RecordedStream, StreamAccess, UpgradeEvent};
 pub use view::StreamView;
 pub use workload::{ThreadSpec, Workload};
 pub use zipf::ZipfSampler;

@@ -8,9 +8,11 @@
 //! replayed directly against the LLC, skipping trace generation and private
 //! cache simulation entirely (see `llc_sharing::replay`).
 //!
-//! The binary format mirrors the `.llct` trace format's failure model: a
-//! fixed little-endian header, fixed-size records, and a distinct
-//! [`TraceError`] for every way a file can be malformed — never a panic.
+//! The binary format is a fixed little-endian header and fixed-size
+//! records. It has exactly one decoder, [`StreamView::new`], which maps
+//! every way a file can be malformed to a distinct [`TraceError`] — never
+//! a panic. [`RecordedStream::from_slice`] is that validated view copied
+//! into owned planes.
 //!
 //! ```text
 //! header (128 bytes):
@@ -30,14 +32,14 @@
 //! before access `i`, and trailing upgrades (`at == access count`) before
 //! the end-of-run flush.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::Arc;
 
-use llc_sim::{AccessKind, BlockAddr, CoreId, Pc, PrivateCacheStats, MAX_CORES};
+use llc_sim::{AccessKind, BlockAddr, CoreId, Pc, PrivateCacheStats};
 
 use crate::error::TraceError;
-use crate::file::{read_exact_or_truncated, ReadFailure};
 use crate::shard::ShardIndexSlot;
+use crate::view::StreamView;
 
 /// `.llcs` file-format magic bytes.
 pub const STREAM_MAGIC: [u8; 4] = *b"LLCS";
@@ -136,13 +138,15 @@ impl RecordedStream {
         Ok(buf)
     }
 
-    /// Decodes a stream from an in-memory `.llcs` image.
+    /// Decodes a stream from an in-memory `.llcs` image: a
+    /// [`StreamView`] over a copy of `bytes`, converted to owned planes.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`read_stream`].
+    /// Same conditions as [`StreamView::new`], including
+    /// [`TraceError::ArenaSizeMismatch`] for trailing bytes.
     pub fn from_slice(bytes: &[u8]) -> Result<Self, TraceError> {
-        read_stream(bytes)
+        StreamView::new(bytes.into())?.to_owned_stream()
     }
 }
 
@@ -169,7 +173,7 @@ pub struct AccessRecord {
 /// Read access to a recorded LLC reference stream, however it is stored.
 ///
 /// Implemented by the owned [`RecordedStream`] (five parallel heap
-/// vectors) and by the zero-copy [`StreamView`](crate::view::StreamView)
+/// vectors) and by the zero-copy [`StreamView`]
 /// (one validated `.llcs` arena). Replay drivers take `&S` where
 /// `S: StreamAccess` and monomorphize per representation, so the owned
 /// path keeps its plane-walk codegen while the view path decodes records
@@ -471,125 +475,9 @@ pub fn write_stream<W: Write>(stream: &RecordedStream, mut sink: W) -> Result<()
     Ok(())
 }
 
-/// Reads a [`RecordedStream`] from any [`Read`] source, validating every
-/// field the way the `.llct` decoder does.
-///
-/// # Errors
-///
-/// Returns [`TraceError::BadMagic`], [`TraceError::UnsupportedVersion`] or
-/// [`TraceError::TruncatedHeader`] for a malformed header;
-/// [`TraceError::Truncated`], [`TraceError::CoreOutOfRange`] or
-/// [`TraceError::BadKind`] for malformed access records;
-/// [`TraceError::BadUpgrade`] for an out-of-order or out-of-range upgrade
-/// record; and propagates other I/O errors. Never panics on any input.
-pub fn read_stream<R: Read>(mut reader: R) -> Result<RecordedStream, TraceError> {
-    let mut header = [0u8; STREAM_HEADER_BYTES];
-    read_exact_or_truncated(&mut reader, &mut header).map_err(|failure| match failure {
-        ReadFailure::Eof(got) => TraceError::TruncatedHeader {
-            got,
-            expected: STREAM_HEADER_BYTES,
-        },
-        ReadFailure::Io(e) => TraceError::Io(e),
-    })?;
-    if header[0..4] != STREAM_MAGIC {
-        let mut found = [0u8; 4];
-        found.copy_from_slice(&header[0..4]);
-        return Err(TraceError::BadMagic { found });
-    }
-    let version = u16::from_le_bytes([header[4], header[5]]);
-    if version != STREAM_VERSION {
-        return Err(TraceError::UnsupportedVersion { version });
-    }
-    let accesses = read_u64(&header[8..16]);
-    let upgrades = read_u64(&header[16..24]);
-    let declared = accesses.saturating_add(upgrades);
-
-    let mut stream = RecordedStream {
-        fingerprint: read_u64(&header[40..48]),
-        instructions: read_u64(&header[24..32]),
-        trace_accesses: read_u64(&header[32..40]),
-        l1: decode_private_stats(&header[48..88]),
-        l2: decode_private_stats(&header[88..128]),
-        ..RecordedStream::default()
-    };
-    // Clamp pre-allocation so a corrupt header cannot trigger a huge
-    // up-front allocation (same defence as the `.llct` decoder).
-    let cap = usize::try_from(accesses).unwrap_or(0).min(1 << 20);
-    stream.blocks.reserve(cap);
-    stream.cores.reserve(cap);
-    stream.pcs.reserve(cap);
-    stream.kinds.reserve(cap);
-    stream.instr_deltas.reserve(cap);
-    stream
-        .upgrades
-        .reserve(usize::try_from(upgrades).unwrap_or(0).min(1 << 20));
-
-    let mut decoded = 0u64;
-    for index in 0..accesses {
-        let mut rec = [0u8; ACCESS_RECORD_BYTES];
-        read_exact_or_truncated(&mut reader, &mut rec).map_err(|failure| match failure {
-            ReadFailure::Eof(_) => TraceError::Truncated { decoded, declared },
-            ReadFailure::Io(e) => TraceError::Io(e),
-        })?;
-        let core = usize::from(rec[0]);
-        if core >= MAX_CORES {
-            return Err(TraceError::CoreOutOfRange {
-                core: rec[0],
-                limit: MAX_CORES,
-                index,
-            });
-        }
-        let kind = match rec[1] {
-            0 => AccessKind::Read,
-            1 => AccessKind::Write,
-            k => return Err(TraceError::BadKind { kind: k, index }),
-        };
-        stream.cores.push(CoreId::new(core));
-        stream.kinds.push(kind);
-        stream.pcs.push(Pc::new(read_u64(&rec[2..10])));
-        stream.blocks.push(BlockAddr::new(read_u64(&rec[10..18])));
-        stream.instr_deltas.push(read_u64(&rec[18..26]));
-        decoded += 1;
-    }
-
-    let mut prev_at = 0u64;
-    for index in 0..upgrades {
-        let mut rec = [0u8; UPGRADE_RECORD_BYTES];
-        read_exact_or_truncated(&mut reader, &mut rec).map_err(|failure| match failure {
-            ReadFailure::Eof(_) => TraceError::Truncated { decoded, declared },
-            ReadFailure::Io(e) => TraceError::Io(e),
-        })?;
-        let at = read_u64(&rec[0..8]);
-        if at < prev_at || at > accesses {
-            return Err(TraceError::BadUpgrade {
-                at,
-                accesses,
-                index,
-            });
-        }
-        prev_at = at;
-        let core = usize::from(rec[16]);
-        if core >= MAX_CORES {
-            return Err(TraceError::CoreOutOfRange {
-                core: rec[16],
-                limit: MAX_CORES,
-                index,
-            });
-        }
-        stream.upgrades.push(UpgradeEvent {
-            at,
-            block: BlockAddr::new(read_u64(&rec[8..16])),
-            core: CoreId::new(core),
-        });
-        decoded += 1;
-    }
-    Ok(stream)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{CorruptingReader, Fault, FaultPlan};
 
     fn sample() -> RecordedStream {
         let n = 40usize;
@@ -686,97 +574,10 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_magic_version_and_short_header() {
-        assert!(matches!(
-            read_stream(&b"NOPE"[..]),
-            Err(TraceError::TruncatedHeader {
-                got: 4,
-                expected: STREAM_HEADER_BYTES
-            })
-        ));
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[0] = b'X';
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::BadMagic { .. })
-        ));
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[4] = 9;
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::UnsupportedVersion { version: 9 })
-        ));
-    }
-
-    #[test]
-    fn truncation_mid_record_is_typed() {
-        let bytes = sample().to_vec().expect("encode");
-        let cut = STREAM_HEADER_BYTES + 5 * ACCESS_RECORD_BYTES + 3;
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes[..cut]),
-            Err(TraceError::Truncated {
-                decoded: 5,
-                declared: 44
-            })
-        ));
-        // Cut inside the upgrade section too.
-        let cut = STREAM_HEADER_BYTES + 40 * ACCESS_RECORD_BYTES + UPGRADE_RECORD_BYTES + 1;
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes[..cut]),
-            Err(TraceError::Truncated {
-                decoded: 41,
-                declared: 44
-            })
-        ));
-    }
-
-    #[test]
-    fn bad_kind_and_core_are_typed() {
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[STREAM_HEADER_BYTES + ACCESS_RECORD_BYTES + 1] = 7; // kind of record 1
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::BadKind { kind: 7, index: 1 })
-        ));
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[STREAM_HEADER_BYTES] = 200; // core of record 0
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::CoreOutOfRange {
-                core: 200,
-                index: 0,
-                ..
-            })
-        ));
-    }
-
-    #[test]
-    fn unsorted_or_out_of_range_upgrades_are_rejected() {
-        // Decoder side: corrupt the third upgrade's `at` to precede its
-        // predecessor (7 -> 1 while upgrade 1 sits at 7).
-        let mut bytes = sample().to_vec().expect("encode");
-        let off = STREAM_HEADER_BYTES + 40 * ACCESS_RECORD_BYTES + 2 * UPGRADE_RECORD_BYTES;
-        bytes[off..off + 8].copy_from_slice(&1u64.to_le_bytes());
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::BadUpgrade {
-                at: 1,
-                accesses: 40,
-                index: 2
-            })
-        ));
-        // …and to point past the stream (41 > 40 accesses).
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[off..off + 8].copy_from_slice(&41u64.to_le_bytes());
-        assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::BadUpgrade {
-                at: 41,
-                accesses: 40,
-                index: 2
-            })
-        ));
-        // Writer side: refuse to encode what the decoder would reject.
+    fn writer_refuses_upgrades_the_decoder_would_reject() {
+        // Out of order (upgrade 0 after upgrade 1 at 7) and past the
+        // stream (99 > 40 accesses) are both refused before a byte of an
+        // invalid file is handed to the caller.
         let mut s = sample();
         s.upgrades[0].at = 99;
         assert!(matches!(
@@ -787,36 +588,15 @@ mod tests {
                 index: 0
             })
         ));
-    }
-
-    #[test]
-    fn random_corruption_never_panics_the_decoder() {
-        // Mirror of the `.llct` fault-injection suite: whatever a random
-        // bit flip or truncation hits, decoding must end in Ok or a typed
-        // error, never a panic. Payload flips are silent by design.
-        let bytes = sample().to_vec().expect("encode");
-        for seed in 0..200u64 {
-            let plan = FaultPlan::random_bit_flips(seed, bytes.len() as u64, 3);
-            let r = CorruptingReader::new(bytes.as_slice(), &plan);
-            let _ = read_stream(r);
-        }
-        for seed in 0..50u64 {
-            let offset = llc_sim::splitmix64(seed) % (bytes.len() as u64 + 1);
-            let plan = FaultPlan::new().with(Fault::TruncateAt { offset });
-            let r = CorruptingReader::new(bytes.as_slice(), &plan);
-            let _ = read_stream(r);
-        }
-    }
-
-    #[test]
-    fn header_count_corruption_cannot_exhaust_memory() {
-        // Blow the declared access count up to u64::MAX: decoding must fail
-        // with a typed truncation error, not attempt the allocation.
-        let mut bytes = sample().to_vec().expect("encode");
-        bytes[8..16].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut s = sample();
+        s.upgrades[2].at = 1;
         assert!(matches!(
-            RecordedStream::from_slice(&bytes),
-            Err(TraceError::Truncated { .. })
+            s.to_vec(),
+            Err(TraceError::BadUpgrade {
+                at: 1,
+                accesses: 40,
+                index: 2
+            })
         ));
     }
 }

@@ -1,21 +1,20 @@
-//! Zero-copy views over loaded `.llcs` arenas.
+//! Zero-copy views over loaded `.llcs` arenas — and the one `.llcs`
+//! validator.
 //!
-//! [`read_stream`](crate::stream::read_stream) decodes a `.llcs` file
-//! into five parallel heap vectors — roughly 1.3× the encoded bytes,
-//! allocated and written on every load. A [`StreamView`] instead keeps
-//! the loaded file as a single immutable arena (`Arc<[u8]>`) and decodes
-//! access records *on the fly* as the replay loop walks them: a daemon
-//! cache hit costs one allocation (the arena itself) and no per-record
-//! decode pass.
+//! A [`StreamView`] keeps the loaded file as a single immutable arena
+//! (`Arc<[u8]>`) and decodes access records *on the fly* as the replay
+//! loop walks them: a daemon cache hit costs one allocation (the arena
+//! itself) and no per-record decode pass. An owned [`RecordedStream`]
+//! (five parallel heap vectors, roughly 1.3× the encoded bytes) is only
+//! built on request, by [`StreamView::to_owned_stream`].
 //!
-//! Construction validates everything `read_stream` validates — magic,
-//! version, section sizes, core ranges, kind bytes, upgrade ordering —
-//! so iteration is infallible and the view can promise the same "typed
-//! error, never a panic" contract as the owned decoder. One check is
-//! *stricter*: the arena must be exactly the size the header declares
-//! (a longer one is [`TraceError::ArenaSizeMismatch`]), because a view
-//! hands out sub-slices by offset and tolerating trailing bytes would
-//! silently mask section misalignment.
+//! Construction validates everything — magic, version, section sizes,
+//! core ranges, kind bytes, upgrade ordering — so iteration and the
+//! owned conversion are infallible, and every malformed file ends in a
+//! typed error, never a panic. The arena must be exactly the size the
+//! header declares (a longer one is [`TraceError::ArenaSizeMismatch`]),
+//! because a view hands out sub-slices by offset and tolerating trailing
+//! bytes would silently mask section misalignment.
 //!
 //! Upgrade events are decoded eagerly at construction: validation has to
 //! walk them anyway (ordering is a cross-record property), they are rare
@@ -68,11 +67,11 @@ impl StreamView {
     ///
     /// # Errors
     ///
-    /// Every malformation maps to the same typed [`TraceError`] the
-    /// owned decoder reports — [`TraceError::BadMagic`],
-    /// [`TraceError::UnsupportedVersion`], [`TraceError::TruncatedHeader`],
-    /// [`TraceError::Truncated`], [`TraceError::CoreOutOfRange`],
-    /// [`TraceError::BadKind`], [`TraceError::BadUpgrade`] — plus
+    /// Every malformation maps to a typed [`TraceError`] —
+    /// [`TraceError::BadMagic`], [`TraceError::UnsupportedVersion`],
+    /// [`TraceError::TruncatedHeader`], [`TraceError::Truncated`],
+    /// [`TraceError::CoreOutOfRange`], [`TraceError::BadKind`],
+    /// [`TraceError::BadUpgrade`] — plus
     /// [`TraceError::ArenaSizeMismatch`] for an arena longer than its
     /// header accounts for. Never panics on any input.
     pub fn new(arena: Arc<[u8]>) -> Result<StreamView, TraceError> {
@@ -103,8 +102,8 @@ impl StreamView {
             + upgrades as u128 * UPGRADE_RECORD_BYTES as u128;
         let actual = bytes.len() as u128;
         if actual < expected {
-            // Report the same decoded/declared counts the owned decoder
-            // would: how many whole records fit before the cut.
+            // Report how many whole records fit before the cut, access
+            // records first, then upgrade records.
             let avail = bytes.len() - STREAM_HEADER_BYTES;
             let whole_accesses = ((avail / ACCESS_RECORD_BYTES) as u64).min(accesses);
             let decoded = if whole_accesses < accesses {
@@ -198,14 +197,35 @@ impl StreamView {
         &self.arena
     }
 
-    /// Decodes the view into an owned [`RecordedStream`].
+    /// Copies the view into an owned [`RecordedStream`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`read_stream`](crate::stream::read_stream) —
-    /// in practice none, since construction already validated the arena.
+    /// None: construction already validated the arena. The `Result` is
+    /// kept so callers can chain it after [`StreamView::new`].
     pub fn to_owned_stream(&self) -> Result<RecordedStream, TraceError> {
-        RecordedStream::from_slice(&self.arena)
+        let mut s = RecordedStream {
+            fingerprint: self.fingerprint,
+            instructions: self.instructions,
+            trace_accesses: self.trace_accesses,
+            l1: self.l1,
+            l2: self.l2,
+            upgrades: self.upgrades.clone(),
+            blocks: Vec::with_capacity(self.len),
+            cores: Vec::with_capacity(self.len),
+            pcs: Vec::with_capacity(self.len),
+            kinds: Vec::with_capacity(self.len),
+            instr_deltas: Vec::with_capacity(self.len),
+        };
+        for rec in self.record_bytes().chunks_exact(ACCESS_RECORD_BYTES) {
+            let a = decode_record(rec);
+            s.blocks.push(a.block);
+            s.cores.push(a.core);
+            s.pcs.push(a.pc);
+            s.kinds.push(a.kind);
+            s.instr_deltas.push(read_u64(&rec[18..26]));
+        }
+        Ok(s)
     }
 
     fn record_bytes(&self) -> &[u8] {
@@ -308,7 +328,6 @@ impl<'a> ExactSizeIterator for ViewAccessIter<'a> {
 mod tests {
     use super::*;
     use crate::fault::{CorruptingReader, Fault, FaultPlan};
-    use crate::stream::read_stream;
     use std::io::Read;
 
     fn sample() -> RecordedStream {
@@ -352,9 +371,10 @@ mod tests {
     }
 
     #[test]
-    fn view_matches_owned_decode_exactly() {
+    fn view_decodes_the_encoded_stream_exactly() {
         let s = sample();
-        let v = view_of(&s);
+        let bytes = s.to_vec().expect("encode");
+        let v = StreamView::new(bytes.clone().into()).expect("view");
         assert_eq!(StreamAccess::len(&v), s.len());
         assert_eq!(v.fingerprint(), s.fingerprint);
         assert_eq!(v.instructions(), s.instructions);
@@ -370,7 +390,12 @@ mod tests {
         let owned_rev: Vec<AccessRecord> = s.accesses().rev().collect();
         let viewed_rev: Vec<AccessRecord> = v.accesses().rev().collect();
         assert_eq!(owned_rev, viewed_rev);
-        assert_eq!(v.to_owned_stream().expect("decode"), s);
+        // The owned copy is the original, field for field and byte for
+        // byte (instruction deltas included).
+        let owned = v.to_owned_stream().expect("decode");
+        assert_eq!(owned, s);
+        assert_eq!(owned.to_vec().expect("re-encode"), bytes);
+        assert_eq!(RecordedStream::from_slice(&bytes).expect("decode"), s);
     }
 
     #[test]
@@ -412,40 +437,44 @@ mod tests {
             StreamView::new(b.into()),
             Err(TraceError::UnsupportedVersion { version: 7 })
         ));
+        // A header cut inside the magic.
+        assert!(matches!(
+            RecordedStream::from_slice(b"LLC"),
+            Err(TraceError::TruncatedHeader {
+                got: 3,
+                expected: STREAM_HEADER_BYTES
+            })
+        ));
     }
 
     #[test]
-    fn truncation_reports_owned_decoder_counts() {
+    fn truncation_reports_whole_records_decoded() {
+        // 64 access records, then 4 upgrade records: 68 declared.
         let bytes = sample().to_vec().expect("encode");
-        // Cut mid-access-record: same decoded/declared as read_stream.
-        let cut = STREAM_HEADER_BYTES + 9 * ACCESS_RECORD_BYTES + 11;
-        let expect_err = read_stream(&bytes[..cut]).expect_err("owned decoder rejects");
-        let view_err = StreamView::new(bytes[..cut].to_vec().into()).expect_err("view rejects");
-        assert!(
-            matches!(
-                (&expect_err, &view_err),
-                (
-                    TraceError::Truncated {
-                        decoded: 9,
-                        declared: 68
-                    },
-                    TraceError::Truncated {
-                        decoded: 9,
-                        declared: 68
-                    }
-                )
-            ),
-            "owned: {expect_err:?}, view: {view_err:?}"
-        );
-        // Cut mid-upgrade-record.
-        let cut = STREAM_HEADER_BYTES + 64 * ACCESS_RECORD_BYTES + 2 * UPGRADE_RECORD_BYTES + 5;
-        assert!(matches!(
-            StreamView::new(bytes[..cut].to_vec().into()),
-            Err(TraceError::Truncated {
-                decoded: 66,
-                declared: 68
-            })
-        ));
+        let access_end = STREAM_HEADER_BYTES + 64 * ACCESS_RECORD_BYTES;
+        for (cut, decoded) in [
+            // Right after the header: nothing decoded.
+            (STREAM_HEADER_BYTES, 0),
+            // Mid-access-record.
+            (STREAM_HEADER_BYTES + 9 * ACCESS_RECORD_BYTES + 11, 9),
+            // Exactly at the end of the access section.
+            (access_end, 64),
+            // One byte into the second upgrade record.
+            (access_end + UPGRADE_RECORD_BYTES + 1, 65),
+            // Mid-upgrade-record.
+            (access_end + 2 * UPGRADE_RECORD_BYTES + 5, 66),
+        ] {
+            let err = StreamView::new(bytes[..cut].to_vec().into()).expect_err("view rejects");
+            assert!(
+                matches!(err, TraceError::Truncated { decoded: d, declared: 68 } if d == decoded),
+                "cut at {cut}: {err:?}"
+            );
+            // The owned decoder is the same validator.
+            assert!(matches!(
+                RecordedStream::from_slice(&bytes[..cut]),
+                Err(TraceError::Truncated { declared: 68, .. })
+            ));
+        }
     }
 
     #[test]
@@ -453,6 +482,11 @@ mod tests {
         let mut bytes = sample().to_vec().expect("encode");
         let expected = bytes.len() as u64;
         bytes.extend_from_slice(b"junk");
+        // The owned decoder goes through the view, so it is as strict.
+        assert!(matches!(
+            RecordedStream::from_slice(&bytes),
+            Err(TraceError::ArenaSizeMismatch { .. })
+        ));
         let err = StreamView::new(bytes.into()).expect_err("reject padding");
         assert!(matches!(
             err,
@@ -531,10 +565,10 @@ mod tests {
 
     #[test]
     fn random_corruption_never_panics_the_view() {
-        // Fault-injection sweep mirroring the owned decoder's: whatever
-        // a deterministic bit flip or truncation produces, construction
-        // ends in Ok or a typed error, never a panic — and a view that
-        // does construct still iterates without panicking.
+        // Fault-injection sweep: whatever a deterministic bit flip or
+        // truncation produces, construction ends in Ok or a typed error,
+        // never a panic — and a view that does construct still iterates
+        // and converts to an owned stream without panicking.
         let bytes = sample().to_vec().expect("encode");
         for seed in 0..200u64 {
             let plan = FaultPlan::random_bit_flips(seed, bytes.len() as u64, 3);
@@ -545,6 +579,7 @@ mod tests {
             if let Ok(v) = StreamView::new(damaged.into()) {
                 let n: usize = v.accesses().count();
                 assert_eq!(n, StreamAccess::len(&v));
+                assert_eq!(v.to_owned_stream().expect("validated").len(), n);
             }
         }
         for seed in 0..60u64 {

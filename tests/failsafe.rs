@@ -6,9 +6,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use sharing_aware_llc::ingest::{write_binary_trace, BinaryTraceSource};
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::trace::{
-    write_trace, CorruptingReader, Fault, FaultPlan, TraceFileSource, VecSource,
+    CorruptingReader, Fault, FaultInjectingSource, FaultPlan, VecSource,
 };
 
 fn test_cfg(cores: usize) -> HierarchyConfig {
@@ -21,10 +22,10 @@ fn test_cfg(cores: usize) -> HierarchyConfig {
     }
 }
 
-/// A recorded trace of `app` running on `cores` cores.
+/// An LLCB trace of `app` running on `cores` cores.
 fn recorded(app: App, cores: usize) -> Vec<u8> {
     let mut bytes = Vec::new();
-    write_trace(app.workload(cores, Scale::Tiny), &mut bytes).expect("encode");
+    write_binary_trace(app.workload(cores, Scale::Tiny), &mut bytes).expect("encode");
     bytes
 }
 
@@ -36,7 +37,7 @@ fn truncated_trace_surfaces_as_typed_error_through_the_driver() {
     let err = simulate(
         &cfg,
         &ReplayDesc::plain(PolicyKind::Lru),
-        &mut || TraceFileSource::new(&bytes[..cut]).expect("header intact"),
+        &mut || BinaryTraceSource::new(&bytes[..cut]).expect("header intact"),
         vec![],
     )
     .expect_err("driver must report the truncation");
@@ -54,14 +55,14 @@ fn corrupted_traces_never_panic_the_driver() {
         let plan = FaultPlan::random_bit_flips(seed, bytes.len() as u64, 4);
         // Either the header is rejected up front or the run ends in
         // Ok/typed Err; a panic anywhere fails the test.
-        if let Ok(src) = TraceFileSource::new(CorruptingReader::new(bytes.as_slice(), &plan)) {
+        if let Ok(src) = BinaryTraceSource::new(CorruptingReader::new(bytes.as_slice(), &plan)) {
             let full = bytes.clone();
             let p2 = plan.clone();
             let _ = simulate(
                 &cfg,
                 &ReplayDesc::plain(PolicyKind::Lru),
                 &mut || {
-                    TraceFileSource::new(CorruptingReader::new(full.as_slice(), &p2))
+                    BinaryTraceSource::new(CorruptingReader::new(full.as_slice(), &p2))
                         .expect("checked above")
                 },
                 vec![],
@@ -82,7 +83,7 @@ fn replaying_a_wider_trace_on_a_narrower_machine_is_a_typed_error() {
         &cfg,
         &ReplayDesc::plain(PolicyKind::Lru),
         &mut || {
-            TraceFileSource::new(bytes.as_slice())
+            BinaryTraceSource::new(bytes.as_slice())
                 .expect("header intact")
                 .with_core_limit(cfg.cores)
         },
@@ -107,10 +108,9 @@ fn record_level_faults_are_caught_by_the_writer() {
             .collect()
     };
     let plan = FaultPlan::new().with(Fault::DropRecord { index: 42 });
-    let faulty =
-        sharing_aware_llc::trace::FaultInjectingSource::new(VecSource::new(accesses), &plan);
+    let faulty = FaultInjectingSource::new(VecSource::new(accesses), &plan);
     let mut out = Vec::new();
-    let err = write_trace(faulty, &mut out).expect_err("dropped record must be caught");
+    let err = write_binary_trace(faulty, &mut out).expect_err("dropped record must be caught");
     assert!(matches!(
         err,
         TraceError::CountMismatch {

@@ -2,7 +2,9 @@
 //! traces must uphold the simulator's invariants under every policy.
 
 use proptest::prelude::*;
+use sharing_aware_llc::ingest::{write_binary_trace, BinaryTraceSource};
 use sharing_aware_llc::prelude::*;
+use sharing_aware_llc::sim::MAX_CORES;
 use sharing_aware_llc::trace::VecSource;
 
 fn tiny_cfg() -> HierarchyConfig {
@@ -30,6 +32,36 @@ fn trace_strategy(len: usize) -> impl Strategy<Value = Vec<MemAccess>> {
                     AccessKind::Read
                 },
                 instr_gap: 3,
+            })
+            .collect()
+    })
+}
+
+/// Strategy: a random trace whose gap, pc and address each span their
+/// type's whole range, for codec round-trips (not for simulation).
+fn full_range_trace_strategy(len: usize) -> impl Strategy<Value = Vec<MemAccess>> {
+    prop::collection::vec(
+        (
+            0usize..MAX_CORES,
+            0u64..=u64::MAX,
+            0u64..=u64::MAX,
+            prop::bool::ANY,
+            0u32..=u32::MAX,
+        ),
+        len,
+    )
+    .prop_map(|v| {
+        v.into_iter()
+            .map(|(core, pc, addr, write, instr_gap)| MemAccess {
+                core: CoreId::new(core),
+                pc: Pc::new(pc),
+                addr: Addr::new(addr),
+                kind: if write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                },
+                instr_gap,
             })
             .collect()
     })
@@ -133,34 +165,40 @@ proptest! {
             "oracle {} vs lru {}", oracle, lru);
     }
 
-    /// Recorded traces round-trip bit-exactly through the binary format.
+    /// Raw traces round-trip bit-exactly through the LLCB format, over the
+    /// full range of every field: the whole `u32` instruction gap and the
+    /// whole `u64` pc and address.
     #[test]
-    fn trace_format_round_trips(trace in trace_strategy(300)) {
+    fn trace_format_round_trips(trace in full_range_trace_strategy(300)) {
         let mut bytes = Vec::new();
-        sharing_aware_llc::trace::write_trace(VecSource::new(trace.clone()), &mut bytes)
+        let written = write_binary_trace(VecSource::new(trace.clone()), &mut bytes)
             .expect("encode");
-        let back = sharing_aware_llc::trace::TraceFileSource::new(bytes.as_slice())
-            .expect("header")
-            .read_all()
-            .expect("decode");
+        prop_assert_eq!(written, trace.len() as u64);
+        let mut src = BinaryTraceSource::new(bytes.as_slice()).expect("header");
+        let back: Vec<MemAccess> = std::iter::from_fn(|| src.next_access()).collect();
+        prop_assert!(src.take_error().is_none());
         prop_assert_eq!(trace, back);
     }
 
-    /// Arbitrary byte-level corruption of a valid trace ends decoding in
-    /// Ok or a typed error — never a panic.
+    /// Arbitrary byte-level corruption of a valid LLCB trace ends
+    /// decoding in Ok or a typed error — never a panic, never an access
+    /// on a core past the limit.
     #[test]
     fn corrupted_trace_decoding_never_panics(
         trace in trace_strategy(200),
         seed in 0u64..u64::MAX,
         flips in 1usize..6,
     ) {
-        use sharing_aware_llc::trace::{CorruptingReader, FaultPlan, TraceFileSource};
+        use sharing_aware_llc::trace::{CorruptingReader, FaultPlan};
         let mut bytes = Vec::new();
-        sharing_aware_llc::trace::write_trace(VecSource::new(trace), &mut bytes)
-            .expect("encode");
+        write_binary_trace(VecSource::new(trace), &mut bytes).expect("encode");
         let plan = FaultPlan::random_bit_flips(seed, bytes.len() as u64, flips);
-        if let Ok(src) = TraceFileSource::new(CorruptingReader::new(bytes.as_slice(), &plan)) {
-            let _ = src.read_all();
+        if let Ok(src) = BinaryTraceSource::new(CorruptingReader::new(bytes.as_slice(), &plan)) {
+            let mut src = src.with_core_limit(4);
+            while let Some(a) = src.next_access() {
+                prop_assert!(a.core.index() < 4);
+            }
+            let _ = src.take_error();
         }
     }
 
