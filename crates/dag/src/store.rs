@@ -641,6 +641,25 @@ mod tests {
     }
 
     #[test]
+    fn replay_encoding_is_pinned() {
+        // `.llcr` files outlive the process that wrote them; a changed
+        // layout would turn every stored replay into a checksum miss.
+        let raw = encode_replay(4, &sample_replay());
+        let hex: String = raw.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "4c4c434452504c3104000000000000000300000000000000\
+             4c525564000000000000003c000000000000002800000000\
+             0000001e000000000000000a000000000000000500000000\
+             0000001400000000000000e8030000000000008403000000\
+             000000500000000000000007000000000000000000000000\
+             000000000000000000000000000000000000000000000000\
+             000000000000000000000000000000000000008813000000\
+             000000b00400000000000044678cdcda0437fc"
+        );
+    }
+
+    #[test]
     fn decode_rejects_corruption_and_wrong_fp() {
         let raw = encode_annotations(9, &sample_ann());
         assert!(decode_annotations(&raw, 10).is_err(), "wrong fingerprint");
