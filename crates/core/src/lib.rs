@@ -69,7 +69,6 @@ pub use epochs::{EpochSeries, EpochStat};
 pub use error::RunError;
 pub use experiments::{per_app, run_experiment, ExperimentCtx, ExperimentId};
 pub use llc_dag::{ReplayDesc, ReplayWrap};
-pub use memo::{record_of, result_of};
 pub use model::LatencyModel;
 pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};

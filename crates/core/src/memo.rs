@@ -5,9 +5,8 @@
 //! attached. Resolution order per [`ReplayDesc`]:
 //!
 //! 1. **Replay node** (`replay_fp(stream_fp, desc_fp)`): a hit returns
-//!    the stored [`llc_dag::ReplayRecord`] converted back to a
-//!    [`RunResult`] — without touching the stream at all, so a fully
-//!    warmed spec never loads a `.llcs` file.
+//!    the stored [`RunResult`] as is — without touching the stream at
+//!    all, so a fully warmed spec never loads a `.llcs` file.
 //! 2. **Annotation node** (`annotations_fp(stream_fp, window)`), for
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
 //!    the store or computed once with the fused backward scan and
@@ -28,9 +27,7 @@
 
 use std::sync::Arc;
 
-use llc_dag::{
-    annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc, ReplayRecord,
-};
+use llc_dag::{annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc};
 use llc_sim::HierarchyConfig;
 use llc_trace::{App, StreamAccess};
 
@@ -38,30 +35,6 @@ use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
 use crate::replay::{compute_annotations, replay, Annotations, CachedStream, Exec};
 use crate::runner::RunResult;
-
-/// Converts a run result into its storable record.
-pub fn record_of(result: &RunResult) -> ReplayRecord {
-    ReplayRecord {
-        policy: result.policy.clone(),
-        llc: result.llc,
-        l1: result.l1,
-        l2: result.l2,
-        instructions: result.instructions,
-        trace_accesses: result.trace_accesses,
-    }
-}
-
-/// Converts a stored record back into a run result.
-pub fn result_of(rec: ReplayRecord) -> RunResult {
-    RunResult {
-        policy: rec.policy,
-        llc: rec.llc,
-        l1: rec.l1,
-        l2: rec.l2,
-        instructions: rec.instructions,
-        trace_accesses: rec.trace_accesses,
-    }
-}
 
 /// Resolves the annotation vectors for `window` over `stream`: from the
 /// DAG store when attached and intact, otherwise by one fused backward
@@ -157,15 +130,15 @@ impl ExperimentCtx {
         };
         let stream_fp = self.stream_key(app, config).fingerprint();
         let node_fp = replay_fp(stream_fp, desc.fingerprint());
-        if let Some(rec) = dag.load_replay(node_fp) {
+        if let Some(result) = dag.load_replay(node_fp) {
             dag.record_hit(NodeKind::Replay);
-            return Ok(result_of(rec));
+            return Ok(result);
         }
         dag.record_miss(NodeKind::Replay);
         let stream = self.stream(app, config)?;
         let result = dispatch(Some((dag, stream_fp)), config, desc, &stream)?;
         dag.record_replay_executed();
-        if dag.save_replay(node_fp, &record_of(&result)).is_err() {
+        if dag.save_replay(node_fp, &result).is_err() {
             dag.record_disk_error();
         }
         Ok(result)

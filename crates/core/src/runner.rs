@@ -29,49 +29,14 @@ use llc_policies::{build_oracle_policy_with_mode, build_policy, build_reactive_p
 use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
     AccessCtx, AccessKind, Aux, AuxProvider, BlockAddr, Cmp, CoreId, HierarchyConfig, Inclusion,
-    LiveGeneration, LlcObserver, LlcStats, MultiObserver, Pc, PrivateCacheStats, ReplacementPolicy,
+    LiveGeneration, LlcObserver, MultiObserver, Pc, ReplacementPolicy,
 };
 use llc_trace::{TraceSource, UpgradeEvent};
 
 use crate::error::RunError;
 use crate::replay::{aux_provider, compute_annotations, record_stream, replay, Exec};
 
-/// Aggregate result of one simulation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunResult {
-    /// Name of the policy that ran.
-    pub policy: String,
-    /// LLC counters.
-    pub llc: LlcStats,
-    /// Aggregated private L1 counters.
-    pub l1: PrivateCacheStats,
-    /// Aggregated private L2 counters (zero without an L2).
-    pub l2: PrivateCacheStats,
-    /// Instructions represented by the trace.
-    pub instructions: u64,
-    /// Trace records processed.
-    pub trace_accesses: u64,
-}
-
-impl RunResult {
-    /// LLC misses per kilo-instruction.
-    pub fn llc_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.llc.misses() as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-
-    /// L1 misses per kilo-instruction (aggregated over cores).
-    pub fn l1_mpki(&self) -> f64 {
-        if self.instructions == 0 {
-            0.0
-        } else {
-            self.l1.misses() as f64 * 1000.0 / self.instructions as f64
-        }
-    }
-}
+pub use llc_dag::RunResult;
 
 /// Runs `policy` over `trace` through the full hierarchy with optional
 /// aux annotations and observers — the boxed reference driver, mirror of

@@ -49,5 +49,5 @@ pub use node::{NodeKind, Plan, PlanNode};
 pub use store::{
     decode_annotations, decode_manifest, decode_replay, encode_annotations, encode_manifest,
     encode_replay, register_metrics, AnnotationsData, DagStatsSnapshot, DagStore, Manifest,
-    ReplayRecord, ANN_FILE_EXT, MANIFEST_FILE_EXT, REPLAY_FILE_EXT,
+    RunResult, ANN_FILE_EXT, MANIFEST_FILE_EXT, REPLAY_FILE_EXT,
 };

@@ -131,23 +131,43 @@ pub struct AnnotationsData {
     pub shared_soon: Vec<bool>,
 }
 
-/// The decoded payload of a replay node: everything a `RunResult`
-/// carries, in simulator-level types (this crate cannot name
-/// `RunResult` without a dependency cycle; `llc-sharing` converts).
+/// Aggregate result of one simulation run — and the decoded payload of
+/// a replay node, which stores exactly these counters. `llc-sharing`
+/// re-exports it as `llc_sharing::RunResult`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplayRecord {
+pub struct RunResult {
     /// Display label of the policy that ran.
     pub policy: String,
     /// LLC counters.
     pub llc: LlcStats,
     /// Aggregated private L1 counters.
     pub l1: PrivateCacheStats,
-    /// Aggregated private L2 counters.
+    /// Aggregated private L2 counters (zero without an L2).
     pub l2: PrivateCacheStats,
     /// Instructions represented by the trace.
     pub instructions: u64,
     /// Trace records processed.
     pub trace_accesses: u64,
+}
+
+impl RunResult {
+    /// LLC misses per kilo-instruction.
+    pub fn llc_mpki(&self) -> f64 {
+        if self.instructions == 0 {
+            0.0
+        } else {
+            self.llc.misses() as f64 * 1000.0 / self.instructions as f64
+        }
+    }
+
+    /// L1 misses per kilo-instruction (aggregated over cores).
+    pub fn l1_mpki(&self) -> f64 {
+        if self.instructions == 0 {
+            0.0
+        } else {
+            self.l1.misses() as f64 * 1000.0 / self.instructions as f64
+        }
+    }
 }
 
 /// The node list of one completed spec: which artifacts its result was
@@ -293,7 +313,7 @@ pub fn decode_annotations(raw: &[u8], expect_fp: u64) -> Result<AnnotationsData,
 }
 
 /// Encodes a replay artifact.
-pub fn encode_replay(fp: u64, rec: &ReplayRecord) -> Vec<u8> {
+pub fn encode_replay(fp: u64, rec: &RunResult) -> Vec<u8> {
     let mut enc = Enc::new(REPLAY_MAGIC);
     enc.u64(fp);
     enc.bytes(rec.policy.as_bytes());
@@ -326,7 +346,7 @@ pub fn encode_replay(fp: u64, rec: &ReplayRecord) -> Vec<u8> {
 
 /// Decodes a replay artifact (see [`decode_annotations`] for the
 /// validation contract).
-pub fn decode_replay(raw: &[u8], expect_fp: u64) -> Result<ReplayRecord, String> {
+pub fn decode_replay(raw: &[u8], expect_fp: u64) -> Result<RunResult, String> {
     let mut dec = Dec::open(raw, REPLAY_MAGIC, expect_fp)?;
     let policy = String::from_utf8(dec.bytes()?.to_vec()).map_err(|_| "bad label".to_string())?;
     let llc = LlcStats {
@@ -352,7 +372,7 @@ pub fn decode_replay(raw: &[u8], expect_fp: u64) -> Result<ReplayRecord, String>
     let instructions = dec.u64()?;
     let trace_accesses = dec.u64()?;
     dec.done()?;
-    Ok(ReplayRecord {
+    Ok(RunResult {
         policy,
         llc,
         l1,
@@ -504,7 +524,7 @@ impl DagStore {
     }
 
     /// Loads the replay artifact `fp`, or `None` if absent/corrupt.
-    pub fn load_replay(&self, fp: u64) -> Option<ReplayRecord> {
+    pub fn load_replay(&self, fp: u64) -> Option<RunResult> {
         self.load_checked(&self.replays, fp, decode_replay)
     }
 
@@ -513,7 +533,7 @@ impl DagStore {
     /// # Errors
     ///
     /// See [`DagStore::save_annotations`].
-    pub fn save_replay(&self, fp: u64, rec: &ReplayRecord) -> io::Result<()> {
+    pub fn save_replay(&self, fp: u64, rec: &RunResult) -> io::Result<()> {
         self.replays.write(fp, &encode_replay(fp, rec))
     }
 
@@ -589,8 +609,8 @@ mod tests {
         }
     }
 
-    fn sample_replay() -> ReplayRecord {
-        ReplayRecord {
+    fn sample_replay() -> RunResult {
+        RunResult {
             policy: "LRU".into(),
             llc: LlcStats {
                 accesses: 100,

@@ -350,14 +350,14 @@ mod tests {
 
     #[test]
     fn verify_leaves_recency_alone() {
-        use llc_dag::{DagStore, Manifest, ReplayRecord};
+        use llc_dag::{DagStore, Manifest, RunResult};
         let root = temp_root("recency");
         let results = seed_results(&root, &[1, 2]);
         let streams = StreamStore::open(root.join("streams")).expect("open streams");
         let stream = llc_trace::RecordedStream::default();
         streams.save(3, &stream).expect("save stream");
         let dag = DagStore::open(root.join("dag")).expect("open dag");
-        dag.save_replay(4, &ReplayRecord::default())
+        dag.save_replay(4, &RunResult::default())
             .expect("save replay");
         dag.save_manifest(
             5,
@@ -407,7 +407,7 @@ mod tests {
 
     #[test]
     fn verify_collects_unreferenced_dag_partials_and_quarantines_corrupt_ones() {
-        use llc_dag::{AnnotationsData, DagStore, Manifest, ReplayRecord};
+        use llc_dag::{AnnotationsData, DagStore, Manifest, RunResult};
         let root = temp_root("dag");
         let dag = DagStore::open(root.join("dag")).expect("open dag");
         let ann = AnnotationsData {
@@ -415,11 +415,11 @@ mod tests {
             next_use: vec![1, u64::MAX],
             shared_soon: vec![true, false],
         };
-        let rec = ReplayRecord {
+        let rec = RunResult {
             policy: "LRU".into(),
             instructions: 10,
             trace_accesses: 2,
-            ..ReplayRecord::default()
+            ..RunResult::default()
         };
         // Referenced pair (kept), orphaned pair (collected), corrupt
         // replay under a valid name (quarantined before the orphan pass).
