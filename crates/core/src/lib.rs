@@ -84,5 +84,6 @@ pub use runner::{
 };
 pub use suite::pool::scoped_workers;
 pub use suite::{
-    run_guarded, run_suite, run_suite_with, ExperimentOutcome, SuiteConfig, SuiteReport,
+    run_guarded, run_suite, run_suite_with, ExperimentOutcome, GuardedOutcome, SuiteConfig,
+    SuiteReport,
 };

@@ -35,7 +35,7 @@
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, LazyLock, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -386,23 +386,38 @@ where
     })
 }
 
-/// Runs `work` on a dedicated thread under `catch_unwind` and a watchdog,
-/// converting a panic into [`RunError::Panicked`] and a blown time budget
-/// into [`RunError::TimedOut`] (both labelled with `label`). On timeout
-/// the worker is abandoned: its thread keeps running detached until the
-/// process exits (acceptable for a batch harness or a daemon discarding
-/// the result; the alternative — killing a thread — is unsound in Rust).
+/// The outcome of a [`run_guarded`] call.
+#[derive(Debug)]
+pub enum GuardedOutcome<T> {
+    /// The work finished with its own result or error, or the guard
+    /// turned its panic, blown time budget or failed spawn into one.
+    Finished(Result<T, RunError>),
+    /// The cancel flag was raised; the worker was abandoned exactly like
+    /// on a timeout (it keeps running detached, its result discarded).
+    Cancelled,
+}
+
+/// How often [`run_guarded`] re-checks its cancel flag.
+const CANCEL_POLL: Duration = Duration::from_millis(25);
+
+/// Runs `work` on a dedicated thread under `catch_unwind`, a watchdog and
+/// a cancellation flag, converting a panic into [`RunError::Panicked`]
+/// and a blown time budget into [`RunError::TimedOut`] (both labelled
+/// with `label`). On timeout or once `cancel` is raised the worker is
+/// abandoned: its thread keeps running detached until the process exits
+/// (acceptable for a batch harness or a daemon discarding the result;
+/// the alternative — killing a thread — is unsound in Rust).
 ///
 /// This is the isolation primitive behind both the suite runner's
-/// per-experiment crash containment and the `llc-serve` daemon's job
-/// execution (including `DELETE /jobs/{id}` cancellation of a running
-/// job, which abandons the guarded thread the same way).
-///
-/// # Errors
-///
-/// Returns `work`'s own error, or the panic/timeout/spawn-failure it was
-/// shielded from.
-pub fn run_guarded<T, F>(label: &str, timeout: Option<Duration>, work: F) -> Result<T, RunError>
+/// per-experiment crash containment (with a flag it never raises) and
+/// the `llc-serve` daemon's job execution, where `DELETE /jobs/{id}`
+/// raises the flag to cancel a running job.
+pub fn run_guarded<T, F>(
+    label: &str,
+    timeout: Option<Duration>,
+    cancel: &AtomicBool,
+    work: F,
+) -> GuardedOutcome<T>
 where
     T: Send + 'static,
     F: FnOnce() -> Result<T, RunError> + Send + 'static,
@@ -412,48 +427,54 @@ where
         .name(format!("guarded-{label}"))
         .spawn(move || {
             let result = panic::catch_unwind(AssertUnwindSafe(work));
-            // The receiver may be gone after a watchdog timeout; that is
-            // fine, the outcome was already recorded.
+            // The receiver may be gone after a timeout or cancel; that
+            // is fine, the outcome was already recorded.
             let _ = tx.send(result);
         });
     let handle = match spawned {
         Ok(h) => h,
         Err(e) => {
-            return Err(RunError::Io {
+            return GuardedOutcome::Finished(Err(RunError::Io {
                 context: format!("spawning guarded thread for {label}"),
                 source: e,
-            })
+            }))
         }
     };
-    let disconnected = || RunError::Panicked {
-        label: label.to_string(),
-        reason: "worker thread exited without reporting".into(),
-    };
-    let received = match timeout {
-        Some(limit) => match rx.recv_timeout(limit) {
-            Ok(r) => r,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                drop(handle); // abandon the worker; see the function docs
-                return Err(RunError::TimedOut {
+    let started = Instant::now();
+    let received = loop {
+        if cancel.load(Ordering::Relaxed) {
+            drop(handle); // abandon the worker; see the function docs
+            return GuardedOutcome::Cancelled;
+        }
+        let wait = match timeout.map(|limit| (limit, limit.saturating_sub(started.elapsed()))) {
+            Some((limit, left)) if left.is_zero() => {
+                drop(handle);
+                return GuardedOutcome::Finished(Err(RunError::TimedOut {
                     label: label.to_string(),
                     limit,
-                });
+                }));
             }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return Err(disconnected()),
-        },
-        None => match rx.recv() {
-            Ok(r) => r,
-            Err(_) => return Err(disconnected()),
-        },
+            Some((_, left)) => left.min(CANCEL_POLL),
+            None => CANCEL_POLL,
+        };
+        match rx.recv_timeout(wait) {
+            Ok(r) => break r,
+            Err(mpsc::RecvTimeoutError::Timeout) => continue,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                return GuardedOutcome::Finished(Err(RunError::Panicked {
+                    label: label.to_string(),
+                    reason: "worker thread exited without reporting".into(),
+                }))
+            }
+        }
     };
     let _ = handle.join(); // already reported; join cannot block long
-    match received {
-        Ok(result) => result,
-        Err(payload) => Err(RunError::Panicked {
+    GuardedOutcome::Finished(received.unwrap_or_else(|payload| {
+        Err(RunError::Panicked {
             label: label.to_string(),
             reason: panic_message(payload.as_ref()),
-        }),
-    }
+        })
+    }))
 }
 
 /// Runs one experiment under [`run_guarded`], folding the typed error
@@ -470,7 +491,13 @@ where
     let ctx = ctx.clone();
     let _span = spans::span_with(|| format!("experiment {}", id.label()));
     let start = Instant::now();
-    match run_guarded(id.label(), config.timeout, move || run_fn(id, &ctx)) {
+    let never = AtomicBool::new(false);
+    let GuardedOutcome::Finished(result) =
+        run_guarded(id.label(), config.timeout, &never, move || run_fn(id, &ctx))
+    else {
+        unreachable!("the suite never raises its cancel flag");
+    };
+    match result {
         Ok(tables) => {
             METRICS.completed.inc();
             ExperimentOutcome::Completed {
@@ -759,6 +786,51 @@ mod tests {
         }
         // The suite moved on past the hung experiment.
         assert_eq!(report.completed(), 1);
+    }
+
+    #[test]
+    fn run_guarded_passes_results_through() {
+        let cancel = AtomicBool::new(false);
+        match run_guarded("ok", None, &cancel, || Ok(7)) {
+            GuardedOutcome::Finished(Ok(n)) => assert_eq!(n, 7),
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_guarded_contains_panics() {
+        let cancel = AtomicBool::new(false);
+        let prev = panic::take_hook();
+        panic::set_hook(Box::new(|_| {})); // silence the expected panic
+        let outcome = run_guarded::<(), _>("boom", None, &cancel, || panic!("kaboom"));
+        panic::set_hook(prev);
+        match outcome {
+            GuardedOutcome::Finished(Err(RunError::Panicked { label, .. })) => {
+                assert_eq!(label, "boom");
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
+    }
+
+    #[test]
+    fn run_guarded_times_out_and_cancels() {
+        let cancel = AtomicBool::new(false);
+        let outcome =
+            run_guarded::<(), _>("slow", Some(Duration::from_millis(30)), &cancel, || {
+                thread::sleep(Duration::from_secs(30));
+                Ok(())
+            });
+        assert!(matches!(
+            outcome,
+            GuardedOutcome::Finished(Err(RunError::TimedOut { .. }))
+        ));
+
+        let cancel = AtomicBool::new(true); // pre-cancelled
+        let outcome = run_guarded::<(), _>("gone", None, &cancel, || {
+            thread::sleep(Duration::from_secs(30));
+            Ok(())
+        });
+        assert!(matches!(outcome, GuardedOutcome::Cancelled));
     }
 
     #[test]

@@ -7,13 +7,10 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, LazyLock, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, LazyLock, Mutex};
+use std::time::Instant;
 
-use llc_sharing::RunError;
 use llc_telemetry::metrics::{global, Counter};
 
 use crate::spec::JobSpec;
@@ -273,92 +270,6 @@ impl JobTable {
     }
 }
 
-/// The outcome of a cancellable guarded run.
-#[derive(Debug)]
-pub enum GuardedOutcome<T> {
-    /// The work finished (with its own result or error).
-    Finished(Result<T, RunError>),
-    /// The cancel flag was raised; the worker thread was abandoned
-    /// exactly like a suite watchdog timeout (it keeps running detached
-    /// and its result is discarded).
-    Cancelled,
-}
-
-/// Runs `work` on a dedicated thread under `catch_unwind`, a watchdog
-/// *and* a cancellation flag — the daemon-side sibling of
-/// [`llc_sharing::run_guarded`], which it matches in panic/timeout
-/// semantics while additionally polling `cancel` so `DELETE /jobs/{id}`
-/// can abandon a run in progress.
-pub fn run_cancellable<T, F>(
-    label: &str,
-    timeout: Option<Duration>,
-    cancel: &AtomicBool,
-    work: F,
-) -> GuardedOutcome<T>
-where
-    T: Send + 'static,
-    F: FnOnce() -> Result<T, RunError> + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    let spawned = thread::Builder::new()
-        .name(format!("job-{label}"))
-        .spawn(move || {
-            let result = panic::catch_unwind(AssertUnwindSafe(work));
-            // The receiver may be gone after a cancel/timeout; that is fine.
-            let _ = tx.send(result);
-        });
-    let handle = match spawned {
-        Ok(h) => h,
-        Err(e) => {
-            return GuardedOutcome::Finished(Err(RunError::Io {
-                context: format!("spawning job thread for {label}"),
-                source: e,
-            }))
-        }
-    };
-    let started = Instant::now();
-    let received = loop {
-        if cancel.load(Ordering::Relaxed) {
-            drop(handle); // abandon the worker; see GuardedOutcome::Cancelled
-            return GuardedOutcome::Cancelled;
-        }
-        if let Some(limit) = timeout {
-            if started.elapsed() >= limit {
-                drop(handle);
-                return GuardedOutcome::Finished(Err(RunError::TimedOut {
-                    label: label.to_string(),
-                    limit,
-                }));
-            }
-        }
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(r) => break r,
-            Err(mpsc::RecvTimeoutError::Timeout) => continue,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return GuardedOutcome::Finished(Err(RunError::Panicked {
-                    label: label.to_string(),
-                    reason: "worker thread exited without reporting".into(),
-                }))
-            }
-        }
-    };
-    let _ = handle.join(); // already reported; join cannot block long
-    GuardedOutcome::Finished(match received {
-        Ok(result) => result,
-        Err(payload) => {
-            let reason = payload
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "opaque panic payload".into());
-            Err(RunError::Panicked {
-                label: label.to_string(),
-                reason,
-            })
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,50 +348,5 @@ mod tests {
             vec![a.id]
         );
         assert_eq!(table.running_ids(), vec![b.id]);
-    }
-
-    #[test]
-    fn run_cancellable_passes_results_through() {
-        let cancel = AtomicBool::new(false);
-        match run_cancellable("ok", None, &cancel, || Ok(7)) {
-            GuardedOutcome::Finished(Ok(n)) => assert_eq!(n, 7),
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_cancellable_contains_panics() {
-        let cancel = AtomicBool::new(false);
-        let prev = panic::take_hook();
-        panic::set_hook(Box::new(|_| {})); // silence the expected panic
-        let outcome = run_cancellable::<(), _>("boom", None, &cancel, || panic!("kaboom"));
-        panic::set_hook(prev);
-        match outcome {
-            GuardedOutcome::Finished(Err(RunError::Panicked { label, .. })) => {
-                assert_eq!(label, "boom");
-            }
-            other => panic!("unexpected outcome {other:?}"),
-        }
-    }
-
-    #[test]
-    fn run_cancellable_times_out_and_cancels() {
-        let cancel = AtomicBool::new(false);
-        let outcome =
-            run_cancellable::<(), _>("slow", Some(Duration::from_millis(30)), &cancel, || {
-                thread::sleep(Duration::from_secs(30));
-                Ok(())
-            });
-        assert!(matches!(
-            outcome,
-            GuardedOutcome::Finished(Err(RunError::TimedOut { .. }))
-        ));
-
-        let cancel = AtomicBool::new(true); // pre-cancelled
-        let outcome = run_cancellable::<(), _>("gone", None, &cancel, || {
-            thread::sleep(Duration::from_secs(30));
-            Ok(())
-        });
-        assert!(matches!(outcome, GuardedOutcome::Cancelled));
     }
 }

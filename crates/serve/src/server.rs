@@ -46,7 +46,10 @@ use std::time::{Duration, Instant};
 
 use llc_dag::{Manifest, NodeKind, Plan};
 use llc_sharing::json::{self, Value};
-use llc_sharing::{plan_experiment, run_experiment, scoped_workers, StreamCache, Table};
+use llc_sharing::{
+    plan_experiment, run_experiment, run_guarded, scoped_workers, GuardedOutcome, StreamCache,
+    Table,
+};
 use llc_telemetry::metrics::{global, Counter, Gauge, Histogram, TIME_BOUNDS};
 use llc_telemetry::spans;
 use llc_trace::{atomic_write, LoadError};
@@ -54,7 +57,7 @@ use llc_trace::{atomic_write, LoadError};
 use crate::chaos::{ChaosPlan, ChaosPoint};
 use crate::gc;
 use crate::http::{read_request_deadline, write_response, Request, Response};
-use crate::jobs::{run_cancellable, GuardedOutcome, JobId, JobRecord, JobState, JobTable};
+use crate::jobs::{JobId, JobRecord, JobState, JobTable};
 use crate::sessions::SessionTable;
 use crate::spec::JobSpec;
 use crate::store::Store;
@@ -1226,7 +1229,7 @@ fn execute_job(state: &ServerState, id: JobId) {
         (None, _) => false,
     };
     let chaos_panic = state.chaos_fires(ChaosPoint::WorkerPanic);
-    let outcome = run_cancellable(&label, limit, &job.cancel, move || {
+    let outcome = run_guarded(&label, limit, &job.cancel, move || {
         if chaos_panic {
             panic!("chaos: injected worker panic");
         }
