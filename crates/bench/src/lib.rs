@@ -15,10 +15,11 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use llc_serve::cli::ArgCursor;
+use llc_serve::JobSpec;
 use llc_sharing::{
     run_suite, ExperimentCtx, ExperimentId, ExperimentOutcome, RunError, SuiteConfig,
 };
-use llc_trace::{App, Scale};
 
 /// Parsed command line of the `repro` binary.
 #[derive(Debug, Clone)]
@@ -51,6 +52,12 @@ impl std::fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError(message)
+    }
+}
+
 /// Usage string printed on `--help` or a parse error.
 pub const USAGE: &str = "\
 usage: repro [OPTIONS] <experiment>... | all | list
@@ -60,7 +67,8 @@ experiments: table1 table2 fig1..fig12 table3 abl1..abl5 (see `repro list`)
 options:
   --ctx <paper|quick|test>   machine + workload scale preset (default: paper)
   --scale <tiny|small|medium|large>  override the workload scale
-  --apps <a,b,c>             restrict to a comma-separated app subset
+  --apps <a,b,c>             restrict to a comma-separated app subset (run in
+                             suite order, duplicates dropped)
   --threads <n>              override the core/thread count
   --out <path>               checkpoint completed experiments to a JSON manifest
   --resume                   replay completed experiments from the --out manifest
@@ -75,16 +83,22 @@ options:
   -h, --help                 show this help
 
 service mode: repro serve | submit | status | watch | result | cancel | stats | stop
-              (see `repro serve --help`)
+              (see `repro serve --help`); `repro submit` resolves the run flags
+              exactly as above, so both modes print byte-identical tables
 ";
 
-/// Parses the `repro` command line.
+/// Parses the `repro` command line. The run flags (`--ctx`, `--scale`,
+/// `--threads`, `--apps`) fill a [`JobSpec`] and the context comes from
+/// [`JobSpec::build_ctx`], so the same flags resolve to the same context
+/// here and under `repro submit`.
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] describing the first invalid argument.
 pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliError> {
-    let mut ctx = ExperimentCtx::paper();
+    let mut args = ArgCursor::new(args);
+    // The spec's experiment is a placeholder: the batch runs `ids`.
+    let mut spec = JobSpec::new(ExperimentId::Table1, "paper");
     let mut ids: Vec<ExperimentId> = Vec::new();
     let mut list = false;
     // The CLI defaults to all cores (`--jobs 0`); the library-level
@@ -96,102 +110,31 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
     let mut resume = false;
     let mut stream_cache_mb: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
+    while let Some(arg) = args.next() {
+        if spec.parse_run_flag(&arg, &mut args)? {
+            continue;
+        }
         match arg.as_str() {
             "--ctx" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--ctx needs a value".into()))?;
-                ctx = match v.as_str() {
-                    "paper" => ExperimentCtx::paper(),
-                    "quick" => ExperimentCtx::quick(),
-                    "test" => ExperimentCtx::test(),
-                    other => return Err(CliError(format!("unknown ctx preset '{other}'"))),
-                };
-            }
-            "--scale" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--scale needs a value".into()))?;
-                ctx.scale =
-                    Scale::parse(&v).ok_or_else(|| CliError(format!("unknown scale '{v}'")))?;
-            }
-            "--apps" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--apps needs a value".into()))?;
-                let mut apps = Vec::new();
-                for name in v.split(',') {
-                    apps.push(
-                        App::parse(name.trim())
-                            .ok_or_else(|| CliError(format!("unknown app '{name}'")))?,
-                    );
+                let v = args.value("--ctx")?;
+                if ExperimentCtx::preset(&v).is_none() {
+                    return Err(CliError(format!("unknown ctx preset '{v}'")));
                 }
-                if apps.is_empty() {
-                    return Err(CliError("--apps needs at least one app".into()));
-                }
-                ctx.apps = apps;
+                // A preset starts over: overrides given before it are dropped.
+                spec = JobSpec::new(spec.experiment, &v);
             }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--threads needs a value".into()))?;
-                ctx.cores = v
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|&n| n > 0 && n <= llc_sim::MAX_CORES)
-                    .ok_or_else(|| CliError(format!("bad thread count '{v}'")))?;
-            }
-            "--out" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--out needs a path".into()))?;
-                suite.manifest_path = Some(PathBuf::from(v));
-            }
+            "--out" => suite.manifest_path = Some(args.value("--out")?.into()),
             "--resume" => resume = true,
             "--timeout" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--timeout needs seconds".into()))?;
-                let secs = v
-                    .parse::<u64>()
-                    .map_err(|_| CliError(format!("bad timeout '{v}'")))?;
+                let secs = args.num("--timeout", "timeout", ..)?;
                 suite.timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--retries" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--retries needs a count".into()))?;
-                suite.io_retries = v
-                    .parse::<u32>()
-                    .map_err(|_| CliError(format!("bad retry count '{v}'")))?;
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--jobs needs a count".into()))?;
-                suite.jobs = v
-                    .parse::<usize>()
-                    .map_err(|_| CliError(format!("bad job count '{v}'")))?;
-            }
+            "--retries" => suite.io_retries = args.num("--retries", "retry count", ..)?,
+            "--jobs" => suite.jobs = args.num("--jobs", "job count", ..)?,
             "--stream-cache-mb" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--stream-cache-mb needs a size".into()))?;
-                stream_cache_mb = Some(
-                    v.parse::<u64>()
-                        .ok()
-                        .filter(|&n| n > 0)
-                        .ok_or_else(|| CliError(format!("bad cache size '{v}'")))?,
-                );
+                stream_cache_mb = Some(args.num("--stream-cache-mb", "cache size", 1..)?);
             }
-            "--trace-out" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| CliError("--trace-out needs a path".into()))?;
-                trace_out = Some(PathBuf::from(v));
-            }
+            "--trace-out" => trace_out = Some(args.value("--trace-out")?.into()),
             "-h" | "--help" => return Err(CliError(USAGE.into())),
             "list" => list = true,
             "all" => ids.extend(ExperimentId::ALL),
@@ -210,16 +153,11 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
     ids.dedup();
     // Bound the shared stream cache: an explicit --stream-cache-mb wins,
     // otherwise the default is sized off the suite's concurrency.
-    let effective_jobs = if suite.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        suite.jobs
-    };
-    let limit = stream_cache_mb
-        .map(|mb| mb << 20)
-        .unwrap_or_else(|| llc_sharing::StreamCache::default_limit(effective_jobs));
+    let limit = stream_cache_mb.map_or_else(
+        || llc_sharing::StreamCache::default_limit(suite.effective_jobs()),
+        |mb| mb << 20,
+    );
+    let ctx = spec.build_ctx();
     ctx.streams.set_limit(Some(limit));
     Ok(Cli {
         ids,
@@ -317,6 +255,7 @@ pub fn run_cli(cli: &Cli) -> Result<(String, usize), RunError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llc_trace::App;
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -341,6 +280,19 @@ mod tests {
         let cli = parse_cli(args("--apps fft,water --threads 4 fig1")).unwrap();
         assert_eq!(cli.ctx.apps, vec![App::Fft, App::Water]);
         assert_eq!(cli.ctx.cores, 4);
+        // Duplicated, out-of-order apps resolve exactly like the daemon's
+        // job spec: suite order, each app once.
+        let cli = parse_cli(args("--ctx test --apps fft,dedup,fft --threads 2 fig7")).unwrap();
+        let daemon = JobSpec::from_json_text(
+            r#"{"experiment":"fig7","preset":"test","apps":["fft","dedup","fft"],"threads":2}"#,
+        )
+        .unwrap()
+        .build_ctx();
+        assert_eq!(cli.ctx.apps, daemon.apps);
+        assert_eq!(cli.ctx.apps, vec![App::Dedup, App::Fft]);
+        assert_eq!(cli.ctx.cores, daemon.cores);
+        assert_eq!(cli.ctx.scale, daemon.scale);
+        assert_eq!(cli.ctx.llc_capacities, daemon.llc_capacities);
     }
 
     #[test]

@@ -93,6 +93,18 @@ impl ExperimentCtx {
         }
     }
 
+    /// The preset named `name` (`paper`, `quick` or `test`), or `None`
+    /// for any other name — the one preset table both `repro` front ends
+    /// and the daemon's job specs resolve through.
+    pub fn preset(name: &str) -> Option<Self> {
+        match name {
+            "paper" => Some(Self::paper()),
+            "quick" => Some(Self::quick()),
+            "test" => Some(Self::test()),
+            _ => None,
+        }
+    }
+
     /// The hierarchy for one LLC capacity (non-inclusive by default; see
     /// [`ExperimentCtx::config_inclusive`]).
     ///

@@ -8,22 +8,31 @@
 //! ```
 //!
 //! Everything speaks the daemon's JSON API through [`Client`]; `serve`
-//! hosts the daemon in-process. Both sides resolve a submission through
-//! the same [`JobSpec`] → `ExperimentCtx` path the batch runner uses.
+//! hosts the daemon in-process. The batch runner (`llc_bench::parse_cli`)
+//! and `repro submit` read their flags through one [`ArgCursor`] and
+//! their run flags through [`JobSpec::parse_run_flag`], and both resolve
+//! the context through [`JobSpec::build_ctx`]: `--apps` is put in suite
+//! order with duplicates dropped, so the same flags print byte-identical
+//! tables in batch mode and from the daemon.
 
+use std::ops::RangeBounds;
 use std::path::PathBuf;
+use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
 use llc_ingest::{ingest_fingerprint, IngestFormat, IngestSource};
 use llc_sharing::json::{table_from_json, Value};
+use llc_sharing::{ExperimentCtx, ExperimentId};
 use llc_sim::HierarchyConfig;
-use llc_trace::{atomic_write, App, Scale};
+use llc_trace::atomic_write;
 
+use crate::chaos::ChaosPlan;
 use crate::client::{job_id_of, Client};
 use crate::gc;
 use crate::jobs::JobId;
 use crate::server::{Server, ServerConfig};
-use crate::spec::JobSpec;
+use crate::spec::{JobSpec, DEADLINE_SECS};
 use crate::store::Store;
 use crate::ServeError;
 
@@ -51,7 +60,9 @@ service subcommands:
               [--threads N] [--apps a,b,c] [--deadline SECS]
               [--addr ADDR] [--watch]
       submit a job (with --watch: wait and print its tables;
-      --deadline bounds the job's queue + run time server-side)
+      --deadline bounds the job's queue + run time server-side);
+      the run flags resolve exactly as in batch mode (--apps in suite
+      order, duplicates dropped), so the tables are byte-identical
   repro status <id>   [--addr ADDR]   job state
   repro watch  <id>   [--addr ADDR] [--deadline SECS]   wait for a job
   repro result <id>   [--addr ADDR]   print a finished job's tables
@@ -190,6 +201,55 @@ pub fn is_serve_verb(verb: &str) -> bool {
     )
 }
 
+/// A cursor over command-line arguments: the one flag reader of the
+/// batch runner and the service subcommands. Iterating yields the next
+/// token; [`ArgCursor::value`] and [`ArgCursor::num`] take a flag's value.
+#[derive(Debug)]
+pub struct ArgCursor(std::vec::IntoIter<String>);
+
+impl ArgCursor {
+    /// A cursor positioned before the first of `args`.
+    pub fn new(args: impl IntoIterator<Item = String>) -> ArgCursor {
+        ArgCursor(args.into_iter().collect::<Vec<_>>().into_iter())
+    }
+
+    /// Takes the value following `flag`.
+    ///
+    /// # Errors
+    ///
+    /// `"{flag} needs a value"` when the arguments end first.
+    pub fn value(&mut self, flag: &str) -> Result<String, String> {
+        self.0.next().ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// Takes the value following `flag` as a number inside `range`.
+    ///
+    /// # Errors
+    ///
+    /// `"bad {what} '{value}'"` when the value does not parse or falls
+    /// outside `range`, or the [`ArgCursor::value`] error when it is missing.
+    pub fn num<T: FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        range: impl RangeBounds<T>,
+    ) -> Result<T, String> {
+        let v = self.value(flag)?;
+        v.parse()
+            .ok()
+            .filter(|n| range.contains(n))
+            .ok_or_else(|| format!("bad {what} '{v}'"))
+    }
+}
+
+impl Iterator for ArgCursor {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.0.next()
+    }
+}
+
 /// Parses a service subcommand (the first argument must satisfy
 /// [`is_serve_verb`]).
 ///
@@ -199,89 +259,48 @@ pub fn is_serve_verb(verb: &str) -> bool {
 /// invalid argument.
 pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
     let (verb, rest) = args.split_first().ok_or(USAGE)?;
+    let mut args = ArgCursor::new(rest.iter().cloned());
     let mut addr = DEFAULT_ADDR.to_string();
     let mut positional: Vec<String> = Vec::new();
+    let unknown = |flag: &str| format!("unknown {verb} flag '{flag}'\n\n{USAGE}");
     match verb.as_str() {
         "serve" => {
             let mut config = ServerConfig::new(DEFAULT_ADDR, DEFAULT_STORE);
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-                };
+            while let Some(arg) = args.next() {
                 match arg.as_str() {
-                    "--listen" => config.listen = value("--listen")?,
-                    "--store" => config.store_dir = value("--store")?.into(),
-                    "--jobs" => {
-                        let v = value("--jobs")?;
-                        config.jobs = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad job count '{v}'"))?;
-                    }
+                    "--listen" => config.listen = args.value("--listen")?,
+                    "--store" => config.store_dir = args.value("--store")?.into(),
+                    "--jobs" => config.jobs = args.num("--jobs", "job count", 1..)?,
                     "--timeout" => {
-                        let v = value("--timeout")?;
-                        let secs = v.parse::<u64>().map_err(|_| format!("bad timeout '{v}'"))?;
+                        let secs = args.num("--timeout", "timeout", ..)?;
                         config.timeout = (secs > 0).then(|| Duration::from_secs(secs));
                     }
                     "--stream-cache-mb" => {
-                        let v = value("--stream-cache-mb")?;
-                        let mb = v
-                            .parse::<u64>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad cache size '{v}'"))?;
+                        let mb: u64 = args.num("--stream-cache-mb", "cache size", 1..)?;
                         config.stream_cache_limit = Some(mb << 20);
                     }
                     "--max-queue" => {
-                        let v = value("--max-queue")?;
-                        config.max_queue = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad queue bound '{v}'"))?;
+                        config.max_queue = args.num("--max-queue", "queue bound", 1..)?;
                     }
                     "--max-inflight" => {
-                        let v = value("--max-inflight")?;
-                        config.max_inflight = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad in-flight bound '{v}'"))?;
+                        config.max_inflight = args.num("--max-inflight", "in-flight bound", 1..)?;
                     }
                     "--max-conns" => {
-                        let v = value("--max-conns")?;
-                        config.max_connections = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad connection bound '{v}'"))?;
+                        config.max_connections =
+                            args.num("--max-conns", "connection bound", 1..)?;
                     }
                     "--grace" => {
-                        let v = value("--grace")?;
-                        let secs = v.parse::<u64>().map_err(|_| format!("bad grace '{v}'"))?;
-                        config.grace = Duration::from_secs(secs);
+                        config.grace = Duration::from_secs(args.num("--grace", "grace", ..)?);
                     }
                     "--store-cap-mb" => {
-                        let v = value("--store-cap-mb")?;
-                        let mb = v
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad store cap '{v}'"))?;
+                        let mb: u64 = args.num("--store-cap-mb", "store cap", ..)?;
                         config.store_cap = Some(mb << 20);
                     }
                     "--chaos-seed" => {
-                        let v = value("--chaos-seed")?;
-                        let seed = v
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad chaos seed '{v}'"))?;
-                        config.chaos = Some(std::sync::Arc::new(
-                            crate::chaos::ChaosPlan::from_seed(seed),
-                        ));
+                        let seed = args.num("--chaos-seed", "chaos seed", ..)?;
+                        config.chaos = Some(Arc::new(ChaosPlan::from_seed(seed)));
                     }
-                    other => return Err(format!("unknown serve flag '{other}'\n\n{USAGE}")),
+                    other => return Err(unknown(other)),
                 }
             }
             return Ok(ServeCommand::Serve(config));
@@ -290,24 +309,14 @@ pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
             let mut store = PathBuf::from(DEFAULT_STORE);
             let mut cap = None;
             let mut verify = false;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-                };
+            while let Some(arg) = args.next() {
                 match arg.as_str() {
-                    "--store" => store = value("--store")?.into(),
+                    "--store" => store = args.value("--store")?.into(),
                     "--store-cap-mb" => {
-                        let v = value("--store-cap-mb")?;
-                        let mb = v
-                            .parse::<u64>()
-                            .map_err(|_| format!("bad store cap '{v}'"))?;
-                        cap = Some(mb << 20);
+                        cap = Some(args.num::<u64>("--store-cap-mb", "store cap", ..)? << 20);
                     }
                     "--verify" => verify = true,
-                    other => return Err(format!("unknown gc flag '{other}'\n\n{USAGE}")),
+                    other => return Err(unknown(other)),
                 }
             }
             if cap.is_none() && !verify {
@@ -324,43 +333,23 @@ pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
             let mut store = None;
             let mut out = None;
             let mut replay = false;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-                };
+            while let Some(arg) = args.next() {
                 match arg.as_str() {
                     "--format" => {
-                        let v = value("--format")?;
+                        let v = args.value("--format")?;
                         format = Some(
                             IngestFormat::from_name(&v)
                                 .ok_or_else(|| format!("unknown ingest format '{v}'"))?,
                         );
                     }
                     "--cores" => {
-                        let v = value("--cores")?;
-                        cores = v
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|&n| n > 0 && n <= llc_sim::MAX_CORES)
-                            .ok_or_else(|| format!("bad core count '{v}'"))?;
+                        cores = args.num("--cores", "core count", 1..=llc_sim::MAX_CORES)?;
                     }
-                    "--llc-mib" => {
-                        let v = value("--llc-mib")?;
-                        llc_mib = v
-                            .parse::<u64>()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| format!("bad LLC size '{v}'"))?;
-                    }
-                    "--store" => store = Some(PathBuf::from(value("--store")?)),
-                    "--out" => out = Some(PathBuf::from(value("--out")?)),
+                    "--llc-mib" => llc_mib = args.num("--llc-mib", "LLC size", 1..)?,
+                    "--store" => store = Some(PathBuf::from(args.value("--store")?)),
+                    "--out" => out = Some(PathBuf::from(args.value("--out")?)),
                     "--replay" => replay = true,
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown ingest flag '{other}'\n\n{USAGE}"));
-                    }
+                    other if other.starts_with("--") => return Err(unknown(other)),
                     other => positional.push(other.to_string()),
                 }
             }
@@ -385,19 +374,11 @@ pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
         "explain" => {
             let mut store = PathBuf::from(DEFAULT_STORE);
             let mut explain_addr = None;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-                };
+            while let Some(arg) = args.next() {
                 match arg.as_str() {
-                    "--store" => store = value("--store")?.into(),
-                    "--addr" => explain_addr = Some(value("--addr")?),
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown explain flag '{other}'\n\n{USAGE}"));
-                    }
+                    "--store" => store = args.value("--store")?.into(),
+                    "--addr" => explain_addr = Some(args.value("--addr")?),
+                    other if other.starts_with("--") => return Err(unknown(other)),
                     other => positional.push(other.to_string()),
                 }
             }
@@ -411,64 +392,24 @@ pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
             });
         }
         "submit" => {
-            let mut preset = "paper".to_string();
-            let mut scale = None;
-            let mut threads = None;
-            let mut apps = None;
-            let mut deadline_secs = None;
+            let mut spec = JobSpec::new(ExperimentId::Table1, "paper");
             let mut watch = false;
-            let mut it = rest.iter();
-            while let Some(arg) = it.next() {
-                let mut value = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-                };
+            while let Some(arg) = args.next() {
+                if spec.parse_run_flag(&arg, &mut args)? {
+                    continue;
+                }
                 match arg.as_str() {
-                    "--addr" => addr = value("--addr")?,
+                    "--addr" => addr = args.value("--addr")?,
                     "--preset" => {
-                        let v = value("--preset")?;
-                        if !matches!(v.as_str(), "paper" | "quick" | "test") {
+                        let v = args.value("--preset")?;
+                        if ExperimentCtx::preset(&v).is_none() {
                             return Err(format!("unknown preset '{v}'"));
                         }
-                        preset = v;
-                    }
-                    "--scale" => {
-                        let v = value("--scale")?;
-                        scale =
-                            Some(Scale::parse(&v).ok_or_else(|| format!("unknown scale '{v}'"))?);
-                    }
-                    "--threads" => {
-                        let v = value("--threads")?;
-                        threads = Some(
-                            v.parse::<usize>()
-                                .ok()
-                                .filter(|&n| n > 0 && n <= llc_sim::MAX_CORES)
-                                .ok_or_else(|| format!("bad thread count '{v}'"))?,
-                        );
-                    }
-                    "--apps" => {
-                        let v = value("--apps")?;
-                        let mut parsed = Vec::new();
-                        for name in v.split(',') {
-                            parsed.push(
-                                App::parse(name.trim())
-                                    .ok_or_else(|| format!("unknown app '{name}'"))?,
-                            );
-                        }
-                        if parsed.is_empty() {
-                            return Err("--apps needs at least one app".into());
-                        }
-                        apps = Some(parsed);
+                        spec.preset = v;
                     }
                     "--deadline" => {
-                        let v = value("--deadline")?;
-                        deadline_secs = Some(
-                            v.parse::<u64>()
-                                .ok()
-                                .filter(|&n| (1..=86_400).contains(&n))
-                                .ok_or_else(|| format!("bad deadline '{v}'"))?,
-                        );
+                        spec.deadline_secs =
+                            Some(args.num("--deadline", "deadline", DEADLINE_SECS)?);
                     }
                     "--watch" => watch = true,
                     other => positional.push(other.to_string()),
@@ -477,37 +418,19 @@ pub fn parse(args: &[String]) -> Result<ServeCommand, String> {
             let [experiment] = positional.as_slice() else {
                 return Err(format!("submit needs exactly one experiment\n\n{USAGE}"));
             };
-            let experiment = llc_sharing::ExperimentId::parse(experiment)
+            spec.experiment = ExperimentId::parse(experiment)
                 .ok_or_else(|| format!("unknown experiment '{experiment}'"))?;
-            let spec = JobSpec {
-                experiment,
-                preset,
-                scale,
-                threads,
-                apps,
-                deadline_secs,
-            };
             return Ok(ServeCommand::Submit { addr, spec, watch });
         }
         _ => {}
     }
     // The remaining verbs share the `[id] --addr --deadline` shape.
     let mut deadline = Duration::from_secs(3600);
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value\n\n{USAGE}"))
-        };
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
+            "--addr" => addr = args.value("--addr")?,
             "--deadline" => {
-                let v = value("--deadline")?;
-                deadline = Duration::from_secs(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("bad deadline '{v}'"))?,
-                );
+                deadline = Duration::from_secs(args.num("--deadline", "deadline", ..)?);
             }
             other => positional.push(other.to_string()),
         }

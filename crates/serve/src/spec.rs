@@ -2,12 +2,29 @@
 //! validation, and the stable fingerprint that content-addresses the
 //! resulting tables in the persistent store.
 
+use std::ops::RangeInclusive;
+
 use llc_sharing::json::{self, Value};
 use llc_sharing::{ExperimentCtx, ExperimentId};
-use llc_sim::Fold;
+use llc_sim::{Fold, MAX_CORES};
 use llc_trace::{App, Scale};
 
+use crate::cli::ArgCursor;
 use crate::ServeError;
+
+/// The accepted range of a job's `deadline_secs` (and of `repro submit --deadline`).
+pub(crate) const DEADLINE_SECS: RangeInclusive<u64> = 1..=86_400;
+
+/// `apps` in suite ([`App::ALL`]) order with duplicates dropped — the
+/// canonical app list, so `dedup,fft` and `fft,fft,dedup` name one run
+/// (one fingerprint, one wire form, one MEAN row).
+fn suite_order(apps: &[App]) -> Vec<App> {
+    App::ALL
+        .iter()
+        .copied()
+        .filter(|a| apps.contains(a))
+        .collect()
+}
 
 /// A fully-validated job submission.
 ///
@@ -96,7 +113,7 @@ impl JobSpec {
                     let s = value
                         .as_str()
                         .ok_or_else(|| bad("\"preset\" must be a string".into()))?;
-                    if !matches!(s, "paper" | "quick" | "test") {
+                    if ExperimentCtx::preset(s).is_none() {
                         return Err(bad(format!("unknown preset {s:?}")));
                     }
                     spec.preset = s.to_string();
@@ -111,12 +128,9 @@ impl JobSpec {
                 "threads" => {
                     let n = value
                         .as_u64()
-                        .filter(|&n| n > 0 && n <= llc_sim::MAX_CORES as u64)
+                        .filter(|&n| n > 0 && n <= MAX_CORES as u64)
                         .ok_or_else(|| {
-                            bad(format!(
-                                "\"threads\" must be an integer in 1..={}",
-                                llc_sim::MAX_CORES
-                            ))
+                            bad(format!("\"threads\" must be an integer in 1..={MAX_CORES}"))
                         })?;
                     spec.threads = Some(n as usize);
                 }
@@ -134,20 +148,12 @@ impl JobSpec {
                     if apps.is_empty() {
                         return Err(bad("\"apps\" must name at least one app".into()));
                     }
-                    // Canonicalize: suite order, deduplicated, so
-                    // ["dedup","fft"] and ["fft","fft","dedup"] share
-                    // one fingerprint and one wire form.
-                    let ordered: Vec<App> = App::ALL
-                        .iter()
-                        .copied()
-                        .filter(|a| apps.contains(a))
-                        .collect();
-                    spec.apps = Some(ordered);
+                    spec.apps = Some(suite_order(&apps));
                 }
                 "deadline_secs" => {
                     let n = value
                         .as_u64()
-                        .filter(|&n| (1..=86_400).contains(&n))
+                        .filter(|n| DEADLINE_SECS.contains(n))
                         .ok_or_else(|| {
                             bad("\"deadline_secs\" must be an integer in 1..=86400".into())
                         })?;
@@ -160,6 +166,38 @@ impl JobSpec {
             return Err(bad("job spec is missing \"experiment\"".into()));
         }
         Ok(spec)
+    }
+
+    /// Reads one run-override flag of the `repro` command lines —
+    /// `--scale`, `--threads` or `--apps`, its value taken from `args` —
+    /// into the spec, and returns `Ok(false)` for any other flag. The
+    /// batch runner and `repro submit` both parse these flags here, with
+    /// `--apps` canonicalized exactly as [`JobSpec::from_json`] does, so
+    /// the same flags resolve to the same context on either path.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag's missing or invalid value.
+    pub fn parse_run_flag(&mut self, flag: &str, args: &mut ArgCursor) -> Result<bool, String> {
+        match flag {
+            "--scale" => {
+                let v = args.value(flag)?;
+                self.scale = Some(Scale::parse(&v).ok_or_else(|| format!("unknown scale '{v}'"))?);
+            }
+            "--threads" => self.threads = Some(args.num(flag, "thread count", 1..=MAX_CORES)?),
+            "--apps" => {
+                let v = args.value(flag)?;
+                let apps = v
+                    .split(',')
+                    .map(|name| {
+                        App::parse(name.trim()).ok_or_else(|| format!("unknown app '{name}'"))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                self.apps = Some(suite_order(&apps));
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Encodes the spec in its canonical wire form (fields in a fixed
@@ -197,11 +235,7 @@ impl JobSpec {
     /// Builds the execution context this spec resolves to: the preset,
     /// with overrides applied.
     pub fn build_ctx(&self) -> ExperimentCtx {
-        let mut ctx = match self.preset.as_str() {
-            "quick" => ExperimentCtx::quick(),
-            "test" => ExperimentCtx::test(),
-            _ => ExperimentCtx::paper(),
-        };
+        let mut ctx = ExperimentCtx::preset(&self.preset).unwrap_or_else(ExperimentCtx::paper);
         if let Some(scale) = self.scale {
             ctx.scale = scale;
         }
