@@ -446,17 +446,18 @@ where
             drop(handle); // abandon the worker; see the function docs
             return GuardedOutcome::Cancelled;
         }
-        let wait = match timeout.map(|limit| (limit, limit.saturating_sub(started.elapsed()))) {
-            Some((limit, left)) if left.is_zero() => {
+        let mut wait = CANCEL_POLL;
+        if let Some(limit) = timeout {
+            let left = limit.saturating_sub(started.elapsed());
+            if left.is_zero() {
                 drop(handle);
                 return GuardedOutcome::Finished(Err(RunError::TimedOut {
                     label: label.to_string(),
                     limit,
                 }));
             }
-            Some((_, left)) => left.min(CANCEL_POLL),
-            None => CANCEL_POLL,
-        };
+            wait = wait.min(left);
+        }
         match rx.recv_timeout(wait) {
             Ok(r) => break r,
             Err(mpsc::RecvTimeoutError::Timeout) => continue,
