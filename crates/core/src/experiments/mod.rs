@@ -9,12 +9,14 @@ mod phases;
 pub(crate) mod policies;
 mod predictor;
 
+use std::sync::Arc;
+
 use llc_dag::DagStore;
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
-use llc_trace::{App, Scale};
+use llc_trace::{App, RecordedStream, Scale};
 
 use crate::error::RunError;
-use crate::replay::{CachedStream, StreamCache, StreamKey, WorkloadId};
+use crate::replay::{StreamCache, StreamKey, WorkloadId};
 use crate::report::Table;
 
 /// Shared parameters of an experiment run.
@@ -172,7 +174,11 @@ impl ExperimentCtx {
     /// # Errors
     ///
     /// Propagates [`crate::replay::record_stream`] errors.
-    pub fn stream(&self, app: App, config: &HierarchyConfig) -> Result<CachedStream, RunError> {
+    pub fn stream(
+        &self,
+        app: App,
+        config: &HierarchyConfig,
+    ) -> Result<Arc<RecordedStream>, RunError> {
         self.streams
             .get_or_record(self.stream_key(app, config), || self.workload(app))
     }

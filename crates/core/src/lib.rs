@@ -74,8 +74,8 @@ pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
     compute_annotations, record_stream, register_stream, replay, replay_kind, replay_on,
-    set_host_thread_override, Annotations, CachedAccessIter, CachedStream, Exec, StreamCache,
-    StreamCacheStats, StreamKey, WorkloadId,
+    set_host_thread_override, Annotations, Exec, StreamCache, StreamCacheStats, StreamKey,
+    WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{

@@ -11,9 +11,11 @@
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
 //!    the store or computed once with the fused backward scan and
 //!    persisted.
-//! 3. The replay executes through [`replay`] with the resolved
-//!    annotations injected, and the result is persisted as a new replay
-//!    node.
+//! 3. The replay executes through [`replay`] over the stream cache's
+//!    owned [`RecordedStream`] — the one replayable type, whether it was
+//!    recorded in this process or decoded from a `.llcs` file — with the
+//!    resolved annotations injected, and the result is persisted as a new
+//!    replay node.
 //!
 //! Bit-identity holds by construction: a replay node stores the exact
 //! counters of the run that produced it, and annotation artifacts store
@@ -29,11 +31,11 @@ use std::sync::Arc;
 
 use llc_dag::{annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc};
 use llc_sim::HierarchyConfig;
-use llc_trace::{App, StreamAccess};
+use llc_trace::{App, RecordedStream};
 
 use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
-use crate::replay::{compute_annotations, replay, Annotations, CachedStream, Exec};
+use crate::replay::{compute_annotations, replay, Annotations, Exec};
 use crate::runner::RunResult;
 
 /// Resolves the annotation vectors for `window` over `stream`: from the
@@ -41,9 +43,9 @@ use crate::runner::RunResult;
 /// scan (persisted back when a store is attached). The loaded artifact
 /// is shape-checked against the stream — a mismatch (which the
 /// fingerprint should make impossible) recomputes rather than corrupts.
-fn resolve_annotations<S: StreamAccess>(
+fn resolve_annotations(
     dag: Option<(&DagStore, u64)>,
-    stream: &S,
+    stream: &RecordedStream,
     window: u64,
 ) -> Annotations {
     let Some((dag, stream_fp)) = dag else {
@@ -75,38 +77,6 @@ fn resolve_annotations<S: StreamAccess>(
     ann
 }
 
-/// Runs one descriptor over `stream`, resolving any needed annotations
-/// through the DAG. Generic so the daemon path monomorphizes separately
-/// for owned streams and zero-copy views — the [`CachedStream`] enum is
-/// matched exactly once, in [`dispatch`], and the replay loops below run
-/// branch-free over the concrete representation.
-fn execute<S: StreamAccess + Sync>(
-    dag: Option<(&DagStore, u64)>,
-    config: &HierarchyConfig,
-    desc: &ReplayDesc,
-    stream: &S,
-) -> Result<RunResult, RunError> {
-    let ann = desc
-        .annotation_window()
-        .map(|window| resolve_annotations(dag, stream, window));
-    replay(config, desc, stream, ann.as_ref(), Exec::Auto, vec![])
-}
-
-/// The single point where a [`CachedStream`]'s representation is
-/// branched on: everything downstream of here is monomorphized for the
-/// concrete stream type.
-fn dispatch(
-    dag: Option<(&DagStore, u64)>,
-    config: &HierarchyConfig,
-    desc: &ReplayDesc,
-    stream: &CachedStream,
-) -> Result<RunResult, RunError> {
-    match stream {
-        CachedStream::Owned(s) => execute(dag, config, desc, &**s),
-        CachedStream::View(v) => execute(dag, config, desc, &**v),
-    }
-}
-
 impl ExperimentCtx {
     /// Replays `desc` for `app` under `config`, resolving through the
     /// attached DAG store: a cached replay node answers without loading
@@ -124,22 +94,26 @@ impl ExperimentCtx {
         config: &HierarchyConfig,
         desc: &ReplayDesc,
     ) -> Result<RunResult, RunError> {
-        let Some(dag) = &self.dag else {
-            let stream = self.stream(app, config)?;
-            return dispatch(None, config, desc, &stream);
-        };
+        let dag = self.dag.as_ref();
         let stream_fp = self.stream_key(app, config).fingerprint();
         let node_fp = replay_fp(stream_fp, desc.fingerprint());
-        if let Some(result) = dag.load_replay(node_fp) {
-            dag.record_hit(NodeKind::Replay);
-            return Ok(result);
+        if let Some(dag) = dag {
+            if let Some(result) = dag.load_replay(node_fp) {
+                dag.record_hit(NodeKind::Replay);
+                return Ok(result);
+            }
+            dag.record_miss(NodeKind::Replay);
         }
-        dag.record_miss(NodeKind::Replay);
         let stream = self.stream(app, config)?;
-        let result = dispatch(Some((dag, stream_fp)), config, desc, &stream)?;
-        dag.record_replay_executed();
-        if dag.save_replay(node_fp, &result).is_err() {
-            dag.record_disk_error();
+        let ann = desc
+            .annotation_window()
+            .map(|window| resolve_annotations(dag.map(|d| (d, stream_fp)), &stream, window));
+        let result = replay(config, desc, &stream, ann.as_ref(), Exec::Auto, vec![])?;
+        if let Some(dag) = dag {
+            dag.record_replay_executed();
+            if dag.save_replay(node_fp, &result).is_err() {
+                dag.record_disk_error();
+            }
         }
         Ok(result)
     }

@@ -506,7 +506,7 @@ mod tests {
     use super::*;
     use crate::replay::{compute_annotations, record_stream};
     use llc_sim::HierarchyConfig;
-    use llc_trace::{App, Scale, StreamAccess};
+    use llc_trace::{App, Scale};
 
     fn push_raw(c: &mut OnlineCharacterizer, core: usize, block: u64, write: bool) {
         c.push(

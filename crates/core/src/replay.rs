@@ -24,6 +24,16 @@
 //! the replay drivers refuse inclusive configurations — measured runs
 //! must fall back to full simulation there, and
 //! [`simulate`](crate::simulate) does exactly that.
+//!
+//! # One stream type
+//!
+//! Every driver here — [`replay`], [`replay_on`], the sharded driver and
+//! [`compute_annotations`] — takes a `&`[`RecordedStream`], the owned
+//! plane representation. A [`StreamCache`] hands out
+//! `Arc<RecordedStream>` whether it recorded the stream or loaded it
+//! from a store, where the `.llcs` image is validated and decoded once
+//! (see [`StreamStore::fetch`]), so there is no second representation
+//! whose replays could drift.
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -39,12 +49,7 @@ use llc_sim::{
 };
 use llc_telemetry::metrics::{global, Counter, Gauge};
 use llc_telemetry::spans;
-use llc_trace::stream::OwnedAccessIter;
-use llc_trace::view::ViewAccessIter;
-use llc_trace::{
-    AccessRecord, App, LoadError, RecordedStream, Scale, ShardIndex, ShardIndexSlot, StreamAccess,
-    StreamStore, StreamView, TraceSource, UpgradeEvent,
-};
+use llc_trace::{App, LoadError, RecordedStream, Scale, ShardIndex, StreamStore, TraceSource};
 
 use crate::budget;
 use crate::error::RunError;
@@ -63,7 +68,6 @@ struct ReplayMetrics {
     cache_evictions: Arc<Counter>,
     cache_disk_errors: Arc<Counter>,
     cache_bytes: Arc<Gauge>,
-    view_loads: Arc<Counter>,
     index_hits: Arc<Counter>,
     index_misses: Arc<Counter>,
 }
@@ -96,10 +100,6 @@ static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
     cache_bytes: global().gauge(
         "llc_stream_cache_bytes",
         "Encoded stream bytes currently held in memory across all caches",
-    ),
-    view_loads: global().counter(
-        "llc_stream_view_loads_total",
-        "Disk hits loaded as zero-copy stream views (no per-record decode)",
     ),
     // Shard indexes are memory-resident DAG nodes; their hit/miss
     // series share the llc_dag_* names so one scrape covers the graph.
@@ -263,7 +263,7 @@ fn record_stream_with<W: TraceSource, K: RecordKernel>(
     })
 }
 
-fn check_replayable<S: StreamAccess>(config: &HierarchyConfig, stream: &S) -> Result<(), RunError> {
+fn check_replayable(config: &HierarchyConfig, stream: &RecordedStream) -> Result<(), RunError> {
     config.validate().map_err(SimError::from)?;
     if config.inclusion == Inclusion::Inclusive {
         return Err(ConfigError::new(
@@ -272,10 +272,10 @@ fn check_replayable<S: StreamAccess>(config: &HierarchyConfig, stream: &S) -> Re
         )
         .into());
     }
-    if stream.fingerprint() != config.fingerprint() {
+    if stream.fingerprint != config.fingerprint() {
         return Err(ConfigError::new(format!(
             "recorded stream fingerprint {:#x} does not match hierarchy fingerprint {:#x}",
-            stream.fingerprint(),
+            stream.fingerprint,
             config.fingerprint()
         ))
         .into());
@@ -298,15 +298,13 @@ pub enum Exec {
     Shards(usize),
 }
 
-/// Replays the policy `desc` names over a recorded stream (owned
-/// [`RecordedStream`], zero-copy [`StreamView`] or cache-handle
-/// [`CachedStream`] — anything [`StreamAccess`]): the one entry point
-/// for every base policy, wrap and execution strategy. Only the LLC is
-/// simulated; the result's L1/L2 counters and instruction totals come
-/// from the recording. For any non-inclusive configuration the returned
-/// [`LlcStats`] are bit-identical to a full-hierarchy
+/// Replays the policy `desc` names over a [`RecordedStream`]: the one
+/// entry point for every base policy, wrap and execution strategy. Only
+/// the LLC is simulated; the result's L1/L2 counters and instruction
+/// totals come from the recording. For any non-inclusive configuration
+/// the returned [`LlcStats`] are bit-identical to a full-hierarchy
 /// [`simulate_on`](crate::simulate_on) of the same policy over the same
-/// workload, whichever stream representation and [`Exec`] drive it.
+/// workload, whichever [`Exec`] drives it.
 ///
 /// * `ann` supplies the descriptor's annotation vectors (see
 ///   [`ReplayDesc::annotation_window`]) when the caller already holds
@@ -317,8 +315,7 @@ pub enum Exec {
 ///   Without observers a per-set-state policy runs set-sharded when
 ///   `exec` yields more than one shard and the stream is indexable
 ///   (positions fit `u32`); global-state policies — DIP/DRRIP (PSEL),
-///   SHiP (SHCT), reactive and predictor wraps — always run
-///   sequentially.
+///   SHiP (SHCT) and predictor wraps — always run sequentially.
 ///
 /// The policy is built once per shard straight from its monomorphized
 /// constructor, so every inner loop is specialized to the concrete
@@ -328,10 +325,10 @@ pub enum Exec {
 ///
 /// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
 /// (see the module docs), or does not match the stream's fingerprint.
-pub fn replay<S: StreamAccess + Sync>(
+pub fn replay(
     config: &HierarchyConfig,
     desc: &ReplayDesc,
-    stream: &S,
+    stream: &RecordedStream,
     ann: Option<&Annotations>,
     exec: Exec,
     observers: Vec<&mut dyn LlcObserver>,
@@ -390,10 +387,10 @@ pub fn replay<S: StreamAccess + Sync>(
 /// # Errors
 ///
 /// Same conditions as [`replay`].
-pub fn replay_kind<S: StreamAccess + Sync>(
+pub fn replay_kind(
     config: &HierarchyConfig,
     kind: PolicyKind,
-    stream: &S,
+    stream: &RecordedStream,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
     replay(
@@ -422,11 +419,11 @@ pub(crate) fn aux_provider(desc: &ReplayDesc, ann: &Annotations) -> Box<dyn AuxP
 
 /// The execution decision [`replay`] makes for every descriptor, over
 /// the concrete policy type `P`.
-fn execute<P, FP, FA, S>(
+fn execute<P, FP, FA>(
     config: &HierarchyConfig,
     make_policy: &FP,
     make_aux: &FA,
-    stream: &S,
+    stream: &RecordedStream,
     exec: Exec,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError>
@@ -434,7 +431,6 @@ where
     P: ReplacementPolicy,
     FP: Fn() -> P + Sync,
     FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
-    S: StreamAccess + Sync,
 {
     if !observers.is_empty() {
         return replay_on(
@@ -481,17 +477,16 @@ where
 /// # Errors
 ///
 /// Same conditions as [`replay`].
-pub fn replay_on<P, O, S>(
+pub fn replay_on<P, O>(
     config: &HierarchyConfig,
     policy: P,
     aux: Option<Box<dyn AuxProvider>>,
-    stream: &S,
+    stream: &RecordedStream,
     obs: &mut O,
 ) -> Result<RunResult, RunError>
 where
     P: ReplacementPolicy,
     O: LlcObserver + ?Sized,
-    S: StreamAccess,
 {
     check_replayable(config, stream)?;
     let mut llc = Llc::new(config.llc, policy);
@@ -499,15 +494,14 @@ where
     if let Some(aux) = aux {
         llc.set_aux_provider(aux);
     }
-    let upgrades = stream.upgrades();
+    let upgrades = &stream.upgrades;
     let mut up = 0usize;
     // Next upgrade timestamp, hoisted so the common no-upgrade-due case
     // is one register compare per access instead of a bounds check plus
     // a load from the upgrade list.
     let mut next_at = upgrades.first().map_or(u64::MAX, |u| u.at);
-    // The stream's own access iterator: lockstep plane walks for an
-    // owned stream, in-place record decode for a view — either way the
-    // inner loop is free of bounds checks and per-record virtual calls.
+    // Lockstep plane walks: the inner loop is free of bounds checks and
+    // per-record virtual calls.
     for (i, a) in stream.accesses().enumerate() {
         // Upgrades recorded at LLC time `i` happened before access `i`.
         if i as u64 >= next_at {
@@ -530,10 +524,10 @@ where
     Ok(RunResult {
         policy: llc.policy().name(),
         llc: llc.stats(),
-        l1: stream.l1_stats(),
-        l2: stream.l2_stats(),
-        instructions: stream.instructions(),
-        trace_accesses: stream.trace_accesses(),
+        l1: stream.l1,
+        l2: stream.l2,
+        instructions: stream.instructions,
+        trace_accesses: stream.trace_accesses,
     })
 }
 
@@ -583,16 +577,15 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 /// shard-compact arrays instead of strided gathers through the full
 /// stream, which is what makes k shards on one host thread cost ~the
 /// sequential replay instead of k× its memory traffic.
-fn replay_sharded_on<P, S, FP, FA>(
+fn replay_sharded_on<P, FP, FA>(
     config: &HierarchyConfig,
     make_policy: &FP,
     make_aux: &FA,
-    stream: &S,
+    stream: &RecordedStream,
     index: &ShardIndex,
 ) -> Result<RunResult, RunError>
 where
     P: ReplacementPolicy,
-    S: StreamAccess + Sync,
     FP: Fn() -> P + Sync,
     FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
 {
@@ -616,7 +609,7 @@ where
         if let Some(aux) = make_aux() {
             llc.set_aux_provider(aux);
         }
-        let upgrades = stream.upgrades();
+        let upgrades = &stream.upgrades;
         let mut up = 0usize;
         let mut next_at = shard
             .upgrades
@@ -707,10 +700,10 @@ where
     Ok(RunResult {
         policy,
         llc: llc_stats,
-        l1: stream.l1_stats(),
-        l2: stream.l2_stats(),
-        instructions: stream.instructions(),
-        trace_accesses: stream.trace_accesses(),
+        l1: stream.l1,
+        l2: stream.l2,
+        instructions: stream.instructions,
+        trace_accesses: stream.trace_accesses,
     })
 }
 
@@ -726,14 +719,13 @@ mod shard_registry {
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex, Weak};
 
-    use llc_trace::{RecordedStream, ShardIndexSlot};
+    use llc_trace::{RecordedStream, ShardIndex};
 
     use super::lock_recovering;
 
     /// Per-stream cache of shard indices, keyed by (set count, shard
-    /// count) — the same map type a view-backed stream carries in-struct
-    /// (see [`llc_trace::StreamAccess::shard_slot`]).
-    pub(super) type IndexMap = ShardIndexSlot;
+    /// count).
+    pub(super) type IndexMap = Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>;
 
     static REGISTRY: Mutex<Vec<(Weak<RecordedStream>, Arc<IndexMap>)>> = Mutex::new(Vec::new());
 
@@ -750,17 +742,16 @@ mod shard_registry {
         reg.push((Arc::downgrade(stream), Arc::new(Mutex::new(HashMap::new()))));
     }
 
-    /// The index map of the registered stream whose allocation sits at
-    /// `addr` (see [`llc_trace::StreamAccess::registry_addr`]), or
-    /// `None` for ad-hoc streams that never went through a cache. The
-    /// `Weak` upgrade makes the raw-address comparison safe: a live
+    /// The index map of the registered stream `stream` is the allocation
+    /// of, or `None` for ad-hoc streams that never went through a cache.
+    /// The `Weak` upgrade makes the pointer comparison safe: a live
     /// registered allocation cannot share an address with anything else.
-    pub(super) fn lookup(addr: usize) -> Option<Arc<IndexMap>> {
+    pub(super) fn lookup(stream: &RecordedStream) -> Option<Arc<IndexMap>> {
         let reg = lock_recovering(&REGISTRY);
         reg.iter()
             .find(|(weak, _)| {
                 weak.upgrade()
-                    .is_some_and(|s| Arc::as_ptr(&s) as *const u8 as usize == addr)
+                    .is_some_and(|s| std::ptr::eq(Arc::as_ptr(&s), stream))
             })
             .map(|(_, map)| Arc::clone(map))
     }
@@ -778,38 +769,25 @@ pub fn register_stream(stream: &Arc<RecordedStream>) {
 }
 
 /// Builds (or fetches) the shard index splitting `stream` over `shards`
-/// contiguous set ranges. View-backed streams carry their own index
-/// slot; owned streams handed out by a [`StreamCache`] cache their
-/// indices in the allocation-identity registry — either way concurrent
-/// replays of the same recording share one build, and ad-hoc streams
-/// build privately (see [`register_stream`]). Returns `None` for streams
-/// too large for `u32` index positions (the caller replays
-/// sequentially).
-fn shard_index_for<S: StreamAccess>(
-    stream: &S,
-    sets: u64,
-    shards: usize,
-) -> Option<Arc<ShardIndex>> {
-    let fetch_or_build = |map: &mut HashMap<(u64, usize), Arc<ShardIndex>>| {
-        if let Some(index) = map.get(&(sets, shards)) {
-            METRICS.index_hits.inc();
-            return Some(Arc::clone(index));
-        }
+/// contiguous set ranges. Streams handed out by a [`StreamCache`] cache
+/// their indices in the allocation-identity registry, so concurrent
+/// replays of the same recording share one build; ad-hoc streams build
+/// privately (see [`register_stream`]). Returns `None` for streams too
+/// large for `u32` index positions (the caller replays sequentially).
+fn shard_index_for(stream: &RecordedStream, sets: u64, shards: usize) -> Option<Arc<ShardIndex>> {
+    let Some(map) = shard_registry::lookup(stream) else {
         METRICS.index_misses.inc();
-        let index = Arc::new(ShardIndex::build(stream, sets, shards)?);
-        map.insert((sets, shards), Arc::clone(&index));
-        Some(index)
+        return ShardIndex::build(stream, sets, shards).map(Arc::new);
     };
-    if let Some(slot) = stream.shard_slot() {
-        return fetch_or_build(&mut lock_recovering(slot));
+    let mut map = lock_recovering(&map);
+    if let Some(index) = map.get(&(sets, shards)) {
+        METRICS.index_hits.inc();
+        return Some(Arc::clone(index));
     }
-    match shard_registry::lookup(stream.registry_addr()) {
-        Some(map) => fetch_or_build(&mut lock_recovering(&map)),
-        None => {
-            METRICS.index_misses.inc();
-            ShardIndex::build(stream, sets, shards).map(Arc::new)
-        }
-    }
+    METRICS.index_misses.inc();
+    let index = Arc::new(ShardIndex::build(stream, sets, shards)?);
+    map.insert((sets, shards), Arc::clone(&index));
+    Some(index)
 }
 
 /// Both offline annotation vectors, produced by one fused backward scan
@@ -838,7 +816,7 @@ pub struct Annotations {
 /// nearest future access by a core other than `c1` (`n2`). Then
 /// `next_use[i] = n1` and `shared_soon[i]` asks whether the nearest
 /// future *differing-core* access falls within `window`.
-pub fn compute_annotations<S: StreamAccess>(stream: &S, window: u64) -> Annotations {
+pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations {
     let _span = spans::span("compute_annotations");
     let n = stream.len();
     let mut next_use = vec![u64::MAX; n];
@@ -849,8 +827,8 @@ pub fn compute_annotations<S: StreamAccess>(stream: &S, window: u64) -> Annotati
         n2: u64,
     }
     let mut next: FxHashMap<BlockAddr, Next> = FxHashMap::default();
-    // Backward walk over the stream's own iterator (the trait requires
-    // `DoubleEnded + ExactSize` exactly for this pass).
+    // Backward walk (the access iterator is `DoubleEnded + ExactSize`
+    // exactly for this pass).
     for (i, a) in stream.accesses().enumerate().rev() {
         let block = a.block;
         let core = a.core;
@@ -934,175 +912,7 @@ impl StreamKey {
     }
 }
 
-/// A replayable handle from [`StreamCache::get_or_record`]: either a
-/// fully decoded in-memory recording or a zero-copy [`StreamView`] over
-/// one `.llcs` arena loaded from the attached store. Both replay
-/// bit-identically — the variants only decide how the record bytes are
-/// held — and the whole dispatch cost is one predicted branch per record
-/// inside [`CachedAccessIter`]. Callers that want the branch gone
-/// entirely (the daemon's memo path) match once and hand the inner
-/// stream to the monomorphized drivers directly.
-#[derive(Debug, Clone)]
-pub enum CachedStream {
-    /// A stream recorded in this process: plane vectors, registered in
-    /// the process-wide shard-index registry.
-    Owned(Arc<RecordedStream>),
-    /// A disk hit held as a validated view over the loaded arena: one
-    /// allocation, no per-record decode, shard-index slot carried in the
-    /// view itself.
-    View(Arc<StreamView>),
-}
-
-impl CachedStream {
-    /// Number of LLC accesses (inherent mirror of [`StreamAccess::len`]
-    /// so call sites need no trait import).
-    #[allow(clippy::len_without_is_empty)] // is_empty is right below
-    pub fn len(&self) -> usize {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::len(&**s),
-            CachedStream::View(v) => StreamAccess::len(&**v),
-        }
-    }
-
-    /// `true` if the stream holds no accesses.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The decoded plane-vector recording behind this handle, if it is
-    /// one (recorded in this process); `None` for zero-copy disk views.
-    pub fn as_owned(&self) -> Option<&Arc<RecordedStream>> {
-        match self {
-            CachedStream::Owned(s) => Some(s),
-            CachedStream::View(_) => None,
-        }
-    }
-
-    /// The exact `.llcs` encoding size — for a view, the bytes of the
-    /// shared arena, charged against the cache cap exactly once.
-    pub fn encoded_len(&self) -> usize {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::encoded_len(&**s),
-            CachedStream::View(v) => StreamAccess::encoded_len(&**v),
-        }
-    }
-}
-
-/// [`CachedStream`]'s access iterator: the owned-plane or view-decode
-/// iterator behind one enum tag.
-#[derive(Debug)]
-pub enum CachedAccessIter<'a> {
-    /// Iterating decoded plane vectors.
-    Owned(OwnedAccessIter<'a>),
-    /// Decoding records out of a view's arena on the fly.
-    View(ViewAccessIter<'a>),
-}
-
-impl Iterator for CachedAccessIter<'_> {
-    type Item = AccessRecord;
-
-    fn next(&mut self) -> Option<AccessRecord> {
-        match self {
-            CachedAccessIter::Owned(it) => it.next(),
-            CachedAccessIter::View(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            CachedAccessIter::Owned(it) => it.size_hint(),
-            CachedAccessIter::View(it) => it.size_hint(),
-        }
-    }
-}
-
-impl DoubleEndedIterator for CachedAccessIter<'_> {
-    fn next_back(&mut self) -> Option<AccessRecord> {
-        match self {
-            CachedAccessIter::Owned(it) => it.next_back(),
-            CachedAccessIter::View(it) => it.next_back(),
-        }
-    }
-}
-
-impl ExactSizeIterator for CachedAccessIter<'_> {}
-
-impl StreamAccess for CachedStream {
-    type Iter<'a> = CachedAccessIter<'a>;
-
-    fn len(&self) -> usize {
-        CachedStream::len(self)
-    }
-
-    fn fingerprint(&self) -> u64 {
-        match self {
-            CachedStream::Owned(s) => s.fingerprint(),
-            CachedStream::View(v) => StreamAccess::fingerprint(&**v),
-        }
-    }
-
-    fn accesses(&self) -> CachedAccessIter<'_> {
-        match self {
-            CachedStream::Owned(s) => CachedAccessIter::Owned(s.accesses()),
-            CachedStream::View(v) => CachedAccessIter::View(v.accesses()),
-        }
-    }
-
-    fn upgrades(&self) -> &[UpgradeEvent] {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::upgrades(&**s),
-            CachedStream::View(v) => StreamAccess::upgrades(&**v),
-        }
-    }
-
-    fn instructions(&self) -> u64 {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::instructions(&**s),
-            CachedStream::View(v) => StreamAccess::instructions(&**v),
-        }
-    }
-
-    fn trace_accesses(&self) -> u64 {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::trace_accesses(&**s),
-            CachedStream::View(v) => StreamAccess::trace_accesses(&**v),
-        }
-    }
-
-    fn l1_stats(&self) -> PrivateCacheStats {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::l1_stats(&**s),
-            CachedStream::View(v) => StreamAccess::l1_stats(&**v),
-        }
-    }
-
-    fn l2_stats(&self) -> PrivateCacheStats {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::l2_stats(&**s),
-            CachedStream::View(v) => StreamAccess::l2_stats(&**v),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        CachedStream::encoded_len(self)
-    }
-
-    fn shard_slot(&self) -> Option<&ShardIndexSlot> {
-        match self {
-            CachedStream::Owned(s) => StreamAccess::shard_slot(&**s),
-            CachedStream::View(v) => StreamAccess::shard_slot(&**v),
-        }
-    }
-
-    fn registry_addr(&self) -> usize {
-        match self {
-            CachedStream::Owned(s) => s.registry_addr(),
-            CachedStream::View(v) => StreamAccess::registry_addr(&**v),
-        }
-    }
-}
-
-type Slot = Arc<Mutex<Option<CachedStream>>>;
+type Slot = Arc<Mutex<Option<Arc<RecordedStream>>>>;
 
 /// Counters of a [`StreamCache`] and its optional disk backing — the
 /// numbers `llc-serve` reports under `GET /store/stats`.
@@ -1113,21 +923,17 @@ pub struct StreamCacheStats {
     /// Requests answered by loading a `.llcs` file from the attached
     /// [`StreamStore`] (no simulation ran).
     pub disk_hits: u64,
-    /// Disk hits served as zero-copy [`StreamView`]s — no per-record
-    /// decode, arena bytes charged once (a subset of `disk_hits`; today
-    /// every disk hit loads as a view, so the split exists to catch the
-    /// day that stops being true).
-    pub view_loads: u64,
     /// Requests that had to record the stream with a full simulation.
     pub misses: u64,
     /// Entries evicted from memory by the byte cap (their disk copies,
     /// if any, survive).
     pub evictions: u64,
     /// Stored-copy failures that were recovered by re-recording (a
-    /// corrupt `.llcs` file) or shrugged off (a failed persist).
+    /// corrupt `.llcs` file, or one recorded under another hierarchy) or
+    /// shrugged off (a failed persist).
     pub disk_errors: u64,
-    /// Corrupt `.llcs` files moved into the store's `quarantine/`
-    /// directory (a subset of `disk_errors`).
+    /// Corrupt or foreign `.llcs` files moved into the store's
+    /// `quarantine/` directory (a subset of `disk_errors`).
     pub quarantined: u64,
     /// Encoded bytes currently held in memory.
     pub bytes: u64,
@@ -1179,8 +985,10 @@ struct CacheInner {
 ///   [`StreamStore`] keyed by [`StreamKey::fingerprint`]. A miss first
 ///   tries the store (a *disk hit* skips the recording simulation
 ///   entirely, even in a fresh process); a recording is persisted back.
-///   A corrupt stored file is counted, re-recorded and overwritten —
-///   never an error for the caller.
+///   A disk hit is decoded once into an owned [`RecordedStream`]. A
+///   corrupt stored file, or one recorded under another hierarchy, is
+///   counted, quarantined, re-recorded and overwritten — never an error
+///   for the caller.
 #[derive(Debug, Clone, Default)]
 pub struct StreamCache {
     inner: Arc<Mutex<CacheInner>>,
@@ -1280,10 +1088,10 @@ impl StreamCache {
     }
 
     /// Returns the stream for `key`: from memory if resident, else from
-    /// the attached store's `.llcs` file if present and intact (loaded
-    /// as a zero-copy [`CachedStream::View`]), else by recording it via
-    /// `make_trace` under `key.config` (and persisting the recording if
-    /// a store is attached).
+    /// the attached store's `.llcs` file if present, intact and recorded
+    /// under `key.config` (see [`StreamStore::fetch`]), else by recording
+    /// it via `make_trace` under `key.config` (and persisting the
+    /// recording if a store is attached).
     ///
     /// # Errors
     ///
@@ -1294,7 +1102,7 @@ impl StreamCache {
         &self,
         key: StreamKey,
         make_trace: F,
-    ) -> Result<CachedStream, RunError>
+    ) -> Result<Arc<RecordedStream>, RunError>
     where
         W: TraceSource,
         F: FnOnce() -> W,
@@ -1309,7 +1117,7 @@ impl StreamCache {
         };
         let mut guard = lock_recovering(&slot);
         if let Some(stream) = guard.as_ref() {
-            let stream = stream.clone();
+            let stream = Arc::clone(stream);
             drop(guard);
             let size = stream.encoded_len() as u64;
             let mut inner = lock_recovering(&self.inner);
@@ -1319,7 +1127,7 @@ impl StreamCache {
             // map entry between slot resolution and here while this Arc
             // kept the stream alive. Re-adopt the slot so the bytes this
             // handle pins stay accounted — otherwise the next request
-            // would load a second arena for a stream still resident,
+            // would load a second copy of a stream still resident,
             // double-charging the cap in real memory.
             if !inner.map.contains_key(&key) {
                 Self::charge(&mut inner, key, &slot, size);
@@ -1330,19 +1138,13 @@ impl StreamCache {
 
         // Not in memory: try the persistent store, then record. Both
         // happen under the slot lock so concurrent requesters of the same
-        // key share one load/recording. A disk hit is served zero-copy:
-        // the `.llcs` bytes are validated in place and replayed straight
-        // out of the arena, with no per-record decode into plane vectors.
-        let fp = key.fingerprint();
-        let mut from_disk = false;
-        let stream = match store.as_ref().map(|s| s.fetch_view(fp)) {
-            Some(Ok(Some(view))) => {
-                from_disk = true;
-                CachedStream::View(Arc::new(view))
-            }
-            Some(Err(e)) => {
-                // Unreadable or corrupt stored copy (the load moved a
-                // corrupt one to quarantine/): count it, re-record,
+        // key share one load/recording.
+        let (fp, config_fp) = (key.fingerprint(), key.config.fingerprint());
+        let loaded = match store.as_ref().map_or(Ok(None), |s| s.fetch(fp, config_fp)) {
+            Ok(loaded) => loaded,
+            Err(e) => {
+                // Unreadable, corrupt or foreign stored copy (the load
+                // moved a bad one to quarantine/): count it, re-record,
                 // overwrite.
                 let mut inner = lock_recovering(&self.inner);
                 inner.stats.disk_errors += 1;
@@ -1353,40 +1155,36 @@ impl StreamCache {
                 {
                     inner.stats.quarantined += 1;
                 }
-                drop(inner);
-                CachedStream::Owned(Arc::new(record_stream(&key.config, make_trace())?))
-            }
-            Some(Ok(None)) | None => {
-                CachedStream::Owned(Arc::new(record_stream(&key.config, make_trace())?))
+                None
             }
         };
-        if let (false, Some(store), CachedStream::Owned(owned)) =
-            (from_disk, store.as_ref(), &stream)
-        {
-            if store.save(fp, owned).is_err() {
-                lock_recovering(&self.inner).stats.disk_errors += 1;
-                METRICS.cache_disk_errors.inc();
+        let from_disk = loaded.is_some();
+        let stream = match loaded {
+            Some(stream) => Arc::new(stream),
+            None => {
+                let stream = Arc::new(record_stream(&key.config, make_trace())?);
+                if let Some(store) = &store {
+                    if store.save(fp, &stream).is_err() {
+                        lock_recovering(&self.inner).stats.disk_errors += 1;
+                        METRICS.cache_disk_errors.inc();
+                    }
+                }
+                stream
             }
-        }
-        *guard = Some(stream.clone());
+        };
+        *guard = Some(Arc::clone(&stream));
         drop(guard);
-        // Cached streams get a shard-index slot: replays of this stream
+        // Cached streams get a shard-index map: replays of this stream
         // can now share lazily built `ShardIndex`es (see
         // `shard_index_for`), which live exactly as long as the stream.
-        // Views carry the slot inside themselves; owned streams register
-        // in the process-wide allocation-identity registry.
-        if let CachedStream::Owned(owned) = &stream {
-            shard_registry::register(owned);
-        }
+        shard_registry::register(&stream);
 
         // Account the insert and enforce the cap (never evicting the
         // entry just inserted).
         let mut inner = lock_recovering(&self.inner);
         if from_disk {
             inner.stats.disk_hits += 1;
-            inner.stats.view_loads += 1;
             METRICS.cache_disk_hits.inc();
-            METRICS.view_loads.inc();
         } else {
             inner.stats.misses += 1;
             METRICS.cache_misses.inc();
@@ -1582,10 +1380,7 @@ mod tests {
             1,
             "second get must hit the cache"
         );
-        assert!(Arc::ptr_eq(
-            a.as_owned().expect("recorded"),
-            b.as_owned().expect("cached")
-        ));
+        assert!(Arc::ptr_eq(&a, &b), "a memory hit shares the recording");
         assert_eq!(cache.len(), 1);
     }
 
@@ -1737,14 +1532,7 @@ mod tests {
         );
         assert_eq!(second.stats().disk_hits, 1);
         assert_eq!(second.stats().misses, 0);
-        assert_eq!(
-            second.stats().view_loads,
-            1,
-            "the disk hit loads as a zero-copy view"
-        );
-        assert!(b.as_owned().is_none(), "disk hits are views, not decodes");
-        assert!(a.accesses().eq(b.accesses()));
-        assert_eq!(a.upgrades(), b.upgrades());
+        assert_eq!(*a, *b, "the disk hit decodes to the recording");
 
         // Corrupt the stored copy: the next fresh cache falls back to
         // re-recording (typed error internally, never surfaced) and
@@ -1771,10 +1559,7 @@ mod tests {
                 .exists(),
             "quarantined evidence file exists"
         );
-        assert_eq!(
-            **a.as_owned().expect("recorded"),
-            **c.as_owned().expect("re-recorded")
-        );
+        assert_eq!(*a, *c);
         let healed = StreamCache::with_store(store.clone(), None);
         healed.get_or_record(key, make).expect("healed");
         assert_eq!(
@@ -1782,6 +1567,46 @@ mod tests {
             2,
             "overwritten copy must load"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_stream_of_another_hierarchy_is_quarantined_and_re_recorded() {
+        use llc_trace::StreamStore;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!("llc-cache-foreign-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StreamStore::open(&dir).expect("open store");
+        let key = key_for(App::Dedup);
+        let recordings = AtomicUsize::new(0);
+        let make = || {
+            recordings.fetch_add(1, Ordering::SeqCst);
+            App::Dedup.workload(4, Scale::Tiny)
+        };
+        StreamCache::with_store(store.clone(), None)
+            .get_or_record(key, make)
+            .expect("record");
+
+        // One flipped bit in the header's hierarchy fingerprint (bytes
+        // 40..48): the file is still well formed, but answers for another
+        // hierarchy than its key names.
+        let path = store.path_for(key.fingerprint());
+        let mut bytes = std::fs::read(&path).expect("read");
+        bytes[40] ^= 1;
+        std::fs::write(&path, &bytes).expect("flip");
+
+        let fresh = StreamCache::with_store(store.clone(), None);
+        let stream = fresh.get_or_record(key, make).expect("recover");
+        assert_eq!(recordings.load(Ordering::SeqCst), 2, "one re-recording");
+        let stats = fresh.stats();
+        assert_eq!((stats.disk_hits, stats.disk_errors), (0, 1));
+        assert_eq!(stats.quarantined, 1, "the foreign copy is quarantined");
+        assert!(replay_kind(&key.config, PolicyKind::Lru, &stream, vec![]).is_ok());
+        // The overwritten copy now serves the next process from disk.
+        let healed = StreamCache::with_store(store, None);
+        healed.get_or_record(key, make).expect("healed");
+        assert_eq!(healed.stats().disk_hits, 1);
+        assert_eq!(recordings.load(Ordering::SeqCst), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

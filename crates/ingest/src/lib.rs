@@ -7,7 +7,7 @@
 //! native [`MemAccess`] record through a
 //! [`TraceSource`] implementation, so an ingested trace flows through the
 //! exact same `StreamRecorder` → `.llcs` → replay path as a synthetic
-//! workload — the DAG, the sharded replay drivers and the zero-copy views
+//! workload — the DAG, the sharded replay drivers and the stream store
 //! all work unchanged.
 //!
 //! Three formats are supported (see [`IngestFormat`]):

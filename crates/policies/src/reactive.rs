@@ -73,12 +73,11 @@ impl<P: ReplacementPolicy> ReplacementPolicy for ReactiveWrap<P> {
         self.base.choose_victim(set, &restricted, ctx)
     }
 
-    /// Conservatively global: the wrapper reads live sharer counts off the
-    /// set view, and its characterization-facing runs always attach
-    /// observers (which disable sharding anyway), so it opts out rather
-    /// than prove the per-set case.
+    /// The base policy's scope: the wrapper's only extra input is each
+    /// line's sharer count, which lives in the set and is maintained by
+    /// that set's own accesses and upgrades.
     fn state_scope(&self) -> StateScope {
-        StateScope::Global
+        self.base.state_scope()
     }
 }
 

@@ -14,7 +14,7 @@
 //! `streams/` + `results/` + `dag/` footprint fits the cap, then fsyncs
 //! each affected directory so the new directory contents are durable.
 //! `--verify` checks every entry with the decoder that serves it (the
-//! zero-copy stream view for streams) from a plain read that leaves its
+//! `StreamView` validator for streams) from a plain read that leaves its
 //! mtime alone, so verifying never reorders eviction. Corrupt entries
 //! are moved into `quarantine/` (bytes preserved for post-mortems) and
 //! do not count against the cap. `--verify` also collects orphans:
@@ -330,7 +330,7 @@ mod tests {
     fn verify_rejects_streams_the_serving_decoder_rejects() {
         // Trailing bytes after a well-formed `.llcs` payload: the owned
         // decoder would stop reading early and accept the file, but the
-        // zero-copy view that serves it rejects the arena size, so a
+        // view validator that serves it rejects the arena size, so a
         // verify sweep must quarantine it.
         let root = temp_root("padded-stream");
         let streams = StreamStore::open(root.join("streams")).expect("open streams");

@@ -1027,7 +1027,6 @@ fn store_stats(state: &ServerState) -> Response {
             Value::object(vec![
                 ("memory_hits", num(s.hits)),
                 ("disk_hits", num(s.disk_hits)),
-                ("view_loads", num(s.view_loads)),
                 ("misses", num(s.misses)),
                 ("evictions", num(s.evictions)),
                 ("disk_errors", num(s.disk_errors)),

@@ -77,7 +77,7 @@ pub enum TraceError {
         core: usize,
     },
     /// A `.llcs` arena's byte length does not match the section sizes its
-    /// header declares. The zero-copy view decoder requires an
+    /// header declares. The `.llcs` view validator requires an
     /// exactly-sized arena: a *shorter* one is reported as
     /// [`TraceError::Truncated`], so this variant specifically means the
     /// arena carries trailing bytes no section accounts for (a misaligned
@@ -114,6 +114,15 @@ pub enum TraceError {
         accesses: u64,
         /// Index of the offending upgrade record.
         index: u64,
+    },
+    /// A stored `.llcs` stream was recorded under a different hierarchy
+    /// than the one its store key names: the file is well formed but
+    /// answers for the wrong configuration, so replaying it would fail.
+    FingerprintMismatch {
+        /// The hierarchy fingerprint in the stream's header.
+        found: u64,
+        /// The fingerprint of the hierarchy the store key names.
+        expected: u64,
     },
 }
 
@@ -179,6 +188,12 @@ impl fmt::Display for TraceError {
                     f,
                     "upgrade record {index}: position {at} is out of order or past the \
                      {accesses} recorded accesses"
+                )
+            }
+            TraceError::FingerprintMismatch { found, expected } => {
+                write!(
+                    f,
+                    "stream recorded under hierarchy {found:#018x}, expected {expected:#018x}"
                 )
             }
         }
@@ -269,6 +284,13 @@ mod tests {
                     index: 1,
                 },
                 "position 9",
+            ),
+            (
+                TraceError::FingerprintMismatch {
+                    found: 1,
+                    expected: 2,
+                },
+                "expected 0x0000000000000002",
             ),
         ];
         for (e, needle) in cases {

@@ -48,12 +48,12 @@ pub use patterns::{
     pipeline_channel, Consumer, LockHot, Migratory, Pattern, PatternAccess, PhaseAlternate,
     PrivateStream, PrivateWorkingSet, Producer, SharedReadOnly, Stencil, Transpose,
 };
-pub use shard::{ShardIndex, ShardIndexSlot, StreamShard};
+pub use shard::{ShardIndex, StreamShard};
 pub use source::{TraceSource, VecSource};
 pub use store::{
     atomic_write, sync_dir, ArtifactDir, ArtifactEntry, LoadError, StreamStore, QUARANTINE_DIR,
 };
-pub use stream::{write_stream, AccessRecord, RecordedStream, StreamAccess, UpgradeEvent};
+pub use stream::{write_stream, AccessRecord, RecordedStream, UpgradeEvent};
 pub use view::StreamView;
 pub use workload::{ThreadSpec, Workload};
 pub use zipf::ZipfSampler;

@@ -1,4 +1,4 @@
-//! Set-range shard indices over a [`RecordedStream`](crate::RecordedStream).
+//! Set-range shard indices over a [`RecordedStream`].
 //!
 //! LLC sets do not interact during non-inclusive replay, so the recorded
 //! reference stream can be partitioned by set index and each partition
@@ -22,19 +22,8 @@
 //! [`ShardIndex::build`] returns `None` and callers fall back to the
 //! sequential path.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use crate::stream::StreamAccess;
+use crate::stream::RecordedStream;
 use llc_sim::{AccessKind, BlockAddr, CoreId, Pc};
-
-/// A per-stream cache of shard indices, keyed by `(set count, shard
-/// count)`. Stream representations that carry their own slot (see
-/// [`StreamAccess::shard_slot`]) let sharded replay share one index
-/// build per shard count across concurrent policies without any global
-/// registry; `llc_sharing::replay` keeps the same map type behind its
-/// allocation-identity registry for owned streams.
-pub type ShardIndexSlot = Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>;
 
 /// One contiguous set range of a [`ShardIndex`]: the stream positions
 /// that touch it plus a gathered, contiguous copy of those accesses.
@@ -59,8 +48,7 @@ pub struct StreamShard {
     pub kinds: Vec<AccessKind>,
 }
 
-/// Per-set-range access/upgrade index lists over one
-/// [`RecordedStream`](crate::RecordedStream),
+/// Per-set-range access/upgrade index lists over one [`RecordedStream`],
 /// for one (set count, shard count) pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardIndex {
@@ -80,8 +68,8 @@ impl ShardIndex {
     ///
     /// Returns `None` if the stream is too large to index with `u32`
     /// positions; callers must then use the sequential path.
-    pub fn build<S: StreamAccess>(stream: &S, sets: u64, shards: usize) -> Option<Self> {
-        if stream.len() >= u32::MAX as usize || stream.upgrades().len() >= u32::MAX as usize {
+    pub fn build(stream: &RecordedStream, sets: u64, shards: usize) -> Option<Self> {
+        if stream.len() >= u32::MAX as usize || stream.upgrades.len() >= u32::MAX as usize {
             return None;
         }
         let count = (shards.max(1) as u64).min(sets).max(1);
@@ -111,7 +99,7 @@ impl ShardIndex {
             shard.cores.push(rec.core);
             shard.kinds.push(rec.kind);
         }
-        for (i, u) in stream.upgrades().iter().enumerate() {
+        for (i, u) in stream.upgrades.iter().enumerate() {
             let shard = part.shard_of(u.block.set_index(sets));
             out[shard as usize].upgrades.push(i as u32);
         }
@@ -193,7 +181,7 @@ impl Partition {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::{RecordedStream, UpgradeEvent};
+    use crate::stream::UpgradeEvent;
     use llc_sim::{AccessKind, BlockAddr, CoreId, Pc};
 
     fn stream(n: usize, sets: u64) -> RecordedStream {

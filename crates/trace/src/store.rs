@@ -29,7 +29,9 @@
 //!
 //! [`StreamStore`] is the `.llcs` codec: a stored file that is
 //! truncated, bit-flipped or not a stream at all surfaces as a typed
-//! [`TraceError`] from [`StreamStore::load_view`], never a panic.
+//! [`TraceError`], never a panic. [`StreamStore::fetch`] also rejects a
+//! well-formed file recorded under another hierarchy, and decodes what it
+//! accepts into the one replayable type, an owned [`RecordedStream`].
 
 use std::fs;
 use std::io::{self, Read};
@@ -389,41 +391,55 @@ impl StreamStore {
         })
     }
 
-    /// The validity check of a stored recording: the same zero-copy
-    /// [`StreamView`] validation a load applies.
+    /// The structural validity check of a stored recording: the
+    /// [`StreamView`] validation every load applies.
     pub fn decode(bytes: Vec<u8>) -> Result<StreamView, TraceError> {
         StreamView::new(bytes.into())
     }
 
-    /// Loads the recording stored under `fp` as a zero-copy
-    /// [`StreamView`], or `Ok(None)` if there is none, keeping a
-    /// corrupt copy's quarantine outcome (see [`ArtifactDir::load_with`]).
+    /// Loads the recording stored under `fp`, recorded under the
+    /// hierarchy whose fingerprint is `config_fp`, as an owned
+    /// [`RecordedStream`], or `Ok(None)` if there is none. The one load
+    /// path of `llc_sharing`'s `StreamCache`: the file is validated,
+    /// its embedded hierarchy fingerprint checked and the records decoded
+    /// once, all inside [`ArtifactDir::load_with`], so any failure moves
+    /// the file to `quarantine/`.
     ///
     /// # Errors
     ///
     /// [`LoadError::Corrupt`] with the typed [`TraceError`] when the
-    /// stored file does not validate; [`LoadError::Io`] when it cannot be
-    /// read.
-    pub fn fetch_view(&self, fp: u64) -> Result<Option<StreamView>, LoadError<TraceError>> {
-        self.files.load_with(fp, StreamStore::decode)
+    /// stored file does not validate or answers for another hierarchy
+    /// ([`TraceError::FingerprintMismatch`]); [`LoadError::Io`] when it
+    /// cannot be read.
+    pub fn fetch(
+        &self,
+        fp: u64,
+        config_fp: u64,
+    ) -> Result<Option<RecordedStream>, LoadError<TraceError>> {
+        self.files.load_with(fp, |bytes| {
+            let stream = StreamStore::decode(bytes)?.to_owned_stream()?;
+            if stream.fingerprint != config_fp {
+                return Err(TraceError::FingerprintMismatch {
+                    found: stream.fingerprint,
+                    expected: config_fp,
+                });
+            }
+            Ok(stream)
+        })
     }
 
-    /// Loads the recording stored under `fp` as a zero-copy
+    /// Loads and validates the recording stored under `fp` as a
     /// [`StreamView`], or `Ok(None)` if there is none.
-    ///
-    /// One read, one allocation: the file lands in a single arena and
-    /// the view validates it in place — no per-record decode into
-    /// parallel vectors. This is the load path `llc_sharing`'s
-    /// `StreamCache` uses on a disk hit.
     ///
     /// # Errors
     ///
     /// A file that exists but does not validate is a typed
     /// [`TraceError`] (and has been moved to `quarantine/`), so callers
     /// can distinguish "never recorded" (`Ok(None)`) from "stored copy
-    /// is bad" and fall back to re-recording.
+    /// is bad".
     pub fn load_view(&self, fp: u64) -> Result<Option<StreamView>, TraceError> {
-        self.fetch_view(fp)
+        self.files
+            .load_with(fp, StreamStore::decode)
             .map_err(|e| e.into_error(TraceError::Io))
     }
 
@@ -461,12 +477,12 @@ mod tests {
         s
     }
 
-    /// The owned stream stored under `fp` (decoded through the view).
+    /// The owned stream stored under `fp` (recorded under hierarchy 42,
+    /// the fingerprint of every [`sample`]).
     fn load(store: &StreamStore, fp: u64) -> Result<Option<RecordedStream>, TraceError> {
         store
-            .load_view(fp)?
-            .map(|view| view.to_owned_stream())
-            .transpose()
+            .fetch(fp, 42)
+            .map_err(|e| e.into_error(TraceError::Io))
     }
 
     fn temp_store(tag: &str) -> StreamStore {
@@ -550,7 +566,7 @@ mod tests {
         // The failing load itself moves the copy aside.
         assert!(
             matches!(
-                store.fetch_view(5),
+                store.fetch(5, 42),
                 Err(LoadError::Corrupt {
                     error: TraceError::Truncated { .. },
                     quarantined: true
@@ -573,6 +589,26 @@ mod tests {
         assert!(store.quarantine(999).expect("missing fp").is_none());
         fs::write(&path, b"garbage").expect("corrupt again");
         assert!(store.quarantine(5).expect("re-quarantine").is_some());
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn fetch_quarantines_a_stream_of_another_hierarchy() {
+        let store = temp_store("foreign");
+        store.save(6, &sample(8)).expect("save");
+        // Well formed, so the structural check alone accepts it.
+        assert!(store.load_view(6).expect("valid").is_some());
+        assert!(matches!(
+            store.fetch(6, 43),
+            Err(LoadError::Corrupt {
+                error: TraceError::FingerprintMismatch {
+                    found: 42,
+                    expected: 43
+                },
+                quarantined: true
+            })
+        ));
+        assert!(!store.contains(6), "the foreign copy left the serving path");
         let _ = fs::remove_dir_all(store.dir());
     }
 
@@ -618,7 +654,7 @@ mod tests {
             // truncated bytes self-consistent again, so Ok is possible
             // in principle; what is *required* is no panic, and that
             // every detected corruption quarantines and heals.
-            if let Err(e) = store.fetch_view(fp) {
+            if let Err(e) = store.fetch(fp, 42) {
                 assert!(
                     matches!(
                         e,

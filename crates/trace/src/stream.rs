@@ -6,13 +6,15 @@
 //! independent of the LLC replacement policy. A [`RecordedStream`] captures
 //! that sequence once; any number of replacement policies can then be
 //! replayed directly against the LLC, skipping trace generation and private
-//! cache simulation entirely (see `llc_sharing::replay`).
+//! cache simulation entirely (see `llc_sharing::replay`). It is the one
+//! replayable representation: every replay driver, the shard index and
+//! the annotation pre-pass walk its owned planes.
 //!
 //! The binary format is a fixed little-endian header and fixed-size
 //! records. It has exactly one decoder, [`StreamView::new`], which maps
 //! every way a file can be malformed to a distinct [`TraceError`] — never
-//! a panic. [`RecordedStream::from_slice`] is that validated view copied
-//! into owned planes.
+//! a panic. [`RecordedStream::from_slice`] is that validated view decoded
+//! into owned planes, the form a stored stream is replayed in.
 //!
 //! ```text
 //! header (128 bytes):
@@ -33,12 +35,10 @@
 //! the end-of-run flush.
 
 use std::io::Write;
-use std::sync::Arc;
 
 use llc_sim::{AccessKind, BlockAddr, CoreId, Pc, PrivateCacheStats};
 
 use crate::error::TraceError;
-use crate::shard::ShardIndexSlot;
 use crate::view::StreamView;
 
 /// `.llcs` file-format magic bytes.
@@ -119,6 +119,26 @@ impl RecordedStream {
         self.blocks.is_empty()
     }
 
+    /// The access records, in stream order: a zip over the four access
+    /// planes. The iterator is double-ended and exact-size because the
+    /// fused annotation pre-pass walks the stream *backward* and pre-sizes
+    /// its output.
+    pub fn accesses(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = AccessRecord> + ExactSizeIterator + Clone + '_ {
+        self.blocks
+            .iter()
+            .zip(&self.pcs)
+            .zip(&self.cores)
+            .zip(&self.kinds)
+            .map(|(((&block, &pc), &core), &kind)| AccessRecord {
+                block,
+                pc,
+                core,
+                kind,
+            })
+    }
+
     /// The exact `.llcs` encoding size of the stream in bytes — also the
     /// byte weight `llc_sharing::StreamCache` charges against its cap.
     pub fn encoded_len(&self) -> usize {
@@ -150,10 +170,9 @@ impl RecordedStream {
     }
 }
 
-/// One decoded LLC access, as replay drivers consume it. The record is
-/// the unit [`StreamAccess::accesses`] yields: four scalars, passed by
-/// value, so a monomorphized replay loop over any stream representation
-/// compiles down to plane walks with no per-record indirection.
+/// One decoded LLC access, as replay drivers consume it: four scalars,
+/// passed by value, so a replay loop over [`RecordedStream::accesses`]
+/// compiles down to lockstep plane walks with no per-record indirection.
 ///
 /// Instruction deltas are deliberately absent: no replay driver consumes
 /// them (they exist to rebuild `RunResult::instructions`, which the
@@ -168,227 +187,6 @@ pub struct AccessRecord {
     pub core: CoreId,
     /// Read/write kind.
     pub kind: AccessKind,
-}
-
-/// Read access to a recorded LLC reference stream, however it is stored.
-///
-/// Implemented by the owned [`RecordedStream`] (five parallel heap
-/// vectors) and by the zero-copy [`StreamView`]
-/// (one validated `.llcs` arena). Replay drivers take `&S` where
-/// `S: StreamAccess` and monomorphize per representation, so the owned
-/// path keeps its plane-walk codegen while the view path decodes records
-/// on the fly from the arena — both without a per-record virtual call.
-///
-/// The iterator is `DoubleEnded + ExactSize` because the fused
-/// annotation pre-pass walks the stream *backward* and pre-sizes its
-/// output.
-pub trait StreamAccess: Sized {
-    /// Iterator over the stream's decoded access records, front to back.
-    type Iter<'a>: Iterator<Item = AccessRecord> + DoubleEndedIterator + ExactSizeIterator
-    where
-        Self: 'a;
-
-    /// Number of LLC accesses in the stream.
-    fn len(&self) -> usize;
-
-    /// `true` if the stream holds no accesses.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fingerprint of the hierarchy the stream was recorded under.
-    fn fingerprint(&self) -> u64;
-
-    /// The decoded access records, in stream order.
-    fn accesses(&self) -> Self::Iter<'_>;
-
-    /// Coherence upgrades, sorted by [`UpgradeEvent::at`].
-    fn upgrades(&self) -> &[UpgradeEvent];
-
-    /// Total instructions of the recorded run.
-    fn instructions(&self) -> u64;
-
-    /// Total trace records of the recorded run.
-    fn trace_accesses(&self) -> u64;
-
-    /// Aggregated L1 counters of the recorded run.
-    fn l1_stats(&self) -> PrivateCacheStats;
-
-    /// Aggregated L2 counters of the recorded run.
-    fn l2_stats(&self) -> PrivateCacheStats;
-
-    /// The exact `.llcs` encoding size in bytes — the byte weight a
-    /// stream cache charges against its cap.
-    fn encoded_len(&self) -> usize {
-        STREAM_HEADER_BYTES
-            + self.len() * ACCESS_RECORD_BYTES
-            + self.upgrades().len() * UPGRADE_RECORD_BYTES
-    }
-
-    /// A per-stream shard-index cache carried *inside* the stream
-    /// representation, if it has one. Views carry their own slot (they
-    /// are not interned anywhere a registry could key on); owned streams
-    /// return `None` and rely on the allocation-identity registry in
-    /// `llc_sharing::replay` instead.
-    fn shard_slot(&self) -> Option<&ShardIndexSlot> {
-        None
-    }
-
-    /// The allocation identity sharded replay uses to find a registered
-    /// shard-index cache for this stream (see
-    /// `llc_sharing::register_stream`). Smart-pointer wrappers delegate
-    /// to their pointee so `&Arc<RecordedStream>` and the
-    /// `&RecordedStream` it was registered as agree.
-    fn registry_addr(&self) -> usize {
-        self as *const Self as *const u8 as usize
-    }
-}
-
-impl StreamAccess for RecordedStream {
-    type Iter<'a> = OwnedAccessIter<'a>;
-
-    fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn accesses(&self) -> OwnedAccessIter<'_> {
-        OwnedAccessIter(
-            self.blocks
-                .iter()
-                .zip(self.pcs.iter())
-                .zip(self.cores.iter())
-                .zip(self.kinds.iter()),
-        )
-    }
-
-    fn upgrades(&self) -> &[UpgradeEvent] {
-        &self.upgrades
-    }
-
-    fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    fn trace_accesses(&self) -> u64 {
-        self.trace_accesses
-    }
-
-    fn l1_stats(&self) -> PrivateCacheStats {
-        self.l1
-    }
-
-    fn l2_stats(&self) -> PrivateCacheStats {
-        self.l2
-    }
-}
-
-impl<S: StreamAccess> StreamAccess for Arc<S> {
-    type Iter<'a>
-        = S::Iter<'a>
-    where
-        Self: 'a;
-
-    fn len(&self) -> usize {
-        (**self).len()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        (**self).fingerprint()
-    }
-
-    fn accesses(&self) -> Self::Iter<'_> {
-        (**self).accesses()
-    }
-
-    fn upgrades(&self) -> &[UpgradeEvent] {
-        (**self).upgrades()
-    }
-
-    fn instructions(&self) -> u64 {
-        (**self).instructions()
-    }
-
-    fn trace_accesses(&self) -> u64 {
-        (**self).trace_accesses()
-    }
-
-    fn l1_stats(&self) -> PrivateCacheStats {
-        (**self).l1_stats()
-    }
-
-    fn l2_stats(&self) -> PrivateCacheStats {
-        (**self).l2_stats()
-    }
-
-    fn encoded_len(&self) -> usize {
-        (**self).encoded_len()
-    }
-
-    fn shard_slot(&self) -> Option<&ShardIndexSlot> {
-        (**self).shard_slot()
-    }
-
-    fn registry_addr(&self) -> usize {
-        (**self).registry_addr()
-    }
-}
-
-type OwnedZip<'a> = std::iter::Zip<
-    std::iter::Zip<
-        std::iter::Zip<std::slice::Iter<'a, BlockAddr>, std::slice::Iter<'a, Pc>>,
-        std::slice::Iter<'a, CoreId>,
-    >,
-    std::slice::Iter<'a, AccessKind>,
->;
-
-/// [`StreamAccess::accesses`] iterator of an owned [`RecordedStream`]:
-/// a zip over the four access planes, compiling to the same code the
-/// replay drivers' hand-written zips did.
-#[derive(Debug, Clone)]
-pub struct OwnedAccessIter<'a>(OwnedZip<'a>);
-
-impl<'a> Iterator for OwnedAccessIter<'a> {
-    type Item = AccessRecord;
-
-    #[inline]
-    fn next(&mut self) -> Option<AccessRecord> {
-        self.0
-            .next()
-            .map(|(((&block, &pc), &core), &kind)| AccessRecord {
-                block,
-                pc,
-                core,
-                kind,
-            })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<'a> DoubleEndedIterator for OwnedAccessIter<'a> {
-    #[inline]
-    fn next_back(&mut self) -> Option<AccessRecord> {
-        self.0
-            .next_back()
-            .map(|(((&block, &pc), &core), &kind)| AccessRecord {
-                block,
-                pc,
-                core,
-                kind,
-            })
-    }
-}
-
-impl<'a> ExactSizeIterator for OwnedAccessIter<'a> {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
 }
 
 fn encode_private_stats(out: &mut [u8], s: &PrivateCacheStats) {
@@ -546,7 +344,6 @@ mod tests {
     #[test]
     fn access_iterator_matches_the_planes() {
         let s = sample();
-        assert_eq!(StreamAccess::len(&s), s.len());
         assert_eq!(s.accesses().len(), s.len());
         for (i, rec) in s.accesses().enumerate() {
             assert_eq!(rec.block, s.blocks[i]);
@@ -559,10 +356,6 @@ mod tests {
         let mut bwd: Vec<AccessRecord> = s.accesses().rev().collect();
         bwd.reverse();
         assert_eq!(fwd, bwd);
-        // Arc-wrapped streams delegate, and share the pointee's identity.
-        let arc = Arc::new(s);
-        assert_eq!(arc.accesses().len(), 40);
-        assert_eq!(arc.registry_addr(), (*arc).registry_addr());
     }
 
     #[test]

@@ -1,54 +1,34 @@
-//! Zero-copy views over loaded `.llcs` arenas — and the one `.llcs`
-//! validator.
+//! The one `.llcs` validator and decoder.
 //!
-//! A [`StreamView`] keeps the loaded file as a single immutable arena
-//! (`Arc<[u8]>`) and decodes access records *on the fly* as the replay
-//! loop walks them: a daemon cache hit costs one allocation (the arena
-//! itself) and no per-record decode pass. An owned [`RecordedStream`]
-//! (five parallel heap vectors, roughly 1.3× the encoded bytes) is only
-//! built on request, by [`StreamView::to_owned_stream`].
-//!
-//! Construction validates everything — magic, version, section sizes,
-//! core ranges, kind bytes, upgrade ordering — so iteration and the
-//! owned conversion are infallible, and every malformed file ends in a
-//! typed error, never a panic. The arena must be exactly the size the
-//! header declares (a longer one is [`TraceError::ArenaSizeMismatch`]),
-//! because a view hands out sub-slices by offset and tolerating trailing
-//! bytes would silently mask section misalignment.
+//! A [`StreamView`] checks a loaded `.llcs` image once — magic, version,
+//! section sizes, core ranges, kind bytes, upgrade ordering — and then
+//! decodes it into the one replayable representation, an owned
+//! [`RecordedStream`], with [`StreamView::to_owned_stream`]. Every
+//! malformed file ends in a typed error, never a panic, so the decode is
+//! infallible once construction succeeds. The arena must be exactly the
+//! size the header declares (a longer one is
+//! [`TraceError::ArenaSizeMismatch`]): tolerating trailing bytes would
+//! silently mask section misalignment.
 //!
 //! Upgrade events are decoded eagerly at construction: validation has to
-//! walk them anyway (ordering is a cross-record property), they are rare
-//! (thousands, not millions), and replay wants random access to them.
+//! walk them anyway (ordering is a cross-record property), and they are
+//! rare (thousands, not millions).
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use llc_sim::{AccessKind, BlockAddr, CoreId, Pc, PrivateCacheStats, MAX_CORES};
+use llc_sim::{AccessKind, BlockAddr, CoreId, Pc, MAX_CORES};
 
 use crate::error::TraceError;
-use crate::shard::ShardIndexSlot;
 use crate::stream::{
-    read_u64, AccessRecord, RecordedStream, StreamAccess, UpgradeEvent, ACCESS_RECORD_BYTES,
+    decode_private_stats, read_u64, RecordedStream, UpgradeEvent, ACCESS_RECORD_BYTES,
     STREAM_HEADER_BYTES, STREAM_MAGIC, STREAM_VERSION, UPGRADE_RECORD_BYTES,
 };
 
-/// A validated, zero-copy view over one loaded `.llcs` arena.
-///
-/// Implements [`StreamAccess`], so every replay driver in
-/// `llc_sharing::replay` accepts a view wherever it accepts an owned
-/// [`RecordedStream`] — bit-identically (property-tested in
-/// `tests/replay_equivalence.rs`). The view also carries its own
-/// shard-index slot, so concurrent sharded replays of the same view
-/// share one index build per shard count.
+/// A validated `.llcs` arena, ready to decode into a [`RecordedStream`].
 pub struct StreamView {
     arena: Arc<[u8]>,
     len: usize,
-    fingerprint: u64,
-    instructions: u64,
-    trace_accesses: u64,
-    l1: PrivateCacheStats,
-    l2: PrivateCacheStats,
     upgrades: Vec<UpgradeEvent>,
-    shard_slot: ShardIndexSlot,
 }
 
 impl std::fmt::Debug for StreamView {
@@ -56,7 +36,6 @@ impl std::fmt::Debug for StreamView {
         f.debug_struct("StreamView")
             .field("len", &self.len)
             .field("upgrades", &self.upgrades.len())
-            .field("fingerprint", &self.fingerprint)
             .field("arena_bytes", &self.arena.len())
             .finish()
     }
@@ -180,14 +159,8 @@ impl StreamView {
         }
 
         Ok(StreamView {
-            fingerprint: read_u64(&bytes[40..48]),
-            instructions: read_u64(&bytes[24..32]),
-            trace_accesses: read_u64(&bytes[32..40]),
-            l1: crate::stream::decode_private_stats(&bytes[48..88]),
-            l2: crate::stream::decode_private_stats(&bytes[88..128]),
             len,
             upgrades: decoded_upgrades,
-            shard_slot: Mutex::new(std::collections::HashMap::new()),
             arena,
         })
     }
@@ -197,19 +170,20 @@ impl StreamView {
         &self.arena
     }
 
-    /// Copies the view into an owned [`RecordedStream`].
+    /// Decodes the view into an owned [`RecordedStream`].
     ///
     /// # Errors
     ///
     /// None: construction already validated the arena. The `Result` is
     /// kept so callers can chain it after [`StreamView::new`].
     pub fn to_owned_stream(&self) -> Result<RecordedStream, TraceError> {
+        let header = &self.arena[..STREAM_HEADER_BYTES];
         let mut s = RecordedStream {
-            fingerprint: self.fingerprint,
-            instructions: self.instructions,
-            trace_accesses: self.trace_accesses,
-            l1: self.l1,
-            l2: self.l2,
+            fingerprint: read_u64(&header[40..48]),
+            instructions: read_u64(&header[24..32]),
+            trace_accesses: read_u64(&header[32..40]),
+            l1: decode_private_stats(&header[48..88]),
+            l2: decode_private_stats(&header[88..128]),
             upgrades: self.upgrades.clone(),
             blocks: Vec::with_capacity(self.len),
             cores: Vec::with_capacity(self.len),
@@ -217,110 +191,20 @@ impl StreamView {
             kinds: Vec::with_capacity(self.len),
             instr_deltas: Vec::with_capacity(self.len),
         };
-        for rec in self.record_bytes().chunks_exact(ACCESS_RECORD_BYTES) {
-            let a = decode_record(rec);
-            s.blocks.push(a.block);
-            s.cores.push(a.core);
-            s.pcs.push(a.pc);
-            s.kinds.push(a.kind);
+        let records = &self.arena[STREAM_HEADER_BYTES..][..self.len * ACCESS_RECORD_BYTES];
+        for rec in records.chunks_exact(ACCESS_RECORD_BYTES) {
+            // infallible: core and kind bytes were validated at construction.
+            s.cores.push(CoreId::new(usize::from(rec[0])));
+            s.kinds.push(if rec[1] == 1 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            });
+            s.pcs.push(Pc::new(read_u64(&rec[2..10])));
+            s.blocks.push(BlockAddr::new(read_u64(&rec[10..18])));
             s.instr_deltas.push(read_u64(&rec[18..26]));
         }
         Ok(s)
-    }
-
-    fn record_bytes(&self) -> &[u8] {
-        &self.arena[STREAM_HEADER_BYTES..STREAM_HEADER_BYTES + self.len * ACCESS_RECORD_BYTES]
-    }
-}
-
-impl StreamAccess for StreamView {
-    type Iter<'a> = ViewAccessIter<'a>;
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn accesses(&self) -> ViewAccessIter<'_> {
-        ViewAccessIter(self.record_bytes().chunks_exact(ACCESS_RECORD_BYTES))
-    }
-
-    fn upgrades(&self) -> &[UpgradeEvent] {
-        &self.upgrades
-    }
-
-    fn instructions(&self) -> u64 {
-        self.instructions
-    }
-
-    fn trace_accesses(&self) -> u64 {
-        self.trace_accesses
-    }
-
-    fn l1_stats(&self) -> PrivateCacheStats {
-        self.l1
-    }
-
-    fn l2_stats(&self) -> PrivateCacheStats {
-        self.l2
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.arena.len()
-    }
-
-    fn shard_slot(&self) -> Option<&ShardIndexSlot> {
-        Some(&self.shard_slot)
-    }
-}
-
-/// [`StreamAccess::accesses`] iterator of a [`StreamView`]: fixed-stride
-/// chunks of the arena, decoded on the fly. Decoding is infallible
-/// because [`StreamView::new`] validated every record.
-#[derive(Debug, Clone)]
-pub struct ViewAccessIter<'a>(std::slice::ChunksExact<'a, u8>);
-
-#[inline]
-fn decode_record(rec: &[u8]) -> AccessRecord {
-    AccessRecord {
-        // infallible: core and kind bytes were validated at construction.
-        core: CoreId::new(usize::from(rec[0])),
-        kind: if rec[1] == 1 {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        },
-        pc: Pc::new(read_u64(&rec[2..10])),
-        block: BlockAddr::new(read_u64(&rec[10..18])),
-    }
-}
-
-impl<'a> Iterator for ViewAccessIter<'a> {
-    type Item = AccessRecord;
-
-    #[inline]
-    fn next(&mut self) -> Option<AccessRecord> {
-        self.0.next().map(decode_record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl<'a> DoubleEndedIterator for ViewAccessIter<'a> {
-    #[inline]
-    fn next_back(&mut self) -> Option<AccessRecord> {
-        self.0.next_back().map(decode_record)
-    }
-}
-
-impl<'a> ExactSizeIterator for ViewAccessIter<'a> {
-    fn len(&self) -> usize {
-        self.0.len()
     }
 }
 
@@ -328,6 +212,7 @@ impl<'a> ExactSizeIterator for ViewAccessIter<'a> {
 mod tests {
     use super::*;
     use crate::fault::{CorruptingReader, Fault, FaultPlan};
+    use llc_sim::PrivateCacheStats;
     use std::io::Read;
 
     fn sample() -> RecordedStream {
@@ -375,21 +260,7 @@ mod tests {
         let s = sample();
         let bytes = s.to_vec().expect("encode");
         let v = StreamView::new(bytes.clone().into()).expect("view");
-        assert_eq!(StreamAccess::len(&v), s.len());
-        assert_eq!(v.fingerprint(), s.fingerprint);
-        assert_eq!(v.instructions(), s.instructions);
-        assert_eq!(v.trace_accesses(), s.trace_accesses);
-        assert_eq!(v.l1_stats(), s.l1);
-        assert_eq!(v.l2_stats(), s.l2);
-        assert_eq!(StreamAccess::upgrades(&v), &s.upgrades[..]);
-        assert_eq!(v.encoded_len(), s.encoded_len());
-        let owned: Vec<AccessRecord> = s.accesses().collect();
-        let viewed: Vec<AccessRecord> = v.accesses().collect();
-        assert_eq!(owned, viewed);
-        // Backward walks agree too (the annotation pre-pass direction).
-        let owned_rev: Vec<AccessRecord> = s.accesses().rev().collect();
-        let viewed_rev: Vec<AccessRecord> = v.accesses().rev().collect();
-        assert_eq!(owned_rev, viewed_rev);
+        assert_eq!(v.arena().len(), s.encoded_len());
         // The owned copy is the original, field for field and byte for
         // byte (instruction deltas included).
         let owned = v.to_owned_stream().expect("decode");
@@ -400,18 +271,10 @@ mod tests {
 
     #[test]
     fn empty_stream_views_cleanly() {
-        let v = view_of(&RecordedStream::default());
-        assert!(StreamAccess::is_empty(&v));
-        assert_eq!(v.accesses().count(), 0);
-        assert!(StreamAccess::upgrades(&v).is_empty());
-    }
-
-    #[test]
-    fn view_carries_its_own_shard_slot() {
-        let v = view_of(&sample());
-        assert!(v.shard_slot().is_some());
-        let slot = v.shard_slot().expect("slot");
-        assert!(slot.lock().expect("lock").is_empty());
+        let owned = view_of(&RecordedStream::default())
+            .to_owned_stream()
+            .expect("decode");
+        assert_eq!(owned, RecordedStream::default());
     }
 
     #[test]
@@ -567,8 +430,8 @@ mod tests {
     fn random_corruption_never_panics_the_view() {
         // Fault-injection sweep: whatever a deterministic bit flip or
         // truncation produces, construction ends in Ok or a typed error,
-        // never a panic — and a view that does construct still iterates
-        // and converts to an owned stream without panicking.
+        // never a panic — and a view that does construct still decodes
+        // to an owned stream without panicking.
         let bytes = sample().to_vec().expect("encode");
         for seed in 0..200u64 {
             let plan = FaultPlan::random_bit_flips(seed, bytes.len() as u64, 3);
@@ -577,9 +440,8 @@ mod tests {
                 .read_to_end(&mut damaged)
                 .expect("apply plan");
             if let Ok(v) = StreamView::new(damaged.into()) {
-                let n: usize = v.accesses().count();
-                assert_eq!(n, StreamAccess::len(&v));
-                assert_eq!(v.to_owned_stream().expect("validated").len(), n);
+                let owned = v.to_owned_stream().expect("validated");
+                assert_eq!(owned.accesses().count(), owned.len());
             }
         }
         for seed in 0..60u64 {

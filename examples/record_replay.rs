@@ -13,7 +13,7 @@
 
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::sharing::{replay_kind, StreamCache, StreamKey, WorkloadId};
-use sharing_aware_llc::trace::{StreamAccess, StreamStore};
+use sharing_aware_llc::trace::StreamStore;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -72,19 +72,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(fresh_stats.misses, 0, "a fresh cache must not re-record");
     assert_eq!(fresh_stats.disk_hits, 1, "the stream comes from the store");
     assert_eq!(
-        fresh_stats.view_loads, 1,
-        "the disk hit is served as a zero-copy view"
+        *restored, *stream,
+        "the disk copy decodes to the recording, plane for plane"
     );
-    assert!(
-        restored.accesses().eq(stream.accesses()),
-        "the disk copy replays the recording, record for record"
-    );
-    assert_eq!(
-        restored.upgrades(),
-        stream.upgrades(),
-        "upgrade events survive the round trip"
-    );
-    println!("fresh cache restored the stream from disk (zero-copy view) without simulating ✓");
+    println!("fresh cache restored the stream from disk without simulating ✓");
 
     // Phase 3 — the disk-restored stream replays bit-identically to
     // simulating the live generator.

@@ -75,8 +75,7 @@ fn llcs_files_round_trip_and_replay_identically() {
         .expect("present")
         .to_owned_stream()
         .expect("decode");
-    let recorded = recorded.as_owned().expect("recorded in this process");
-    assert_eq!(loaded, **recorded, "disk round-trip is lossless");
+    assert_eq!(loaded, *recorded, "disk round-trip is lossless");
 
     // And the loaded copy replays bit-identically to the live workload.
     let live = simulate(
@@ -125,10 +124,8 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
     let recovered = fresh
         .get_or_record(key, || App::Swaptions.workload(cfg.cores, Scale::Tiny))
         .expect("re-record over corruption");
-    let recovered = recovered.as_owned().expect("recovery re-records");
-    let original = original.as_owned().expect("recorded in this process");
     assert_eq!(
-        **recovered, **original,
+        *recovered, *original,
         "deterministic workloads re-record identically"
     );
     let stats = fresh.stats();
@@ -140,7 +137,7 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
         .expect("present")
         .to_owned_stream()
         .expect("decode");
-    assert_eq!(healed, **original, "the overwritten file is intact again");
+    assert_eq!(healed, *original, "the overwritten file is intact again");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -148,7 +145,7 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
 fn cache_bytes_track_view_backed_eviction_and_reload_exactly() {
     // The cap accounting invariant: at every point, `stats.bytes` equals
     // the sum of the resident entries' encoded sizes — including when
-    // view-backed entries are evicted and re-loaded from disk, and when
+    // disk-backed entries are evicted and re-loaded from disk, and when
     // a live handle pins a stream across its entry's eviction.
     let dir = temp_dir("cache-bytes");
     let cfg = small_cfg();
@@ -174,7 +171,7 @@ fn cache_bytes_track_view_backed_eviction_and_reload_exactly() {
 
     // A cap one byte short of the full set forces an eviction on every
     // third load; cycling the apps then evicts and re-loads each
-    // view-backed entry repeatedly.
+    // disk-backed entry repeatedly.
     let limit = apps.iter().map(|a| size[a]).sum::<u64>() - 1;
     let cache = StreamCache::with_store(store.clone(), Some(limit));
     for round in 0..4 {
@@ -193,7 +190,7 @@ fn cache_bytes_track_view_backed_eviction_and_reload_exactly() {
     }
     let stats = cache.stats();
     assert!(stats.evictions > 0, "the cap must have evicted something");
-    assert!(stats.view_loads > 0, "re-loads must be view-backed");
+    assert!(stats.disk_hits > 0, "re-loads must come from disk");
 
     // A live handle pins a stream across its entry's eviction; the
     // accounting still matches the resident set exactly, and the pinned
@@ -229,7 +226,7 @@ fn cache_bytes_track_view_backed_eviction_and_reload_exactly() {
 
 #[test]
 fn cache_bytes_stay_exact_under_concurrent_evict_reload() {
-    // Four threads hammer four view-backed streams through a cap that
+    // Four threads hammer four disk-backed streams through a cap that
     // holds only half of them, so loads constantly evict entries other
     // threads hold live handles to; once quiesced, the byte accounting
     // must equal the resident set exactly (no drift in either direction).
@@ -279,7 +276,7 @@ fn cache_bytes_stay_exact_under_concurrent_evict_reload() {
 #[test]
 fn load_view_survives_random_corruption_with_typed_errors() {
     // Flip bytes all over a persisted `.llcs` image and map each mutant
-    // back through the zero-copy view loader: every outcome must be a
+    // back through the view validator: every outcome must be a
     // clean `Ok` (mutation landed somewhere semantically inert) or a
     // typed `TraceError` — never a panic, never an abort.
     let dir = temp_dir("view-fault");

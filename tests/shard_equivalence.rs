@@ -15,7 +15,7 @@ use llc_sharing::{budget, oracle_window, record_stream, replay, replay_kind, Exe
 use llc_sim::LlcStats;
 use proptest::prelude::*;
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::trace::{StreamAccess, VecSource};
+use sharing_aware_llc::trace::{RecordedStream, VecSource};
 
 /// 8-set LLC (2 KiB, 4-way), no L2.
 fn cfg_8_sets() -> HierarchyConfig {
@@ -40,10 +40,10 @@ fn cfg_16_sets() -> HierarchyConfig {
 }
 
 /// Replays `desc` over `shards` set ranges (`1` = sequential).
-fn replay_sharded<S: StreamAccess + Sync>(
+fn replay_sharded(
     cfg: &HierarchyConfig,
     desc: ReplayDesc,
-    stream: &S,
+    stream: &RecordedStream,
     shards: usize,
 ) -> RunResult {
     replay(cfg, &desc, stream, None, Exec::Shards(shards), vec![]).expect("replay")
@@ -111,21 +111,23 @@ proptest! {
     }
 
     /// Sharded oracle replay (including the OPT-base combined-annotation
-    /// path) is bit-identical to the sequential oracle replay.
+    /// path) and sharded reactive replay (whose victim filter reads each
+    /// line's sharer count) are bit-identical to the sequential replay.
     #[test]
     fn sharded_oracle_replay_is_bit_identical(trace in trace_strategy(400)) {
         let cfg = cfg_8_sets();
         let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
         let sets = cfg.llc.sets() as usize;
         for base in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-            for mode in [ProtectMode::Eviction, ProtectMode::Insertion] {
-                let desc = ReplayDesc::oracle(base, mode, oracle_window(&cfg));
+            let oracles = [ProtectMode::Eviction, ProtectMode::Insertion]
+                .map(|mode| ReplayDesc::oracle(base, mode, oracle_window(&cfg)));
+            for desc in oracles.into_iter().chain([ReplayDesc::reactive(base)]) {
                 let seq = replay_sharded(&cfg, desc, &stream, 1);
                 for shards in [2usize, sets] {
                     let sharded = replay_sharded(&cfg, desc, &stream, shards);
                     prop_assert_eq!(
                         &seq, &sharded,
-                        "oracle base {} at {} shards", base.label(), shards
+                        "{} at {} shards", desc.label(), shards
                     );
                 }
             }
@@ -232,12 +234,13 @@ fn donated_budget_auto_shards_and_stays_exact() {
     }
 }
 
-/// Sharded replay over a zero-copy [`StreamView`] is bit-identical to
-/// sharded replay over the owned stream: the per-shard view iterators
-/// decode the same records the owned planes hold, and the shard index
-/// rides in the view's own slot rather than the registry.
+/// The 16-set stream a sharded replay runs on survives the `.llcs`
+/// encode → [`StreamView`] validate → decode round trip exactly, so a
+/// disk hit shards exactly like the recording it was stored from.
+///
+/// [`StreamView`]: sharing_aware_llc::trace::StreamView
 #[test]
-fn view_backed_sharded_replay_is_bit_identical() {
+fn view_decode_reproduces_a_sixteen_set_stream() {
     let cfg = cfg_16_sets();
     let trace: Vec<MemAccess> = (0..900)
         .map(|i| {
@@ -257,14 +260,9 @@ fn view_backed_sharded_replay_is_bit_identical() {
         .collect();
     let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
     let bytes = stream.to_vec().expect("encode");
-    let view = sharing_aware_llc::trace::StreamView::new(Arc::from(bytes.into_boxed_slice()))
-        .expect("validated view");
-    let sets = cfg.llc.sets() as usize;
-    for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        for shards in [1usize, 2, 7, sets] {
-            let owned = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, shards);
-            let viewed = replay_sharded(&cfg, ReplayDesc::plain(kind), &view, shards);
-            assert_eq!(owned, viewed, "kind {} at {shards} shards", kind.label());
-        }
-    }
+    let decoded = sharing_aware_llc::trace::StreamView::new(Arc::from(bytes.into_boxed_slice()))
+        .expect("validated view")
+        .to_owned_stream()
+        .expect("decode");
+    assert_eq!(decoded, stream);
 }
