@@ -38,10 +38,6 @@ fn main() {
     if cli.list {
         print!("{}", llc_bench::experiment_list());
     }
-    if let Err(e) = llc_bench::prepare_manifest(&cli) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
     if cli.trace_out.is_some() {
         llc_telemetry::spans::set_enabled(true);
     }

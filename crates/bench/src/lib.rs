@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -30,11 +31,8 @@ pub struct Cli {
     pub ctx: ExperimentCtx,
     /// Print the experiment list and exit.
     pub list: bool,
-    /// Suite harness settings (watchdog, retries, checkpoint manifest).
+    /// Suite harness settings (watchdog, result store, worker count).
     pub suite: SuiteConfig,
-    /// Replay completed experiments from an existing `--out` manifest
-    /// instead of truncating it at startup.
-    pub resume: bool,
     /// Write a Chrome-trace JSON timeline of the run to this path
     /// (span tracing is enabled for the whole invocation).
     pub trace_out: Option<PathBuf>,
@@ -70,10 +68,10 @@ options:
   --apps <a,b,c>             restrict to a comma-separated app subset (run in
                              suite order, duplicates dropped)
   --threads <n>              override the core/thread count
-  --out <path>               checkpoint completed experiments to a JSON manifest
-  --resume                   replay completed experiments from the --out manifest
+  --store <dir>              load finished tables from, and save them to,
+                             <dir>/results — the store `repro serve --store`
+                             uses, keyed by the resolved run flags
   --timeout <secs>           per-experiment wall-clock budget (0 disables; default 1800)
-  --retries <n>              IO retry attempts for manifest reads/writes (default 3)
   --jobs <n>                 experiments run concurrently (0 = all cores, the
                              default; pass 1 to force sequential runs)
   --stream-cache-mb <n>      in-memory stream cache cap in MiB (default sized
@@ -107,7 +105,6 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
         jobs: 0,
         ..SuiteConfig::default()
     };
-    let mut resume = false;
     let mut stream_cache_mb: Option<u64> = None;
     let mut trace_out: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
@@ -123,13 +120,11 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
                 // A preset starts over: overrides given before it are dropped.
                 spec = JobSpec::new(spec.experiment, &v);
             }
-            "--out" => suite.manifest_path = Some(args.value("--out")?.into()),
-            "--resume" => resume = true,
+            "--store" => suite.store = Some(args.value("--store")?.into()),
             "--timeout" => {
                 let secs = args.num("--timeout", "timeout", ..)?;
                 suite.timeout = (secs > 0).then(|| Duration::from_secs(secs));
             }
-            "--retries" => suite.io_retries = args.num("--retries", "retry count", ..)?,
             "--jobs" => suite.jobs = args.num("--jobs", "job count", ..)?,
             "--stream-cache-mb" => {
                 stream_cache_mb = Some(args.num("--stream-cache-mb", "cache size", 1..)?);
@@ -147,10 +142,9 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
     if !list && ids.is_empty() {
         return Err(CliError(USAGE.into()));
     }
-    if resume && suite.manifest_path.is_none() {
-        return Err(CliError("--resume requires --out <path>".into()));
-    }
-    ids.dedup();
+    // Each experiment runs once, at its first mention.
+    let mut seen = HashSet::new();
+    ids.retain(|&id| seen.insert(id));
     // Bound the shared stream cache: an explicit --stream-cache-mb wins,
     // otherwise the default is sized off the suite's concurrency.
     let limit = stream_cache_mb.map_or_else(
@@ -164,7 +158,6 @@ pub fn parse_cli<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, CliErro
         ctx,
         list,
         suite,
-        resume,
         trace_out,
     })
 }
@@ -178,31 +171,12 @@ pub fn experiment_list() -> String {
     out
 }
 
-/// Truncates a stale `--out` manifest when `--resume` was not given, so a
-/// fresh run never silently replays last week's results. Call once per
-/// invocation, before the first [`run_cli`].
-///
-/// # Errors
-///
-/// Fails with [`RunError::Io`] if the stale manifest cannot be removed.
-pub fn prepare_manifest(cli: &Cli) -> Result<(), RunError> {
-    if let Some(path) = &cli.suite.manifest_path {
-        if !cli.resume && path.exists() {
-            std::fs::remove_file(path).map_err(|source| RunError::Io {
-                context: format!("removing stale manifest {}", path.display()),
-                source,
-            })?;
-        }
-    }
-    Ok(())
-}
-
 /// Runs the parsed experiments under the crash-isolating suite harness.
 /// Returns the rendered report and the number of failed experiments.
 ///
 /// # Errors
 ///
-/// Fails only if an existing checkpoint manifest cannot be read; failures
+/// Fails only if the `--store` result store cannot be opened; failures
 /// *inside* experiments become `FAILED` rows in the rendered report.
 pub fn run_cli(cli: &Cli) -> Result<(String, usize), RunError> {
     let mut out = String::new();
@@ -219,17 +193,13 @@ pub fn run_cli(cli: &Cli) -> Result<(String, usize), RunError> {
                 }
                 out.push_str(&format!("[{} finished in {:.1?}]\n\n", id.label(), elapsed));
             }
-            ExperimentOutcome::Resumed { tables, saved } => {
+            ExperimentOutcome::Resumed { tables } => {
                 for table in tables {
                     out.push_str(&table.to_string());
                     out.push('\n');
                 }
-                let saved = match saved {
-                    Some(d) => format!(", skipped ~{:.1?}", d),
-                    None => String::new(),
-                };
                 out.push_str(&format!(
-                    "[{} resumed from checkpoint{saved}]\n\n",
+                    "[{} loaded from the result store]\n\n",
                     id.label()
                 ));
             }
@@ -237,13 +207,6 @@ pub fn run_cli(cli: &Cli) -> Result<(String, usize), RunError> {
                 out.push_str(&format!("[{} FAILED: {reason}]\n\n", id.label()));
             }
         }
-    }
-    if report.resumed() > 0 && report.time_skipped() > Duration::ZERO {
-        out.push_str(&format!(
-            "[resume skipped {} experiment(s), ~{:.1?} of recorded compute]\n\n",
-            report.resumed(),
-            report.time_skipped()
-        ));
     }
     if report.failed() > 0 || !report.checkpoint_errors.is_empty() {
         out.push_str(&report.summary().to_string());
@@ -266,6 +229,15 @@ mod tests {
         let cli = parse_cli(args("fig7")).unwrap();
         assert_eq!(cli.ids, vec![ExperimentId::Fig7]);
         assert!(!cli.list);
+        // Each experiment runs once, at its first mention, repeats
+        // adjacent or not.
+        let cli = parse_cli(args("table1 table3 table1 table3 table3")).unwrap();
+        assert_eq!(cli.ids, vec![ExperimentId::Table1, ExperimentId::Table3]);
+        let cli = parse_cli(args("all fig1")).unwrap();
+        assert_eq!(cli.ids, ExperimentId::ALL.to_vec());
+        let cli = parse_cli(args("fig1 all")).unwrap();
+        assert_eq!(cli.ids.len(), ExperimentId::ALL.len());
+        assert_eq!(cli.ids[0], ExperimentId::Fig1);
     }
 
     #[test]
@@ -304,25 +276,22 @@ mod tests {
         assert!(parse_cli(args("--timeout soon fig1")).is_err());
         assert!(parse_cli(args("--jobs many fig1")).is_err());
         assert!(
-            parse_cli(args("--resume fig1")).is_err(),
-            "--resume requires --out"
+            parse_cli(args("fig1 --store")).is_err(),
+            "--store needs a dir"
+        );
+        assert!(
+            parse_cli(args("--out m.json fig1")).is_err(),
+            "--store replaced the manifest flags"
         );
     }
 
     #[test]
     fn parses_suite_flags() {
-        let cli = parse_cli(args(
-            "--out /tmp/m.json --resume --timeout 60 --retries 5 --jobs 4 fig1",
-        ))
-        .unwrap();
-        assert_eq!(
-            cli.suite.manifest_path,
-            Some(std::path::PathBuf::from("/tmp/m.json"))
-        );
-        assert!(cli.resume);
+        let cli = parse_cli(args("--store /tmp/s --timeout 60 --jobs 4 fig1")).unwrap();
+        assert_eq!(cli.suite.store, Some(PathBuf::from("/tmp/s")));
         assert_eq!(cli.suite.timeout, Some(Duration::from_secs(60)));
-        assert_eq!(cli.suite.io_retries, 5);
         assert_eq!(cli.suite.jobs, 4);
+        assert_eq!(parse_cli(args("fig1")).unwrap().suite.store, None);
         assert_eq!(
             parse_cli(args("fig1")).unwrap().suite.jobs,
             0,

@@ -11,9 +11,11 @@ use llc_trace::TraceError;
 ///
 /// The variants separate the three layers a run can fail in: the
 /// simulator itself (`Sim`), the trace pipeline feeding it (`Trace`), and
-/// the suite harness around it (`Panicked`, `TimedOut`, `Io`,
-/// `Manifest`). Harness variants carry the experiment label so a failed
-/// row in a suite report is self-describing.
+/// the suite harness around it (`Panicked`, `TimedOut`, `Io`). Harness
+/// variants carry the experiment label so a failed row in a suite report
+/// is self-describing; `Io` carries what was being attempted, and a
+/// stored result that does not decode is an `Io` error of kind
+/// [`io::ErrorKind::InvalidData`].
 #[derive(Debug)]
 pub enum RunError {
     /// The simulator rejected its configuration or an access.
@@ -34,19 +36,12 @@ pub enum RunError {
         /// The budget that was exceeded.
         limit: Duration,
     },
-    /// A filesystem operation failed after exhausting its retries.
+    /// A filesystem operation failed, or a stored file did not decode.
     Io {
         /// What was being attempted (e.g. a path).
         context: String,
-        /// The final I/O error.
+        /// The underlying I/O error.
         source: io::Error,
-    },
-    /// A checkpoint manifest exists but cannot be understood.
-    Manifest {
-        /// Path of the offending manifest.
-        path: String,
-        /// Why it was rejected.
-        reason: String,
     },
     /// An experiment id string matched no known experiment.
     UnknownExperiment {
@@ -71,9 +66,6 @@ impl fmt::Display for RunError {
                 )
             }
             RunError::Io { context, source } => write!(f, "I/O error ({context}): {source}"),
-            RunError::Manifest { path, reason } => {
-                write!(f, "bad checkpoint manifest {path}: {reason}")
-            }
             RunError::UnknownExperiment { id } => write!(f, "unknown experiment id {id:?}"),
         }
     }

@@ -12,7 +12,7 @@ mod predictor;
 use std::sync::Arc;
 
 use llc_dag::DagStore;
-use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
+use llc_sim::{CacheConfig, Fold, HierarchyConfig, Inclusion};
 use llc_trace::{App, RecordedStream, Scale};
 
 use crate::error::RunError;
@@ -105,6 +105,30 @@ impl ExperimentCtx {
             "test" => Some(Self::test()),
             _ => None,
         }
+    }
+
+    /// The stable content-address of experiment `id`'s tables under this
+    /// context: a fingerprint of the experiment and the resolved context
+    /// (thread count, scale, app set, and each LLC capacity's full
+    /// hierarchy), stable across process restarts and machines. It names
+    /// the document in the result store (see [`crate::results`]) for the
+    /// batch runner and the daemon alike.
+    pub fn result_fingerprint(&self, id: ExperimentId) -> u64 {
+        let mut f = Fold::new(0x4c4c_4353_4a4f_4231); // "LLCSJOB1"
+        f.str(id.label())
+            .u64(self.cores as u64)
+            .str(&self.scale.to_string());
+        for app in &self.apps {
+            f.str(app.label());
+        }
+        for &cap in &self.llc_capacities {
+            // An invalid geometry cannot be fingerprinted through
+            // HierarchyConfig; folding the raw capacity keeps the
+            // fingerprint total while the run itself will fail with a
+            // typed error.
+            f.u64(self.config(cap).map_or(cap, |config| config.fingerprint()));
+        }
+        f.finish()
     }
 
     /// The hierarchy for one LLC capacity (non-inclusive by default; see

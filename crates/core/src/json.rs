@@ -1,4 +1,4 @@
-//! A minimal JSON reader/writer shared by the checkpoint manifest and the
+//! A minimal JSON reader/writer shared by the result store and the
 //! `llc-serve` HTTP API.
 //!
 //! The workspace deliberately carries no serde dependency, and its JSON
@@ -8,8 +8,8 @@
 //! errors on trailing garbage or malformed input.
 //!
 //! [`table_to_json`] / [`table_from_json`] define the canonical JSON shape
-//! of a rendered [`Table`], used both by the suite checkpoint manifest and
-//! by the persistent result store behind `llc-serve`.
+//! of a rendered [`Table`], used by the result store
+//! ([`crate::results`]) that the batch runner and `llc-serve` share.
 
 use crate::report::Table;
 
@@ -22,7 +22,7 @@ pub enum Value {
     Array(Vec<Value>),
     /// String.
     Str(String),
-    /// Number (the manifest only uses small non-negative integers).
+    /// Number (stored documents only use small non-negative integers).
     Num(f64),
     /// Boolean.
     Bool(bool),
@@ -302,7 +302,7 @@ impl Parser<'_> {
                             self.pos += 4;
                             // Surrogates never appear in our own output;
                             // map them to U+FFFD rather than erroring so
-                            // foreign manifests still load.
+                            // foreign documents still load.
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
@@ -346,8 +346,7 @@ impl Parser<'_> {
 }
 
 /// Encodes a [`Table`] as the canonical JSON object
-/// (`{"title","headers","rows","notes"}`) used by checkpoint manifests
-/// and the `llc-serve` result store.
+/// (`{"title","headers","rows","notes"}`) used by the result store.
 pub fn table_to_json(t: &Table) -> Value {
     let strings = |v: &[String]| Value::Array(v.iter().map(|s| Value::Str(s.clone())).collect());
     Value::object(vec![

@@ -60,6 +60,7 @@ pub mod online;
 pub mod planner;
 pub mod replay;
 pub mod report;
+pub mod results;
 pub mod runner;
 pub mod suite;
 

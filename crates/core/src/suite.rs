@@ -11,30 +11,28 @@
 //! * **Watchdog** — a configurable wall-clock budget per experiment. On
 //!   timeout the worker thread is abandoned (detached, never joined) and
 //!   the experiment is recorded as failed; the suite continues.
-//! * **Checkpointing** — each completed experiment's tables are appended
-//!   to a JSON manifest with an atomic write-to-temp-then-rename. A rerun
-//!   pointed at the same manifest replays completed experiments from disk
+//! * **Checkpointing** — with [`SuiteConfig::store`] set, each completed
+//!   experiment's tables are saved to the [`ResultStore`] under that
+//!   root as it finishes, keyed by
+//!   [`ExperimentCtx::result_fingerprint`] — the store and key `repro
+//!   serve --store` uses. A rerun finds them there
 //!   ([`ExperimentOutcome::Resumed`]) instead of recomputing their
-//!   OPT/oracle pre-passes.
-//! * **Bounded IO retry** — manifest reads and writes retry with
-//!   exponential backoff before giving up; a checkpoint that still fails
-//!   is recorded in the report but does not fail the suite.
+//!   OPT/oracle pre-passes, and only under the same resolved context: a
+//!   different machine, scale or app set is a different key. A stored
+//!   document that does not decode is quarantined and recomputed; that,
+//!   and a failed save, is noted in [`SuiteReport::checkpoint_errors`]
+//!   and never fails the suite.
 //! * **Worker pool** — independent experiments run on up to
 //!   [`SuiteConfig::jobs`] workers concurrently (scoped threads, no extra
 //!   dependencies). Each worker still gets the full per-experiment
-//!   isolation and watchdog; completed experiments are checkpointed as
-//!   they finish (manifest writes serialized by a lock) and the report
+//!   isolation and watchdog; completed experiments are saved as they
+//!   finish (each to its own file, by atomic rename) and the report
 //!   keeps request order regardless of completion order. The shared
 //!   [`StreamCache`](crate::replay::StreamCache) in the context means
 //!   concurrent experiments record each reference stream only once.
-//!
-//! The manifest format is a small hand-rolled JSON document (this
-//! workspace deliberately has no serde dependency); see [`SuiteReport`]
-//! for the shape.
 
-use std::io;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, LazyLock, Mutex};
 use std::thread;
@@ -45,8 +43,8 @@ use llc_telemetry::spans;
 
 use crate::error::RunError;
 use crate::experiments::{run_experiment, ExperimentCtx, ExperimentId};
-use crate::json;
 use crate::report::Table;
+use crate::results::{ResultStore, RESULTS_DIR};
 
 pub mod pool;
 
@@ -79,11 +77,11 @@ static METRICS: LazyLock<SuiteMetrics> = LazyLock::new(|| {
         failed: experiments("failed"),
         checkpoint_writes: global().counter(
             "llc_suite_checkpoint_writes_total",
-            "Checkpoint manifest writes attempted after completed experiments",
+            "Result-store saves attempted after completed experiments",
         ),
         checkpoint_write: global().histogram(
             "llc_suite_checkpoint_write_seconds",
-            "Duration of checkpoint manifest serialization + atomic write",
+            "Duration of a result-store save (serialization + atomic write)",
             &TIME_BOUNDS,
         ),
     }
@@ -94,13 +92,10 @@ static METRICS: LazyLock<SuiteMetrics> = LazyLock::new(|| {
 pub struct SuiteConfig {
     /// Wall-clock budget per experiment; `None` disables the watchdog.
     pub timeout: Option<Duration>,
-    /// Additional attempts for a failing manifest read/write (0 = one
-    /// attempt, no retries).
-    pub io_retries: u32,
-    /// Backoff before the first retry; doubled after each failure.
-    pub retry_backoff: Duration,
-    /// Checkpoint manifest path; `None` disables checkpointing/resume.
-    pub manifest_path: Option<PathBuf>,
+    /// Root of a `repro serve --store` layout whose `results/` the suite
+    /// loads finished tables from and saves them to; `None` disables
+    /// checkpointing.
+    pub store: Option<PathBuf>,
     /// Maximum experiments running concurrently. `1` = sequential
     /// (default); `0` = one worker per available hardware thread.
     pub jobs: usize,
@@ -110,9 +105,7 @@ impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
             timeout: Some(Duration::from_secs(1800)),
-            io_retries: 3,
-            retry_backoff: Duration::from_millis(50),
-            manifest_path: None,
+            store: None,
             jobs: 1,
         }
     }
@@ -137,17 +130,13 @@ pub enum ExperimentOutcome {
         /// The experiment's rendered tables.
         tables: Vec<Table>,
         /// Wall time the experiment took (isolation thread + watchdog
-        /// included); checkpointed so later resumes can report it.
+        /// included).
         elapsed: Duration,
     },
-    /// Replayed from the checkpoint manifest without recomputation.
+    /// Loaded from the result store without recomputation.
     Resumed {
-        /// The tables as checkpointed by the earlier invocation.
+        /// The tables as an earlier batch run or daemon job saved them.
         tables: Vec<Table>,
-        /// Wall time the checkpointed run took — i.e. roughly what the
-        /// resume just saved. `None` for manifests written before the
-        /// field existed.
-        saved: Option<Duration>,
     },
     /// Did not produce tables; the suite recorded why and moved on.
     Failed {
@@ -174,8 +163,8 @@ impl ExperimentOutcome {
 pub struct SuiteReport {
     /// One `(experiment, outcome)` row per requested experiment.
     pub outcomes: Vec<(ExperimentId, ExperimentOutcome)>,
-    /// Checkpoint writes that failed even after retries (the suite still
-    /// completed; only resumability is degraded).
+    /// Stored results that failed to load (and were recomputed) or to
+    /// save (the suite still completed; only resumability is degraded).
     pub checkpoint_errors: Vec<String>,
 }
 
@@ -188,7 +177,7 @@ impl SuiteReport {
             .count()
     }
 
-    /// Experiments replayed from the checkpoint manifest.
+    /// Experiments loaded from the result store.
     pub fn resumed(&self) -> usize {
         self.outcomes
             .iter()
@@ -217,19 +206,6 @@ impl SuiteReport {
             .sum()
     }
 
-    /// Total wall time the resumes skipped, as recorded by the earlier
-    /// invocations that checkpointed them (experiments resumed from
-    /// manifests predating the timing field contribute nothing).
-    pub fn time_skipped(&self) -> Duration {
-        self.outcomes
-            .iter()
-            .filter_map(|(_, o)| match o {
-                ExperimentOutcome::Resumed { saved, .. } => *saved,
-                _ => None,
-            })
-            .sum()
-    }
-
     /// A one-row-per-experiment status table for the end of a report.
     pub fn summary(&self) -> Table {
         let mut t = Table::new("Suite summary", &["experiment", "status", "detail"]);
@@ -239,16 +215,10 @@ impl SuiteReport {
                     "completed".to_string(),
                     format!("{} table(s) in {:.1?}", tables.len(), elapsed),
                 ),
-                ExperimentOutcome::Resumed { tables, saved } => {
-                    let saved = match saved {
-                        Some(d) => format!(", ~{:.1?} skipped", d),
-                        None => String::new(),
-                    };
-                    (
-                        "resumed".to_string(),
-                        format!("{} table(s) from checkpoint{saved}", tables.len()),
-                    )
-                }
+                ExperimentOutcome::Resumed { tables } => (
+                    "resumed".to_string(),
+                    format!("{} table(s) from the result store", tables.len()),
+                ),
                 ExperimentOutcome::Failed { reason } => ("FAILED".to_string(), reason.clone()),
             };
             t.row(vec![id.label().to_string(), status, detail]);
@@ -266,9 +236,10 @@ impl SuiteReport {
 ///
 /// # Errors
 ///
-/// Fails only if an existing checkpoint manifest cannot be read or
-/// parsed — per-experiment failures are recorded in the report, not
-/// returned. Delete (or move) a corrupt manifest to proceed without it.
+/// Fails only with [`RunError::Io`] if the result store under
+/// [`SuiteConfig::store`] cannot be opened — per-experiment failures,
+/// corrupt stored results and failed saves are recorded in the report,
+/// not returned.
 pub fn run_suite(
     ids: &[ExperimentId],
     ctx: &ExperimentCtx,
@@ -294,36 +265,34 @@ where
     F: Fn(ExperimentId, &ExperimentCtx) -> Result<Vec<Table>, RunError> + Send + Sync + 'static,
 {
     let run_fn = Arc::new(run_fn);
-    let manifest = match &config.manifest_path {
-        Some(path) => load_manifest(path, config)?,
-        None => Manifest::default(),
-    };
+    let results = config
+        .store
+        .as_ref()
+        .map(|root| ResultStore::open(root.join(RESULTS_DIR)))
+        .transpose()?;
 
-    // Resolve resumes up front; everything left is independent work.
-    let mut slots: Vec<Option<ExperimentOutcome>> = Vec::with_capacity(ids.len());
+    // Resolve resumes up front; everything left is independent work. A
+    // stored result that does not load has been quarantined: recompute.
+    let mut checkpoint_errors = Vec::new();
+    let mut slots = Vec::with_capacity(ids.len());
     let mut pending: Vec<(usize, ExperimentId)> = Vec::new();
     for (i, &id) in ids.iter().enumerate() {
-        match manifest.get(id.label()) {
-            Some((tables, elapsed_ms)) => {
-                METRICS.resumed.inc();
-                slots.push(Some(ExperimentOutcome::Resumed {
-                    tables: tables.to_vec(),
-                    saved: elapsed_ms.map(Duration::from_millis),
-                }));
-            }
-            None => {
-                slots.push(None);
-                pending.push((i, id));
-            }
+        let stored = results.as_ref().and_then(|store| {
+            store.load(ctx.result_fingerprint(id)).unwrap_or_else(|e| {
+                checkpoint_errors.push(format!("{e} (recomputed)"));
+                None
+            })
+        });
+        if let Some(tables) = stored {
+            METRICS.resumed.inc();
+            slots.push(Mutex::new(Some(ExperimentOutcome::Resumed { tables })));
+        } else {
+            slots.push(Mutex::new(None));
+            pending.push((i, id));
         }
     }
 
-    // Shared between workers: the manifest plus accumulated checkpoint
-    // complaints, both mutated under one lock so every completed
-    // experiment is persisted immediately, exactly as in sequential runs.
-    let checkpoint = Mutex::new((manifest, Vec::<String>::new()));
-    let result_slots: Vec<Mutex<Option<ExperimentOutcome>>> =
-        slots.iter_mut().map(|s| Mutex::new(s.take())).collect();
+    let checkpoint_errors = Mutex::new(checkpoint_errors);
     let next = AtomicUsize::new(0);
     let workers = config.effective_jobs().min(pending.len().max(1));
     // Workers the `--jobs` grant covers but the suite cannot use (fewer
@@ -343,30 +312,23 @@ where
         // worker picked it up (zero-ish for the first `workers` claims).
         METRICS.queue_wait.observe_duration(suite_start.elapsed());
         let outcome = run_isolated(id, ctx, config, Arc::clone(&run_fn));
-        if let (Some(path), ExperimentOutcome::Completed { tables, elapsed }) =
-            (&config.manifest_path, &outcome)
-        {
+        if let (Some(store), ExperimentOutcome::Completed { tables, .. }) = (&results, &outcome) {
             let _span = spans::span("checkpoint write");
             let write_start = Instant::now();
-            let mut guard = checkpoint
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            let (manifest, errors) = &mut *guard;
-            manifest.insert(id.label(), tables.clone(), Some(elapsed.as_millis() as u64));
-            if let Err(e) = save_manifest(manifest, path, config) {
-                errors.push(e.to_string());
+            if let Err(e) = store.save(ctx.result_fingerprint(id), id.label(), tables) {
+                lock(&checkpoint_errors).push(e.to_string());
             }
             METRICS.checkpoint_writes.inc();
             METRICS
                 .checkpoint_write
                 .observe_duration(write_start.elapsed());
         }
-        *result_slots[slot].lock().unwrap_or_else(|p| p.into_inner()) = Some(outcome);
+        *lock(&slots[slot]) = Some(outcome);
     });
 
     let outcomes = ids
         .iter()
-        .zip(result_slots)
+        .zip(slots)
         .map(|(&id, slot)| {
             let outcome = slot
                 .into_inner()
@@ -377,13 +339,18 @@ where
             (id, outcome)
         })
         .collect();
-    let (_, checkpoint_errors) = checkpoint
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
     Ok(SuiteReport {
         outcomes,
-        checkpoint_errors,
+        checkpoint_errors: checkpoint_errors
+            .into_inner()
+            .unwrap_or_else(|poisoned| poisoned.into_inner()),
     })
+}
+
+/// Locks `m`, recovering the data of a poisoned lock (a worker panic
+/// is already contained and reported by [`run_guarded`]).
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The outcome of a [`run_guarded`] call.
@@ -526,220 +493,23 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Retries an IO operation with exponential backoff, converting the final
-/// failure into [`RunError::Io`].
-fn with_retries<T>(
-    config: &SuiteConfig,
-    context: &str,
-    mut op: impl FnMut() -> io::Result<T>,
-) -> Result<T, RunError> {
-    let mut backoff = config.retry_backoff;
-    let mut last_err: Option<io::Error> = None;
-    for attempt in 0..=config.io_retries {
-        if attempt > 0 {
-            thread::sleep(backoff);
-            backoff = backoff.saturating_mul(2);
-        }
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(RunError::Io {
-        context: context.to_string(),
-        // infallible: the loop body ran at least once, so last_err is set.
-        source: last_err.expect("at least one attempt"),
-    })
-}
-
-/// The checkpoint manifest: completed experiments, their tables and
-/// (since the timing field was added) their wall time, in completion
-/// order.
-#[derive(Debug, Default)]
-struct Manifest {
-    entries: Vec<ManifestEntry>,
-}
-
-#[derive(Debug)]
-struct ManifestEntry {
-    label: String,
-    tables: Vec<Table>,
-    /// Wall time of the run that produced the tables. Optional so
-    /// manifests written before the field existed still parse (the
-    /// format version stays at 1 — old readers ignore unknown fields
-    /// and old writers simply omit this one).
-    elapsed_ms: Option<u64>,
-}
-
-impl Manifest {
-    fn get(&self, label: &str) -> Option<(&[Table], Option<u64>)> {
-        self.entries
-            .iter()
-            .find(|e| e.label == label)
-            .map(|e| (e.tables.as_slice(), e.elapsed_ms))
-    }
-
-    fn insert(&mut self, label: &str, tables: Vec<Table>, elapsed_ms: Option<u64>) {
-        if let Some(entry) = self.entries.iter_mut().find(|e| e.label == label) {
-            entry.tables = tables;
-            entry.elapsed_ms = elapsed_ms;
-        } else {
-            self.entries.push(ManifestEntry {
-                label: label.to_string(),
-                tables,
-                elapsed_ms,
-            });
-        }
-    }
-}
-
-/// Loads a manifest; a missing file is an empty manifest, an unreadable
-/// or unparsable one is a typed error.
-fn load_manifest(path: &Path, config: &SuiteConfig) -> Result<Manifest, RunError> {
-    if !path.exists() {
-        return Ok(Manifest::default());
-    }
-    let text = with_retries(
-        config,
-        &format!("reading manifest {}", path.display()),
-        || std::fs::read_to_string(path),
-    )?;
-    parse_manifest(&text).map_err(|reason| RunError::Manifest {
-        path: path.display().to_string(),
-        reason,
-    })
-}
-
-/// Writes the manifest crash-safely via [`llc_trace::atomic_write`]:
-/// serialize to a temporary sibling file, fsync, then rename over the
-/// target, so a crash mid-write can never leave a truncated or
-/// half-written manifest where the next run would find it.
-fn save_manifest(manifest: &Manifest, path: &Path, config: &SuiteConfig) -> Result<(), RunError> {
-    let text = render_manifest(manifest);
-    with_retries(
-        config,
-        &format!("writing manifest {}", path.display()),
-        || llc_trace::atomic_write(path, text.as_bytes()),
-    )
-}
-
-const MANIFEST_VERSION: u64 = 1;
-
-fn render_manifest(manifest: &Manifest) -> String {
-    use json::Value;
-    let entries: Vec<Value> = manifest
-        .entries
-        .iter()
-        .map(|entry| {
-            let mut fields = vec![
-                ("id", Value::Str(entry.label.clone())),
-                (
-                    "tables",
-                    Value::Array(entry.tables.iter().map(json::table_to_json).collect()),
-                ),
-            ];
-            if let Some(ms) = entry.elapsed_ms {
-                fields.push(("elapsed_ms", Value::Num(ms as f64)));
-            }
-            Value::object(fields)
-        })
-        .collect();
-    let doc = Value::object(vec![
-        ("version", Value::Num(MANIFEST_VERSION as f64)),
-        ("entries", Value::Array(entries)),
-    ]);
-    let mut out = doc.render();
-    out.push('\n');
-    out
-}
-
-fn parse_manifest(text: &str) -> Result<Manifest, String> {
-    use json::Value;
-    let doc = json::parse(text)?;
-    let version = doc
-        .field("version")
-        .and_then(Value::as_u64)
-        .ok_or("missing version")?;
-    if version != MANIFEST_VERSION {
-        return Err(format!("unsupported manifest version {version}"));
-    }
-    let entries = doc
-        .field("entries")
-        .and_then(Value::as_array)
-        .ok_or("missing entries")?;
-    let mut manifest = Manifest::default();
-    for entry in entries {
-        let label = entry
-            .field("id")
-            .and_then(Value::as_str)
-            .ok_or("entry missing id")?
-            .to_string();
-        let tables = entry
-            .field("tables")
-            .and_then(Value::as_array)
-            .ok_or("entry missing tables")?;
-        let tables: Result<Vec<Table>, String> = tables.iter().map(json::table_from_json).collect();
-        let elapsed_ms = entry.field("elapsed_ms").and_then(Value::as_u64);
-        manifest.insert(&label, tables?, elapsed_ms);
-    }
-    Ok(manifest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn table(title: &str) -> Table {
-        let mut t = Table::new(title, &["k", "v"]);
-        t.row(vec!["a".into(), "1".into()]);
-        t.note("a note with \"quotes\" and a \\ backslash");
-        t
-    }
-
     fn quick_config() -> SuiteConfig {
         SuiteConfig {
             timeout: Some(Duration::from_secs(10)),
-            io_retries: 1,
-            retry_backoff: Duration::from_millis(1),
-            manifest_path: None,
+            store: None,
             jobs: 1,
         }
     }
 
-    #[test]
-    fn manifest_round_trips_tables() {
-        let mut m = Manifest::default();
-        m.insert("fig7", vec![table("Fig 7 — «headline», 100%")], Some(4321));
-        m.insert("table1", vec![table("T1"), table("T1b")], None);
-        let text = render_manifest(&m);
-        let back = parse_manifest(&text).expect("parse own output");
-        assert_eq!(back.entries.len(), 2);
-        let (fig7, elapsed) = back.get("fig7").expect("fig7 present");
-        assert_eq!(fig7.len(), 1);
-        assert_eq!(fig7[0].title, "Fig 7 — «headline», 100%");
-        assert_eq!(fig7[0].rows, vec![vec!["a".to_string(), "1".to_string()]]);
-        assert_eq!(elapsed, Some(4321), "wall time survives the round trip");
-        let (t1, t1_elapsed) = back.get("table1").expect("table1 present");
-        assert_eq!(t1.len(), 2);
-        assert_eq!(t1_elapsed, None);
-    }
-
-    #[test]
-    fn manifest_without_elapsed_field_still_parses() {
-        // The exact shape PR 1 wrote, before per-experiment timing
-        // existed: same version, no elapsed_ms.
-        let text = "{\"version\": 1, \"entries\": [{\"id\": \"fig1\", \"tables\": []}]}";
-        let m = parse_manifest(text).expect("old manifests stay readable");
-        let (tables, elapsed) = m.get("fig1").expect("entry present");
-        assert!(tables.is_empty());
-        assert_eq!(elapsed, None);
-    }
-
-    #[test]
-    fn corrupt_manifest_is_a_typed_error() {
-        assert!(parse_manifest("{").is_err());
-        assert!(parse_manifest("{\"version\": 99, \"entries\": []}").is_err());
-        assert!(parse_manifest("{\"version\": 1}").is_err());
+    /// A fresh store root for one test.
+    fn temp_root(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!("llc-suite-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        root
     }
 
     #[test]
@@ -836,12 +606,9 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_skips_completed_experiments() {
-        let dir = std::env::temp_dir().join(format!("llc-suite-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let manifest = dir.join("manifest.json");
-        let _ = std::fs::remove_file(&manifest);
+        let root = temp_root("resume");
         let config = SuiteConfig {
-            manifest_path: Some(manifest.clone()),
+            store: Some(root.clone()),
             ..quick_config()
         };
         let ctx = ExperimentCtx::test();
@@ -856,8 +623,9 @@ mod tests {
         })
         .expect("first run");
         assert_eq!(report.completed(), 1);
+        let results = ResultStore::open(root.join(RESULTS_DIR)).expect("results");
         assert!(
-            manifest.exists(),
+            results.contains(ctx.result_fingerprint(ExperimentId::Table1)),
             "completed experiment must be checkpointed"
         );
 
@@ -873,55 +641,64 @@ mod tests {
         assert_eq!(report.resumed(), 1);
         assert_eq!(report.completed(), 1);
         assert_eq!(report.failed(), 0);
-        // The resume reports how much wall time the checkpoint saved
-        // (the first run recorded its elapsed time in the manifest).
         match &report.outcomes[0].1 {
-            ExperimentOutcome::Resumed { saved, .. } => {
-                assert!(saved.is_some(), "checkpointed run must carry its wall time")
-            }
+            ExperimentOutcome::Resumed { tables } => assert_eq!(tables[0].title, "ok"),
             other => panic!("expected resume, got {other:?}"),
         }
-        let _ = std::fs::remove_file(&manifest);
-        let _ = std::fs::remove_dir(&dir);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
-    fn corrupt_manifest_file_fails_the_suite_with_manifest_error() {
-        let dir = std::env::temp_dir();
-        let manifest = dir.join(format!("llc-suite-corrupt-{}.json", std::process::id()));
-        std::fs::write(&manifest, "this is not json").expect("write corrupt file");
+    fn corrupt_stored_result_is_quarantined_recomputed_and_noted() {
+        let root = temp_root("corrupt");
         let config = SuiteConfig {
-            manifest_path: Some(manifest.clone()),
+            store: Some(root.clone()),
             ..quick_config()
         };
         let ctx = ExperimentCtx::test();
-        let r = run_suite_with(&[ExperimentId::Table1], &ctx, &config, |_, _| Ok(vec![]));
-        assert!(matches!(r, Err(RunError::Manifest { .. })));
-        let _ = std::fs::remove_file(&manifest);
-    }
+        let fp = ctx.result_fingerprint(ExperimentId::Table1);
+        let results = ResultStore::open(root.join(RESULTS_DIR)).expect("results");
+        std::fs::write(results.path_for(fp), "this is not json").expect("write corrupt file");
+        let report = run_suite_with(&[ExperimentId::Table1], &ctx, &config, |_, _| {
+            Ok(vec![Table::new("recomputed", &["x"])])
+        })
+        .expect("a corrupt stored result never fails the suite");
+        assert_eq!(report.completed(), 1);
+        assert_eq!(report.checkpoint_errors.len(), 1, "{report:?}");
+        assert!(report.checkpoint_errors[0].contains("bad JSON"));
+        let evidence = results
+            .dir()
+            .join(llc_trace::QUARANTINE_DIR)
+            .join(format!("{fp:016x}.json"));
+        assert_eq!(
+            std::fs::read_to_string(evidence).expect("quarantined copy"),
+            "this is not json"
+        );
+        let saved = results
+            .load(fp)
+            .expect("load")
+            .expect("recomputed and saved");
+        assert_eq!(saved[0].title, "recomputed");
 
-    #[test]
-    fn retries_give_up_with_io_error() {
-        let config = quick_config();
-        let mut calls = 0;
-        let r: Result<(), RunError> = with_retries(&config, "always failing", || {
-            calls += 1;
-            Err(io::Error::new(io::ErrorKind::PermissionDenied, "nope"))
-        });
-        assert_eq!(calls, 2); // initial attempt + io_retries(1)
+        // A store root that cannot be opened is the suite's one error.
+        let file_root = root.join("not-a-dir");
+        std::fs::write(&file_root, "").expect("write file");
+        let config = SuiteConfig {
+            store: Some(file_root),
+            ..quick_config()
+        };
+        let r = run_suite_with(&[ExperimentId::Table1], &ctx, &config, |_, _| Ok(vec![]));
         assert!(matches!(r, Err(RunError::Io { .. })));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
     fn parallel_suite_preserves_request_order_and_checkpoints() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let dir = std::env::temp_dir().join(format!("llc-suite-par-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let manifest = dir.join("manifest.json");
-        let _ = std::fs::remove_file(&manifest);
+        let root = temp_root("par");
         let config = SuiteConfig {
             jobs: 4,
-            manifest_path: Some(manifest.clone()),
+            store: Some(root.clone()),
             ..quick_config()
         };
         let ctx = ExperimentCtx::test();
@@ -957,20 +734,16 @@ mod tests {
             "with 4 jobs and 30ms experiments, some must overlap"
         );
         // Completed experiments were checkpointed despite the pool.
-        let saved = parse_manifest(&std::fs::read_to_string(&manifest).expect("manifest"))
-            .expect("valid manifest");
-        assert!(saved.get("table1").is_some());
+        let results = ResultStore::open(root.join(RESULTS_DIR)).expect("results");
+        let saved = |id| results.load(ctx.result_fingerprint(id)).expect("load");
+        assert!(saved(ExperimentId::Table1).is_some());
         assert!(
-            saved.get("fig2").is_none(),
+            saved(ExperimentId::Fig2).is_none(),
             "failed experiment must not be checkpointed"
         );
-        let (_, elapsed) = saved.get("fig1").expect("fig1 checkpointed");
-        assert!(
-            elapsed.is_some(),
-            "checkpoints record per-experiment wall time"
-        );
-        let _ = std::fs::remove_file(&manifest);
-        let _ = std::fs::remove_dir(&dir);
+        let fig1 = saved(ExperimentId::Fig1).expect("fig1 checkpointed");
+        assert_eq!(fig1[0].title, "fig1", "each experiment under its own key");
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -1006,10 +779,7 @@ mod tests {
                 ),
                 (
                     ExperimentId::Fig2,
-                    ExperimentOutcome::Resumed {
-                        tables: vec![],
-                        saved: Some(Duration::from_secs(42)),
-                    },
+                    ExperimentOutcome::Resumed { tables: vec![] },
                 ),
             ],
             checkpoint_errors: vec!["disk full".into()],
@@ -1019,11 +789,7 @@ mod tests {
         assert!(s.contains("FAILED"));
         assert!(s.contains("boom"));
         assert!(s.contains("disk full"));
-        assert!(
-            s.contains("skipped"),
-            "resume rows show the time the checkpoint saved: {s}"
-        );
+        assert!(s.contains("from the result store"), "{s}");
         assert_eq!(report.time_spent(), Duration::from_millis(1500));
-        assert_eq!(report.time_skipped(), Duration::from_secs(42));
     }
 }

@@ -210,7 +210,7 @@ pub fn sweep(root: &Path, cap_bytes: Option<u64>, verify: bool) -> Result<GcRepo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ResultStore;
+    use crate::ResultStore;
     use filetime_shim::set_mtime;
     use llc_dag::NodeKind;
     use llc_sharing::Table;

@@ -61,10 +61,11 @@ pub use chaos::{ChaosPlan, ChaosPoint};
 pub use client::{Client, RetryPolicy};
 pub use gc::GcReport;
 pub use jobs::{JobId, JobState};
+pub use llc_sharing::results::ResultStore;
 pub use server::{Server, ServerConfig, ServerControl};
 pub use sessions::SessionTable;
 pub use spec::JobSpec;
-pub use store::{ResultStore, Store};
+pub use store::Store;
 
 use std::fmt;
 use std::io;

@@ -765,7 +765,7 @@ fn load_result(state: &ServerState, fp: u64) -> Result<Option<Vec<Table>>, Serve
         {
             state.jobs.count(|c| c.quarantined += 1);
         }
-        state.store.results.error(fp, e)
+        state.store.results.error(fp, e).into()
     })
 }
 
@@ -782,7 +782,7 @@ fn save_result(
             "chaos: injected store-write fault".into(),
         ));
     }
-    state.store.results.save(fp, experiment, tables)
+    Ok(state.store.results.save(fp, experiment, tables)?)
 }
 
 /// Plans `spec` with `streams` as its stream cache against `store`'s

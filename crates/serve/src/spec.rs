@@ -6,7 +6,7 @@ use std::ops::RangeInclusive;
 
 use llc_sharing::json::{self, Value};
 use llc_sharing::{ExperimentCtx, ExperimentId};
-use llc_sim::{Fold, MAX_CORES};
+use llc_sim::MAX_CORES;
 use llc_trace::{App, Scale};
 
 use crate::cli::ArgCursor;
@@ -248,28 +248,13 @@ impl JobSpec {
         ctx
     }
 
-    /// The spec's stable content-address: a fingerprint of the experiment
-    /// and the *resolved* context (machine geometry, scale, thread count,
-    /// app set), so two spellings of the same work — say `preset: test`
-    /// with and without an explicit `threads: 4` — share one store entry,
-    /// across process restarts and machines.
+    /// The spec's stable content-address, which names its stored result:
+    /// [`ExperimentCtx::result_fingerprint`] of the *resolved* context,
+    /// so two spellings of the same work — say `preset: test` with and
+    /// without an explicit `threads: 4` — share one store entry, and the
+    /// batch runner's `repro --store` finds it too.
     pub fn fingerprint(&self) -> u64 {
-        let ctx = self.build_ctx();
-        let mut f = Fold::new(0x4c4c_4353_4a4f_4231); // "LLCSJOB1"
-        f.str(self.experiment.label())
-            .u64(ctx.cores as u64)
-            .str(&ctx.scale.to_string());
-        for app in &ctx.apps {
-            f.str(app.label());
-        }
-        for &cap in &ctx.llc_capacities {
-            // An invalid geometry cannot be fingerprinted through
-            // HierarchyConfig; folding the raw capacity keeps the
-            // fingerprint total while the job itself will fail with a
-            // typed error at run time.
-            f.u64(ctx.config(cap).map_or(cap, |config| config.fingerprint()));
-        }
-        f.finish()
+        self.build_ctx().result_fingerprint(self.experiment)
     }
 
     /// A short human-readable description for logs and status output.

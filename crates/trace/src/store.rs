@@ -86,10 +86,12 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, path)?;
-        if let Some(parent) = path.parent() {
-            sync_dir(parent)?;
+        match path.parent() {
+            // A bare file name's parent is `""`: the current directory.
+            Some(parent) if parent.as_os_str().is_empty() => sync_dir(Path::new(".")),
+            Some(parent) => sync_dir(parent),
+            None => Ok(()),
         }
-        Ok(())
     })();
     if result.is_err() {
         let _ = fs::remove_file(&tmp);

@@ -1,6 +1,7 @@
 //! Fail-safe pipeline integration tests: corrupted traces must surface as
 //! typed errors (never panics) all the way through the simulator driver,
-//! and the suite runner must isolate crashes and resume from checkpoints.
+//! and the suite runner must isolate crashes and resume from the result
+//! store — only under the context that computed the stored tables.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -125,7 +126,7 @@ fn suite_isolates_a_panicking_experiment_and_finishes_the_rest() {
     let ctx = ExperimentCtx::test();
     let config = SuiteConfig {
         timeout: Some(Duration::from_secs(30)),
-        manifest_path: None,
+        store: None,
         ..SuiteConfig::default()
     };
     let ids = [ExperimentId::Table1, ExperimentId::Fig1, ExperimentId::Fig3];
@@ -150,11 +151,9 @@ fn suite_isolates_a_panicking_experiment_and_finishes_the_rest() {
 
 #[test]
 fn killed_suite_resumes_from_checkpoint_without_recomputing() {
-    let manifest =
-        std::env::temp_dir().join(format!("llc-failsafe-resume-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&manifest);
+    let store = temp_store("resume");
     let config = SuiteConfig {
-        manifest_path: Some(manifest.clone()),
+        store: Some(store.clone()),
         ..SuiteConfig::default()
     };
     let ctx = ExperimentCtx::test();
@@ -162,7 +161,7 @@ fn killed_suite_resumes_from_checkpoint_without_recomputing() {
 
     // First invocation "dies" partway: table1 and fig1 complete (and are
     // checkpointed), fig3 panics — standing in for a killed process whose
-    // manifest survived.
+    // stored results survived.
     let runs = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&runs);
     let report = run_suite_with(&ids, &ctx, &config, move |id, _| {
@@ -180,7 +179,7 @@ fn killed_suite_resumes_from_checkpoint_without_recomputing() {
     assert_eq!(runs.load(Ordering::SeqCst), 3);
 
     // Second invocation: the two checkpointed experiments must be
-    // replayed from the manifest — the closure counts how often it is
+    // loaded from the store — the closure counts how often it is
     // actually invoked, so recomputation would be visible.
     let runs2 = Arc::new(AtomicUsize::new(0));
     let counter2 = Arc::clone(&runs2);
@@ -201,7 +200,7 @@ fn killed_suite_resumes_from_checkpoint_without_recomputing() {
         t1[0].title, "result of table1",
         "checkpointed content survives"
     );
-    let _ = std::fs::remove_file(&manifest);
+    let _ = std::fs::remove_dir_all(&store);
 }
 
 #[test]
@@ -209,7 +208,7 @@ fn watchdog_reaps_a_hung_experiment_and_the_suite_continues() {
     let ctx = ExperimentCtx::test();
     let config = SuiteConfig {
         timeout: Some(Duration::from_millis(100)),
-        manifest_path: None,
+        store: None,
         ..SuiteConfig::default()
     };
     let ids = [ExperimentId::Fig1, ExperimentId::Fig3];
@@ -233,16 +232,14 @@ fn watchdog_reaps_a_hung_experiment_and_the_suite_continues() {
 #[test]
 fn real_experiment_suite_checkpoints_and_resumes() {
     // End-to-end with the real `run_experiment`: a tiny two-app context
-    // keeps this fast while exercising the exact code path `repro --out
-    // --resume` uses, including OPT/oracle pre-pass recomputation being
+    // keeps this fast while exercising the exact code path `repro
+    // --store` uses, including OPT/oracle pre-pass recomputation being
     // skipped on resume.
-    let manifest =
-        std::env::temp_dir().join(format!("llc-failsafe-real-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&manifest);
+    let store = temp_store("real");
     let mut ctx = ExperimentCtx::test();
     ctx.apps.truncate(2);
     let config = SuiteConfig {
-        manifest_path: Some(manifest.clone()),
+        store: Some(store.clone()),
         ..SuiteConfig::default()
     };
     let ids = [ExperimentId::Table1, ExperimentId::Fig7];
@@ -251,12 +248,55 @@ fn real_experiment_suite_checkpoints_and_resumes() {
     assert_eq!(first.failed(), 0);
 
     let second = run_suite(&ids, &ctx, &config).expect("resumed real run");
-    assert_eq!(second.resumed(), 2, "everything replays from the manifest");
+    assert_eq!(second.resumed(), 2, "everything loads from the store");
     // Checkpointed tables must match the originally computed ones.
     let orig = first.outcomes[1].1.tables().expect("fig7 tables");
     let replay = second.outcomes[1].1.tables().expect("fig7 tables");
     assert_eq!(orig.len(), replay.len());
     assert_eq!(orig[0].title, replay[0].title);
     assert_eq!(orig[0].rows, replay[0].rows);
-    let _ = std::fs::remove_file(&manifest);
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+#[test]
+fn stored_table_answers_only_its_own_machine() {
+    // The stored table of a 4-core run must not answer a 2-core,
+    // one-app run of the same experiment: each resolved context is its
+    // own key.
+    let store = temp_store("stale");
+    let config = SuiteConfig {
+        store: Some(store.clone()),
+        ..SuiteConfig::default()
+    };
+    let cores = |report: &SuiteReport| -> String {
+        let table = &report.outcomes[0].1.tables().expect("table1")[0];
+        let row = table
+            .rows
+            .iter()
+            .find(|r| r[0] == "cores")
+            .expect("cores row");
+        row[1].clone()
+    };
+    let ctx = ExperimentCtx::test();
+    let first = run_suite(&[ExperimentId::Table1], &ctx, &config).expect("4-core run");
+    assert!(cores(&first).starts_with("4 "), "{}", cores(&first));
+
+    let mut small = ExperimentCtx::test();
+    small.cores = 2;
+    small.apps = vec![App::Fft];
+    let second = run_suite(&[ExperimentId::Table1], &small, &config).expect("2-core run");
+    assert!(
+        matches!(second.outcomes[0].1, ExperimentOutcome::Completed { .. }),
+        "another machine must recompute, got {:?}",
+        second.outcomes[0].1
+    );
+    assert!(cores(&second).starts_with("2 "), "{}", cores(&second));
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// A fresh result-store root for one test.
+fn temp_store(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir().join(format!("llc-failsafe-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    root
 }
