@@ -70,7 +70,9 @@ options:
   --threads <n>              override the core/thread count
   --store <dir>              load finished tables from, and save them to,
                              <dir>/results — the store `repro serve --store`
-                             uses, keyed by the resolved run flags
+                             uses, keyed by the resolved run flags (not by
+                             the code: after a code change use a fresh <dir>
+                             or delete <dir>/results)
   --timeout <secs>           per-experiment wall-clock budget (0 disables; default 1800)
   --jobs <n>                 experiments run concurrently (0 = all cores, the
                              default; pass 1 to force sequential runs)
@@ -349,5 +351,21 @@ mod tests {
         assert_eq!(failed, 0);
         assert!(report.contains("Table 1"));
         assert!(report.contains("cores"));
+    }
+
+    #[test]
+    fn a_stored_table_is_loaded_not_recomputed() {
+        let dir = std::env::temp_dir().join(format!("repro-run-cli-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cmd = format!("--ctx test --jobs 1 --store {} table1", dir.display());
+        let (first, _) = run_cli(&parse_cli(args(&cmd)).unwrap()).expect("cold run");
+        assert!(first.contains("[table1 finished in "), "{first}");
+        let (again, _) = run_cli(&parse_cli(args(&cmd)).unwrap()).expect("warm run");
+        assert!(
+            again.contains("[table1 loaded from the result store]"),
+            "{again}"
+        );
+        assert!(!again.contains("finished in"), "{again}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -227,6 +227,40 @@ mod tests {
         // Recovery: overwrite the bad entry.
         store.save(0xdead, "fig7", &tables).expect("overwrite");
         assert!(store.load(0xdead).expect("load").is_some());
+        // A document with no `tables` field is not an empty result.
+        fs::write(
+            store.path_for(0xf00d),
+            "{\"version\":1,\"fingerprint\":\"000000000000f00d\"}",
+        )
+        .expect("write");
+        assert!(store.load(0xf00d).is_err_and(|e| is_corrupt(&e)));
+        let _ = fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn several_tables_round_trip_with_escaped_notes() {
+        fn table(title: &str) -> Table {
+            let mut t = Table::new(title, &["k", "v"]);
+            t.row(vec!["a".into(), "1".into()]);
+            t.note("a note with \"quotes\" and a \\ backslash");
+            t
+        }
+        let store = temp_store("tables");
+        let tables = vec![table("Fig 7 — «headline», 100%"), table("T1b")];
+        store.save(0x7ab1e, "table1", &tables).expect("save");
+        let back = store.load(0x7ab1e).expect("load").expect("present");
+        assert_eq!(back.len(), 2);
+        for (got, want) in back.iter().zip(&tables) {
+            assert_eq!(got.title, want.title);
+            assert_eq!(got.headers, want.headers);
+            assert_eq!(got.rows, want.rows);
+            assert_eq!(got.notes, want.notes);
+        }
+        assert_eq!(back[0].title, "Fig 7 — «headline», 100%");
+        assert_eq!(
+            back[1].notes,
+            vec!["a note with \"quotes\" and a \\ backslash"]
+        );
         let _ = fs::remove_dir_all(store.dir());
     }
 
