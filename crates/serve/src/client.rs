@@ -36,6 +36,7 @@ use llc_telemetry::metrics::{global, Counter};
 
 use crate::http::parse_response_full;
 use crate::jobs::JobId;
+use crate::server::MAX_WAIT_MS;
 use crate::spec::JobSpec;
 use crate::{io_err, ServeError};
 
@@ -333,8 +334,10 @@ impl Client {
             .request("POST", "/shutdown", None)
     }
 
-    /// Polls a job until it reaches a terminal state (or `deadline`
-    /// elapses), returning the final status document.
+    /// Waits for a job to reach a terminal state (or for `deadline` to
+    /// elapse) and returns the final status document. Each request is a
+    /// `GET /jobs/{id}?wait_ms=N` long-poll that the daemon answers as
+    /// soon as the job ends, so there is no client-side poll interval.
     ///
     /// # Errors
     ///
@@ -343,7 +346,11 @@ impl Client {
     pub fn watch(&self, id: JobId, deadline: Duration) -> Result<Value, ServeError> {
         let started = Instant::now();
         loop {
-            let status = self.status(id)?;
+            let wait = deadline
+                .saturating_sub(started.elapsed())
+                .min(Duration::from_millis(MAX_WAIT_MS));
+            let path = format!("/jobs/{id}?wait_ms={}", wait.as_millis());
+            let status = self.request("GET", &path, None)?;
             let state = status
                 .field("state")
                 .and_then(Value::as_str)
@@ -357,7 +364,6 @@ impl Client {
                     "job {id} still {state} after {deadline:?}"
                 )));
             }
-            std::thread::sleep(Duration::from_millis(50));
         }
     }
 }

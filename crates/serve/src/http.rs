@@ -27,8 +27,10 @@ pub const DEFAULT_READ_DEADLINE: Duration = Duration::from_secs(10);
 pub struct Request {
     /// Upper-cased method (`GET`, `POST`, `DELETE`, …).
     pub method: String,
-    /// The request path (query strings are not used by this API).
+    /// The request path, without its query string.
     pub path: String,
+    /// The query string after `?` (empty when there is none).
+    pub query: String,
     /// The request body (empty when none was sent).
     pub body: String,
 }
@@ -178,10 +180,11 @@ pub fn read_request_deadline(
         .next()
         .ok_or_else(|| ServeError::Protocol("missing method".into()))?
         .to_ascii_uppercase();
-    let path = parts
+    let target = parts
         .next()
-        .ok_or_else(|| ServeError::Protocol("missing path".into()))?
-        .to_string();
+        .ok_or_else(|| ServeError::Protocol("missing path".into()))?;
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let (path, query) = (path.to_string(), query.to_string());
     let version = parts.next().unwrap_or("HTTP/1.1");
     if !version.starts_with("HTTP/1.") {
         return Err(ServeError::Protocol(format!(
@@ -247,7 +250,12 @@ pub fn read_request_deadline(
     }
     let body = String::from_utf8(body)
         .map_err(|_| ServeError::Protocol("request body is not UTF-8".into()))?;
-    Ok(Request { method, path, body })
+    Ok(Request {
+        method,
+        path,
+        query,
+        body,
+    })
 }
 
 /// Serializes `response` onto `stream` (the response's content type,
@@ -353,7 +361,15 @@ mod tests {
         let r = round_trip("get /store/stats HTTP/1.1\r\n\r\n").expect("parse");
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/store/stats");
+        assert!(r.query.is_empty());
         assert!(r.body.is_empty());
+    }
+
+    #[test]
+    fn splits_the_query_string_off_the_path() {
+        let r = round_trip("GET /jobs/7?wait_ms=250 HTTP/1.1\r\n\r\n").expect("parse");
+        assert_eq!(r.path, "/jobs/7");
+        assert_eq!(r.query, "wait_ms=250");
     }
 
     #[test]

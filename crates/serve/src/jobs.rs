@@ -8,8 +8,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, LazyLock, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Condvar, LazyLock, Mutex};
+use std::time::{Duration, Instant};
 
 use llc_telemetry::metrics::{global, Counter};
 
@@ -140,6 +140,9 @@ pub struct JobCounters {
 #[derive(Debug, Default)]
 pub struct JobTable {
     jobs: Mutex<HashMap<u64, JobRecord>>,
+    /// Notified, under the `jobs` lock, whenever a job reaches a
+    /// terminal state: the long-poll and the drain wait on it.
+    finished: Condvar,
     next: AtomicU64,
     counters: Mutex<JobCounters>,
     /// Jobs admitted but not yet terminal (queued + running). This is
@@ -190,6 +193,7 @@ impl JobTable {
         if !record.state.is_terminal() {
             if state.is_terminal() {
                 self.inflight.fetch_sub(1, Ordering::Relaxed);
+                self.finished.notify_all();
             }
             match &state {
                 JobState::Done { .. } => {
@@ -218,6 +222,30 @@ impl JobTable {
         let flag = self.get(id)?.cancel;
         flag.store(true, Ordering::Relaxed);
         self.transition(id, JobState::Cancelled)
+    }
+
+    /// Waits until job `id` is terminal or `timeout` has passed, and
+    /// returns its snapshot then (`None` if there is no such job).
+    pub fn wait_terminal(&self, id: JobId, timeout: Duration) -> Option<JobRecord> {
+        let (jobs, _) = self
+            .finished
+            .wait_timeout_while(lock_recovering(&self.jobs), timeout, |jobs| {
+                jobs.get(&id.0).is_some_and(|r| !r.state.is_terminal())
+            })
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        jobs.get(&id.0).cloned()
+    }
+
+    /// Waits until no job is in flight or `timeout` has passed; `true`
+    /// if the table went idle.
+    pub fn wait_idle(&self, timeout: Duration) -> bool {
+        let (_jobs, waited) = self
+            .finished
+            .wait_timeout_while(lock_recovering(&self.jobs), timeout, |_| {
+                self.inflight() > 0
+            })
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        !waited.timed_out()
     }
 
     /// A snapshot of the service counters.
@@ -332,6 +360,37 @@ mod tests {
         assert_eq!(table.inflight(), 1);
         table.cancel(b.id);
         assert_eq!(table.inflight(), 0);
+    }
+
+    #[test]
+    fn waits_end_at_the_terminal_transition_or_the_timeout() {
+        let table = JobTable::new();
+        let job = table.submit(spec(), 1);
+        let started = Instant::now();
+        let snapshot = table
+            .wait_terminal(job.id, Duration::from_millis(30))
+            .expect("present");
+        assert_eq!(snapshot.state, JobState::Queued);
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert!(!table.wait_idle(Duration::from_millis(1)));
+        assert!(table
+            .wait_terminal(JobId(999), Duration::from_secs(60))
+            .is_none());
+
+        let started = Instant::now();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| table.wait_terminal(job.id, Duration::from_secs(60)));
+            let idle = s.spawn(|| table.wait_idle(Duration::from_secs(60)));
+            table.transition(job.id, JobState::Running);
+            table.transition(job.id, JobState::Done { from_store: false });
+            let snapshot = waiter.join().expect("waiter").expect("present");
+            assert_eq!(snapshot.state, JobState::Done { from_store: false });
+            assert!(idle.join().expect("idle waiter"));
+        });
+        assert!(
+            started.elapsed() < Duration::from_secs(30),
+            "a terminal transition must wake its waiters"
+        );
     }
 
     #[test]

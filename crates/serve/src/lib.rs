@@ -25,6 +25,9 @@
 //! |------------------------|----------------------------------------------|
 //! | `POST /jobs`           | submit an experiment spec (JSON body)        |
 //! | `GET /jobs/{id}`       | job status + progress                        |
+//! | `GET /jobs/{id}?wait_ms=N` | long-poll: the status once the job is    |
+//! |                        | terminal, or after `N` ms (at most           |
+//! |                        | [`server::MAX_WAIT_MS`])                     |
 //! | `GET /jobs/{id}/result`| the completed job's tables                   |
 //! | `DELETE /jobs/{id}`    | cancel (a running job is abandoned, exactly  |
 //! |                        | like a suite watchdog timeout)               |

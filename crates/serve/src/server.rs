@@ -1,13 +1,18 @@
-//! The daemon: a `TcpListener` accept loop, per-connection handler
-//! threads behind a connection cap, and a bounded worker pool (the same
-//! [`llc_sharing::scoped_workers`] primitive the suite runner schedules
-//! on), all over one shared `ServerState`.
+//! The daemon: a blocking `TcpListener` accept loop, per-connection
+//! handler threads behind a connection cap, a timer thread, and a
+//! bounded worker pool (the same [`llc_sharing::scoped_workers`]
+//! primitive the suite runner schedules on), all over one shared
+//! `ServerState`.
 //!
 //! Worker 0 owns the socket and, once shutdown is requested, supervises
-//! the drain; workers `1..=jobs` pop the bounded job queue. Every
-//! expensive artifact is memoized through the persistent stores, so a
-//! re-submitted spec — even after a daemon restart — completes as a
-//! store hit without touching the simulator.
+//! the drain; workers `1..=jobs` block on the bounded job queue. The
+//! timer thread runs the periodic GC sweep and idle-session reaping and
+//! watches for SIGTERM/SIGINT. Nothing waits on a fixed sleep while a
+//! request or job is ready: `accept` blocks until a connection arrives,
+//! and every stop request wakes it with a throwaway loopback connection.
+//! Every expensive artifact is memoized through the persistent stores,
+//! so a re-submitted spec — even after a daemon restart — completes as
+//! a store hit without touching the simulator.
 //!
 //! ## Overload and failure model
 //!
@@ -27,7 +32,8 @@
 //! * **Graceful drain** — SIGTERM/SIGINT, `POST /shutdown` or
 //!   [`ServerControl::shutdown`] stop admissions, checkpoint queued
 //!   specs to `<store>/queued-jobs.json` (restored on next start), give
-//!   running jobs a bounded grace period, then cancel stragglers.
+//!   running jobs a bounded grace period, then cancel stragglers. The
+//!   drain ends as soon as the last running job does.
 //! * **Store hygiene** — corrupt store entries are quarantined, and an
 //!   optional byte cap (`--store-cap-mb`) triggers background LRU GC
 //!   sweeps (see [`crate::gc`]).
@@ -37,7 +43,7 @@
 
 use std::collections::VecDeque;
 use std::fs;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LazyLock, Mutex};
@@ -66,6 +72,21 @@ use crate::{io_err, ServeError};
 /// File name (under the store root) of the queued-jobs checkpoint
 /// written by a graceful drain and consumed on the next start.
 pub const CHECKPOINT_FILE: &str = "queued-jobs.json";
+
+/// The longest `GET /jobs/{id}?wait_ms=N` may wait, in milliseconds. It
+/// keeps a long-poll inside the client's 10 s socket timeout and bounds
+/// how long one holds a connection permit.
+pub const MAX_WAIT_MS: u64 = 5000;
+
+/// How often the timer thread checks for SIGTERM/SIGINT; bounds the
+/// delay from the signal to the start of the drain.
+const SIGNAL_POLL: Duration = Duration::from_millis(100);
+
+/// Cadence of the background GC sweep and of idle-session reaping.
+const SWEEP_EVERY: Duration = Duration::from_secs(5);
+
+/// Pause after a failed `accept` before the next one.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Request/job latency histograms, resolved once per process. The
 /// per-verb request counters are registered on first use in
@@ -252,13 +273,6 @@ enum PushError {
     Closed,
 }
 
-/// One [`JobQueue::pop`] outcome.
-enum Pop {
-    Job(JobId),
-    Empty,
-    Closed,
-}
-
 #[derive(Debug, Default)]
 struct QueueInner {
     deque: VecDeque<JobId>,
@@ -306,27 +320,19 @@ impl JobQueue {
         Ok(record)
     }
 
-    /// Pops the next job, waiting up to `wait` for one to arrive.
-    fn pop(&self, wait: Duration) -> Pop {
+    /// Pops the next job, waiting until one arrives; `None` once the
+    /// queue is closed.
+    fn pop(&self) -> Option<JobId> {
         let mut inner = lock_queue(self);
-        if let Some(id) = inner.deque.pop_front() {
-            METRICS.queue_depth.set(inner.deque.len() as i64);
-            return Pop::Job(id);
-        }
-        if inner.closed {
-            return Pop::Closed;
-        }
-        let (mut inner, _) = self
-            .ready
-            .wait_timeout(inner, wait)
-            .unwrap_or_else(|p| p.into_inner());
-        match inner.deque.pop_front() {
-            Some(id) => {
+        loop {
+            if let Some(id) = inner.deque.pop_front() {
                 METRICS.queue_depth.set(inner.deque.len() as i64);
-                Pop::Job(id)
+                return Some(id);
             }
-            None if inner.closed => Pop::Closed,
-            None => Pop::Empty,
+            if inner.closed {
+                return None;
+            }
+            inner = self.ready.wait(inner).unwrap_or_else(|p| p.into_inner());
         }
     }
 
@@ -365,19 +371,52 @@ struct ServerState {
     gc_running: AtomicBool,
     chaos: Option<Arc<ChaosPlan>>,
     sessions: SessionTable,
+    /// Set once a stop was requested: admissions end and the accept loop
+    /// exits into the drain.
     shutdown: AtomicBool,
+    /// The listener's bound address, which [`wake`] connects to.
+    addr: SocketAddr,
 }
 
 impl ServerState {
     fn chaos_fires(&self, point: ChaosPoint) -> bool {
         self.chaos.as_ref().is_some_and(|plan| plan.fire(point))
     }
+
+    /// Requests a graceful stop: raises the flag, then wakes the accept
+    /// loop blocked in `accept`. Every stop path comes through here.
+    fn stop(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        wake(self.addr);
+    }
+
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
 }
 
-/// Raises a process-wide flag on SIGTERM/SIGINT so the accept loop can
-/// start a graceful drain. Registered through `signal(2)` directly (the
-/// handler only stores to an atomic, which is async-signal-safe); on
-/// non-unix targets the flag simply never fires.
+/// Unblocks an `accept` on `addr` with a throwaway connection. An
+/// unspecified bind address (`0.0.0.0`, `::`) is reached through the
+/// loopback of the same family. Std's `accept` retries on EINTR, so
+/// this connection is what ends the wait, not a signal. A failed
+/// connect leaves nothing to do: the next real connection wakes the loop
+/// just the same.
+fn wake(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match target.ip() {
+            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
+}
+
+/// Raises a process-wide flag on SIGTERM/SIGINT, which the timer thread
+/// turns into a graceful drain (it checks every [`SIGNAL_POLL`]).
+/// Registered through `signal(2)` directly (the handler only stores to
+/// an atomic, which is async-signal-safe); on non-unix targets the flag
+/// simply never fires.
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -418,21 +457,18 @@ mod sig {
 /// A handle for stopping a running [`Server`] from another thread.
 #[derive(Debug, Clone)]
 pub struct ServerControl {
-    shutdown: Arc<AtomicBool>,
-    addr: SocketAddr,
+    state: Arc<ServerState>,
 }
 
-// The control holds its own Arc'd flag mirroring the state's; see
-// Server::bind.
 impl ServerControl {
     /// The daemon's bound address.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// Asks the daemon to stop; `Server::run` drains and returns.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.state.stop();
     }
 }
 
@@ -440,9 +476,7 @@ impl ServerControl {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
     state: Arc<ServerState>,
-    control_flag: Arc<AtomicBool>,
     workers: usize,
 }
 
@@ -488,99 +522,111 @@ impl Server {
                 config.session_idle,
             ),
             shutdown: AtomicBool::new(false),
+            addr,
         });
         Ok(Server {
             listener,
-            addr,
             state,
-            control_flag: Arc::new(AtomicBool::new(false)),
             workers,
         })
     }
 
     /// The bound address (useful with `listen = "127.0.0.1:0"`).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.state.addr
     }
 
     /// A handle that can stop this server from another thread (or via
     /// `POST /shutdown` on the socket).
     pub fn control(&self) -> ServerControl {
         ServerControl {
-            shutdown: Arc::clone(&self.control_flag),
-            addr: self.addr,
+            state: Arc::clone(&self.state),
         }
     }
 
     /// Runs the daemon until [`ServerControl::shutdown`], SIGTERM/SIGINT
     /// or `POST /shutdown`: worker 0 accepts connections (and then
-    /// supervises the drain), the rest execute jobs. Queued specs
-    /// checkpointed by a previous drain are restored first. Returns once
-    /// every worker has drained.
+    /// supervises the drain), the rest execute jobs, and a timer thread
+    /// runs the periodic sweeps. Queued specs checkpointed by a previous
+    /// drain are restored first. Returns once every worker has drained
+    /// and the timer thread has stopped.
     ///
     /// # Errors
     ///
-    /// Fails only if the listener cannot be switched to non-blocking
-    /// accepts; per-connection errors are answered on the wire and
-    /// per-job errors become `failed` job states.
+    /// Fails only if the timer thread cannot be spawned; per-connection
+    /// errors are answered on the wire and per-job errors become
+    /// `failed` job states.
     pub fn run(&self) -> Result<(), ServeError> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| io_err("setting the listener non-blocking", e))?;
         sig::install();
         let state = &self.state;
         let listener = &self.listener;
-        let control_flag = &self.control_flag;
-        restore_checkpoint(state);
-        state.sessions.restore();
-        // Every idle job worker is a donated spare worker: a lone
-        // submitted job borrows them for set-sharded replay and
-        // saturates the machine; each job reclaims one permit while it
-        // runs (see `execute_job`).
-        llc_sharing::budget::reset(self.workers);
-        scoped_workers(self.workers + 1, |w| {
-            if w == 0 {
-                accept_loop(listener, state, control_flag);
-                drain(state);
-            } else {
-                worker_loop(state);
-            }
-        });
-        Ok(())
+        thread::scope(|scope| {
+            let timer = thread::Builder::new()
+                .name("llc-serve-timer".into())
+                .spawn_scoped(scope, || timer_loop(state))
+                .map_err(|e| io_err("spawning the timer thread", e))?;
+            let timer = timer.thread();
+            restore_checkpoint(state);
+            state.sessions.restore();
+            // Every idle job worker is a donated spare worker: a lone
+            // submitted job borrows them for set-sharded replay and
+            // saturates the machine; each job reclaims one permit while
+            // it runs (see `execute_job`).
+            llc_sharing::budget::reset(self.workers);
+            scoped_workers(self.workers + 1, |w| {
+                if w == 0 {
+                    accept_loop(listener, state);
+                    timer.unpark();
+                    drain(state);
+                } else {
+                    worker_loop(state);
+                }
+            });
+            Ok(())
+        })
     }
 }
 
 /// Accepts connections and dispatches each to its own handler thread
-/// until shutdown is requested, then raises the state's flag so the
-/// drain can begin. Also ticks the background GC sweep.
-fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, control_flag: &AtomicBool) {
+/// until a stop is requested. `accept` blocks; [`ServerState::stop`]
+/// wakes it.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
+    loop {
+        let accepted = listener.accept();
+        // The wake connection, like anything else still in the backlog
+        // once a stop was requested, is dropped unanswered.
+        if state.stopping() {
+            break;
+        }
+        match accepted {
+            Ok((stream, _peer)) => dispatch_connection(stream, state),
+            // Transient accept errors (aborted handshakes etc.) are not
+            // fatal for a daemon; back off briefly and keep serving.
+            Err(_) => thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
+
+/// The timer thread: runs the GC sweep and idle-session reaping at
+/// their cadences and turns SIGTERM/SIGINT into a stop, until the
+/// accept loop exits and unparks it.
+fn timer_loop(state: &Arc<ServerState>) {
     // First sweep promptly after start-up (a restart may inherit an
     // over-budget store), then at a steady cadence.
     let mut next_gc = Instant::now();
-    let mut next_reap = Instant::now() + Duration::from_secs(5);
-    loop {
-        if control_flag.load(Ordering::Relaxed)
-            || state.shutdown.load(Ordering::Relaxed)
-            || sig::requested()
-        {
-            break;
+    let mut next_reap = Instant::now() + SWEEP_EVERY;
+    while !state.stopping() {
+        if sig::requested() {
+            state.stop();
+            return;
         }
         maybe_sweep(state, &mut next_gc);
         if Instant::now() >= next_reap {
-            next_reap = Instant::now() + Duration::from_secs(5);
+            next_reap = Instant::now() + SWEEP_EVERY;
             state.sessions.reap_idle();
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => dispatch_connection(stream, state),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            // Transient accept errors (aborted handshakes etc.) are not
-            // fatal for a daemon; back off briefly and keep serving.
-            Err(_) => thread::sleep(Duration::from_millis(10)),
-        }
+        thread::park_timeout(SIGNAL_POLL);
     }
-    state.shutdown.store(true, Ordering::Relaxed);
 }
 
 /// Kicks off a background GC sweep when a store cap is configured, the
@@ -590,7 +636,7 @@ fn maybe_sweep(state: &Arc<ServerState>, next_gc: &mut Instant) {
     if Instant::now() < *next_gc {
         return;
     }
-    *next_gc = Instant::now() + Duration::from_secs(5);
+    *next_gc = Instant::now() + SWEEP_EVERY;
     if state.gc_running.swap(true, Ordering::SeqCst) {
         return; // previous sweep still in flight
     }
@@ -647,7 +693,6 @@ impl Drop for ConnPermit {
 /// 503 inline when the connection cap is reached (cheap by design: no
 /// request parsing for rejected connections).
 fn dispatch_connection(mut stream: TcpStream, state: &Arc<ServerState>) {
-    let _ = stream.set_nonblocking(false);
     let Some(permit) = ConnPermit::try_acquire(state) else {
         state.jobs.count(|c| c.rejected += 1);
         admission_rejected("connections").inc();
@@ -688,12 +733,48 @@ fn handle_connection(mut stream: TcpStream, state: &ServerState) {
     let _ = write_response(&mut stream, &response);
 }
 
+/// Parses a request's query string. The API has one parameter, the
+/// long-poll's `wait_ms`: a whole number of milliseconds up to
+/// [`MAX_WAIT_MS`], given at most once. Anything else is the client's
+/// error.
+fn long_poll_wait(query: &str) -> Result<Option<Duration>, String> {
+    let mut wait = None;
+    for pair in query.split('&').filter(|p| !p.is_empty()) {
+        let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
+        if key != "wait_ms" || wait.is_some() {
+            return Err(format!("unknown or repeated query parameter {pair:?}"));
+        }
+        let ms = value
+            .parse::<u64>()
+            .ok()
+            .filter(|&ms| ms <= MAX_WAIT_MS)
+            .ok_or_else(|| {
+                format!("wait_ms must be 0..={MAX_WAIT_MS} milliseconds, not {value:?}")
+            })?;
+        wait = Some(Duration::from_millis(ms));
+    }
+    Ok(wait)
+}
+
 /// Dispatches one request to its handler.
 fn route(state: &ServerState, request: &Request, segments: &[&str]) -> Response {
+    let wait = match long_poll_wait(&request.query) {
+        Ok(wait) => wait,
+        Err(msg) => return Response::error(400, &msg),
+    };
     match (request.method.as_str(), segments) {
+        // The long-poll: answer once the job is terminal or `wait_ms`
+        // has passed, whichever comes first.
+        ("GET", ["jobs", id]) => with_job(state, id, |job| {
+            let job = match wait {
+                Some(wait) => state.jobs.wait_terminal(job.id, wait).unwrap_or(job),
+                None => job,
+            };
+            Response::json(200, job_json(&job))
+        }),
+        _ if wait.is_some() => Response::error(400, "wait_ms applies only to GET /jobs/{id}"),
         ("POST", ["jobs"]) => submit_job(state, &request.body),
         ("POST", ["plan"]) => plan_only(state, &request.body),
-        ("GET", ["jobs", id]) => with_job(state, id, |job| Response::json(200, job_json(&job))),
         ("GET", ["jobs", id, "result"]) => with_job(state, id, |job| job_result(state, &job)),
         ("DELETE", ["jobs", id]) => with_job(state, id, |job| {
             // infallible: with_job just confirmed the id exists.
@@ -702,14 +783,10 @@ fn route(state: &ServerState, request: &Request, segments: &[&str]) -> Response 
             job.state = now;
             Response::json(200, job_json(&job))
         }),
-        ("POST", ["sessions"]) => state
-            .sessions
-            .create(&request.body, state.shutdown.load(Ordering::Relaxed)),
+        ("POST", ["sessions"]) => state.sessions.create(&request.body, state.stopping()),
         ("GET", ["sessions"]) => state.sessions.list(),
         ("POST", ["sessions", id, "batch"]) => {
-            state
-                .sessions
-                .batch(id, &request.body, state.shutdown.load(Ordering::Relaxed))
+            state.sessions.batch(id, &request.body, state.stopping())
         }
         ("GET", ["sessions", id, "stats"]) | ("GET", ["sessions", id]) => state.sessions.stats(id),
         ("DELETE", ["sessions", id]) => state.sessions.delete(id),
@@ -717,7 +794,7 @@ fn route(state: &ServerState, request: &Request, segments: &[&str]) -> Response 
         ("GET", ["metrics"]) => Response::text(200, global().encode()),
         ("GET", ["healthz"]) => Response::json(200, "{\"ok\":true}"),
         ("POST", ["shutdown"]) => {
-            state.shutdown.store(true, Ordering::Relaxed);
+            state.stop();
             Response::json(200, "{\"ok\":true}")
         }
         (_, ["jobs", ..])
@@ -948,7 +1025,7 @@ fn submit_job(state: &ServerState, body: &str) -> Response {
         job.state = now;
         return Response::json(200, job_value(&job, Some(plan_summary)).render());
     }
-    if state.shutdown.load(Ordering::Relaxed) {
+    if state.stopping() {
         return reject(state, 503, "shutdown", "daemon is draining");
     }
     if state.chaos_fires(ChaosPoint::QueueFull) {
@@ -1135,12 +1212,8 @@ fn job_value(job: &JobRecord, plan: Option<Value>) -> Value {
 
 /// Pops queued jobs and executes them until the queue closes.
 fn worker_loop(state: &ServerState) {
-    loop {
-        match state.queue.pop(Duration::from_millis(50)) {
-            Pop::Job(id) => execute_job(state, id),
-            Pop::Empty => continue,
-            Pop::Closed => break,
-        }
+    while let Some(id) = state.queue.pop() {
+        execute_job(state, id);
     }
 }
 
@@ -1332,10 +1405,7 @@ fn drain(state: &Arc<ServerState>) {
         // survival, never the drain itself.
         let _ = atomic_write(&path, doc.render().as_bytes());
     }
-    let grace_started = Instant::now();
-    while state.jobs.inflight() > 0 && grace_started.elapsed() < state.grace {
-        thread::sleep(Duration::from_millis(25));
-    }
+    state.jobs.wait_idle(state.grace);
     // Past grace: abandon what is still running, exactly like a client
     // cancel — the guarded threads are detached and their results
     // discarded.
