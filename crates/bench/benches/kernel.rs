@@ -36,9 +36,9 @@
 //! policies at the memory-bound floor. Per-policy speedups and their
 //! minimum are still reported in the JSON for transparency.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::black_box;
 use llc_policies::{build_policy, PolicyKind};
 use llc_sharing::{record_stream, replay_kind, replay_on};
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion, LlcStats, MultiObserver, NoAux};

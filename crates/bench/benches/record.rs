@@ -29,9 +29,9 @@
 //! (total seed time over total mono time) falls below
 //! `BENCH_RECORD_MIN_SPEEDUP` (default 1.5).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::black_box;
 use llc_sharing::record_stream;
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, RecordedStream, Scale};

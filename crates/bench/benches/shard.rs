@@ -30,10 +30,10 @@
 //! out, so each shard count builds its index once rather than once per
 //! sample — the benchmark measures replay, not re-indexing.
 
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use criterion::black_box;
 use llc_policies::PolicyKind;
 use llc_sharing::{
     record_stream, register_stream, replay, set_host_thread_override, Exec, ReplayDesc,

@@ -18,9 +18,9 @@
 //! speedup falls below `BENCH_STREAMS_MIN_SPEEDUP` (default 1.0), so CI
 //! can assert the fast path stays fast.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::black_box;
 use llc_policies::{build_oracle_policy_with_mode, build_policy, PolicyKind, ProtectMode};
 use llc_sharing::{
     compute_next_use, compute_shared_soon, oracle_window, record_stream, replay, replay_kind,

@@ -48,6 +48,9 @@ pub struct SharingProfile {
     pub hits_by_non_filler: u64,
     /// Per distinct block: was any of its generations shared?
     footprint: HashMap<BlockAddr, bool>,
+    /// `(blocks, shared blocks)` folded out of `footprint` by
+    /// [`SharingProfile::compact`].
+    compacted: (u64, u64),
 }
 
 impl Default for SharingProfile {
@@ -62,6 +65,7 @@ impl Default for SharingProfile {
             degree_histogram: [0; MAX_CORES + 1],
             hits_by_non_filler: 0,
             footprint: HashMap::new(),
+            compacted: (0, 0),
         }
     }
 }
@@ -121,14 +125,26 @@ impl SharingProfile {
 
     /// Number of distinct blocks that appeared in the LLC.
     pub fn footprint_blocks(&self) -> u64 {
-        self.footprint.len() as u64
+        self.footprint.len() as u64 + self.compacted.0
     }
 
     /// Fraction of distinct blocks that were shared in at least one
     /// generation.
     pub fn shared_footprint_fraction(&self) -> f64 {
         let shared = self.footprint.values().filter(|&&s| s).count() as u64;
-        fraction(shared, self.footprint_blocks())
+        fraction(shared + self.compacted.1, self.footprint_blocks())
+    }
+
+    /// Folds the per-block footprint map into its two counts and frees
+    /// it, so a finished profile can be kept for a whole campaign at a
+    /// fixed size. Every accessor answers as before; call it only once
+    /// the run has ended (a block observed again afterwards would be
+    /// counted twice).
+    pub fn compact(&mut self) {
+        let shared = self.footprint.values().filter(|&&s| s).count() as u64;
+        self.compacted.0 += self.footprint.len() as u64;
+        self.compacted.1 += shared;
+        self.footprint = HashMap::new();
     }
 
     /// Sharing-degree distribution over shared generations: fractions of
@@ -241,6 +257,24 @@ mod tests {
         p.on_generation_end(&gen(8, 1, 0, 0));
         assert_eq!(p.footprint_blocks(), 2);
         assert!((p.shared_footprint_fraction() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn compact_keeps_every_answer() {
+        let mut p = SharingProfile::new();
+        p.on_generation_end(&gen(7, 3, 2, 0));
+        p.on_generation_end(&gen(8, 1, 1, 0));
+        p.on_generation_end(&gen(9, 1, 0, 0));
+        let before = p.clone();
+        p.compact();
+        assert!(p.footprint.is_empty());
+        assert_eq!(p.footprint_blocks(), before.footprint_blocks());
+        assert_eq!(
+            p.shared_footprint_fraction(),
+            before.shared_footprint_fraction()
+        );
+        assert_eq!(p.shared_hit_fraction(), before.shared_hit_fraction());
+        assert_eq!(p.degree_buckets(), before.degree_buckets());
     }
 
     #[test]

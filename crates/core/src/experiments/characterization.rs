@@ -1,28 +1,11 @@
 //! The characterization experiments: `table2` and `fig1`–`fig4`.
+//!
+//! All five read one memoized LRU run per (app, LLC size) with its
+//! sharing profile attached: [`ExperimentCtx::profile`].
 
-use llc_policies::PolicyKind;
-use llc_trace::App;
-
-use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
 use crate::report::{f2, mean, pct, Table};
-use crate::runner::RunResult;
-
-/// One app's LRU run with a sharing profile attached (an LLC-only replay
-/// of the cached reference stream).
-fn profile_run(
-    ctx: &ExperimentCtx,
-    app: App,
-    capacity: u64,
-) -> Result<(RunResult, SharingProfile), RunError> {
-    let cfg = ctx.config(capacity)?;
-    let stream = ctx.stream(app, &cfg)?;
-    let mut profile = SharingProfile::new();
-    let result = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
-    Ok((result, profile))
-}
 
 /// Table 2: workload characteristics under LRU at the primary LLC size.
 pub(crate) fn table2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
@@ -45,7 +28,7 @@ pub(crate) fn table2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         ],
     );
     let rows = per_app_try(&ctx.apps, |app| {
-        let (r, p) = profile_run(ctx, app, cap)?;
+        let (r, p) = ctx.profile(app, cap)?;
         Ok(vec![
             app.label().to_string(),
             app.suite().to_string(),
@@ -83,7 +66,7 @@ pub(crate) fn fig1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let rows = per_app_try(&ctx.apps, |app| {
         let mut row = vec![app.label().to_string()];
         for &cap in &ctx.llc_capacities {
-            let (r, p) = profile_run(ctx, app, cap)?;
+            let (r, p) = ctx.profile(app, cap)?;
             row.push(pct(p.shared_hit_fraction()));
             row.push(pct(
                 r.llc.hits_by_non_filler as f64 / r.llc.hits.max(1) as f64
@@ -130,7 +113,7 @@ pub(crate) fn fig2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         ],
     );
     let rows = per_app_try(&ctx.apps, |app| {
-        let (_, p) = profile_run(ctx, app, cap)?;
+        let (_, p) = ctx.profile(app, cap)?;
         let (hs, hp) = p.hits_per_generation();
         Ok(vec![
             app.label().to_string(),
@@ -159,7 +142,7 @@ pub(crate) fn fig3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         &["app", "2 sharers", "3-4 sharers", "5+ sharers"],
     );
     let rows = per_app_try(&ctx.apps, |app| {
-        let (_, p) = profile_run(ctx, app, cap)?;
+        let (_, p) = ctx.profile(app, cap)?;
         let (two, mid, high) = p.degree_buckets();
         Ok(vec![app.label().to_string(), pct(two), pct(mid), pct(high)])
     })?;
@@ -180,7 +163,7 @@ pub(crate) fn fig4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         &["app", "RO gens%", "RW gens%", "RO hits%", "RW hits%"],
     );
     let rows = per_app_try(&ctx.apps, |app| {
-        let (_, p) = profile_run(ctx, app, cap)?;
+        let (_, p) = ctx.profile(app, cap)?;
         let gens = (p.read_only_shared_gens + p.read_write_shared_gens).max(1) as f64;
         let hits = (p.read_only_shared_hits + p.read_write_shared_hits).max(1) as f64;
         Ok(vec![

@@ -7,9 +7,8 @@ use llc_sim::BLOCK_BYTES;
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay, replay_kind, Exec};
 use crate::report::{pct, Table};
-use crate::runner::{oracle_window, simulate};
+use crate::runner::{oracle_window, simulate, RunResult};
 
 /// Table 1: the simulated machine.
 pub(crate) fn table1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
@@ -67,66 +66,41 @@ pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             "oracle gain incl",
         ],
     );
+    let gain = |lru: &RunResult, oracle: &RunResult| {
+        1.0 - oracle.llc.misses() as f64 / lru.llc.misses().max(1) as f64
+    };
     let rows = per_app_try(&ctx.apps, |app| {
-        let mut result = vec![app.label().to_string()];
-        for inclusive in [false, true] {
-            // Non-inclusive: LLC-only replay of the cached stream.
-            // Inclusive: the stream is policy-dependent, so the measured
-            // runs must stay full simulations (simulate falls back).
-            let cfg = if inclusive {
-                ctx.config_inclusive(cap)?
-            } else {
-                ctx.config(cap)?
-            };
-            let mut profile = SharingProfile::new();
-            let lru = if inclusive {
-                simulate(
-                    &cfg,
-                    &ReplayDesc::plain(PolicyKind::Lru),
-                    &mut || app.workload(ctx.cores, ctx.scale),
-                    vec![&mut profile],
-                )?
-            } else {
-                let stream = ctx.stream(app, &cfg)?;
-                replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?
-            };
-            let oracle = if inclusive {
-                simulate(
-                    &cfg,
-                    &ReplayDesc::oracle(
-                        PolicyKind::Lru,
-                        ProtectMode::Eviction,
-                        oracle_window(&cfg),
-                    ),
-                    &mut || app.workload(ctx.cores, ctx.scale),
-                    vec![],
-                )?
-            } else {
-                let stream = ctx.stream(app, &cfg)?;
-                replay(
-                    &cfg,
-                    &ReplayDesc::oracle(
-                        PolicyKind::Lru,
-                        ProtectMode::Eviction,
-                        oracle_window(&cfg),
-                    ),
-                    &stream,
-                    None,
-                    Exec::Auto,
-                    vec![],
-                )?
-            };
-            let gain = 1.0 - oracle.llc.misses() as f64 / lru.llc.misses().max(1) as f64;
-            result.push(pct(profile.shared_hit_fraction()));
-            result.push(pct(gain));
-        }
-        // Reorder: app, sh-NI, sh-incl, gain-NI, gain-incl.
+        // Non-inclusive: the memoized LRU profile and an LLC-only oracle
+        // replay of the cached stream.
+        let ni = ctx.config(cap)?;
+        let (ni_lru, ni_profile) = ctx.profile(app, cap)?;
+        let ni_oracle = ctx.replay_cached(
+            app,
+            &ni,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&ni)),
+        )?;
+        // Inclusive: the stream is policy-dependent, so the measured
+        // runs must stay full simulations (simulate falls back).
+        let incl = ctx.config_inclusive(cap)?;
+        let mut incl_profile = SharingProfile::new();
+        let incl_lru = simulate(
+            &incl,
+            &ReplayDesc::plain(PolicyKind::Lru),
+            &mut || app.workload(ctx.cores, ctx.scale),
+            vec![&mut incl_profile],
+        )?;
+        let incl_oracle = simulate(
+            &incl,
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&incl)),
+            &mut || app.workload(ctx.cores, ctx.scale),
+            vec![],
+        )?;
         Ok(vec![
-            result[0].clone(),
-            result[1].clone(),
-            result[3].clone(),
-            result[2].clone(),
-            result[4].clone(),
+            app.label().to_string(),
+            pct(ni_profile.shared_hit_fraction()),
+            pct(incl_profile.shared_hit_fraction()),
+            pct(gain(&ni_lru, &ni_oracle)),
+            pct(gain(&incl_lru, &incl_oracle)),
         ])
     })?;
     for r in rows {

@@ -39,40 +39,20 @@ pub(crate) fn abl4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         ],
     );
     let rows: Vec<Vec<f64>> = per_app_try(&ctx.apps, |app| {
-        let stream = ctx.stream(app, &cfg)?;
-        let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?
-            .llc
-            .misses();
-        let reactive = replay(
-            &cfg,
-            &ReplayDesc::reactive(PolicyKind::Lru),
-            &stream,
-            None,
-            Exec::Auto,
-            vec![],
-        )?
-        .llc
-        .misses();
-        let predicted = replay(
-            &cfg,
-            &ReplayDesc::predicted(PolicyKind::Lru, PredictorKind::PcPhase),
-            &stream,
-            None,
-            Exec::Auto,
-            vec![],
-        )?
-        .llc
-        .misses();
-        let oracle = replay(
-            &cfg,
-            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
-            &stream,
-            None,
-            Exec::Auto,
-            vec![],
-        )?
-        .llc
-        .misses();
+        let misses = |desc: &ReplayDesc| -> Result<u64, RunError> {
+            Ok(ctx.replay_cached(app, &cfg, desc)?.llc.misses())
+        };
+        let lru = misses(&ReplayDesc::plain(PolicyKind::Lru))?;
+        let reactive = misses(&ReplayDesc::reactive(PolicyKind::Lru))?;
+        let predicted = misses(&ReplayDesc::predicted(
+            PolicyKind::Lru,
+            PredictorKind::PcPhase,
+        ))?;
+        let oracle = misses(&ReplayDesc::oracle(
+            PolicyKind::Lru,
+            ProtectMode::Eviction,
+            oracle_window(&cfg),
+        ))?;
         let rg = miss_reduction(lru, reactive);
         let og = miss_reduction(lru, oracle);
         Ok(vec![
@@ -151,6 +131,7 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let stream = ctx
             .streams
             .get_or_record(key, || Multiprogram::new(&apps, 2, ctx.scale))?;
+        // Not memoized: mix streams are read by this experiment only.
         let mut profile = crate::characterize::SharingProfile::new();
         let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
         let oracle = replay(
@@ -188,15 +169,11 @@ pub(crate) fn fig12(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             &["app", "LRU AMAT", "Oracle AMAT", "speedup"],
         );
         let rows: Vec<(String, f64, f64, f64)> = per_app_try(&ctx.apps, |app| {
-            let stream = ctx.stream(app, &cfg)?;
-            let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?;
-            let oracle = replay(
+            let lru = ctx.replay_cached(app, &cfg, &ReplayDesc::plain(PolicyKind::Lru))?;
+            let oracle = ctx.replay_cached(
+                app,
                 &cfg,
                 &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
-                &stream,
-                None,
-                Exec::Auto,
-                vec![],
             )?;
             Ok((
                 app.label().to_string(),

@@ -7,7 +7,7 @@ mod extensions;
 mod oracle;
 mod phases;
 pub(crate) mod policies;
-mod predictor;
+pub(crate) mod predictor;
 
 use std::sync::Arc;
 
@@ -16,6 +16,7 @@ use llc_sim::{CacheConfig, Fold, HierarchyConfig, Inclusion};
 use llc_trace::{App, RecordedStream, Scale};
 
 use crate::error::RunError;
+use crate::memo::ReplayMemo;
 use crate::replay::{StreamCache, StreamKey, WorkloadId};
 use crate::report::Table;
 
@@ -38,10 +39,17 @@ pub struct ExperimentCtx {
     /// suite run (cloning the ctx shares the cache): each (workload,
     /// hierarchy) pair is recorded once, then every policy replays it.
     pub streams: StreamCache,
-    /// Optional content-addressed artifact DAG: when attached, pure-stats
-    /// replays resolve through [`ExperimentCtx::replay_cached`] and the
-    /// fused annotation pre-passes are persisted per (stream, window), so
-    /// near-duplicate specs only pay for their delta.
+    /// In-process replay memo, the tier in front of [`dag`](Self::dag):
+    /// replay results and the observer products ([`Self::profile`],
+    /// [`Self::predictor_study`]) resolved once per node. Shared like
+    /// [`streams`](Self::streams), so it lives as long as one batch
+    /// campaign or one daemon job (each job builds a fresh context).
+    pub(crate) memo: ReplayMemo,
+    /// Optional content-addressed artifact DAG, the memo's persistent
+    /// tier: when attached, [`ExperimentCtx::replay_cached`] results and
+    /// the fused annotation pre-passes are persisted per (stream,
+    /// descriptor) and (stream, window), so near-duplicate specs only
+    /// pay for their delta.
     pub dag: Option<DagStore>,
 }
 
@@ -58,6 +66,7 @@ impl ExperimentCtx {
             scale: Scale::Medium,
             apps: App::ALL.to_vec(),
             streams: StreamCache::new(),
+            memo: ReplayMemo::default(),
             dag: None,
         }
     }
@@ -75,6 +84,7 @@ impl ExperimentCtx {
             scale: Scale::Small,
             apps: App::ALL.to_vec(),
             streams: StreamCache::new(),
+            memo: ReplayMemo::default(),
             dag: None,
         }
     }
@@ -91,6 +101,7 @@ impl ExperimentCtx {
             scale: Scale::Tiny,
             apps: vec![App::Swaptions, App::Bodytrack, App::Dedup, App::Fft],
             streams: StreamCache::new(),
+            memo: ReplayMemo::default(),
             dag: None,
         }
     }

@@ -48,6 +48,7 @@ pub(crate) fn fig11(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         // needs no probe simulation.
         let stream = ctx.stream(app, &cfg)?;
         let epoch_len = (stream.len() as u64 / SERIES_POINTS as u64).max(1);
+        // Not memoized: no other experiment reads an epoch series.
         let mut series = EpochSeries::new(epoch_len);
         replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut series])?;
         let mut cells = vec![app.label().to_string(), f3(series.sharing_burstiness())];

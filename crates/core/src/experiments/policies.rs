@@ -108,6 +108,7 @@ pub(crate) fn fig6(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let stream = ctx.stream(app, &cfg)?;
         let mut cells = vec![app.label().to_string()];
         for &kind in &policies {
+            // Not memoized: no other experiment reads victimization stats.
             let mut stats = VictimizationStats::new(window);
             replay_kind(&cfg, kind, &stream, vec![&mut stats])?;
             cells.push(pct(stats.premature_rate()));

@@ -3,15 +3,22 @@
 
 use llc_dag::ReplayDesc;
 use llc_policies::{PolicyKind, ProtectMode};
-use llc_predictors::{
-    build_predictor, build_predictor_with, PredictorKind, PredictorStudy, TableConfig,
-};
+use llc_predictors::{PredictorKind, TableConfig};
 
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::{replay, replay_kind, Exec};
 use crate::report::{f3, mean, pct, Table};
 use crate::runner::oracle_window;
+
+/// The predictor designs `fig10` drives the protection wrap with, in
+/// column order.
+pub(crate) const FIG10_DESIGNS: [PredictorKind; 5] = [
+    PredictorKind::Address,
+    PredictorKind::Pc,
+    PredictorKind::Tournament,
+    PredictorKind::Region,
+    PredictorKind::PcPhase,
+];
 
 /// Fig. 9: the paper's predictability study — what accuracy can
 /// fill-time, history-based sharing predictors achieve?
@@ -44,10 +51,7 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             ],
         );
         let rows = per_app_try(&ctx.apps, |app| {
-            let stream = ctx.stream(app, &cfg)?;
-            let mut study = PredictorStudy::new(build_predictor(design));
-            replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut study])?;
-            let m = study.matrix();
+            let m = ctx.predictor_study(app, &cfg, design, TableConfig::realistic())?;
             Ok(vec![
                 app.label().to_string(),
                 pct(m.shared_rate()),
@@ -92,35 +96,20 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         ],
     );
     let rows: Vec<Vec<f64>> = per_app_try(&ctx.apps, |app| {
-        let stream = ctx.stream(app, &cfg)?;
-        let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![])?
+        let lru = ctx
+            .replay_cached(app, &cfg, &ReplayDesc::plain(PolicyKind::Lru))?
             .llc
             .misses();
         let red = |m: u64| 1.0 - m as f64 / lru.max(1) as f64;
-        let oracle = replay(
+        let oracle = ctx.replay_cached(
+            app,
             &cfg,
             &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
-            &stream,
-            None,
-            Exec::Auto,
-            vec![],
         )?;
         let mut vals = vec![red(oracle.llc.misses())];
-        for design in [
-            PredictorKind::Address,
-            PredictorKind::Pc,
-            PredictorKind::Tournament,
-            PredictorKind::Region,
-            PredictorKind::PcPhase,
-        ] {
-            let r = replay(
-                &cfg,
-                &ReplayDesc::predicted(PolicyKind::Lru, design),
-                &stream,
-                None,
-                Exec::Auto,
-                vec![],
-            )?;
+        for design in FIG10_DESIGNS {
+            let r =
+                ctx.replay_cached(app, &cfg, &ReplayDesc::predicted(PolicyKind::Lru, design))?;
             vals.push(red(r.llc.misses()));
         }
         Ok(vals)
@@ -181,12 +170,9 @@ pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             &headers.iter().map(String::as_str).collect::<Vec<_>>(),
         );
         let rows = per_app_try(&ctx.apps, |app| {
-            let stream = ctx.stream(app, &cfg)?;
             let mut cells = vec![app.label().to_string()];
             for (_, table_cfg) in &budgets {
-                let mut study = PredictorStudy::new(build_predictor_with(design, *table_cfg));
-                replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut study])?;
-                let m = study.matrix();
+                let m = ctx.predictor_study(app, &cfg, design, *table_cfg)?;
                 cells.push(format!("{}/{}", pct(m.accuracy()), f3(m.mcc())));
             }
             Ok(cells)

@@ -2,33 +2,57 @@
 //! artifact nodes its run would touch and reports, per node, whether
 //! the store already holds it.
 //!
-//! The planner is deliberately conservative: only the pure-stats
-//! experiments (`fig5`, `fig7`, `fig8`, `abl1`, `abl3`) have a replay
-//! lineup, because only those resolve through
-//! [`ExperimentCtx::replay_cached`] — observer-carrying experiments
-//! re-execute unconditionally and plan stream/index nodes only. A plan
-//! is advisory: the run itself re-resolves every node, so a stale plan
-//! can never corrupt a result, only mispredict the work.
+//! Every experiment whose replays resolve through
+//! [`ExperimentCtx::replay_cached`] has a replay lineup: `fig5`, `fig7`,
+//! `fig8`, `fig10`, `fig12`, `abl1`, `abl3`, `abl4`, and `abl2`'s
+//! non-inclusive oracle. Observer products
+//! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_study`]) are
+//! memoized in process only and never persisted, and fig6, fig11 and
+//! abl5 replay directly, so those experiments plan stream/index nodes
+//! only. A test runs every experiment against a fresh store and checks
+//! that the replay and annotation nodes it saves are exactly the planned
+//! ones. A plan is advisory: the run itself re-resolves every
+//! node, so a stale plan can never corrupt a result, only mispredict the
+//! work.
 
 use llc_dag::{annotations_fp, index_fp, DagStore, NodeKind, Plan, ReplayDesc};
 use llc_policies::{PolicyKind, ProtectMode};
-use llc_sim::HierarchyConfig;
+use llc_predictors::PredictorKind;
+use llc_sim::{HierarchyConfig, Inclusion};
 
-use crate::experiments::{policies::LINEUP, ExperimentCtx, ExperimentId};
+use crate::experiments::{policies::LINEUP, predictor::FIG10_DESIGNS, ExperimentCtx, ExperimentId};
 use crate::runner::oracle_window;
 
-/// The per-policy replay lineup of a pure-stats experiment under one
-/// hierarchy config, with all defaulted windows resolved. `None` means
-/// the experiment carries observers (or composes custom workloads) and
-/// its replays are not memoizable.
+/// The per-policy replay lineup an experiment resolves through
+/// [`ExperimentCtx::replay_cached`] under one hierarchy config, with all
+/// defaulted windows resolved. `None` means none of its replays under
+/// `config` persist: they carry observers, compose custom workloads or
+/// run on an inclusive hierarchy.
 pub fn replay_lineup(id: ExperimentId, config: &HierarchyConfig) -> Option<Vec<ReplayDesc>> {
     let w = oracle_window(config);
+    let lru = ReplayDesc::plain(PolicyKind::Lru);
+    let oracle_lru = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, w);
     match id {
         ExperimentId::Fig5 => Some(LINEUP.iter().map(|&k| ReplayDesc::plain(k)).collect()),
-        ExperimentId::Fig7 => Some(vec![
-            ReplayDesc::plain(PolicyKind::Lru),
-            ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, w),
+        ExperimentId::Fig7 | ExperimentId::Fig12 => Some(vec![lru, oracle_lru]),
+        ExperimentId::Fig10 => Some(
+            [lru, oracle_lru]
+                .into_iter()
+                .chain(
+                    FIG10_DESIGNS
+                        .iter()
+                        .map(|&d| ReplayDesc::predicted(PolicyKind::Lru, d)),
+                )
+                .collect(),
+        ),
+        ExperimentId::Abl4 => Some(vec![
+            lru,
+            ReplayDesc::reactive(PolicyKind::Lru),
+            ReplayDesc::predicted(PolicyKind::Lru, PredictorKind::PcPhase),
+            oracle_lru,
         ]),
+        // The inclusive half of abl2 runs full simulations.
+        ExperimentId::Abl2 if config.inclusion == Inclusion::NonInclusive => Some(vec![oracle_lru]),
         ExperimentId::Fig8 => {
             let bases = [
                 PolicyKind::Lru,
@@ -50,7 +74,7 @@ pub fn replay_lineup(id: ExperimentId, config: &HierarchyConfig) -> Option<Vec<R
         }
         ExperimentId::Abl1 => {
             let lines = config.llc.lines();
-            let mut descs = vec![ReplayDesc::plain(PolicyKind::Lru)];
+            let mut descs = vec![lru];
             descs.extend(
                 [1u64, 4, 16].iter().map(|&f| {
                     ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, f * lines)
@@ -177,6 +201,10 @@ pub fn plan_experiment(id: ExperimentId, ctx: &ExperimentCtx, dag: Option<&DagSt
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use llc_dag::Plan;
+
     use super::*;
 
     #[test]
@@ -190,6 +218,55 @@ mod tests {
         assert_eq!(replay_lineup(ExperimentId::Abl3, &cfg).unwrap().len(), 8);
         assert!(replay_lineup(ExperimentId::Fig6, &cfg).is_none());
         assert!(replay_lineup(ExperimentId::Table2, &cfg).is_none());
+    }
+
+    /// The fingerprints of `kind`'s nodes in `plan`.
+    fn planned(plan: &Plan, kind: NodeKind) -> BTreeSet<u64> {
+        plan.nodes
+            .iter()
+            .filter(|n| n.kind == kind)
+            .map(|n| n.fp)
+            .collect()
+    }
+
+    /// The fingerprints of the artifacts stored in `dir`.
+    fn saved(dir: &llc_trace::ArtifactDir) -> BTreeSet<u64> {
+        dir.entries()
+            .expect("list artifacts")
+            .into_iter()
+            .filter_map(|e| e.fp)
+            .collect()
+    }
+
+    #[test]
+    fn runs_save_exactly_the_planned_replay_and_annotation_nodes() {
+        // Every experiment, lineup or not: one without a lineup must save
+        // nothing.
+        for id in ExperimentId::ALL {
+            let mut ctx = ExperimentCtx::test();
+            ctx.apps.truncate(2);
+            let root = std::env::temp_dir().join(format!(
+                "llc-plan-honesty-{}-{}",
+                id.label(),
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&root);
+            ctx.dag = Some(DagStore::open(&root).expect("open dag"));
+            let plan = plan_experiment(id, &ctx, None);
+            crate::run_experiment(id, &ctx).expect("experiment runs");
+            let dag = ctx.dag.as_ref().expect("dag");
+            assert_eq!(
+                saved(dag.replays()),
+                planned(&plan, NodeKind::Replay),
+                "{id}: saved replay nodes differ from the plan"
+            );
+            assert_eq!(
+                saved(dag.ann()),
+                planned(&plan, NodeKind::Annotations),
+                "{id}: saved annotation nodes differ from the plan"
+            );
+            let _ = std::fs::remove_dir_all(&root);
+        }
     }
 
     #[test]

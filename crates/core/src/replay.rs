@@ -70,6 +70,8 @@ struct ReplayMetrics {
     cache_bytes: Arc<Gauge>,
     index_hits: Arc<Counter>,
     index_misses: Arc<Counter>,
+    replays: Arc<Counter>,
+    replay_refs: Arc<Counter>,
 }
 
 static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
@@ -112,6 +114,14 @@ static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
         "llc_dag_node_misses_total",
         "DAG nodes that had to be computed, by node kind",
         &[("kind", "index")],
+    ),
+    replays: global().counter(
+        "llc_replays_total",
+        "Replays executed over a recorded stream (one per replay() call)",
+    ),
+    replay_refs: global().counter(
+        "llc_replay_refs_total",
+        "LLC references replayed, summed over every replay() call",
     ),
 });
 
@@ -333,6 +343,8 @@ pub fn replay(
     exec: Exec,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
+    METRICS.replays.inc();
+    METRICS.replay_refs.add(stream.len() as u64);
     let computed;
     let ann = match (desc.annotation_window(), ann) {
         (None, _) => None,
@@ -1248,7 +1260,7 @@ impl StreamCache {
 /// Locks a mutex, recovering the data from a poisoned lock (a recording
 /// panic elsewhere must not wedge the whole cache — the poisoned slot
 /// simply holds `None` and is re-recorded).
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 

@@ -9,7 +9,7 @@
 use crate::counters::SatCounter;
 
 /// Geometry and behaviour of a history table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TableConfig {
     /// Total entries; must be a power of two and divisible by `assoc`.
     pub entries: usize,

@@ -1282,8 +1282,10 @@ fn execute_job(state: &ServerState, id: JobId) {
     let _busy = llc_sharing::budget::reclaim_scoped(1);
     let mut ctx = job.spec.build_ctx();
     // All jobs share the daemon's bounded, store-backed stream cache and
-    // the artifact DAG: pure-stats replays resolve through cached
-    // per-policy partials instead of re-simulating.
+    // the artifact DAG: memoizable replays resolve through cached
+    // per-policy partials instead of re-simulating. The in-process
+    // replay memo `build_ctx` made stays this job's own, so the daemon
+    // never grows it.
     ctx.streams = state.streams.clone();
     ctx.dag = Some(state.store.dag.clone());
     let experiment = job.spec.experiment;
