@@ -21,10 +21,10 @@
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use llc_policies::{build_oracle_policy_with_mode, build_policy, PolicyKind, ProtectMode};
+use llc_policies::{build_policy, OracleWrap, PolicyKind, ProtectMode};
 use llc_sharing::{
-    compute_next_use, compute_shared_soon, oracle_window, record_stream, replay, replay_kind,
-    simulate_on, Exec, NextUseProvider, OracleProvider, ReplayDesc,
+    compute_annotations, oracle_window, record_stream, replay, replay_kind, simulate_on,
+    AnnotationFeed, Exec, ReplayDesc,
 };
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
@@ -65,8 +65,9 @@ fn time<F: FnMut() -> u64>(samples: usize, mut f: F) -> (Duration, u64) {
 
 /// The suite as the runner priced it before the fast path: every policy
 /// regenerates the trace and simulates the whole hierarchy, and the
-/// annotated policies (OPT, oracle) pay an additional full-hierarchy
-/// pre-pass each to derive their annotation vectors.
+/// annotated policies (OPT, oracle) pay an additional pre-pass each —
+/// a recording plus an annotation scan, dropped after use — to derive
+/// their annotation vectors.
 fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
     let sets = cfg.llc.sets() as usize;
     let ways = cfg.llc.ways;
@@ -82,22 +83,32 @@ fn legacy_suite(cfg: &HierarchyConfig) -> u64 {
         .expect("full simulation runs");
         misses += r.llc.misses();
     }
-    let next = compute_next_use(cfg, APP.workload(CORES, SCALE)).expect("next-use pre-pass runs");
+    let opt = ReplayDesc::plain(PolicyKind::Opt);
+    let stream = record_stream(cfg, APP.workload(CORES, SCALE)).expect("next-use pre-pass runs");
+    let next = compute_annotations(&stream, 0);
+    drop(stream);
     let r = simulate_on(
         cfg,
         build_policy(PolicyKind::Opt, sets, ways),
-        Some(Box::new(NextUseProvider::new(next))),
+        Some(Box::new(AnnotationFeed::new(&opt, &next))),
         APP.workload(CORES, SCALE),
         vec![],
     )
     .expect("OPT simulation runs");
     misses += r.llc.misses();
-    let shared = compute_shared_soon(cfg, APP.workload(CORES, SCALE), oracle_window(cfg))
-        .expect("shared-soon pre-pass runs");
+    let window = oracle_window(cfg);
+    let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, window);
+    let stream = record_stream(cfg, APP.workload(CORES, SCALE)).expect("shared-soon pre-pass runs");
+    let shared = compute_annotations(&stream, window);
+    drop(stream);
     let r = simulate_on(
         cfg,
-        build_oracle_policy_with_mode(PolicyKind::Lru, sets, ways, ProtectMode::Eviction),
-        Some(Box::new(OracleProvider::new(shared))),
+        Box::new(OracleWrap::new(
+            build_policy(PolicyKind::Lru, sets, ways),
+            sets,
+            ways,
+        )),
+        Some(Box::new(AnnotationFeed::new(&oracle, &shared))),
         APP.workload(CORES, SCALE),
         vec![],
     )

@@ -8,9 +8,11 @@
 //! * **one replay entry point** — a [`ReplayDesc`] (base policy plus
 //!   wrap: bare, oracle, reactive or predictor-driven) in, a
 //!   [`RunResult`] out — over a once-recorded LLC reference stream
-//!   ([`fn@replay`]), with its full-hierarchy twin ([`simulate`]) and the
-//!   exact offline pre-passes they share: Belady next-use chains and
-//!   per-access oracle sharing outcomes ([`compute_annotations`]);
+//!   ([`fn@replay`]), with its full-hierarchy twin ([`simulate`]). Both
+//!   build the descriptor's policy and its [`AnnotationFeed`] through one
+//!   dispatch, and share the exact offline pre-pass: Belady next-use
+//!   chains and per-access oracle sharing outcomes from one scan of the
+//!   recording ([`compute_annotations`]);
 //! * the **characterization passes** — hit/occupancy decomposition by
 //!   sharing class ([`SharingProfile`]), premature shared-victimization
 //!   rates ([`VictimizationStats`]), epoch-resolved sharing
@@ -75,14 +77,11 @@ pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
     compute_annotations, record_stream, register_stream, replay, replay_kind, replay_on,
-    set_host_thread_override, Annotations, Exec, StreamCache, StreamCacheStats, StreamKey,
-    WorkloadId,
+    set_host_thread_override, AnnotationFeed, Annotations, Exec, StreamCache, StreamCacheStats,
+    StreamKey, WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
-pub use runner::{
-    compute_next_use, compute_shared_soon, oracle_window, simulate, simulate_on, CombinedProvider,
-    NextUseProvider, OracleProvider, RunResult, StreamRecorder,
-};
+pub use runner::{oracle_window, simulate, simulate_on, RunResult, StreamRecorder};
 pub use suite::pool::scoped_workers;
 pub use suite::{
     run_guarded, run_suite, run_suite_with, ExperimentOutcome, GuardedOutcome, SuiteConfig,

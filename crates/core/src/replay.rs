@@ -43,7 +43,7 @@ use llc_dag::{ReplayDesc, ReplayWrap};
 use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ReactiveWrap};
 use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
-    AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, Fold, HierarchyConfig, Inclusion, Llc,
+    Aux, AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, Fold, HierarchyConfig, Inclusion, Llc,
     LlcObserver, LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
     ReplacementPolicy, SimError, StateScope,
 };
@@ -53,7 +53,7 @@ use llc_trace::{App, LoadError, RecordedStream, Scale, ShardIndex, StreamStore, 
 
 use crate::budget;
 use crate::error::RunError;
-use crate::runner::{CombinedProvider, NextUseProvider, OracleProvider, RunResult, StreamRecorder};
+use crate::runner::{RunResult, StreamRecorder};
 use crate::suite::pool::scoped_workers;
 
 /// Global mirrors of [`StreamCacheStats`] plus the stream-recording
@@ -148,7 +148,7 @@ pub fn record_stream<W: TraceSource>(
         let kernel = RecordCmp::new(*config).map_err(SimError::from)?;
         record_stream_with(config, trace, kernel)
     } else {
-        // Inclusive (approximation, see `compute_shared_soon`): the LLC's
+        // Inclusive (approximation, see `compute_annotations`): the LLC's
         // back-invalidations shape the stream, so drive the full
         // hierarchy. The recording LLC is a concrete monomorphized LRU.
         let sets = config.llc.sets() as usize;
@@ -354,43 +354,13 @@ pub fn replay(
             Some(&computed)
         }
     };
-    let make_aux = || ann.map(|ann| aux_provider(desc, ann));
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    with_policy!(desc.kind, |ctor| match desc.wrap {
-        ReplayWrap::Plain => execute(
-            config,
-            &|| ctor(sets, ways),
-            &make_aux,
-            stream,
-            exec,
-            observers,
-        ),
-        ReplayWrap::Oracle { mode, .. } => execute(
-            config,
-            &|| OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
-            &make_aux,
-            stream,
-            exec,
-            observers,
-        ),
-        ReplayWrap::Reactive => execute(
-            config,
-            &|| ReactiveWrap::new(ctor(sets, ways)),
-            &make_aux,
-            stream,
-            exec,
-            observers,
-        ),
-        ReplayWrap::Predictor(predictor) => execute(
-            config,
-            &|| PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
-            &make_aux,
-            stream,
-            exec,
-            observers,
-        ),
-    })
+    let task = Execute {
+        config,
+        stream,
+        exec,
+        observers,
+    };
+    dispatch(desc, config.llc.sets() as usize, config.llc.ways, ann, task)
 }
 
 /// Replays a bare `kind` with [`Exec::Auto`]: shorthand for [`replay`]
@@ -415,63 +385,107 @@ pub fn replay_kind(
     )
 }
 
-/// The aux provider feeding `desc`'s annotations to its policy: the
-/// oracle wrap reads the shared-soon answers (plus next-use chains
-/// around OPT); every other annotated descriptor is OPT-based and reads
-/// the next-use chains.
-pub(crate) fn aux_provider(desc: &ReplayDesc, ann: &Annotations) -> Box<dyn AuxProvider> {
-    match desc.wrap {
-        ReplayWrap::Oracle { .. } if desc.kind == PolicyKind::Opt => Box::new(
-            CombinedProvider::shared(Arc::clone(&ann.next_use), Arc::clone(&ann.shared_soon)),
-        ),
-        ReplayWrap::Oracle { .. } => Box::new(OracleProvider::shared(Arc::clone(&ann.shared_soon))),
-        _ => Box::new(NextUseProvider::shared(Arc::clone(&ann.next_use))),
-    }
+/// A computation over the concrete policy a [`ReplayDesc`] names: what
+/// [`dispatch`] runs once it has resolved the descriptor.
+pub(crate) trait PolicyTask {
+    type Output;
+
+    /// Runs with a factory of the descriptor's concrete policy (called
+    /// once per LLC instance, e.g. once per shard) and the descriptor's
+    /// annotation feed, `None` for a descriptor that reads none.
+    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
+    where
+        P: ReplacementPolicy + 'static,
+        FP: Fn() -> P + Sync;
 }
 
-/// The execution decision [`replay`] makes for every descriptor, over
-/// the concrete policy type `P`.
-fn execute<P, FP, FA>(
-    config: &HierarchyConfig,
-    make_policy: &FP,
-    make_aux: &FA,
-    stream: &RecordedStream,
+/// The one place a [`ReplayDesc`] becomes a running policy: one
+/// [`with_policy!`] dispatch on the base kind and one `match` on the
+/// wrap build the concrete policy factory (`P`, `OracleWrap<P>`,
+/// `ReactiveWrap<P>` or `PredictorWrap<P>`), which `task` runs with the
+/// descriptor's [`AnnotationFeed`] out of `ann`: the descriptor's
+/// annotations, `None` exactly when it has no
+/// [`annotation_window`](ReplayDesc::annotation_window).
+pub(crate) fn dispatch<T: PolicyTask>(
+    desc: &ReplayDesc,
+    sets: usize,
+    ways: usize,
+    ann: Option<&Annotations>,
+    task: T,
+) -> T::Output {
+    debug_assert_eq!(desc.annotation_window().is_some(), ann.is_some());
+    let feed = ann.map(|ann| AnnotationFeed::new(desc, ann));
+    let feed = feed.as_ref();
+    with_policy!(desc.kind, |ctor| match desc.wrap {
+        ReplayWrap::Plain => task.run(&|| ctor(sets, ways), feed),
+        ReplayWrap::Oracle { mode, .. } => task.run(
+            &|| OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
+            feed,
+        ),
+        ReplayWrap::Reactive => task.run(&|| ReactiveWrap::new(ctor(sets, ways)), feed),
+        ReplayWrap::Predictor(predictor) => task.run(
+            &|| PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
+            feed,
+        ),
+    })
+}
+
+/// `feed` boxed for an LLC's aux slot.
+pub(crate) fn boxed_feed(feed: Option<&AnnotationFeed>) -> Option<Box<dyn AuxProvider>> {
+    feed.map(|feed| Box::new(feed.clone()) as Box<dyn AuxProvider>)
+}
+
+/// The execution decision [`replay`] makes for every descriptor.
+struct Execute<'a, 'o> {
+    config: &'a HierarchyConfig,
+    stream: &'a RecordedStream,
     exec: Exec,
-    observers: Vec<&mut dyn LlcObserver>,
-) -> Result<RunResult, RunError>
-where
-    P: ReplacementPolicy,
-    FP: Fn() -> P + Sync,
-    FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
-{
-    if !observers.is_empty() {
-        return replay_on(
+    observers: Vec<&'o mut dyn LlcObserver>,
+}
+
+impl PolicyTask for Execute<'_, '_> {
+    type Output = Result<RunResult, RunError>;
+
+    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
+    where
+        P: ReplacementPolicy + 'static,
+        FP: Fn() -> P + Sync,
+    {
+        let Execute {
             config,
-            make_policy(),
-            make_aux(),
             stream,
-            &mut MultiObserver::new(observers),
-        );
-    }
-    let policy = make_policy();
-    // Scope before budget: a global-state policy never takes donated
-    // workers away from a replay that could use them.
-    if policy.state_scope() == StateScope::PerSet {
-        let borrowed;
-        let shards = match exec {
-            Exec::Shards(n) => n,
-            Exec::Auto => {
-                borrowed = budget::borrow(MAX_DONATED_WORKERS);
-                borrowed.count() + 1
-            }
-        };
-        if shards > 1 {
-            if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
-                return replay_sharded_on(config, make_policy, make_aux, stream, &index);
+            exec,
+            observers,
+        } = self;
+        if !observers.is_empty() {
+            return replay_on(
+                config,
+                make_policy(),
+                boxed_feed(feed),
+                stream,
+                &mut MultiObserver::new(observers),
+            );
+        }
+        let policy = make_policy();
+        // Scope before budget: a global-state policy never takes donated
+        // workers away from a replay that could use them.
+        if policy.state_scope() == StateScope::PerSet {
+            let borrowed;
+            let shards = match exec {
+                Exec::Shards(n) => n,
+                Exec::Auto => {
+                    borrowed = budget::borrow(MAX_DONATED_WORKERS);
+                    borrowed.count() + 1
+                }
+            };
+            if shards > 1 {
+                if let Some(index) = shard_index_for(stream, config.llc.sets(), shards) {
+                    return replay_sharded_on(config, make_policy, feed, stream, &index);
+                }
             }
         }
+        replay_on(config, policy, boxed_feed(feed), stream, &mut NullObserver)
     }
-    replay_on(config, policy, make_aux(), stream, &mut NullObserver)
 }
 
 /// The generic replay driver over a concrete policy `P` and observer
@@ -589,17 +603,16 @@ pub fn set_host_thread_override(threads: Option<usize>) {
 /// shard-compact arrays instead of strided gathers through the full
 /// stream, which is what makes k shards on one host thread cost ~the
 /// sequential replay instead of k× its memory traffic.
-fn replay_sharded_on<P, FP, FA>(
+fn replay_sharded_on<P, FP>(
     config: &HierarchyConfig,
     make_policy: &FP,
-    make_aux: &FA,
+    feed: Option<&AnnotationFeed>,
     stream: &RecordedStream,
     index: &ShardIndex,
 ) -> Result<RunResult, RunError>
 where
     P: ReplacementPolicy,
     FP: Fn() -> P + Sync,
-    FA: Fn() -> Option<Box<dyn AuxProvider>> + Sync,
 {
     check_replayable(config, stream)?;
     if index.sets() != config.llc.sets() {
@@ -618,7 +631,7 @@ where
         let shard = &shards[w];
         let _span = spans::span_with(|| format!("shard {w}"));
         let mut llc = Llc::new_range(config.llc, make_policy(), shard.set_base, shard.set_len);
-        if let Some(aux) = make_aux() {
+        if let Some(aux) = boxed_feed(feed) {
             llc.set_aux_provider(aux);
         }
         let upgrades = &stream.upgrades;
@@ -818,16 +831,27 @@ pub struct Annotations {
 }
 
 /// Computes `next_use` and `shared_soon` in **one** backward scan over
-/// `stream` — the fused form of the runner's historical
-/// `compute_next_use` + `compute_shared_soon` pre-passes, which each ran
-/// their own full simulation plus scan.
+/// `stream`.
 ///
-/// The fusion is exact because both annotations are functions of the same
-/// per-block recurrence: walking the stream backwards, keep for each
-/// block its nearest future access (`n1`, issued by core `c1`) and the
-/// nearest future access by a core other than `c1` (`n2`). Then
-/// `next_use[i] = n1` and `shared_soon[i]` asks whether the nearest
-/// future *differing-core* access falls within `window`.
+/// `shared_soon[t]` is the oracle's answer: `true` iff the block accessed
+/// at stream position `t` is touched by a *different core* within the
+/// next `window` LLC accesses. This is the precise form of the paper's
+/// fill-time oracle question — "will this block be shared during its
+/// residency?" — made policy-independent by bounding "residency" with a
+/// retention horizon proportional to the LLC capacity (see
+/// [`oracle_window`](crate::oracle_window)).
+///
+/// Both annotations are functions of the same per-block recurrence:
+/// walking the stream backwards, keep for each block its nearest future
+/// access (`n1`, issued by core `c1`) and the nearest future access by a
+/// core other than `c1` (`n2`). Then `next_use[i] = n1` and
+/// `shared_soon[i]` asks whether the nearest future *differing-core*
+/// access falls within `window`.
+///
+/// A stream recorded on an [`Inclusion::Inclusive`] hierarchy is *not*
+/// policy-independent (back-invalidations feed back into the private
+/// caches), so its annotations are an approximation there — the `abl2`
+/// ablation quantifies the effect.
 pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations {
     let _span = spans::span("compute_annotations");
     let n = stream.len();
@@ -868,6 +892,46 @@ pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations 
     Annotations {
         next_use: Arc::new(next_use),
         shared_soon: Arc::new(shared_soon),
+    }
+}
+
+/// The aux provider feeding a descriptor its annotations: Belady
+/// next-use chains to an OPT base, the oracle's shared-soon answers to
+/// an oracle wrap, and both to `Oracle(OPT)`. Clones share the vectors,
+/// so every shard of a set-sharded replay gets its own feed without
+/// copying them.
+#[derive(Debug, Clone)]
+pub struct AnnotationFeed {
+    next_use: Option<Arc<Vec<u64>>>,
+    shared_soon: Option<Arc<Vec<bool>>>,
+}
+
+impl AnnotationFeed {
+    /// The feed of the vectors in `ann` that `desc` reads: `next_use`
+    /// if its base policy is OPT, `shared_soon` if it is an oracle wrap.
+    pub fn new(desc: &ReplayDesc, ann: &Annotations) -> Self {
+        AnnotationFeed {
+            next_use: (desc.kind == PolicyKind::Opt).then(|| Arc::clone(&ann.next_use)),
+            shared_soon: matches!(desc.wrap, ReplayWrap::Oracle { .. })
+                .then(|| Arc::clone(&ann.shared_soon)),
+        }
+    }
+}
+
+impl AuxProvider for AnnotationFeed {
+    fn aux_for(&mut self, time: u64, _block: BlockAddr) -> Aux {
+        let t = time as usize;
+        Aux {
+            next_use: self
+                .next_use
+                .as_ref()
+                .and_then(|v| v.get(t).copied())
+                .filter(|&n| n != u64::MAX),
+            oracle_shared: self
+                .shared_soon
+                .as_ref()
+                .map(|v| v.get(t).copied().unwrap_or(false)),
+        }
     }
 }
 
@@ -1012,13 +1076,6 @@ impl StreamCache {
         StreamCache::default()
     }
 
-    /// Creates an empty cache with an in-memory byte cap.
-    pub fn with_limit(limit_bytes: u64) -> Self {
-        let cache = StreamCache::new();
-        cache.set_limit(Some(limit_bytes));
-        cache
-    }
-
     /// Sets (or clears) the in-memory byte cap and evicts immediately if
     /// the cache is already over the new cap.
     pub fn set_limit(&self, limit_bytes: Option<u64>) {
@@ -1051,21 +1108,6 @@ impl StreamCache {
             limit: inner.limit,
             ..inner.stats
         }
-    }
-
-    /// Number of cached streams (recorded, not merely reserved).
-    pub fn len(&self) -> usize {
-        let inner = lock_recovering(&self.inner);
-        inner
-            .map
-            .values()
-            .filter(|entry| lock_recovering(&entry.slot).is_some())
-            .count()
-    }
-
-    /// `true` if nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Non-destructive availability probe for DAG planners: the encoded
@@ -1333,21 +1375,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_annotations_match_legacy_pre_passes() {
-        let c = cfg();
-        let window = 64;
-        let stream = stream_of(App::Dedup);
-        let ann = compute_annotations(&stream, window);
-        let next_legacy = crate::runner::compute_next_use(&c, App::Dedup.workload(4, Scale::Tiny))
-            .expect("legacy next-use");
-        let shared_legacy =
-            crate::runner::compute_shared_soon(&c, App::Dedup.workload(4, Scale::Tiny), window)
-                .expect("legacy shared-soon");
-        assert_eq!(*ann.next_use, next_legacy);
-        assert_eq!(*ann.shared_soon, shared_legacy);
-    }
-
-    #[test]
     fn replay_refuses_inclusive_and_mismatched_configs() {
         let stream = stream_of(App::Fft);
         let mut inclusive = cfg();
@@ -1393,7 +1420,9 @@ mod tests {
             "second get must hit the cache"
         );
         assert!(Arc::ptr_eq(&a, &b), "a memory hit shares the recording");
-        assert_eq!(cache.len(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(stats.bytes, a.encoded_len() as u64);
     }
 
     fn key_for(app: App) -> StreamKey {
@@ -1451,7 +1480,8 @@ mod tests {
         // Cap at exactly the two largest-so-far entries' budget: holding
         // all four is impossible, so older entries must be evicted.
         let limit = sizes[2] + sizes[3];
-        let bounded = StreamCache::with_limit(limit);
+        let bounded = StreamCache::new();
+        bounded.set_limit(Some(limit));
         for &app in &apps {
             bounded
                 .get_or_record(key_for(app), || app.workload(4, Scale::Tiny))
@@ -1462,7 +1492,6 @@ mod tests {
         assert!(stats.bytes <= limit, "cache over its cap: {stats:?}");
         assert!(stats.evictions > 0, "expected evictions: {stats:?}");
         assert_eq!(stats.misses as usize, apps.len());
-        assert!(bounded.len() < apps.len());
 
         // A re-request of an evicted stream is a miss that re-records.
         let before = bounded.stats().misses;

@@ -1,7 +1,8 @@
-//! The simulation driver: wires a trace source into the CMP, performs the
-//! offline pre-passes (Belady next-use chains, oracle sharing outcomes)
-//! and runs policies — realistic, OPT, oracle-wrapped or
-//! predictor-wrapped — over identical LLC reference streams.
+//! The full-hierarchy driver: wires a trace source into the CMP and runs
+//! the policy a [`ReplayDesc`] names — realistic, OPT, oracle-wrapped,
+//! reactive or predictor-wrapped — over it, feeding annotated descriptors
+//! the offline pre-pass results (Belady next-use chains, oracle sharing
+//! outcomes) of [`compute_annotations`].
 //!
 //! # Why pre-passes are exact
 //!
@@ -13,28 +14,27 @@
 //! the second run performs at index `i`. This is what makes Belady's OPT
 //! exact and the oracle bits perfectly aligned.
 //!
-//! Since the stream-replay fast path landed, annotated runs through
-//! [`simulate`] exploit this property twice over: on a non-inclusive
-//! hierarchy they record the stream **once**
-//! ([`crate::replay::record_stream`]), derive all annotations from the
-//! recording in a single fused backward scan, and replay only the LLC —
-//! instead of running up to three full hierarchy simulations. Inclusive
-//! hierarchies keep the historical full-simulation path (see the
-//! [`mod@crate::replay`] module docs for why).
+//! Annotated runs through [`simulate`] exploit this property twice over:
+//! on a non-inclusive hierarchy they record the stream **once**
+//! ([`record_stream`]), derive all annotations from the recording in a
+//! single fused backward scan, and replay only the LLC. Inclusive
+//! hierarchies run the full hierarchy (see the [`mod@crate::replay`]
+//! module docs for why). A full-hierarchy run builds its policy and
+//! annotation feed through the same descriptor dispatch as
+//! [`replay`](fn@replay), boxed for [`simulate_on`].
 
-use std::sync::Arc;
-
-use llc_dag::{ReplayDesc, ReplayWrap};
-use llc_policies::{build_oracle_policy_with_mode, build_policy, build_reactive_policy};
-use llc_predictors::{build_predictor, PredictorWrap};
+use llc_dag::ReplayDesc;
 use llc_sim::{
-    AccessCtx, AccessKind, Aux, AuxProvider, BlockAddr, Cmp, CoreId, HierarchyConfig, Inclusion,
+    AccessCtx, AccessKind, AuxProvider, BlockAddr, Cmp, CoreId, HierarchyConfig, Inclusion,
     LiveGeneration, LlcObserver, MultiObserver, Pc, ReplacementPolicy,
 };
 use llc_trace::{TraceSource, UpgradeEvent};
 
 use crate::error::RunError;
-use crate::replay::{aux_provider, compute_annotations, record_stream, replay, Exec};
+use crate::replay::{
+    boxed_feed, compute_annotations, dispatch, record_stream, replay, AnnotationFeed, Exec,
+    PolicyTask,
+};
 
 pub use llc_dag::RunResult;
 
@@ -108,87 +108,64 @@ where
     W: TraceSource,
     F: FnMut() -> W,
 {
-    let sets = config.llc.sets() as usize;
-    let ways = config.llc.ways;
-    let Some(window) = desc.annotation_window() else {
-        let policy = boxed_policy(desc, sets, ways);
-        return simulate_on(config, policy, None, make_trace(), observers);
+    let ann = match desc.annotation_window() {
+        None => None,
+        Some(window) => {
+            let stream = record_stream(config, make_trace())?;
+            if config.inclusion != Inclusion::Inclusive {
+                return replay(config, desc, &stream, None, Exec::Auto, observers);
+            }
+            Some(compute_annotations(&stream, window))
+        }
     };
-    let stream = record_stream(config, make_trace())?;
-    if config.inclusion != Inclusion::Inclusive {
-        return replay(config, desc, &stream, None, Exec::Auto, observers);
-    }
-    let ann = compute_annotations(&stream, window);
-    simulate_on(
+    let task = FullHierarchy {
         config,
-        boxed_policy(desc, sets, ways),
-        Some(aux_provider(desc, &ann)),
-        make_trace(),
+        trace: make_trace(),
         observers,
+    };
+    dispatch(
+        desc,
+        config.llc.sets() as usize,
+        config.llc.ways,
+        ann.as_ref(),
+        task,
     )
 }
 
-/// The boxed policy `desc` names, for the full-hierarchy driver.
-fn boxed_policy(desc: &ReplayDesc, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-    match desc.wrap {
-        ReplayWrap::Plain => build_policy(desc.kind, sets, ways),
-        ReplayWrap::Oracle { mode, .. } => {
-            build_oracle_policy_with_mode(desc.kind, sets, ways, mode)
-        }
-        ReplayWrap::Reactive => build_reactive_policy(desc.kind, sets, ways),
-        ReplayWrap::Predictor(predictor) => Box::new(PredictorWrap::new(
-            build_policy(desc.kind, sets, ways),
-            build_predictor(predictor),
-            sets,
-            ways,
-        )),
+/// One [`simulate_on`] run of the descriptor's policy, boxed, so every
+/// descriptor shares the one full-hierarchy driver.
+struct FullHierarchy<'a, 'o, W> {
+    config: &'a HierarchyConfig,
+    trace: W,
+    observers: Vec<&'o mut dyn LlcObserver>,
+}
+
+impl<W: TraceSource> PolicyTask for FullHierarchy<'_, '_, W> {
+    type Output = Result<RunResult, RunError>;
+
+    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
+    where
+        P: ReplacementPolicy + 'static,
+        FP: Fn() -> P + Sync,
+    {
+        simulate_on(
+            self.config,
+            Box::new(make_policy()),
+            boxed_feed(feed),
+            self.trace,
+            self.observers,
+        )
     }
 }
 
-/// Records the LLC reference stream and computes, for each access, the
-/// stream index of the next access to the same block.
-pub fn compute_next_use<W: TraceSource>(
-    config: &HierarchyConfig,
-    trace: W,
-) -> Result<Vec<u64>, RunError> {
-    let stream = record_stream(config, trace)?;
-    Ok(Arc::unwrap_or_clone(
-        compute_annotations(&stream, 0).next_use,
-    ))
-}
-
-/// Computes the oracle's answer vector from the (policy-independent) LLC
-/// reference stream: `outcome[t]` is `true` iff the block accessed at
-/// stream position `t` is touched by a *different core* within the next
-/// `window` LLC accesses.
-///
-/// This is the precise form of the paper's fill-time oracle question —
-/// "will this block be shared during its residency?" — made
-/// policy-independent by bounding "residency" with a retention horizon
-/// proportional to the LLC capacity (see [`oracle_window`]). Because the
-/// horizon grows with the cache, a larger LLC lets the oracle protect
-/// shared blocks with longer re-reference distances, which is exactly why
-/// the paper's oracle gains are larger at 8 MB than at 4 MB.
-///
-/// With an [`Inclusion::Inclusive`](llc_sim::Inclusion) hierarchy the LLC
-/// reference stream is *not* policy-independent (back-invalidations feed
-/// back into the private caches), so the annotations are an approximation
-/// there — the `abl2` ablation quantifies the effect.
-pub fn compute_shared_soon<W: TraceSource>(
-    config: &HierarchyConfig,
-    trace: W,
-    window: u64,
-) -> Result<Vec<bool>, RunError> {
-    let stream = record_stream(config, trace)?;
-    Ok(Arc::unwrap_or_clone(
-        compute_annotations(&stream, window).shared_soon,
-    ))
-}
-
 /// The default oracle retention horizon for a hierarchy: four times the
-/// number of LLC lines. A block re-referenced within this many LLC
-/// accesses is plausibly retainable; the factor is swept in the `abl1`
-/// ablation.
+/// number of LLC lines, the bound on "residency" in the oracle question
+/// [`compute_annotations`] answers. A block re-referenced within this
+/// many LLC accesses is plausibly retainable; the factor is swept in the
+/// `abl1` ablation. Because the horizon grows with the cache, a larger
+/// LLC lets the oracle protect shared blocks with longer re-reference
+/// distances, which is exactly why the paper's oracle gains are larger at
+/// 8 MB than at 4 MB.
 pub fn oracle_window(config: &HierarchyConfig) -> u64 {
     4 * config.llc.lines()
 }
@@ -255,104 +232,10 @@ impl LlcObserver for StreamRecorder {
     }
 }
 
-/// Aux provider feeding next-use chains to OPT.
-///
-/// Annotation vectors are held behind [`Arc`] so set-sharded replays can
-/// hand every shard its own provider without cloning megabytes of
-/// annotations.
-#[derive(Debug, Clone)]
-pub struct NextUseProvider {
-    next_use: Arc<Vec<u64>>,
-}
-
-impl NextUseProvider {
-    /// Wraps a next-use vector (`u64::MAX` = never used again).
-    pub fn new(next_use: Vec<u64>) -> Self {
-        NextUseProvider::shared(Arc::new(next_use))
-    }
-
-    /// Wraps an already-shared next-use vector.
-    pub fn shared(next_use: Arc<Vec<u64>>) -> Self {
-        NextUseProvider { next_use }
-    }
-}
-
-impl AuxProvider for NextUseProvider {
-    fn aux_for(&mut self, time: u64, _block: BlockAddr) -> Aux {
-        let n = self
-            .next_use
-            .get(time as usize)
-            .copied()
-            .unwrap_or(u64::MAX);
-        Aux {
-            next_use: (n != u64::MAX).then_some(n),
-            oracle_shared: None,
-        }
-    }
-}
-
-/// Aux provider feeding oracle sharing outcomes to
-/// [`OracleWrap`](llc_policies::OracleWrap).
-#[derive(Debug, Clone)]
-pub struct OracleProvider {
-    outcome: Arc<Vec<bool>>,
-}
-
-impl OracleProvider {
-    /// Wraps an outcome vector indexed by LLC access stream position.
-    pub fn new(outcome: Vec<bool>) -> Self {
-        OracleProvider::shared(Arc::new(outcome))
-    }
-
-    /// Wraps an already-shared outcome vector.
-    pub fn shared(outcome: Arc<Vec<bool>>) -> Self {
-        OracleProvider { outcome }
-    }
-}
-
-impl AuxProvider for OracleProvider {
-    fn aux_for(&mut self, time: u64, _block: BlockAddr) -> Aux {
-        let s = self.outcome.get(time as usize).copied().unwrap_or(false);
-        Aux {
-            next_use: None,
-            oracle_shared: Some(s),
-        }
-    }
-}
-
-/// Aux provider feeding both annotation kinds (for `OracleWrap<Opt>`).
-#[derive(Debug, Clone)]
-pub struct CombinedProvider {
-    next_use: Arc<Vec<u64>>,
-    outcome: Arc<Vec<bool>>,
-}
-
-impl CombinedProvider {
-    /// Combines already-shared annotation vectors.
-    pub fn shared(next_use: Arc<Vec<u64>>, outcome: Arc<Vec<bool>>) -> Self {
-        CombinedProvider { next_use, outcome }
-    }
-}
-
-impl AuxProvider for CombinedProvider {
-    fn aux_for(&mut self, time: u64, _block: BlockAddr) -> Aux {
-        let n = self
-            .next_use
-            .get(time as usize)
-            .copied()
-            .unwrap_or(u64::MAX);
-        let s = self.outcome.get(time as usize).copied().unwrap_or(false);
-        Aux {
-            next_use: (n != u64::MAX).then_some(n),
-            oracle_shared: Some(s),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llc_policies::{PolicyKind, ProtectMode};
+    use llc_policies::{build_policy, PolicyKind, ProtectMode};
     use llc_trace::{App, Scale};
 
     fn cfg() -> HierarchyConfig {
@@ -400,7 +283,8 @@ mod tests {
             vec![&mut rec],
         )
         .expect("run");
-        let next = compute_next_use(&c, make(App::Water)()).expect("pre-pass");
+        let stream = record_stream(&c, make(App::Water)()).expect("record");
+        let next = compute_annotations(&stream, 0).next_use;
         assert_eq!(next.len(), rec.blocks.len());
         for (i, &n) in next.iter().enumerate() {
             if n != u64::MAX {
@@ -486,7 +370,8 @@ mod tests {
         )
         .expect("run");
         let window = 64u64;
-        let fast = compute_shared_soon(&c, make(App::Dedup)(), window).expect("pre-pass");
+        let stream = record_stream(&c, make(App::Dedup)()).expect("record");
+        let fast = compute_annotations(&stream, window).shared_soon;
         assert_eq!(fast.len(), rec.blocks.len());
         // Brute force on a prefix (quadratic).
         let n = rec.blocks.len().min(3000);

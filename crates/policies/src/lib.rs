@@ -301,51 +301,15 @@ macro_rules! with_policy {
 }
 
 /// Instantiates a policy for an LLC of `sets` sets and `ways` ways,
-/// behind a `Box<dyn>` — the compatibility fallback for callers that need
-/// type erasure (full-hierarchy simulation, external policies). The fast
-/// replay drivers dispatch through [`with_policy!`] instead and never box.
+/// behind a `Box<dyn>` — for callers that need type erasure (reference
+/// drivers in benches and tests, external policies). The replay drivers
+/// dispatch through [`with_policy!`] instead.
 ///
 /// Deterministic: pseudo-random policies (Random, BRRIP, BIP and their
 /// dueling variants) derive their streams from fixed internal seeds (see
 /// [`mono`]).
 pub fn build_policy(kind: PolicyKind, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
     with_policy!(kind, |ctor| Box::new(ctor(sets, ways)))
-}
-
-/// Instantiates `kind` wrapped in reactive (directory-driven) sharing
-/// protection.
-pub fn build_reactive_policy(
-    kind: PolicyKind,
-    sets: usize,
-    ways: usize,
-) -> Box<dyn ReplacementPolicy> {
-    Box::new(ReactiveWrap::new(build_policy(kind, sets, ways)))
-}
-
-/// Instantiates `kind` wrapped in the sharing-aware oracle
-/// ([`OracleWrap`], eviction-protection mode).
-pub fn build_oracle_policy(
-    kind: PolicyKind,
-    sets: usize,
-    ways: usize,
-) -> Box<dyn ReplacementPolicy> {
-    build_oracle_policy_with_mode(kind, sets, ways, ProtectMode::Eviction)
-}
-
-/// Instantiates `kind` wrapped in the sharing-aware oracle with an explicit
-/// protection mode.
-pub fn build_oracle_policy_with_mode(
-    kind: PolicyKind,
-    sets: usize,
-    ways: usize,
-    mode: ProtectMode,
-) -> Box<dyn ReplacementPolicy> {
-    Box::new(OracleWrap::with_mode(
-        build_policy(kind, sets, ways),
-        sets,
-        ways,
-        mode,
-    ))
 }
 
 #[cfg(test)]
@@ -367,11 +331,5 @@ mod tests {
         }
         assert_eq!(PolicyKind::parse("belady"), Some(PolicyKind::Opt));
         assert_eq!(PolicyKind::parse("nonsense"), None);
-    }
-
-    #[test]
-    fn oracle_builder_wraps_base_name() {
-        let p = build_oracle_policy(PolicyKind::Drrip, 64, 8);
-        assert_eq!(p.name(), "Oracle(DRRIP)");
     }
 }

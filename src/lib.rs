@@ -64,9 +64,7 @@ pub use llc_trace as trace;
 
 /// The most commonly used items across the workspace, in one import.
 pub mod prelude {
-    pub use llc_policies::{
-        build_oracle_policy, build_policy, OracleWrap, PolicyKind, ProtectMode,
-    };
+    pub use llc_policies::{build_policy, OracleWrap, PolicyKind, ProtectMode};
     pub use llc_predictors::{
         build_predictor, ConfusionMatrix, PredictorKind, PredictorStudy, PredictorWrap,
         SharingPredictor, TableConfig,

@@ -10,14 +10,15 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use llc_sharing::{
     compute_annotations, oracle_window, record_stream, replay, replay_kind, replay_on, simulate,
-    simulate_on, CombinedProvider, Exec, NextUseProvider, OracleProvider, ReplayDesc, ReplayWrap,
+    simulate_on, AnnotationFeed, Annotations, Exec, ReplayDesc, ReplayWrap,
 };
 use llc_sim::{AccessCtx, AuxProvider, LiveGeneration};
 use proptest::prelude::*;
-use sharing_aware_llc::policies::{build_oracle_policy_with_mode, build_reactive_policy};
+use sharing_aware_llc::policies::ReactiveWrap;
 use sharing_aware_llc::prelude::*;
 use sharing_aware_llc::trace::VecSource;
 
@@ -195,16 +196,21 @@ proptest! {
             let sets = cfg.llc.sets() as usize;
             let ways = cfg.llc.ways;
             let cap = capture_stream(&cfg, &trace);
+            let opt = ReplayDesc::plain(PolicyKind::Opt);
+            let ann = Annotations {
+                next_use: Arc::new(legacy_next_use(&cap.blocks)),
+                ..Annotations::default()
+            };
             let full = simulate_on(
                 &cfg,
                 build_policy(PolicyKind::Opt, sets, ways),
-                Some(Box::new(NextUseProvider::new(legacy_next_use(&cap.blocks)))),
+                feed(&opt, &ann),
                 VecSource::new(trace.clone()),
                 vec![],
             ).expect("legacy OPT run");
             let fast = simulate(
                 &cfg,
-                &ReplayDesc::plain(PolicyKind::Opt),
+                &opt,
                 &mut || VecSource::new(trace.clone()),
                 vec![],
             ).expect("fast OPT run");
@@ -222,17 +228,20 @@ proptest! {
         let ways = cfg.llc.ways;
         let window = oracle_window(&cfg);
         let cap = capture_stream(&cfg, &trace);
-        let shared = legacy_shared_soon(&cap.blocks, &cap.cores, window);
+        let ann = Annotations {
+            shared_soon: Arc::new(legacy_shared_soon(&cap.blocks, &cap.cores, window)),
+            ..Annotations::default()
+        };
         for base in [PolicyKind::Lru, PolicyKind::Srrip] {
+            let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
             let full = simulate_on(
                 &cfg,
-                build_oracle_policy_with_mode(base, sets, ways, ProtectMode::Eviction),
-                Some(Box::new(OracleProvider::new(shared.clone()))),
+                boxed_policy(&desc, sets, ways),
+                feed(&desc, &ann),
                 VecSource::new(trace.clone()),
                 vec![],
             ).expect("legacy oracle run");
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-            let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
             let fast = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![])
                 .expect("oracle replay");
             prop_assert_eq!(full.llc, fast.llc, "base {}", base.label());
@@ -271,21 +280,83 @@ fn protection_wraps() -> Vec<ReplayDesc> {
         .collect()
 }
 
-/// The boxed reference policy for a plain, reactive or predictor-driven
-/// descriptor, built from the policy crates directly rather than
-/// through the descriptor dispatch under test.
+/// The boxed reference policy for a descriptor, built from the policy
+/// crates directly rather than through the descriptor dispatch under
+/// test. An oracle wrap still needs its annotations fed alongside.
 fn boxed_policy(desc: &ReplayDesc, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
     match desc.wrap {
         ReplayWrap::Plain => build_policy(desc.kind, sets, ways),
-        ReplayWrap::Reactive => build_reactive_policy(desc.kind, sets, ways),
+        ReplayWrap::Oracle { mode, .. } => Box::new(OracleWrap::with_mode(
+            build_policy(desc.kind, sets, ways),
+            sets,
+            ways,
+            mode,
+        )),
+        ReplayWrap::Reactive => Box::new(ReactiveWrap::new(build_policy(desc.kind, sets, ways))),
         ReplayWrap::Predictor(predictor) => Box::new(PredictorWrap::new(
             build_policy(desc.kind, sets, ways),
             build_predictor(predictor),
             sets,
             ways,
         )),
-        ReplayWrap::Oracle { .. } => unreachable!("oracle references need their annotations"),
     }
+}
+
+/// On an inclusive hierarchy the LLC reference stream depends on the
+/// policy, so `simulate` cannot replay: it runs the full hierarchy, fed
+/// (for an annotated descriptor) the annotations of one LRU recording.
+/// That must equal `simulate_on` over a hand-built boxed policy and the
+/// annotations `compute_annotations` derives from `record_stream`.
+#[test]
+fn inclusive_simulate_matches_the_boxed_reference() {
+    let trace = fixed_trace(900, 96);
+    for base_cfg in [no_l2_cfg(), with_l2_cfg()] {
+        let cfg = HierarchyConfig {
+            inclusion: Inclusion::Inclusive,
+            ..base_cfg
+        };
+        let sets = cfg.llc.sets() as usize;
+        let ways = cfg.llc.ways;
+        let window = oracle_window(&cfg);
+        let oracles = [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt]
+            .into_iter()
+            .flat_map(|base| {
+                [
+                    ProtectMode::Eviction,
+                    ProtectMode::Insertion,
+                    ProtectMode::Both,
+                ]
+                .map(|mode| ReplayDesc::oracle(base, mode, window))
+            });
+        let descs = std::iter::once(ReplayDesc::plain(PolicyKind::Opt))
+            .chain(oracles)
+            .chain([
+                ReplayDesc::reactive(PolicyKind::Lru),
+                ReplayDesc::predicted(PolicyKind::Srrip, PredictorKind::Pc),
+            ]);
+        for desc in descs {
+            let aux = desc.annotation_window().and_then(|window| {
+                let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
+                feed(&desc, &compute_annotations(&stream, window))
+            });
+            let reference = simulate_on(
+                &cfg,
+                boxed_policy(&desc, sets, ways),
+                aux,
+                VecSource::new(trace.clone()),
+                vec![],
+            )
+            .expect("reference run");
+            let got = simulate(&cfg, &desc, &mut || VecSource::new(trace.clone()), vec![])
+                .expect("inclusive simulate");
+            assert_eq!(reference, got, "{}", desc.label());
+        }
+    }
+}
+
+/// `desc`'s annotation feed out of `ann`, for an LLC's aux slot.
+fn feed(desc: &ReplayDesc, ann: &Annotations) -> Option<Box<dyn AuxProvider>> {
+    Some(Box::new(AnnotationFeed::new(desc, ann)))
 }
 
 /// A small deterministic multi-threaded trace (blocks conflict across a
@@ -320,11 +391,10 @@ fn monomorphized_replay_matches_dyn_for_every_kind() {
     let trace = fixed_trace(900, 96);
     let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
     for kind in ALL_KINDS {
-        let aux: Option<Box<dyn AuxProvider>> = (kind == PolicyKind::Opt).then(|| {
-            Box::new(NextUseProvider::shared(
-                compute_annotations(&stream, 0).next_use,
-            )) as Box<dyn AuxProvider>
-        });
+        let desc = ReplayDesc::plain(kind);
+        let aux = desc
+            .annotation_window()
+            .and_then(|window| feed(&desc, &compute_annotations(&stream, window)));
         let dyn_run = replay_on(
             &cfg,
             build_policy(kind, sets, ways),
@@ -340,8 +410,8 @@ fn monomorphized_replay_matches_dyn_for_every_kind() {
 }
 
 /// Same differential, oracle-wrapped: the monomorphized oracle replay
-/// matches the boxed `build_oracle_policy_with_mode` path for every base
-/// kind (including OPT, which consumes both annotation vectors).
+/// matches the boxed reference policy for every base kind (including
+/// OPT, which consumes both annotation vectors).
 #[test]
 fn monomorphized_oracle_matches_dyn_for_every_base() {
     let cfg = no_l2_cfg();
@@ -352,23 +422,15 @@ fn monomorphized_oracle_matches_dyn_for_every_base() {
     let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
     let ann = compute_annotations(&stream, window);
     for base in ALL_KINDS {
-        let aux: Box<dyn AuxProvider> = if base == PolicyKind::Opt {
-            Box::new(CombinedProvider::shared(
-                ann.next_use.clone(),
-                ann.shared_soon.clone(),
-            ))
-        } else {
-            Box::new(OracleProvider::shared(ann.shared_soon.clone()))
-        };
+        let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
         let dyn_run = replay_on(
             &cfg,
-            build_oracle_policy_with_mode(base, sets, ways, ProtectMode::Eviction),
-            Some(aux),
+            boxed_policy(&desc, sets, ways),
+            feed(&desc, &ann),
             &stream,
             &mut NullObserver,
         )
         .expect("dyn oracle replay");
-        let desc = ReplayDesc::oracle(base, ProtectMode::Eviction, window);
         let mono_run =
             replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("mono oracle replay");
         assert_eq!(dyn_run.llc, mono_run.llc, "oracle base {}", base.label());
@@ -401,10 +463,10 @@ proptest! {
         };
         let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
         for kind in [PolicyKind::Lru, PolicyKind::Nru, PolicyKind::Opt] {
-            let aux: Option<Box<dyn AuxProvider>> = (kind == PolicyKind::Opt).then(|| {
-                Box::new(NextUseProvider::shared(compute_annotations(&stream, 0).next_use))
-                    as Box<dyn AuxProvider>
-            });
+            let desc = ReplayDesc::plain(kind);
+            let aux = desc
+                .annotation_window()
+                .and_then(|window| feed(&desc, &compute_annotations(&stream, window)));
             let dyn_run = replay_on(
                 &cfg,
                 build_policy(kind, cfg.llc.sets() as usize, ways),
@@ -413,7 +475,6 @@ proptest! {
                 &mut NullObserver,
             ).expect("dyn replay");
             let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
-            let desc = ReplayDesc::plain(kind);
             let sharded = replay(&cfg, &desc, &stream, None, Exec::Shards(shards), vec![])
                 .expect("sharded");
             prop_assert_eq!(
