@@ -3,7 +3,7 @@
 //! Records one LLC reference stream, then replays a 3-policy per-set
 //! suite — LRU, SRRIP, OPT — through `replay` with `Exec::Shards(n)`
 //! at 1, 2, 4 and 8 shards. Shard count 1 is the sequential path; the
-//! others fan the set ranges out over `scoped_workers`. Sharded replay is
+//! others fan the set ranges out through `pool::map`. Sharded replay is
 //! bit-identical to sequential replay (asserted here on the summed miss
 //! counts, and property-tested in `tests/shard_equivalence.rs`), so the
 //! only thing this benchmark measures is wall-clock.
@@ -15,8 +15,8 @@
 //!   speedup across shard counts must stay above
 //!   `BENCH_SHARD_MIN_SPEEDUP_1T` (default 0.95) — sharding must not
 //!   lose even with no parallelism to gain from.
-//! * **Multi-thread** (no override): whatever parallelism the host
-//!   offers. On hosts with two or more hardware threads the *best*
+//! * **Multi-thread** (no override): the default cap, two workers per
+//!   hardware thread. On hosts with two or more hardware threads the *best*
 //!   speedup across shard counts must clear `BENCH_SHARD_MIN_SPEEDUP`
 //!   (default 1.0): sharding must actually win somewhere. On a
 //!   single-hardware-thread host the numbers are recorded but the gate

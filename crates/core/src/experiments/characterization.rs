@@ -9,7 +9,7 @@ use crate::report::{f2, mean, pct, Table};
 
 /// Table 2: workload characteristics under LRU at the primary LLC size.
 pub(crate) fn table2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let mut t = Table::new(
         format!(
             "Table 2 — Workload characteristics (LRU, {} KB LLC)",
@@ -97,7 +97,7 @@ pub(crate) fn fig1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// Fig. 2: population vs importance — share of generations and of
 /// time-integrated occupancy that is shared (contrast with fig1).
 pub(crate) fn fig2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let mut t = Table::new(
         format!(
             "Fig. 2 — Generation population vs occupancy vs hits (LRU, {} KB)",
@@ -133,7 +133,7 @@ pub(crate) fn fig2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 
 /// Fig. 3: sharing-degree distribution of shared generations.
 pub(crate) fn fig3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let mut t = Table::new(
         format!(
             "Fig. 3 — Sharing degree of shared generations (LRU, {} KB)",
@@ -154,7 +154,7 @@ pub(crate) fn fig3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 
 /// Fig. 4: read-only vs read-write decomposition of shared activity.
 pub(crate) fn fig4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let mut t = Table::new(
         format!(
             "Fig. 4 — Read-only vs read-write shared generations (LRU, {} KB)",

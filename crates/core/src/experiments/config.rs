@@ -52,7 +52,7 @@ pub(crate) fn table1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// conclusions? Re-measures the fig1 shared-hit fraction and the fig7
 /// oracle gain with an inclusive LLC.
 pub(crate) fn abl2(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let mut t = Table::new(
         format!(
             "Ablation 2 — inclusive vs non-inclusive LLC ({} KB)",

@@ -23,12 +23,11 @@ fn miss_reduction(base: u64, improved: u64) -> f64 {
 /// prediction? The ladder: base LRU → reactive protection (directory
 /// knowledge only, no prediction) → best realistic predictor → oracle.
 pub(crate) fn abl4(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let mut t = Table::new(
         format!(
             "Ablation 4 — reactive vs predicted vs oracle protection ({} KB LLC, base LRU)",
-            cap >> 10
+            cfg.llc.capacity_bytes >> 10
         ),
         &[
             "app",
@@ -108,7 +107,7 @@ const MIXES: [(&str, [App; 4]); 3] = [
 /// supporting the paper's framing that multi-programmed-oriented policies
 /// address a different problem.
 pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
+    let cap = ctx.main_config()?.llc.capacity_bytes;
     let cfg = {
         let mut c = ctx.config(cap)?;
         c.cores = 8; // four programs x two threads

@@ -219,33 +219,21 @@ impl ExperimentCtx {
     }
 }
 
-/// Runs `f` once per app on its own OS thread and returns the results in
-/// app order. Workloads are rebuilt inside each closure, so nothing
-/// non-`Send` crosses threads.
+/// Runs `f` once per app and returns the results in app order, fanned
+/// out through [`pool::map`](crate::suite::pool::map): `--jobs` bounds
+/// concurrent experiments, and each experiment's apps (like its shards)
+/// fan out over at most twice the host's hardware threads. Workloads are
+/// rebuilt inside each closure, so nothing non-`Send` crosses threads.
 ///
-/// A panicking worker is re-raised on the calling thread (with the
-/// original payload) so the suite runner's `catch_unwind` isolation sees
-/// it; sibling workers still run to completion first because the scope
-/// joins every handle.
+/// A panicking app is re-raised on the calling thread (with the original
+/// payload) so the suite runner's `catch_unwind` isolation sees it, after
+/// every worker has joined.
 pub fn per_app<T, F>(apps: &[App], f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(App) -> T + Sync,
 {
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = apps
-            .iter()
-            .map(|&app| scope.spawn(move || f(app)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-            })
-            .collect()
-    })
+    crate::suite::pool::map(apps.len(), |i| f(apps[i]))
 }
 
 /// Fallible [`per_app`]: runs one `Result`-returning closure per app and
@@ -374,6 +362,19 @@ mod tests {
         assert!(matches!(ctx.main_config(), Err(RunError::Sim(_))));
         ctx.llc_capacities.clear();
         assert!(matches!(ctx.main_config(), Err(RunError::Sim(_))));
+    }
+
+    #[test]
+    fn empty_capacities_never_panic_any_experiment() {
+        let mut ctx = ExperimentCtx::test();
+        ctx.llc_capacities.clear();
+        for id in ExperimentId::ALL {
+            crate::planner::configs_for(id, &ctx);
+            match run_experiment(id, &ctx) {
+                Ok(_) | Err(RunError::Sim(_)) => {}
+                Err(e) => panic!("{}: unexpected error {e}", id.label()),
+            }
+        }
     }
 
     #[test]

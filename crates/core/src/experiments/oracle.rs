@@ -122,8 +122,7 @@ pub(crate) fn fig8(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// Ablation 1: sensitivity of the oracle to its retention horizon (the
 /// window within which a cross-core touch counts as "will be shared").
 pub(crate) fn abl1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let lines = cfg.llc.lines();
     let factors: [u64; 3] = [1, 4, 16];
     let mut headers: Vec<String> = vec!["app".into(), "LRU misses".into()];
@@ -131,7 +130,7 @@ pub(crate) fn abl1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let mut t = Table::new(
         format!(
             "Ablation 1 — oracle retention horizon ({} KB LLC, Oracle(LRU))",
-            cap >> 10
+            cfg.llc.capacity_bytes >> 10
         ),
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
@@ -158,8 +157,7 @@ pub(crate) fn abl1(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// Ablation 3: where should the protection act — eviction, insertion or
 /// both?
 pub(crate) fn abl3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let modes = [
         ProtectMode::Eviction,
         ProtectMode::Insertion,
@@ -175,7 +173,7 @@ pub(crate) fn abl3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let mut t = Table::new(
         format!(
             "Ablation 3 — oracle protection mode ({} KB LLC), miss reduction",
-            cap >> 10
+            cfg.llc.capacity_bytes >> 10
         ),
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );

@@ -17,8 +17,7 @@ const SERIES_POINTS: usize = 16;
 /// that history-based fill-time predictors cannot track — while
 /// read-shared apps are steady.
 pub(crate) fn fig11(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     // Keep the full app list but lead with the phase-structured ones.
     let mut apps: Vec<App> = ctx
         .apps
@@ -39,7 +38,7 @@ pub(crate) fn fig11(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let mut t = Table::new(
         format!(
             "Fig. 11 — Shared-hit fraction per epoch (LRU, {} KB LLC)",
-            cap >> 10
+            cfg.llc.capacity_bytes >> 10
         ),
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );

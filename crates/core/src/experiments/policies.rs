@@ -81,8 +81,7 @@ pub(crate) fn fig5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// Fig. 6: how sharing-oblivious is each policy? Premature
 /// shared-victimization rates, with OPT as the reference.
 pub(crate) fn fig6(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let window = 64 * ctx.llc_ways as u64;
     let policies = [
         PolicyKind::Lru,
@@ -99,7 +98,7 @@ pub(crate) fn fig6(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let mut t = Table::new(
         format!(
             "Fig. 6 — Premature (shared) victimization rates ({} KB LLC, window {})",
-            cap >> 10,
+            cfg.llc.capacity_bytes >> 10,
             window
         ),
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),

@@ -23,8 +23,7 @@ pub(crate) const FIG10_DESIGNS: [PredictorKind; 5] = [
 /// Fig. 9: the paper's predictability study — what accuracy can
 /// fill-time, history-based sharing predictors achieve?
 pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let designs = [
         PredictorKind::Address,
         PredictorKind::Pc,
@@ -38,7 +37,7 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let mut t = Table::new(
             format!(
                 "Fig. 9 — {design} fill-time sharing predictor ({} KB LLC, LRU)",
-                cap >> 10
+                cfg.llc.capacity_bytes >> 10
             ),
             &[
                 "app",
@@ -78,12 +77,11 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// and compare against the oracle — how much of the oracle's gain
 /// survives?
 pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let mut t = Table::new(
         format!(
             "Fig. 10 — End-to-end: predictor-driven wrapper vs oracle ({} KB LLC, base LRU)",
-            cap >> 10
+            cfg.llc.capacity_bytes >> 10
         ),
         &[
             "app",
@@ -131,8 +129,7 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 
 /// Table 3: predictor accuracy as a function of the hardware budget.
 pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
-    let cap = ctx.llc_capacities[0];
-    let cfg = ctx.config(cap)?;
+    let cfg = ctx.main_config()?;
     let budgets = [
         (
             "512e/2b",
@@ -165,7 +162,7 @@ pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let mut t = Table::new(
             format!(
                 "Table 3 — {design} predictor budget sweep ({} KB LLC, LRU)",
-                cap >> 10
+                cfg.llc.capacity_bytes >> 10
             ),
             &headers.iter().map(String::as_str).collect::<Vec<_>>(),
         );

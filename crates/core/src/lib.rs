@@ -77,12 +77,11 @@ pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
     compute_annotations, record_stream, register_stream, replay, replay_kind, replay_on,
-    set_host_thread_override, AnnotationFeed, Annotations, Exec, StreamCache, StreamCacheStats,
-    StreamKey, WorkloadId,
+    AnnotationFeed, Annotations, Exec, StreamCache, StreamCacheStats, StreamKey, WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{oracle_window, simulate, simulate_on, RunResult, StreamRecorder};
-pub use suite::pool::scoped_workers;
+pub use suite::pool::{scoped_workers, set_host_thread_override};
 pub use suite::{
     run_guarded, run_suite, run_suite_with, ExperimentOutcome, GuardedOutcome, SuiteConfig,
     SuiteReport,

@@ -122,13 +122,13 @@ pub fn configs_for(id: ExperimentId, ctx: &ExperimentCtx) -> Vec<HierarchyConfig
         | ExperimentId::Fig7
         | ExperimentId::Fig8
         | ExperimentId::Fig12 => all(),
-        ExperimentId::Abl2 => {
-            let cap = ctx.llc_capacities[0];
-            ctx.config(cap)
-                .into_iter()
-                .chain(ctx.config_inclusive(cap))
-                .collect()
-        }
+        ExperimentId::Abl2 => main()
+            .into_iter()
+            .chain(
+                ctx.main_config()
+                    .and_then(|c| ctx.config_inclusive(c.llc.capacity_bytes)),
+            )
+            .collect(),
         _ => main(),
     }
 }

@@ -54,7 +54,7 @@ use llc_trace::{App, LoadError, RecordedStream, Scale, ShardIndex, StreamStore, 
 use crate::budget;
 use crate::error::RunError;
 use crate::runner::{RunResult, StreamRecorder};
-use crate::suite::pool::scoped_workers;
+use crate::suite::pool;
 
 /// Global mirrors of [`StreamCacheStats`] plus the stream-recording
 /// counter, resolved once and then touched with relaxed atomics only.
@@ -562,28 +562,10 @@ where
 /// not a tuning knob (the pool itself reflects the `--jobs` grant).
 const MAX_DONATED_WORKERS: usize = 63;
 
-/// Process-global override of the sharded-replay worker clamp; 0 means
-/// "use `available_parallelism`" (the default).
-static HOST_THREAD_OVERRIDE: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(0);
-
-/// Overrides the number of host threads sharded replay clamps its worker
-/// pool to; `None` restores the `available_parallelism` default.
-///
-/// A measurement knob, not a tuning knob: `benches/shard.rs` uses it to
-/// record both the 1-thread floor (`Some(1)` — every shard runs inline,
-/// which is what the ≥ 0.95× sequential gate measures) and the
-/// multi-thread speedup on whatever host CI lands on. The override is
-/// process-global and racy-by-design (a relaxed atomic): flipping it
-/// mid-replay only changes how many workers the *next* replay spawns,
-/// never the replayed bits.
-pub fn set_host_thread_override(threads: Option<usize>) {
-    HOST_THREAD_OVERRIDE.store(threads.unwrap_or(0), std::sync::atomic::Ordering::Relaxed);
-}
-
 /// Replays a stream split into contiguous set-range shards, one LLC (and
-/// one policy instance) per shard, fanned out over
-/// scoped worker threads — the parallel twin of [`replay_on`].
+/// one policy instance) per shard, fanned out through
+/// [`pool::map`](crate::suite::pool::map) — the parallel twin of
+/// [`replay_on`].
 ///
 /// Each shard's LLC covers only its set range but keeps the full
 /// geometry for indexing, and is driven with the *global* stream index
@@ -625,9 +607,12 @@ where
     }
     let shards = index.shards();
     let _span = spans::span_with(|| format!("replay_sharded x{}", shards.len()));
-    let slots: Vec<Mutex<Option<(String, LlcStats)>>> =
-        shards.iter().map(|_| Mutex::new(None)).collect();
-    let run_shard = |w: usize| {
+    // `pool::map` clamps the workers to its host-sized cap and runs a
+    // single worker's shards inline, which is what makes k-shard replay
+    // under a cap of 1 cost ~the sequential replay. Results come back in
+    // shard order, so the merge order — and the merged bits — don't
+    // depend on who ran what.
+    let per_shard = pool::map(shards.len(), |w| {
         let shard = &shards[w];
         let _span = spans::span_with(|| format!("shard {w}"));
         let mut llc = Llc::new_range(config.llc, make_policy(), shard.set_base, shard.set_len);
@@ -680,45 +665,12 @@ where
         }
         llc.seek_time(stream.len() as u64);
         llc.flush(&mut NullObserver);
-        *lock_recovering(&slots[w]) = Some((llc.policy().name(), llc.stats()));
-    };
-    // More shards than hardware threads just timeslice against each
-    // other (context switches plus cache churn between shard working
-    // sets), so clamp the thread count and let workers claim shards from
-    // a counter; shard results land in fixed slots, so the merge order —
-    // and the merged bits — don't depend on who ran what. One worker
-    // means no spawn at all: the shards run inline back to back, which
-    // is what makes k-shard replay on a single-thread host cost ~the
-    // sequential replay.
-    let host_threads = match HOST_THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        n => n,
-    };
-    let workers = shards.len().min(host_threads);
-    if workers <= 1 {
-        for w in 0..shards.len() {
-            run_shard(w);
-        }
-    } else {
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        scoped_workers(workers, |_| loop {
-            let w = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if w >= shards.len() {
-                break;
-            }
-            run_shard(w);
-        });
-    }
+        (llc.policy().name(), llc.stats())
+    });
     let _merge_span = spans::span("merge shards");
     let mut llc_stats = LlcStats::default();
     let mut policy = String::new();
-    for slot in slots {
-        let (name, stats) = slot
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            // infallible: `scoped_workers` re-raises worker panics, so
-            // reaching this line means every worker filled its slot.
-            .expect("every shard slot is filled");
+    for (name, stats) in per_shard {
         llc_stats += stats;
         policy = name;
     }

@@ -1,5 +1,5 @@
-//! The bounded scoped worker pool shared by the suite runner and the
-//! `llc-serve` daemon.
+//! The bounded scoped worker pool shared by the suite runner, the
+//! `llc-serve` daemon and every fan-out inside an experiment ([`map`]).
 //!
 //! The pool is deliberately tiny: `N` scoped OS threads each run the same
 //! role closure until it returns. No work queue is imposed — the suite
@@ -10,7 +10,66 @@
 //! (caches, checkpoints, job tables) can be shared without `'static`
 //! gymnastics, and the call does not return until every role has.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread;
+
+/// [`map`]'s worker cap; 0 means the default (see [`ITEMS_PER_HOST_THREAD`]).
+static HOST_THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// Workers [`map`] runs per hardware thread by default. Per-app items are
+/// uneven and wait on the store (fsynced writes, stream loads), so with
+/// one a CPU idles during those waits and at the tail: `serve-warm-mix`
+/// set-up ran 7–46% slower than with a thread per app. Two keep the CPUs
+/// busy and still bound the live working sets.
+const ITEMS_PER_HOST_THREAD: usize = 2;
+
+/// Sets the worker cap of [`map`] — and so of every per-app and
+/// sharded-replay fan-out — to `threads`; `None` restores the default.
+///
+/// A measurement knob, not a tuning knob: `benches/shard.rs` records the
+/// 1-thread floor with `Some(1)` (every shard runs inline). The cap is
+/// process-global: changing it mid-run only changes how many workers the
+/// *next* fan-out spawns, never the computed bits.
+pub fn set_host_thread_override(threads: Option<usize>) {
+    HOST_THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
+}
+
+/// Computes `f(i)` for every `i` in `0..n` and returns the results in
+/// index order. At most `min(n, cap)` workers claim indices from one
+/// counter; the cap is two workers per hardware thread, since more
+/// threads would only timeslice, each with its own live working set.
+/// One worker runs every item inline and spawns nothing.
+///
+/// A panicking item is re-raised on the caller, with its original
+/// payload, after every worker has joined (the others finish the
+/// remaining items first), so the suite's `catch_unwind` isolation sees it.
+pub fn map<T, F>(n: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let cap = match HOST_THREAD_OVERRIDE.load(Ordering::Relaxed) {
+        0 => thread::available_parallelism().map_or(1, |host| host.get()) * ITEMS_PER_HOST_THREAD,
+        cap => cap,
+    };
+    let workers = n.min(cap);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    scoped_workers(workers, |_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(slot) = slots.get(i) else { break };
+        let item = f(i);
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(item);
+    });
+    // infallible: `scoped_workers` re-raises a worker's panic, so every
+    // slot is filled once it returns.
+    let filled = |slot: Mutex<Option<T>>| slot.into_inner().ok().flatten().expect("slot filled");
+    slots.into_iter().map(filled).collect()
+}
 
 /// Runs `role` on `workers` scoped threads and blocks until all of them
 /// return. Each invocation receives its worker index (`0..workers`).

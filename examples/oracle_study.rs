@@ -7,6 +7,7 @@
 //! ```
 
 use sharing_aware_llc::prelude::*;
+use sharing_aware_llc::sharing::{compute_annotations, record_stream};
 
 fn main() {
     let llc_kib: u64 = std::env::args()
@@ -28,43 +29,28 @@ fn main() {
 
     let mut gains_lru = Vec::new();
     let mut gains_drrip = Vec::new();
+    let window = oracle_window(&cfg);
     for app in App::ALL {
-        let mut make = || app.workload(cfg.cores, Scale::Small);
-        let lru = simulate(&cfg, &ReplayDesc::plain(PolicyKind::Lru), &mut make, vec![])
-            .expect("run")
-            .llc
-            .misses();
-        let o_lru = simulate(
-            &cfg,
-            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
-            &mut make,
-            vec![],
-        )
-        .expect("run")
-        .llc
-        .misses();
-        let drrip = simulate(
-            &cfg,
-            &ReplayDesc::plain(PolicyKind::Drrip),
-            &mut make,
-            vec![],
-        )
-        .expect("run")
-        .llc
-        .misses();
-        let o_drrip = simulate(
-            &cfg,
-            &ReplayDesc::oracle(
-                PolicyKind::Drrip,
-                ProtectMode::Eviction,
-                oracle_window(&cfg),
-            ),
-            &mut make,
-            vec![],
-        )
-        .expect("run")
-        .llc
-        .misses();
+        // Record the LLC stream once; every policy below replays it, and
+        // both oracle runs share one annotation pre-pass.
+        let stream = record_stream(&cfg, app.workload(cfg.cores, Scale::Small)).expect("record");
+        let ann = compute_annotations(&stream, window);
+        let misses = |desc: &ReplayDesc, ann| {
+            replay(&cfg, desc, &stream, ann, Exec::Auto, vec![])
+                .expect("replay")
+                .llc
+                .misses()
+        };
+        let lru = misses(&ReplayDesc::plain(PolicyKind::Lru), None);
+        let o_lru = misses(
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, window),
+            Some(&ann),
+        );
+        let drrip = misses(&ReplayDesc::plain(PolicyKind::Drrip), None);
+        let o_drrip = misses(
+            &ReplayDesc::oracle(PolicyKind::Drrip, ProtectMode::Eviction, window),
+            Some(&ann),
+        );
         let g1 = 1.0 - o_lru as f64 / lru.max(1) as f64;
         let g2 = 1.0 - o_drrip as f64 / drrip.max(1) as f64;
         gains_lru.push(g1);
