@@ -11,9 +11,27 @@
 //! the gap between a realistic policy and OPT is the paper's motivation
 //! for adding explicit sharing-awareness.
 
-use std::collections::HashMap;
+use std::collections::{hash_map, VecDeque};
 
+use fxhash::FxHashMap;
 use llc_sim::{AccessCtx, BlockAddr, EvictCause, GenerationEnd, LlcObserver};
+
+/// What [`VictimizationStats`] remembers about one block. A block is
+/// either out of the LLC since an eviction or resident in a generation
+/// that began as a premature refill, never both, so one map holds both
+/// states and each fill or generation end makes one access to it.
+///
+/// An eviction older than the window can never turn premature, so it is
+/// dropped (one more access per eviction, amortized): the map stays as
+/// small as one window of evictions plus the live premature refills, and
+/// its probes hit cache instead of a map of every block ever evicted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum State {
+    /// Evicted by replacement at this time and not refilled since.
+    Evicted(u64),
+    /// Resident in an open generation that began as a premature refill.
+    PrematureLive,
+}
 
 /// Premature-eviction and shared-victimization counters.
 #[derive(Debug)]
@@ -22,9 +40,9 @@ pub struct VictimizationStats {
     evictions: u64,
     premature: u64,
     premature_shared: u64,
-    last_evicted: HashMap<BlockAddr, u64>,
-    /// Open generations that began as premature refills.
-    premature_refill: HashMap<BlockAddr, ()>,
+    blocks: FxHashMap<BlockAddr, State>,
+    /// Evictions that may still be inside the window, oldest first.
+    recent: VecDeque<(BlockAddr, u64)>,
 }
 
 impl VictimizationStats {
@@ -37,8 +55,8 @@ impl VictimizationStats {
             evictions: 0,
             premature: 0,
             premature_shared: 0,
-            last_evicted: HashMap::new(),
-            premature_refill: HashMap::new(),
+            blocks: FxHashMap::default(),
+            recent: VecDeque::new(),
         }
     }
 
@@ -75,26 +93,57 @@ impl VictimizationStats {
             self.premature_shared as f64 / self.evictions as f64
         }
     }
+
+    /// Forgets the evictions that no fill at or after `now` can find
+    /// inside the window, unless their block was refilled or evicted
+    /// again since.
+    fn expire(&mut self, now: u64) {
+        while let Some(&(block, t_evict)) = self.recent.front() {
+            if now.saturating_sub(t_evict) <= self.window {
+                break;
+            }
+            self.recent.pop_front();
+            if let hash_map::Entry::Occupied(e) = self.blocks.entry(block) {
+                if *e.get() == State::Evicted(t_evict) {
+                    e.remove();
+                }
+            }
+        }
+    }
 }
 
 impl LlcObserver for VictimizationStats {
     fn on_fill(&mut self, ctx: &AccessCtx) {
-        if let Some(&t_evict) = self.last_evicted.get(&ctx.block) {
-            if ctx.time.saturating_sub(t_evict) <= self.window {
-                self.premature += 1;
-                self.premature_refill.insert(ctx.block, ());
+        // A filled block is not resident, so its state is `Evicted` or
+        // absent; a refill within the window turns it into an open
+        // premature generation, any other refill forgets it.
+        if let hash_map::Entry::Occupied(mut e) = self.blocks.entry(ctx.block) {
+            match *e.get() {
+                State::Evicted(t_evict) if ctx.time.saturating_sub(t_evict) <= self.window => {
+                    self.premature += 1;
+                    e.insert(State::PrematureLive);
+                }
+                _ => {
+                    e.remove();
+                }
             }
-            self.last_evicted.remove(&ctx.block);
         }
     }
 
     fn on_generation_end(&mut self, gen: &GenerationEnd) {
-        if self.premature_refill.remove(&gen.block).is_some() && gen.is_shared() {
-            self.premature_shared += 1;
-        }
-        if gen.cause == EvictCause::Replacement {
+        // The ending generation's block is resident, so its state is
+        // `PrematureLive` or absent.
+        let was_premature = if gen.cause == EvictCause::Replacement {
             self.evictions += 1;
-            self.last_evicted.insert(gen.block, gen.end_time);
+            self.expire(gen.end_time);
+            self.recent.push_back((gen.block, gen.end_time));
+            self.blocks.insert(gen.block, State::Evicted(gen.end_time))
+                == Some(State::PrematureLive)
+        } else {
+            self.blocks.remove(&gen.block) == Some(State::PrematureLive)
+        };
+        if was_premature && gen.is_shared() {
+            self.premature_shared += 1;
         }
     }
 }

@@ -7,8 +7,7 @@
 //! blocks versus private blocks, the sharing-degree distribution, and the
 //! read-only/read-write split.
 
-use std::collections::HashMap;
-
+use fxhash::FxHashMap;
 use llc_sim::{BlockAddr, GenerationEnd, LlcObserver, MAX_CORES};
 
 /// Per-class tallies (one for shared generations, one for private).
@@ -47,7 +46,7 @@ pub struct SharingProfile {
     /// reuse volume).
     pub hits_by_non_filler: u64,
     /// Per distinct block: was any of its generations shared?
-    footprint: HashMap<BlockAddr, bool>,
+    footprint: FxHashMap<BlockAddr, bool>,
     /// `(blocks, shared blocks)` folded out of `footprint` by
     /// [`SharingProfile::compact`].
     compacted: (u64, u64),
@@ -64,7 +63,7 @@ impl Default for SharingProfile {
             read_write_shared_gens: 0,
             degree_histogram: [0; MAX_CORES + 1],
             hits_by_non_filler: 0,
-            footprint: HashMap::new(),
+            footprint: FxHashMap::default(),
             compacted: (0, 0),
         }
     }
@@ -144,7 +143,7 @@ impl SharingProfile {
         let shared = self.footprint.values().filter(|&&s| s).count() as u64;
         self.compacted.0 += self.footprint.len() as u64;
         self.compacted.1 += shared;
-        self.footprint = HashMap::new();
+        self.footprint = FxHashMap::default();
     }
 
     /// Sharing-degree distribution over shared generations: fractions of

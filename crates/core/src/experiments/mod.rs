@@ -41,7 +41,7 @@ pub struct ExperimentCtx {
     pub streams: StreamCache,
     /// In-process replay memo, the tier in front of [`dag`](Self::dag):
     /// replay results and the observer products ([`Self::profile`],
-    /// [`Self::predictor_study`]) resolved once per node. Shared like
+    /// [`Self::predictor_studies`]) resolved once per node. Shared like
     /// [`streams`](Self::streams), so it lives as long as one batch
     /// campaign or one daemon job (each job builds a fresh context).
     pub(crate) memo: ReplayMemo,

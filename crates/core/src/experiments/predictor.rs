@@ -20,20 +20,52 @@ pub(crate) const FIG10_DESIGNS: [PredictorKind; 5] = [
     PredictorKind::PcPhase,
 ];
 
+/// The predictor designs `fig9` studies, in table order.
+pub(crate) const FIG9_DESIGNS: [PredictorKind; 6] = [
+    PredictorKind::Address,
+    PredictorKind::Pc,
+    PredictorKind::Tournament,
+    PredictorKind::Region,
+    PredictorKind::PcPhase,
+    PredictorKind::NeverShared,
+];
+
+/// The predictor designs `table3` sweeps, in table order.
+pub(crate) const TABLE3_DESIGNS: [PredictorKind; 2] = [PredictorKind::Address, PredictorKind::Pc];
+
+/// The table budgets `table3` sweeps, in column order.
+pub(crate) const TABLE3_BUDGETS: [(&str, TableConfig); 3] = [
+    (
+        "512e/2b",
+        TableConfig {
+            entries: 512,
+            assoc: 4,
+            counter_bits: 2,
+            init_on_shared: 2,
+            tag_bits: 10,
+        },
+    ),
+    ("4096e/3b", TableConfig::realistic()),
+    (
+        "32768e/3b",
+        TableConfig {
+            entries: 32768,
+            assoc: 4,
+            counter_bits: 3,
+            init_on_shared: 5,
+            tag_bits: 10,
+        },
+    ),
+];
+
 /// Fig. 9: the paper's predictability study — what accuracy can
 /// fill-time, history-based sharing predictors achieve?
 pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let cfg = ctx.main_config()?;
-    let designs = [
-        PredictorKind::Address,
-        PredictorKind::Pc,
-        PredictorKind::Tournament,
-        PredictorKind::Region,
-        PredictorKind::PcPhase,
-        PredictorKind::NeverShared,
-    ];
+    let keys = FIG9_DESIGNS.map(|design| (design, TableConfig::realistic()));
+    let matrices = per_app_try(&ctx.apps, |app| ctx.predictor_studies(app, &cfg, &keys))?;
     let mut tables = Vec::new();
-    for &design in &designs {
+    for (d, design) in FIG9_DESIGNS.into_iter().enumerate() {
         let mut t = Table::new(
             format!(
                 "Fig. 9 — {design} fill-time sharing predictor ({} KB LLC, LRU)",
@@ -49,9 +81,9 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
                 "coverage",
             ],
         );
-        let rows = per_app_try(&ctx.apps, |app| {
-            let m = ctx.predictor_study(app, &cfg, design, TableConfig::realistic())?;
-            Ok(vec![
+        for (app, m) in ctx.apps.iter().zip(&matrices) {
+            let m = &m[d];
+            t.row(vec![
                 app.label().to_string(),
                 pct(m.shared_rate()),
                 pct(m.accuracy()),
@@ -59,10 +91,7 @@ pub(crate) fn fig9(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
                 pct(m.recall()),
                 f3(m.mcc()),
                 pct(m.coverage()),
-            ])
-        })?;
-        for r in rows {
-            t.row(r);
+            ]);
         }
         t.note("Predicted at fill time with fill-time table state; trained at eviction with the generation outcome.");
         if design == PredictorKind::NeverShared {
@@ -130,33 +159,12 @@ pub(crate) fn fig10(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
 /// Table 3: predictor accuracy as a function of the hardware budget.
 pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
     let cfg = ctx.main_config()?;
-    let budgets = [
-        (
-            "512e/2b",
-            TableConfig {
-                entries: 512,
-                assoc: 4,
-                counter_bits: 2,
-                init_on_shared: 2,
-                tag_bits: 10,
-            },
-        ),
-        ("4096e/3b", TableConfig::realistic()),
-        (
-            "32768e/3b",
-            TableConfig {
-                entries: 32768,
-                assoc: 4,
-                counter_bits: 3,
-                init_on_shared: 5,
-                tag_bits: 10,
-            },
-        ),
-    ];
+    let keys = table3_keys();
+    let matrices = per_app_try(&ctx.apps, |app| ctx.predictor_studies(app, &cfg, &keys))?;
     let mut tables = Vec::new();
-    for design in [PredictorKind::Address, PredictorKind::Pc] {
+    for (d, design) in TABLE3_DESIGNS.into_iter().enumerate() {
         let mut headers: Vec<String> = vec!["app".into()];
-        for (name, cfg_t) in &budgets {
+        for (name, cfg_t) in &TABLE3_BUDGETS {
             headers.push(format!("{name} ({}KB) acc/MCC", cfg_t.budget_bits() / 8192));
         }
         let mut t = Table::new(
@@ -166,19 +174,83 @@ pub(crate) fn table3(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             ),
             &headers.iter().map(String::as_str).collect::<Vec<_>>(),
         );
-        let rows = per_app_try(&ctx.apps, |app| {
+        for (app, m) in ctx.apps.iter().zip(&matrices) {
             let mut cells = vec![app.label().to_string()];
-            for (_, table_cfg) in &budgets {
-                let m = ctx.predictor_study(app, &cfg, design, *table_cfg)?;
+            let n = TABLE3_BUDGETS.len();
+            for m in &m[d * n..(d + 1) * n] {
                 cells.push(format!("{}/{}", pct(m.accuracy()), f3(m.mcc())));
             }
-            Ok(cells)
-        })?;
-        for r in rows {
-            t.row(r);
+            t.row(cells);
         }
         t.note("Larger tables lift coverage but the MCC ceiling is set by the behaviour, not the budget — the paper's conclusion.");
         tables.push(t);
     }
     Ok(tables)
+}
+
+/// `table3`'s studies, design-major: one chunk of budgets per design.
+fn table3_keys() -> Vec<(PredictorKind, TableConfig)> {
+    TABLE3_DESIGNS
+        .into_iter()
+        .flat_map(|design| TABLE3_BUDGETS.map(|(_, table)| (design, table)))
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::replay::{replay, Exec};
+    use llc_predictors::{build_predictor_with, PredictorStudy};
+    use llc_trace::App;
+
+    /// Every study `fig9` and `table3` read, once each.
+    fn all_keys() -> Vec<(PredictorKind, TableConfig)> {
+        let mut keys: Vec<_> = FIG9_DESIGNS
+            .map(|design| (design, TableConfig::realistic()))
+            .into_iter()
+            .chain(table3_keys())
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    #[test]
+    fn fused_studies_equal_one_replay_per_study() {
+        let ctx = ExperimentCtx::test();
+        let cfg = ctx.main_config().expect("config");
+        let keys = all_keys();
+        for app in [App::Fft, App::Dedup] {
+            let stream = ctx.stream(app, &cfg).expect("stream");
+            let solo: Vec<_> = keys
+                .iter()
+                .map(|&(design, table)| {
+                    let mut study = PredictorStudy::new(build_predictor_with(design, table));
+                    replay(
+                        &cfg,
+                        &ReplayDesc::plain(PolicyKind::Lru),
+                        &stream,
+                        None,
+                        Exec::Shards(1),
+                        vec![&mut study],
+                    )
+                    .expect("replay");
+                    study.matrix()
+                })
+                .collect();
+            // A partial hit first (one memoized study), then every key in
+            // reverse with a duplicate: misses join one replay, and the
+            // answer follows the caller's order.
+            let first = ctx
+                .predictor_studies(app, &cfg, &keys[3..4])
+                .expect("study");
+            assert_eq!(first, [solo[3]], "{app}: one-key study");
+            let mut asked: Vec<_> = keys.iter().rev().copied().collect();
+            asked.push(keys[0]);
+            let fused = ctx.predictor_studies(app, &cfg, &asked).expect("studies");
+            let mut expected: Vec<_> = solo.iter().rev().copied().collect();
+            expected.push(solo[0]);
+            assert_eq!(fused, expected, "{app}: fused studies differ");
+        }
+    }
 }

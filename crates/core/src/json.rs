@@ -139,6 +139,7 @@ fn escape_into(s: &str, out: &mut String) {
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -151,6 +152,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -268,60 +270,48 @@ impl Parser<'_> {
         self.consume(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
+            // Copy the run up to the next quote or backslash in one go:
+            // the input is a `&str` and both stop bytes are ASCII, so the
+            // run is whole characters.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| "unterminated string".to_string())?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = *self
                 .bytes
                 .get(self.pos)
-                .ok_or_else(|| "unterminated string".to_string())?;
+                .ok_or_else(|| "unterminated escape".to_string())?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
                         .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "truncated \\u escape".to_string())?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII in \\u escape".to_string())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                            self.pos += 4;
-                            // Surrogates never appear in our own output;
-                            // map them to U+FFFD rather than erroring so
-                            // foreign documents still load.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    }
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| "truncated \\u escape".to_string())?;
+                    let hex = std::str::from_utf8(hex)
+                        .map_err(|_| "non-ASCII in \\u escape".to_string())?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                    self.pos += 4;
+                    // Surrogates never appear in our own output; map them
+                    // to U+FFFD rather than erroring so foreign documents
+                    // still load.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                _ => {
-                    // Multi-byte UTF-8: copy the whole character through.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| "truncated UTF-8 sequence".to_string())?;
-                    let s = std::str::from_utf8(chunk)
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                other => return Err(format!("bad escape \\{}", other as char)),
             }
         }
     }
@@ -336,9 +326,16 @@ impl Parser<'_> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            // infallible: the scanned range contains only ASCII digit/sign bytes.
-            .expect("number slice is ASCII");
+        let digits = &self.bytes[start..self.pos];
+        // Up to 15 digits fit below 2^53, so the integer is exactly the
+        // `f64` that `parse` would round to.
+        if (1..=15).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+            let n = digits
+                .iter()
+                .fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+            return Ok(Value::Num(n as f64));
+        }
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|_| format!("bad number {text:?}"))
@@ -405,15 +402,6 @@ pub fn table_from_json(v: &Value) -> Result<Table, String> {
     })
 }
 
-fn utf8_width(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,5 +462,133 @@ mod tests {
         assert_eq!(parse("17").expect("parse").as_u64(), Some(17));
         assert_eq!(parse("-1").expect("parse").as_u64(), None);
         assert_eq!(parse("1.5").expect("parse").as_u64(), None);
+    }
+
+    /// The string and number readers as they stood before the run-copy
+    /// and integer fast paths: one `from_utf8` per character, every
+    /// number through `str::parse::<f64>`.
+    mod seed {
+        pub fn string(bytes: &[u8]) -> Result<String, String> {
+            assert_eq!(bytes[0], b'"');
+            let mut pos = 1;
+            let mut out = String::new();
+            loop {
+                let b = *bytes.get(pos).ok_or("unterminated string")?;
+                pos += 1;
+                match b {
+                    b'"' => return Ok(out),
+                    b'\\' => {
+                        let esc = *bytes.get(pos).ok_or("unterminated escape")?;
+                        pos += 1;
+                        match esc {
+                            b'"' => out.push('"'),
+                            b'\\' => out.push('\\'),
+                            b'/' => out.push('/'),
+                            b'n' => out.push('\n'),
+                            b'r' => out.push('\r'),
+                            b't' => out.push('\t'),
+                            b'b' => out.push('\u{8}'),
+                            b'f' => out.push('\u{c}'),
+                            b'u' => {
+                                let hex = bytes.get(pos..pos + 4).ok_or("truncated")?;
+                                let hex = std::str::from_utf8(hex).map_err(|_| "non-ASCII")?;
+                                let code = u32::from_str_radix(hex, 16)
+                                    .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                                pos += 4;
+                                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                            }
+                            other => return Err(format!("bad escape \\{}", other as char)),
+                        }
+                    }
+                    _ => {
+                        let width = match b {
+                            0x00..=0x7F => 1,
+                            0xC0..=0xDF => 2,
+                            0xE0..=0xEF => 3,
+                            _ => 4,
+                        };
+                        let chunk = bytes.get(pos - 1..pos - 1 + width).ok_or("truncated")?;
+                        out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad UTF-8")?);
+                        pos += width - 1;
+                    }
+                }
+            }
+        }
+
+        pub fn number(text: &str) -> Result<f64, String> {
+            text.parse::<f64>()
+                .map_err(|_| format!("bad number {text:?}"))
+        }
+    }
+
+    #[test]
+    fn strings_parse_as_the_per_character_reader_did() {
+        for doc in [
+            r#""""#,
+            r#""plain ascii run""#,
+            r#""esc \" \\ \/ \n \r \t \b \f end""#,
+            r#""\u00e9\u0041\u20ac\ud83d tail""#,
+            "\"raw é € 𝄞 «mixed» \\n\"",
+            "\"多字节 UTF-8 and \\\"quotes\\\"\"",
+            "\"control \u{1} byte\"",
+            r#""\\""#,
+        ] {
+            assert_eq!(
+                parse(doc),
+                seed::string(doc.as_bytes()).map(Value::Str),
+                "{doc}"
+            );
+        }
+        for bad in [r#""open"#, r#""bad \x escape""#, r#""\u12""#, r#""\"#] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+            assert!(seed::string(bad.as_bytes()).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_parse_as_str_parse_did() {
+        for text in [
+            "0",
+            "7",
+            "007",
+            "00",
+            "42",
+            "999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "18446744073709551615",
+            "123456789012345678901234567890",
+            "-0",
+            "-17",
+            "1.5",
+            "1.",
+            "0.1",
+            "1e3",
+            "1E-2",
+            "-2.5e+10",
+            "1e400",
+        ] {
+            let new = parse(text).map(|v| match v {
+                Value::Num(x) => x.to_bits(),
+                other => panic!("{text}: {other:?}"),
+            });
+            assert_eq!(new, seed::number(text).map(f64::to_bits), "{text}");
+        }
+        for bad in ["-", "1e", "--1", "1.2.3", "1-2"] {
+            assert!(parse(bad).is_err(), "{bad:?} should fail");
+            assert!(seed::number(bad).is_err(), "{bad:?}");
+        }
+        let doc = "{\"accesses\":[[0, 12345, 64, \"R\"],[7,00042,1e2,\"W\"]],\"n\":-3}";
+        let v = parse(doc).expect("parse");
+        let row = v.field("accesses").and_then(Value::as_array).expect("rows")[1].clone();
+        assert_eq!(
+            row,
+            Value::Array(vec![
+                Value::Num(7.0),
+                Value::Num(42.0),
+                Value::Num(100.0),
+                Value::Str("W".into()),
+            ])
+        );
     }
 }

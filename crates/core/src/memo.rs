@@ -34,13 +34,16 @@
 //! * [`ExperimentCtx::profile`]: the LRU run's [`SharingProfile`], kept
 //!   [compacted](SharingProfile::compact) — counters and the two
 //!   footprint counts, never the per-block footprint map;
-//! * [`ExperimentCtx::predictor_study`]: a [`PredictorStudy`]'s
-//!   [`ConfusionMatrix`], keyed by (LRU node, [`PredictorKind`],
-//!   [`TableConfig`]).
+//! * [`ExperimentCtx::predictor_studies`]: the [`ConfusionMatrix`] of
+//!   each [`PredictorStudy`], keyed by (LRU node, [`PredictorKind`],
+//!   [`TableConfig`]). The studies a call misses all ride one LRU
+//!   replay, one observer each, so `fig9` (six designs) and `table3`
+//!   (six design × budget keys) replay each app once.
 //!
 //! A product run also records its LRU [`RunResult`] under the LRU node:
 //! observers never change policy behaviour, and sharded and sequential
 //! replays are bit-identical, so the counters are the stats tier's.
+//! Observed replays always run sequentially (see [`replay`]).
 //!
 //! # Not memoized
 //!
@@ -276,47 +279,78 @@ impl ExperimentCtx {
         let slot = slot(&mut lock_recovering(&self.memo.entries).profiles, lru);
         resolve(&slot, || {
             let mut profile = SharingProfile::new();
-            let result = self.replay_lru_observed(app, &config, lru, &mut profile)?;
+            let result = self.replay_lru_observed(app, &config, lru, vec![&mut profile])?;
             profile.compact();
             Ok((result, profile))
         })
     }
 
-    /// The confusion matrix of a `design` predictor with a `table`
-    /// budget, studied at fill time over `app`'s LRU run under `config`;
-    /// replayed once per memo, so `fig9` and `table3` share their
-    /// common studies.
+    /// The confusion matrices of several `(design, table)` predictor
+    /// studies over `app`'s LRU run under `config`, in `keys` order.
+    /// Studies the memo already holds are hits; all the missing ones
+    /// ride **one** LRU replay, one [`PredictorStudy`] observer each, so
+    /// `fig9` and `table3` replay each app once and share their common
+    /// studies.
+    ///
+    /// The missing slots stay locked, in key order, until the replay
+    /// has filled them: concurrent callers with overlapping keys never
+    /// deadlock, and each study still executes at most once per memo.
     ///
     /// # Errors
     ///
-    /// Propagates recording/replay errors.
-    pub fn predictor_study(
+    /// Propagates recording/replay errors; no slot is filled then.
+    pub fn predictor_studies(
         &self,
         app: App,
         config: &HierarchyConfig,
-        design: PredictorKind,
-        table: TableConfig,
-    ) -> Result<ConfusionMatrix, RunError> {
+        keys: &[(PredictorKind, TableConfig)],
+    ) -> Result<Vec<ConfusionMatrix>, RunError> {
         let lru = self.lru_node(app, config);
-        let slot = slot(
-            &mut lock_recovering(&self.memo.entries).studies,
-            (lru, design, table),
-        );
-        resolve(&slot, || {
-            let mut study = PredictorStudy::new(build_predictor_with(design, table));
-            self.replay_lru_observed(app, config, lru, &mut study)?;
-            Ok(study.matrix())
-        })
+        let mut order = keys.to_vec();
+        order.sort_unstable();
+        order.dedup();
+        let slots: Vec<Slot<ConfusionMatrix>> = {
+            let mut entries = lock_recovering(&self.memo.entries);
+            order
+                .iter()
+                .map(|&(design, table)| slot(&mut entries.studies, (lru, design, table)))
+                .collect()
+        };
+        let mut guards: Vec<_> = slots.iter().map(|slot| lock_recovering(slot)).collect();
+        let missing: Vec<usize> = (0..order.len()).filter(|&i| guards[i].is_none()).collect();
+        METRICS.hits.add((order.len() - missing.len()) as u64);
+        METRICS.misses.add(missing.len() as u64);
+        if !missing.is_empty() {
+            let mut studies: Vec<PredictorStudy> = missing
+                .iter()
+                .map(|&i| PredictorStudy::new(build_predictor_with(order[i].0, order[i].1)))
+                .collect();
+            let observers = studies
+                .iter_mut()
+                .map(|study| study as &mut dyn LlcObserver)
+                .collect();
+            self.replay_lru_observed(app, config, lru, observers)?;
+            for (&i, study) in missing.iter().zip(&studies) {
+                *guards[i] = Some(study.matrix());
+            }
+        }
+        Ok(keys
+            .iter()
+            .map(|key| {
+                let i = order.binary_search(key).expect("every key is in `order`");
+                guards[i].expect("every slot is filled")
+            })
+            .collect())
     }
 
-    /// Replays plain LRU over `app`'s stream with `observer` attached and
-    /// records the run under its node, `lru`.
+    /// Replays plain LRU over `app`'s stream with `observers` attached
+    /// and records the run under its node, `lru`.
     fn replay_lru_observed(
         &self,
         app: App,
         config: &HierarchyConfig,
         lru: u64,
-        observer: &mut dyn LlcObserver,
+        observers: Vec<&mut dyn LlcObserver>,
     ) -> Result<RunResult, RunError> {
         let stream = self.stream(app, config)?;
         let result = replay(
@@ -325,7 +359,7 @@ impl ExperimentCtx {
             &stream,
             None,
             Exec::Auto,
-            vec![observer],
+            observers,
         )?;
         self.memo.record(lru, &result);
         Ok(result)

@@ -6,7 +6,7 @@
 //! [`ExperimentCtx::replay_cached`] has a replay lineup: `fig5`, `fig7`,
 //! `fig8`, `fig10`, `fig12`, `abl1`, `abl3`, `abl4`, and `abl2`'s
 //! non-inclusive oracle. Observer products
-//! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_study`]) are
+//! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_studies`]) are
 //! memoized in process only and never persisted, and fig6, fig11 and
 //! abl5 replay directly, so those experiments plan stream/index nodes
 //! only. A test runs every experiment against a fresh store and checks

@@ -237,7 +237,7 @@ impl SharingPredictor for NeverShared {
 }
 
 /// The predictor designs evaluated by the `fig9`/`fig10` experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PredictorKind {
     /// Block-address-indexed history table.
     Address,

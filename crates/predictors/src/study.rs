@@ -7,8 +7,7 @@
 //! predictor. This reproduces the paper's methodology: the predictor never
 //! influences replacement; only its achievable accuracy is measured.
 
-use std::collections::HashMap;
-
+use fxhash::FxHashMap;
 use llc_sim::{AccessCtx, BlockAddr, GenerationEnd, LlcObserver};
 
 use crate::metrics::ConfusionMatrix;
@@ -18,7 +17,7 @@ use crate::table::Lookup;
 /// Observer that measures a fill-time predictor's achievable accuracy.
 pub struct PredictorStudy {
     predictor: Box<dyn SharingPredictor>,
-    pending: HashMap<BlockAddr, Lookup>,
+    pending: FxHashMap<BlockAddr, Lookup>,
     matrix: ConfusionMatrix,
 }
 
@@ -27,7 +26,7 @@ impl PredictorStudy {
     pub fn new(predictor: Box<dyn SharingPredictor>) -> Self {
         PredictorStudy {
             predictor,
-            pending: HashMap::new(),
+            pending: FxHashMap::default(),
             matrix: ConfusionMatrix::default(),
         }
     }

@@ -9,7 +9,7 @@
 use crate::counters::SatCounter;
 
 /// Geometry and behaviour of a history table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableConfig {
     /// Total entries; must be a power of two and divisible by `assoc`.
     pub entries: usize,
@@ -27,7 +27,7 @@ pub struct TableConfig {
 impl TableConfig {
     /// The default realistic budget: 4096 entries, 4-way, 3-bit counters,
     /// 10-bit partial tags (≈ 4096 × (3 + 10) bits ≈ 6.5 KB).
-    pub fn realistic() -> Self {
+    pub const fn realistic() -> Self {
         TableConfig {
             entries: 4096,
             assoc: 4,
