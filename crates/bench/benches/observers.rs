@@ -10,33 +10,34 @@
 //! * **plain** — no observer (the set-sharded path is off: every row
 //!   runs `Exec::Shards(1)`, as observed replays always do);
 //! * **seed** — each observer as it stood with `std::HashMap` (SipHash)
-//!   state, reconstructed in module [`seed`]: victimization with two
+//!   state, from `llc_bench::siphash_observers`: victimization with two
 //!   maps (three accesses per fill, two per generation end), profile
 //!   footprint and predictor-study pending predictions keyed by SipHash;
-//! * **fx** — the in-tree observers: Fx-keyed state, one map access per
-//!   event, and a victimization map that forgets evictions once they
-//!   fall out of the refill window.
+//! * **fx** — the in-tree observers: Fx-keyed state and one map access
+//!   per event.
 //!
 //! A fourth pair times `fig9`'s six studies: six seed passes, one study
 //! each, against one pass feeding six in-tree studies, as
 //! `ExperimentCtx::predictor_studies` runs them.
 //!
-//! Seed and fx counts are asserted identical for every app and observer.
-//! Times are best-of-`samples`, sampled in interleaved rounds, and
-//! reported in ns per LLC reference. Writes `BENCH_observers.json` at the
-//! workspace root (override with `BENCH_OBSERVERS_OUT`). Exits nonzero if
+//! Seed and fx counts are asserted identical for every app and observer,
+//! so both sides time the same work. Times are best-of-[`SAMPLES`],
+//! sampled in interleaved rounds, and reported in ns per LLC reference.
+//! Writes `BENCH_observers.json` at the workspace root. Exits nonzero if
 //! the suite-aggregate seed-over-fx speedup of the victimization and
-//! profile replays falls below `BENCH_OBSERVERS_MIN_SPEEDUP` (default
-//! 1.25).
+//! profile replays falls below [`MIN_SPEEDUP`].
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use llc_policies::PolicyKind;
-use llc_predictors::{
-    build_predictor_with, ConfusionMatrix, PredictorKind, PredictorStudy, TableConfig,
+use llc_bench::siphash_observers::{
+    self as seed, assert_profile_matches, assert_victimization_matches,
 };
-use llc_sharing::{record_stream, replay, Exec, ReplayDesc, SharingProfile, VictimizationStats};
+use llc_policies::PolicyKind;
+use llc_predictors::{build_predictor_with, ConfusionMatrix, PredictorStudy, TableConfig};
+use llc_sharing::{
+    record_stream, replay, Exec, ReplayDesc, SharingProfile, VictimizationStats, FIG9_DESIGNS,
+};
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion, LlcObserver};
 use llc_trace::{App, RecordedStream, Scale};
 
@@ -47,155 +48,12 @@ const SCALE: Scale = Scale::Small;
 /// (bodytrack) and all-to-all phases (fft), as in the record bench.
 const SUITE: [App; 3] = [App::Swaptions, App::Bodytrack, App::Fft];
 
-/// `fig9`'s predictor designs.
-const FIG9: [PredictorKind; 6] = [
-    PredictorKind::Address,
-    PredictorKind::Pc,
-    PredictorKind::Tournament,
-    PredictorKind::Region,
-    PredictorKind::PcPhase,
-    PredictorKind::NeverShared,
-];
+/// Timing rounds; each variant's time is its best round.
+const SAMPLES: usize = 5;
 
-/// The observers as they stood with SipHash `std::HashMap` state,
-/// ported line for line.
-mod seed {
-    use std::collections::HashMap;
-
-    use llc_predictors::{ConfusionMatrix, SharingPredictor};
-    use llc_sim::{AccessCtx, BlockAddr, EvictCause, GenerationEnd, LlcObserver};
-
-    /// Premature victimization with two maps.
-    pub struct Victimization {
-        window: u64,
-        pub evictions: u64,
-        pub premature: u64,
-        pub premature_shared: u64,
-        last_evicted: HashMap<BlockAddr, u64>,
-        premature_refill: HashMap<BlockAddr, ()>,
-    }
-
-    impl Victimization {
-        pub fn new(window: u64) -> Self {
-            Victimization {
-                window,
-                evictions: 0,
-                premature: 0,
-                premature_shared: 0,
-                last_evicted: HashMap::new(),
-                premature_refill: HashMap::new(),
-            }
-        }
-    }
-
-    impl LlcObserver for Victimization {
-        fn on_fill(&mut self, ctx: &AccessCtx) {
-            if let Some(&t_evict) = self.last_evicted.get(&ctx.block) {
-                if ctx.time.saturating_sub(t_evict) <= self.window {
-                    self.premature += 1;
-                    self.premature_refill.insert(ctx.block, ());
-                }
-                self.last_evicted.remove(&ctx.block);
-            }
-        }
-
-        fn on_generation_end(&mut self, gen: &GenerationEnd) {
-            if self.premature_refill.remove(&gen.block).is_some() && gen.is_shared() {
-                self.premature_shared += 1;
-            }
-            if gen.cause == EvictCause::Replacement {
-                self.evictions += 1;
-                self.last_evicted.insert(gen.block, gen.end_time);
-            }
-        }
-    }
-
-    /// The sharing profile's per-generation work with a SipHash
-    /// footprint.
-    pub struct Profile {
-        pub generations: [u64; 2],
-        hits: [u64; 2],
-        occupancy: [u64; 2],
-        writes: [u64; 2],
-        hits_by_non_filler: u64,
-        degree_histogram: [u64; llc_sim::MAX_CORES + 1],
-        read_only: [u64; 2],
-        read_write: [u64; 2],
-        pub footprint: HashMap<BlockAddr, bool>,
-    }
-
-    impl Profile {
-        pub fn new() -> Self {
-            Profile {
-                generations: [0; 2],
-                hits: [0; 2],
-                occupancy: [0; 2],
-                writes: [0; 2],
-                hits_by_non_filler: 0,
-                degree_histogram: [0; llc_sim::MAX_CORES + 1],
-                read_only: [0; 2],
-                read_write: [0; 2],
-                footprint: HashMap::new(),
-            }
-        }
-    }
-
-    impl LlcObserver for Profile {
-        fn on_generation_end(&mut self, gen: &GenerationEnd) {
-            let class = usize::from(gen.is_shared());
-            self.generations[class] += 1;
-            self.hits[class] += u64::from(gen.hits);
-            self.occupancy[class] += gen.lifetime();
-            self.writes[class] += u64::from(gen.writes);
-            self.hits_by_non_filler += u64::from(gen.hits_by_non_filler);
-            self.degree_histogram[gen.sharer_count() as usize] += 1;
-            if gen.is_shared() {
-                let split = if gen.is_read_only_shared() {
-                    &mut self.read_only
-                } else {
-                    &mut self.read_write
-                };
-                split[0] += u64::from(gen.hits);
-                split[1] += 1;
-            }
-            let e = self.footprint.entry(gen.block).or_insert(false);
-            *e |= gen.is_shared();
-        }
-    }
-
-    /// A predictor study with SipHash pending predictions.
-    pub struct Study {
-        predictor: Box<dyn SharingPredictor>,
-        pending: HashMap<BlockAddr, llc_predictors::Lookup>,
-        pub matrix: ConfusionMatrix,
-    }
-
-    impl Study {
-        pub fn new(predictor: Box<dyn SharingPredictor>) -> Self {
-            Study {
-                predictor,
-                pending: HashMap::new(),
-                matrix: ConfusionMatrix::default(),
-            }
-        }
-    }
-
-    impl LlcObserver for Study {
-        fn on_fill(&mut self, ctx: &AccessCtx) {
-            let lookup = self.predictor.predict(ctx.block, ctx.pc);
-            self.pending.insert(ctx.block, lookup);
-        }
-
-        fn on_generation_end(&mut self, gen: &GenerationEnd) {
-            if let Some(lookup) = self.pending.remove(&gen.block) {
-                self.matrix
-                    .record(lookup.shared, gen.is_shared(), lookup.covered);
-            }
-            self.predictor
-                .train(gen.block, gen.fill_pc, gen.is_shared());
-        }
-    }
-}
+/// The least suite-aggregate seed-over-fx speedup of the victimization
+/// and profile replays the bench accepts.
+const MIN_SPEEDUP: f64 = 1.1;
 
 fn config() -> HierarchyConfig {
     // Same paper-style hierarchy as the kernel/shard/record benches.
@@ -227,12 +85,12 @@ fn replay_lru(
     );
 }
 
-/// Best-of-`samples` wall clock of each closure, sampled in interleaved
+/// Best-of-[`SAMPLES`] wall clock of each closure, sampled in interleaved
 /// rounds so slow phases of the host hit every variant alike. The
 /// minimum is the noise-robust estimator: perturbations only add time.
-fn best_of<const N: usize>(samples: usize, mut runs: [&mut dyn FnMut(); N]) -> [Duration; N] {
+fn best_of<const N: usize>(mut runs: [&mut dyn FnMut(); N]) -> [Duration; N] {
     let mut best = [Duration::MAX; N];
-    for _ in 0..samples {
+    for _ in 0..SAMPLES {
         for (run, best) in runs.iter_mut().zip(&mut best) {
             let start = Instant::now();
             run();
@@ -256,7 +114,7 @@ struct Row {
 
 const PAIRS: [&str; 4] = ["victimization", "profile", "study", "fig9_studies"];
 
-fn measure(cfg: &HierarchyConfig, app: App, samples: usize) -> Row {
+fn measure(cfg: &HierarchyConfig, app: App) -> Row {
     let stream = record_stream(cfg, app.workload(CORES, SCALE)).expect("recording runs");
     let window = 64 * cfg.llc.ways as u64;
     let study = |design| build_predictor_with(design, TableConfig::realistic());
@@ -268,32 +126,13 @@ fn measure(cfg: &HierarchyConfig, app: App, samples: usize) -> Row {
     );
     let (mut sp, mut fp) = (seed::Profile::new(), SharingProfile::new());
     replay_lru(cfg, &stream, vec![&mut sv, &mut fv, &mut sp, &mut fp]);
-    assert_eq!(
-        [sv.evictions, sv.premature, sv.premature_shared],
-        [fv.evictions(), fv.premature(), fv.premature_shared()],
-        "{app}: victimization counts differ"
-    );
-    let shared_blocks = sp.footprint.values().filter(|&&s| s).count();
-    assert_eq!(
-        (
-            sp.generations[1],
-            sp.generations[0],
-            sp.footprint.len() as u64
-        ),
-        (
-            fp.shared.generations,
-            fp.private.generations,
-            fp.footprint_blocks()
-        ),
-        "{app}: profile counts differ"
-    );
-    assert_eq!(
-        (shared_blocks as f64 / sp.footprint.len().max(1) as f64).to_bits(),
-        fp.shared_footprint_fraction().to_bits(),
-        "{app}: shared footprint differs"
-    );
-    let mut seeds: Vec<seed::Study> = FIG9.iter().map(|&d| seed::Study::new(study(d))).collect();
-    let mut fxs: Vec<PredictorStudy> = FIG9
+    assert_victimization_matches(&fv, &sv, app.label());
+    assert_profile_matches(&fp, &sp, app.label());
+    let mut seeds: Vec<seed::Study> = FIG9_DESIGNS
+        .iter()
+        .map(|&d| seed::Study::new(study(d)))
+        .collect();
+    let mut fxs: Vec<PredictorStudy> = FIG9_DESIGNS
         .iter()
         .map(|&d| PredictorStudy::new(study(d)))
         .collect();
@@ -303,43 +142,46 @@ fn measure(cfg: &HierarchyConfig, app: App, samples: usize) -> Row {
         .chain(fxs.iter_mut().map(|s| s as &mut dyn LlcObserver))
         .collect();
     replay_lru(cfg, &stream, observers);
-    let seed_m: Vec<ConfusionMatrix> = seeds.iter().map(|s| s.matrix).collect();
+    let seed_m: Vec<ConfusionMatrix> = seeds.iter().map(seed::Study::matrix).collect();
     let fx_m: Vec<ConfusionMatrix> = fxs.iter().map(PredictorStudy::matrix).collect();
     assert_eq!(seed_m, fx_m, "{app}: predictor studies differ");
 
     let s = &stream;
-    let [plain, null, sv, fv, sp, fp, ss, fs, s6, f6] = best_of(
-        samples,
-        [
-            &mut || replay_lru(cfg, s, vec![]),
-            &mut || replay_lru(cfg, s, vec![&mut llc_sim::NullObserver]),
-            &mut || replay_lru(cfg, s, vec![&mut seed::Victimization::new(window)]),
-            &mut || replay_lru(cfg, s, vec![&mut VictimizationStats::new(window)]),
-            &mut || replay_lru(cfg, s, vec![&mut seed::Profile::new()]),
-            &mut || replay_lru(cfg, s, vec![&mut SharingProfile::new()]),
-            &mut || replay_lru(cfg, s, vec![&mut seed::Study::new(study(FIG9[0]))]),
-            &mut || replay_lru(cfg, s, vec![&mut PredictorStudy::new(study(FIG9[0]))]),
-            &mut || {
-                for &design in &FIG9 {
-                    replay_lru(cfg, s, vec![&mut seed::Study::new(study(design))]);
-                }
-            },
-            &mut || {
-                let mut studies: Vec<PredictorStudy> = FIG9
-                    .iter()
-                    .map(|&d| PredictorStudy::new(study(d)))
-                    .collect();
-                replay_lru(
-                    cfg,
-                    s,
-                    studies
-                        .iter_mut()
-                        .map(|s| s as &mut dyn LlcObserver)
-                        .collect(),
-                );
-            },
-        ],
-    );
+    let [plain, null, sv, fv, sp, fp, ss, fs, s6, f6] = best_of([
+        &mut || replay_lru(cfg, s, vec![]),
+        &mut || replay_lru(cfg, s, vec![&mut llc_sim::NullObserver]),
+        &mut || replay_lru(cfg, s, vec![&mut seed::Victimization::new(window)]),
+        &mut || replay_lru(cfg, s, vec![&mut VictimizationStats::new(window)]),
+        &mut || replay_lru(cfg, s, vec![&mut seed::Profile::new()]),
+        &mut || replay_lru(cfg, s, vec![&mut SharingProfile::new()]),
+        &mut || replay_lru(cfg, s, vec![&mut seed::Study::new(study(FIG9_DESIGNS[0]))]),
+        &mut || {
+            replay_lru(
+                cfg,
+                s,
+                vec![&mut PredictorStudy::new(study(FIG9_DESIGNS[0]))],
+            )
+        },
+        &mut || {
+            for &design in &FIG9_DESIGNS {
+                replay_lru(cfg, s, vec![&mut seed::Study::new(study(design))]);
+            }
+        },
+        &mut || {
+            let mut studies: Vec<PredictorStudy> = FIG9_DESIGNS
+                .iter()
+                .map(|&d| PredictorStudy::new(study(d)))
+                .collect();
+            replay_lru(
+                cfg,
+                s,
+                studies
+                    .iter_mut()
+                    .map(|s| s as &mut dyn LlcObserver)
+                    .collect(),
+            );
+        },
+    ]);
     let refs = stream.len() as u64;
     let ns = |d: Duration| d.as_secs_f64() * 1e9 / refs as f64;
     Row {
@@ -357,20 +199,9 @@ fn measure(cfg: &HierarchyConfig, app: App, samples: usize) -> Row {
 }
 
 fn main() {
-    let samples: usize = std::env::var("BENCH_OBSERVERS_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    let min_speedup: f64 = std::env::var("BENCH_OBSERVERS_MIN_SPEEDUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1.25);
     let cfg = config();
 
-    let rows: Vec<Row> = SUITE
-        .iter()
-        .map(|&app| measure(&cfg, app, samples))
-        .collect();
+    let rows: Vec<Row> = SUITE.iter().map(|&app| measure(&cfg, app)).collect();
     for r in &rows {
         print!(
             "observers/{}: plain {:.1} ns/ref, null observer {:.1}",
@@ -396,12 +227,12 @@ fn main() {
     for (name, speedup) in PAIRS.iter().zip(&speedups) {
         println!("observers/{name}_speedup: {speedup:.2}x");
     }
-    println!("observers/gated_speedup: {gated:.2}x (victimization + profile, gate: >= {min_speedup:.2}x)");
+    println!("observers/gated_speedup: {gated:.2}x (victimization + profile, gate: >= {MIN_SPEEDUP:.2}x)");
 
     let list = |f: &dyn Fn(&Row) -> String| rows.iter().map(f).collect::<Vec<_>>().join(", ");
     let mut json = format!(
         "{{\n  \"benchmark\": \"observers\",\n  \"scale\": \"{SCALE}\",\n  \"cores\": {CORES},\n  \
-         \"sets\": {},\n  \"ways\": {},\n  \"samples\": {samples},\n  \"workloads\": [\"{}\"],\n  \
+         \"sets\": {},\n  \"ways\": {},\n  \"samples\": {SAMPLES},\n  \"workloads\": [\"{}\"],\n  \
          \"llc_refs\": [{}],\n  \"plain_ns_per_ref\": [{}],\n  \"null_observer_ns_per_ref\": [{}],\n",
         cfg.llc.sets(),
         cfg.llc.ways,
@@ -419,18 +250,16 @@ fn main() {
             speedups[p],
         );
     }
-    json += &format!("  \"gated_speedup\": {gated:.3},\n  \"min_speedup\": {min_speedup:.3}\n}}\n");
-    let out = std::env::var("BENCH_OBSERVERS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observers.json").into()
-    });
-    if let Err(e) = std::fs::write(&out, json) {
+    json += &format!("  \"gated_speedup\": {gated:.3},\n  \"min_speedup\": {MIN_SPEEDUP:.3}\n}}\n");
+    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observers.json");
+    if let Err(e) = std::fs::write(out, json) {
         eprintln!("error: writing {out}: {e}");
         std::process::exit(1);
     }
     println!("observers/report: {out}");
 
-    if gated < min_speedup {
-        eprintln!("error: observer speedup {gated:.2}x below required {min_speedup:.2}x");
+    if gated < MIN_SPEEDUP {
+        eprintln!("error: observer speedup {gated:.2}x below required {MIN_SPEEDUP:.2}x");
         std::process::exit(1);
     }
 }

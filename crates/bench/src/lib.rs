@@ -12,6 +12,8 @@
 
 #![warn(missing_docs)]
 
+pub mod siphash_observers;
+
 use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Duration;

@@ -11,7 +11,7 @@
 //! the gap between a realistic policy and OPT is the paper's motivation
 //! for adding explicit sharing-awareness.
 
-use std::collections::{hash_map, VecDeque};
+use std::collections::hash_map;
 
 use fxhash::FxHashMap;
 use llc_sim::{AccessCtx, BlockAddr, EvictCause, GenerationEnd, LlcObserver};
@@ -20,11 +20,6 @@ use llc_sim::{AccessCtx, BlockAddr, EvictCause, GenerationEnd, LlcObserver};
 /// either out of the LLC since an eviction or resident in a generation
 /// that began as a premature refill, never both, so one map holds both
 /// states and each fill or generation end makes one access to it.
-///
-/// An eviction older than the window can never turn premature, so it is
-/// dropped (one more access per eviction, amortized): the map stays as
-/// small as one window of evictions plus the live premature refills, and
-/// its probes hit cache instead of a map of every block ever evicted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
     /// Evicted by replacement at this time and not refilled since.
@@ -41,8 +36,6 @@ pub struct VictimizationStats {
     premature: u64,
     premature_shared: u64,
     blocks: FxHashMap<BlockAddr, State>,
-    /// Evictions that may still be inside the window, oldest first.
-    recent: VecDeque<(BlockAddr, u64)>,
 }
 
 impl VictimizationStats {
@@ -56,7 +49,6 @@ impl VictimizationStats {
             premature: 0,
             premature_shared: 0,
             blocks: FxHashMap::default(),
-            recent: VecDeque::new(),
         }
     }
 
@@ -93,23 +85,6 @@ impl VictimizationStats {
             self.premature_shared as f64 / self.evictions as f64
         }
     }
-
-    /// Forgets the evictions that no fill at or after `now` can find
-    /// inside the window, unless their block was refilled or evicted
-    /// again since.
-    fn expire(&mut self, now: u64) {
-        while let Some(&(block, t_evict)) = self.recent.front() {
-            if now.saturating_sub(t_evict) <= self.window {
-                break;
-            }
-            self.recent.pop_front();
-            if let hash_map::Entry::Occupied(e) = self.blocks.entry(block) {
-                if *e.get() == State::Evicted(t_evict) {
-                    e.remove();
-                }
-            }
-        }
-    }
 }
 
 impl LlcObserver for VictimizationStats {
@@ -135,8 +110,6 @@ impl LlcObserver for VictimizationStats {
         // `PrematureLive` or absent.
         let was_premature = if gen.cause == EvictCause::Replacement {
             self.evictions += 1;
-            self.expire(gen.end_time);
-            self.recent.push_back((gen.block, gen.end_time));
             self.blocks.insert(gen.block, State::Evicted(gen.end_time))
                 == Some(State::PrematureLive)
         } else {

@@ -21,7 +21,7 @@ pub(crate) const FIG10_DESIGNS: [PredictorKind; 5] = [
 ];
 
 /// The predictor designs `fig9` studies, in table order.
-pub(crate) const FIG9_DESIGNS: [PredictorKind; 6] = [
+pub const FIG9_DESIGNS: [PredictorKind; 6] = [
     PredictorKind::Address,
     PredictorKind::Pc,
     PredictorKind::Tournament,

@@ -70,6 +70,7 @@ pub use awareness::VictimizationStats;
 pub use characterize::{ClassTally, SharingProfile};
 pub use epochs::{EpochSeries, EpochStat};
 pub use error::RunError;
+pub use experiments::predictor::FIG9_DESIGNS;
 pub use experiments::{per_app, run_experiment, ExperimentCtx, ExperimentId};
 pub use llc_dag::{ReplayDesc, ReplayWrap};
 pub use model::LatencyModel;
