@@ -251,12 +251,12 @@ fn main() {
         );
     }
     json += &format!("  \"gated_speedup\": {gated:.3},\n  \"min_speedup\": {MIN_SPEEDUP:.3}\n}}\n");
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_observers.json");
-    if let Err(e) = std::fs::write(out, json) {
-        eprintln!("error: writing {out}: {e}");
+    let out = llc_bench::bench_report_path(None, "BENCH_observers.json");
+    if let Err(e) = std::fs::write(&out, json) {
+        eprintln!("error: writing {}: {e}", out.display());
         std::process::exit(1);
     }
-    println!("observers/report: {out}");
+    println!("observers/report: {}", out.display());
 
     if gated < MIN_SPEEDUP {
         eprintln!("error: observer speedup {gated:.2}x below required {MIN_SPEEDUP:.2}x");

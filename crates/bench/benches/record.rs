@@ -356,7 +356,7 @@ mod seed {
         }
         assert!(trace.take_error().is_none(), "synthetic traces don't fail");
         RecordedStream {
-            fingerprint: config.fingerprint(),
+            fingerprint: config.recording_fingerprint(),
             blocks: rec.blocks,
             cores: rec.cores,
             pcs: rec.pcs,
@@ -463,8 +463,7 @@ fn main() {
     println!("record/speedup_agg:  {aggregate:.2}x (gate: >= {min_speedup:.2}x)");
 
     let fmt_list = |items: Vec<String>| items.join(", ");
-    let out = std::env::var("BENCH_RECORD_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_record.json").into());
+    let out = llc_bench::bench_report_path(Some("BENCH_RECORD_OUT"), "BENCH_record.json");
     let json = format!(
         "{{\n  \"benchmark\": \"record\",\n  \"scale\": \"{}\",\n  \"cores\": {},\n  \
          \"sets\": {},\n  \"ways\": {},\n  \"samples\": {},\n  \"workloads\": [\"{}\"],\n  \
@@ -487,10 +486,10 @@ fn main() {
         min_speedup,
     );
     if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("error: writing {out}: {e}");
+        eprintln!("error: writing {}: {e}", out.display());
         std::process::exit(1);
     }
-    println!("record/report:       {out}");
+    println!("record/report:       {}", out.display());
 
     if aggregate < min_speedup {
         eprintln!(

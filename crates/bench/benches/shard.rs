@@ -185,8 +185,7 @@ fn main() {
                 .collect(),
         )
     };
-    let out = std::env::var("BENCH_SHARD_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json").into());
+    let out = llc_bench::bench_report_path(Some("BENCH_SHARD_OUT"), "BENCH_shard.json");
     let json = format!(
         "{{\n  \"benchmark\": \"shard\",\n  \"workload\": \"{}\",\n  \"scale\": \"{}\",\n  \
          \"cores\": {},\n  \"sets\": {},\n  \"host_threads\": {},\n  \"policies\": [\"{}\"],\n  \
@@ -214,10 +213,10 @@ fn main() {
         min_speedup_1t,
     );
     if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("error: writing {out}: {e}");
+        eprintln!("error: writing {}: {e}", out.display());
         std::process::exit(1);
     }
-    println!("shard/report:        {out}");
+    println!("shard/report:        {}", out.display());
 
     // The 1-thread floor is measured explicitly (override = 1), so it is
     // enforceable on every host.

@@ -168,9 +168,7 @@ fn main() {
         llc_refs as f64 * 100.0 / trace_accesses.max(1) as f64
     );
 
-    let out = std::env::var("BENCH_STREAMS_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streams.json").into()
-    });
+    let out = llc_bench::bench_report_path(Some("BENCH_STREAMS_OUT"), "BENCH_streams.json");
     let json = format!(
         "{{\n  \"benchmark\": \"streams\",\n  \"workload\": \"{}\",\n  \"scale\": \"{}\",\n  \
          \"cores\": {},\n  \"policies\": [\"{}\"],\n  \"samples\": {},\n  \
@@ -190,10 +188,10 @@ fn main() {
         min_speedup,
     );
     if let Err(e) = std::fs::write(&out, json) {
-        eprintln!("error: writing {out}: {e}");
+        eprintln!("error: writing {}: {e}", out.display());
         std::process::exit(1);
     }
-    println!("streams/report:       {out}");
+    println!("streams/report:       {}", out.display());
 
     if speedup < min_speedup {
         eprintln!("error: replay speedup {speedup:.2}x below required {min_speedup:.2}x");

@@ -15,7 +15,7 @@
 pub mod siphash_observers;
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use llc_serve::cli::ArgCursor;
@@ -221,10 +221,52 @@ pub fn run_cli(cli: &Cli) -> Result<(String, usize), RunError> {
     Ok((out, report.failed()))
 }
 
+/// Where a bench writes its `BENCH_*.json` report: the path in the
+/// environment variable `var` when one is named and set, else `file` at
+/// the [`workspace_root`] — resolved when the bench runs, so a binary
+/// built in one checkout and run in another writes into the one it runs
+/// in.
+pub fn bench_report_path(var: Option<&str>, file: &str) -> PathBuf {
+    match var.and_then(std::env::var_os) {
+        Some(path) => path.into(),
+        None => workspace_root().join(file),
+    }
+}
+
+/// The nearest ancestor of the current directory (itself included)
+/// whose `Cargo.toml` declares a `[workspace]`, or the current directory
+/// if none does. `cargo bench` runs a bench from its package directory,
+/// so this is the root of the checkout it runs in.
+pub fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|line| line.trim() == "[workspace]"))
+        })
+        .map_or_else(|| cwd.clone(), Path::to_path_buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use llc_trace::App;
+
+    #[test]
+    fn bench_reports_land_at_the_root_of_the_running_checkout() {
+        // `cargo test` runs this from the package directory, two levels
+        // below the workspace root.
+        let root = workspace_root();
+        assert!(root.join("crates/bench/Cargo.toml").is_file(), "{root:?}");
+        assert_eq!(
+            bench_report_path(None, "BENCH_x.json"),
+            root.join("BENCH_x.json")
+        );
+        assert_eq!(
+            bench_report_path(Some("LLC_BENCH_UNSET_REPORT_VAR"), "BENCH_x.json"),
+            root.join("BENCH_x.json")
+        );
+    }
 
     fn args(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()

@@ -38,5 +38,15 @@ fn ingest_writes_a_bare_relative_file_name() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(dir.join("bare.llcs").is_file(), "the stream was written");
+    // The printed recording fingerprint is the one the header holds.
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let printed = stdout
+        .split("(recording ")
+        .nth(1)
+        .and_then(|rest| rest.get(..16))
+        .expect("recording fingerprint printed");
+    let bytes = std::fs::read(dir.join("bare.llcs")).expect("read the stream");
+    let header = u64::from_le_bytes(bytes[40..48].try_into().expect("8 header bytes"));
+    assert_eq!(printed, format!("{header:016x}"));
     let _ = std::fs::remove_dir_all(&dir);
 }

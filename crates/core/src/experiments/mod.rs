@@ -37,7 +37,8 @@ pub struct ExperimentCtx {
     pub apps: Vec<App>,
     /// Recorded LLC reference streams, shared across every experiment in a
     /// suite run (cloning the ctx shares the cache): each (workload,
-    /// hierarchy) pair is recorded once, then every policy replays it.
+    /// private hierarchy) pair is recorded once, then every policy and
+    /// every non-inclusive LLC size replays it.
     pub streams: StreamCache,
     /// In-process replay memo, the tier in front of [`dag`](Self::dag):
     /// replay results and the observer products ([`Self::profile`],
@@ -193,7 +194,8 @@ impl ExperimentCtx {
     }
 
     /// The [`StreamKey`] `app` resolves to under `config` — the identity
-    /// a stream node is fingerprinted by, computable without recording.
+    /// a stream node and its recording are fingerprinted by, computable
+    /// without recording.
     pub fn stream_key(&self, app: App, config: &HierarchyConfig) -> StreamKey {
         StreamKey {
             workload: WorkloadId::App(app),

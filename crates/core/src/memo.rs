@@ -20,8 +20,8 @@
 //!    fills the memo.
 //! 3. **Annotation node** (`annotations_fp(stream_fp, window)`), for
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
-//!    the store or computed once with the fused backward scan and
-//!    persisted.
+//!    the store, or derived from the recording's one annotation scan
+//!    and persisted.
 //! 4. The replay executes through [`replay`] over the stream cache's
 //!    owned [`RecordedStream`] with the resolved annotations injected; the
 //!    result is persisted as a new replay node and memoized.
@@ -49,9 +49,13 @@
 //!
 //! Victimization stats (fig6), epoch series (fig11) and the
 //! multi-programmed mixes (abl5) are read by one experiment each, so an
-//! entry would never be hit. Annotations are not memoized in process:
-//! holding them for a whole campaign costs far more resident memory
-//! (9 B per reference per window) than their one fused scan costs time.
+//! entry would never be hit. Annotations are not memoized here: they are
+//! shared per recording instead. Each cached recording is scanned once
+//! for every window (12 B per reference, living as long as the
+//! recording), and each window's vectors are derived from that scan on
+//! request (see [`compute_annotations`]), so a DAG annotation miss and
+//! fig6's OPT reuse the one scan. abl5's mix streams are annotated by
+//! one replay each, so they keep no scan.
 //!
 //! # Sharing and failure
 //!
@@ -170,8 +174,9 @@ impl ReplayMemo {
 }
 
 /// Resolves the annotation vectors for `window` over `stream`: from the
-/// DAG store when attached and intact, otherwise by one fused backward
-/// scan (persisted back when a store is attached). The loaded artifact
+/// DAG store when attached and intact, otherwise derived from the
+/// recording's annotation scan (persisted back when a store is
+/// attached). The loaded artifact
 /// is shape-checked against the stream — a mismatch (which the
 /// fingerprint should make impossible) recomputes rather than corrupts.
 fn resolve_annotations(

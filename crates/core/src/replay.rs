@@ -34,6 +34,18 @@
 //! from a store, where the `.llcs` image is validated and decoded once
 //! (see [`StreamStore::fetch`]), so there is no second representation
 //! whose replays could drift.
+//!
+//! # One recording per private hierarchy
+//!
+//! A recording is identified by what its stream depends on, the
+//! [recording fingerprint](HierarchyConfig::recording_fingerprint):
+//! cores, private levels and inclusion, plus the LLC only when it is
+//! inclusive. So every non-inclusive LLC size of one workload replays
+//! one recording, one cache entry and one `.llcs` file, while replay and
+//! annotation nodes stay keyed per LLC size by [`StreamKey::fingerprint`].
+//! Each cached recording is also scanned at most once for annotations;
+//! every window any descriptor asks of it is derived from that scan (see
+//! [`compute_annotations`]).
 
 use std::collections::HashMap;
 use std::sync::{Arc, LazyLock, Mutex};
@@ -72,6 +84,7 @@ struct ReplayMetrics {
     index_misses: Arc<Counter>,
     replays: Arc<Counter>,
     replay_refs: Arc<Counter>,
+    annotation_scans: Arc<Counter>,
 }
 
 static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
@@ -122,6 +135,10 @@ static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
     replay_refs: global().counter(
         "llc_replay_refs_total",
         "LLC references replayed, summed over every replay() call",
+    ),
+    annotation_scans: global().counter(
+        "llc_annotation_scans_total",
+        "Backward annotation scans: one per cached recording, one per ad-hoc request",
     ),
 });
 
@@ -259,7 +276,7 @@ fn record_stream_with<W: TraceSource, K: RecordKernel>(
         return Err(RunError::Trace(e));
     }
     Ok(RecordedStream {
-        fingerprint: config.fingerprint(),
+        fingerprint: config.recording_fingerprint(),
         blocks: rec.blocks,
         cores: rec.cores,
         pcs: rec.pcs,
@@ -282,11 +299,12 @@ fn check_replayable(config: &HierarchyConfig, stream: &RecordedStream) -> Result
         )
         .into());
     }
-    if stream.fingerprint != config.fingerprint() {
+    if stream.fingerprint != config.recording_fingerprint() {
         return Err(ConfigError::new(format!(
-            "recorded stream fingerprint {:#x} does not match hierarchy fingerprint {:#x}",
+            "recorded stream fingerprint {:#x} does not match the hierarchy's recording \
+             fingerprint {:#x}",
             stream.fingerprint,
-            config.fingerprint()
+            config.recording_fingerprint()
         ))
         .into());
     }
@@ -319,8 +337,9 @@ pub enum Exec {
 /// * `ann` supplies the descriptor's annotation vectors (see
 ///   [`ReplayDesc::annotation_window`]) when the caller already holds
 ///   them — the DAG memo layer loads them from its store. `None`
-///   derives them from `stream` with one fused scan; descriptors that
-///   need no annotations ignore the argument.
+///   derives them with [`compute_annotations`], from the recording's
+///   one cached scan when the stream came from a [`StreamCache`];
+///   descriptors that need no annotations ignore the argument.
 /// * Non-empty `observers` replay sequentially, fed in stream order.
 ///   Without observers a per-set-state policy runs set-sharded when
 ///   `exec` yields more than one shard and the stream is indexable
@@ -334,7 +353,8 @@ pub enum Exec {
 /// # Errors
 ///
 /// Returns [`RunError::Sim`] if the configuration is invalid, inclusive
-/// (see the module docs), or does not match the stream's fingerprint.
+/// (see the module docs), or does not match the stream's recording
+/// fingerprint ([`HierarchyConfig::recording_fingerprint`]).
 pub fn replay(
     config: &HierarchyConfig,
     desc: &ReplayDesc,
@@ -685,29 +705,63 @@ where
 }
 
 /// Process-global registry associating streams handed out by a
-/// [`StreamCache`] with their lazily built [`ShardIndex`]es, so every
-/// policy replaying the same recording shares one index build per shard
-/// count. Streams are matched by allocation identity (the `Arc` the
-/// cache holds), which is stable for as long as the stream is alive;
-/// entries whose stream has been dropped (e.g. evicted by the cache's
-/// byte cap) are pruned on the next registration, which bounds the
-/// registry — and the indices it keeps alive — by the cache contents.
-mod shard_registry {
+/// [`StreamCache`] with what is derived from them lazily: their
+/// [`ShardIndex`]es and their one `AnnotationScan`, so every replay
+/// of the same recording shares one index build per shard count and
+/// one annotation scan. Streams are matched by allocation identity (the
+/// `Arc` the cache holds), which is stable for as long as the stream is
+/// alive; entries whose stream has been dropped (e.g. evicted by the
+/// cache's byte cap) are pruned on the next registration or eviction,
+/// which bounds the registry — and the artifacts it keeps alive — by
+/// the cache contents.
+mod stream_registry {
     use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, Weak};
+    use std::sync::{Arc, Mutex, OnceLock, Weak};
 
     use llc_trace::{RecordedStream, ShardIndex};
 
-    use super::lock_recovering;
+    use super::{lock_recovering, AnnotationScan, CacheInner, StreamCache};
 
-    /// Per-stream cache of shard indices, keyed by (set count, shard
-    /// count).
-    pub(super) type IndexMap = Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>;
+    /// The cache entry a registered stream's scan is charged to: the
+    /// cache, the entry's key and the slot that holds the stream.
+    pub(super) struct Owner {
+        pub(super) cache: Weak<Mutex<CacheInner>>,
+        pub(super) id: u64,
+        pub(super) slot: Weak<Mutex<Option<Arc<RecordedStream>>>>,
+    }
 
-    static REGISTRY: Mutex<Vec<(Weak<RecordedStream>, Arc<IndexMap>)>> = Mutex::new(Vec::new());
+    /// What one registered stream has derived so far.
+    #[derive(Default)]
+    pub(super) struct Derived {
+        /// Shard indices, keyed by (set count, shard count).
+        pub(super) indexes: Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>,
+        /// The stream's annotation scan, built by its first requester
+        /// while concurrent requesters wait for it.
+        scan: OnceLock<AnnotationScan>,
+        /// Where the scan is charged; `None` for streams registered
+        /// through [`register_stream`](super::register_stream).
+        owner: Option<Owner>,
+    }
 
-    /// Registers a cached stream (idempotent), pruning dead entries.
-    pub(super) fn register(stream: &Arc<RecordedStream>) {
+    impl Derived {
+        /// The scan of `stream` (the stream this entry belongs to),
+        /// built on first request and charged to the owning cache entry.
+        pub(super) fn scan(&self, stream: &RecordedStream) -> &AnnotationScan {
+            self.scan.get_or_init(|| {
+                let scan = AnnotationScan::new(stream);
+                if let Some(owner) = &self.owner {
+                    StreamCache::charge_scan(owner, stream.encoded_len() as u64 + scan.bytes());
+                }
+                scan
+            })
+        }
+    }
+
+    static REGISTRY: Mutex<Vec<(Weak<RecordedStream>, Arc<Derived>)>> = Mutex::new(Vec::new());
+
+    /// Registers a stream (idempotent), pruning dead entries; `owner`
+    /// is the cache entry holding it, if any.
+    pub(super) fn register(stream: &Arc<RecordedStream>, owner: Option<Owner>) {
         let mut reg = lock_recovering(&REGISTRY);
         reg.retain(|(weak, _)| weak.strong_count() > 0);
         if reg
@@ -716,33 +770,51 @@ mod shard_registry {
         {
             return;
         }
-        reg.push((Arc::downgrade(stream), Arc::new(Mutex::new(HashMap::new()))));
+        let derived = Derived {
+            owner,
+            ..Derived::default()
+        };
+        reg.push((Arc::downgrade(stream), Arc::new(derived)));
     }
 
-    /// The index map of the registered stream `stream` is the allocation
-    /// of, or `None` for ad-hoc streams that never went through a cache.
-    /// The `Weak` upgrade makes the pointer comparison safe: a live
-    /// registered allocation cannot share an address with anything else.
-    pub(super) fn lookup(stream: &RecordedStream) -> Option<Arc<IndexMap>> {
+    /// Drops the entries of streams that are gone, and with them their
+    /// indexes and scans.
+    pub(super) fn prune() {
+        lock_recovering(&REGISTRY).retain(|(weak, _)| weak.strong_count() > 0);
+    }
+
+    /// The bytes `stream`'s scan holds, 0 until it is built.
+    pub(super) fn scan_bytes(stream: &RecordedStream) -> u64 {
+        lookup(stream)
+            .and_then(|derived| derived.scan.get().map(AnnotationScan::bytes))
+            .unwrap_or(0)
+    }
+
+    /// The derived artifacts of the registered stream `stream` is the
+    /// allocation of, or `None` for ad-hoc streams that never went
+    /// through a cache. The `Weak` upgrade makes the pointer comparison
+    /// safe: a live registered allocation cannot share an address with
+    /// anything else.
+    pub(super) fn lookup(stream: &RecordedStream) -> Option<Arc<Derived>> {
         let reg = lock_recovering(&REGISTRY);
         reg.iter()
             .find(|(weak, _)| {
                 weak.upgrade()
                     .is_some_and(|s| std::ptr::eq(Arc::as_ptr(&s), stream))
             })
-            .map(|(_, map)| Arc::clone(map))
+            .map(|(_, derived)| Arc::clone(derived))
     }
 }
 
-/// Registers `stream` with the process-global shard-index registry, so
-/// subsequent sharded replays of the *same* [`Arc`] share one
-/// [`ShardIndex`] build per shard count instead of re-indexing the
-/// stream on every call. Streams handed out by a [`StreamCache`] are
-/// registered automatically; call this for ad-hoc streams (benchmarks,
-/// tests, external drivers) that replay more than once. Idempotent;
-/// entries die with their stream's last `Arc`.
+/// Registers `stream` with the process-global stream registry, so
+/// subsequent replays of the *same* [`Arc`] share one [`ShardIndex`]
+/// build per shard count and one annotation scan instead of
+/// re-deriving them on every call. Streams handed out by a
+/// [`StreamCache`] are registered automatically; call this for ad-hoc
+/// streams (benchmarks, tests, external drivers) that replay more than
+/// once. Idempotent; entries die with their stream's last `Arc`.
 pub fn register_stream(stream: &Arc<RecordedStream>) {
-    shard_registry::register(stream);
+    stream_registry::register(stream, None);
 }
 
 /// Builds (or fetches) the shard index splitting `stream` over `shards`
@@ -752,11 +824,11 @@ pub fn register_stream(stream: &Arc<RecordedStream>) {
 /// privately (see [`register_stream`]). Returns `None` for streams too
 /// large for `u32` index positions (the caller replays sequentially).
 fn shard_index_for(stream: &RecordedStream, sets: u64, shards: usize) -> Option<Arc<ShardIndex>> {
-    let Some(map) = shard_registry::lookup(stream) else {
+    let Some(derived) = stream_registry::lookup(stream) else {
         METRICS.index_misses.inc();
         return ShardIndex::build(stream, sets, shards).map(Arc::new);
     };
-    let mut map = lock_recovering(&map);
+    let mut map = lock_recovering(&derived.indexes);
     if let Some(index) = map.get(&(sets, shards)) {
         METRICS.index_hits.inc();
         return Some(Arc::clone(index));
@@ -767,8 +839,8 @@ fn shard_index_for(stream: &RecordedStream, sets: u64, shards: usize) -> Option<
     Some(index)
 }
 
-/// Both offline annotation vectors, produced by one fused backward scan
-/// over a recorded stream (see [`compute_annotations`]).
+/// Both offline annotation vectors of one window over a recorded stream
+/// (see [`compute_annotations`]).
 ///
 /// The vectors sit behind [`Arc`] so every shard of a set-sharded replay
 /// shares one copy.
@@ -782,7 +854,7 @@ pub struct Annotations {
     pub shared_soon: Arc<Vec<bool>>,
 }
 
-/// Computes `next_use` and `shared_soon` in **one** backward scan over
+/// Computes `next_use` and `shared_soon` for one oracle `window` over
 /// `stream`.
 ///
 /// `shared_soon[t]` is the oracle's answer: `true` iff the block accessed
@@ -793,12 +865,14 @@ pub struct Annotations {
 /// retention horizon proportional to the LLC capacity (see
 /// [`oracle_window`](crate::oracle_window)).
 ///
-/// Both annotations are functions of the same per-block recurrence:
-/// walking the stream backwards, keep for each block its nearest future
-/// access (`n1`, issued by core `c1`) and the nearest future access by a
-/// core other than `c1` (`n2`). Then `next_use[i] = n1` and
-/// `shared_soon[i]` asks whether the nearest future *differing-core*
-/// access falls within `window`.
+/// A stream handed out by a [`StreamCache`] (or passed to
+/// [`register_stream`]) is scanned once, window-free, by its first
+/// requester; every window over it — from any LLC size, descriptor or
+/// experiment — is then derived from that scan with one cheap pass over
+/// its per-access distances. A window of `u32::MAX` or more, which the
+/// scan's saturated distances cannot resolve, and an ad-hoc stream are
+/// answered by the same backward recurrence with the window applied
+/// directly.
 ///
 /// A stream recorded on an [`Inclusion::Inclusive`] hierarchy is *not*
 /// policy-independent (back-invalidations feed back into the private
@@ -806,9 +880,25 @@ pub struct Annotations {
 /// ablation quantifies the effect.
 pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations {
     let _span = spans::span("compute_annotations");
-    let n = stream.len();
-    let mut next_use = vec![u64::MAX; n];
-    let mut shared_soon = vec![false; n];
+    if window >= u64::from(u32::MAX) {
+        return direct_annotations(stream, window);
+    }
+    match stream_registry::lookup(stream) {
+        Some(derived) => derived.scan(stream).annotations(window),
+        // An ad-hoc stream has nowhere to keep a scan for a later window.
+        None => direct_annotations(stream, window),
+    }
+}
+
+/// The one backward recurrence both annotations come from. Walking the
+/// stream backwards, it keeps for each block its nearest future access
+/// (`n1`, issued by core `c1`) and the nearest future access by a core
+/// other than `c1` (`n2`). It returns `next_use` (`n1` at each access)
+/// and hands `diff` each access's nearest future access by a core other
+/// than its own (`u64::MAX` = none).
+fn scan_backward(stream: &RecordedStream, mut diff: impl FnMut(usize, u64)) -> Vec<u64> {
+    METRICS.annotation_scans.inc();
+    let mut next_use = vec![u64::MAX; stream.len()];
     struct Next {
         n1: u64,
         c1: CoreId,
@@ -822,8 +912,7 @@ pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations 
         let core = a.core;
         if let Some(e) = next.get(&block) {
             next_use[i] = e.n1;
-            let next_diff = if e.c1 != core { e.n1 } else { e.n2 };
-            shared_soon[i] = next_diff != u64::MAX && next_diff - i as u64 <= window;
+            diff(i, if e.c1 != core { e.n1 } else { e.n2 });
         }
         let entry = next.entry(block).or_insert(Next {
             n1: u64::MAX,
@@ -841,9 +930,73 @@ pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations 
             n2: new_n2,
         };
     }
+    next_use
+}
+
+/// [`compute_annotations`] without the scan: the recurrence with the
+/// window applied inside it, for ad-hoc streams, for windows the scan
+/// cannot resolve, and for a cached stream only one replay annotates
+/// (no scan is kept for it).
+pub(crate) fn direct_annotations(stream: &RecordedStream, window: u64) -> Annotations {
+    let mut shared_soon = vec![false; stream.len()];
+    let next_use = scan_backward(stream, |i, next_diff| {
+        shared_soon[i] = next_diff != u64::MAX && next_diff - i as u64 <= window;
+    });
     Annotations {
         next_use: Arc::new(next_use),
         shared_soon: Arc::new(shared_soon),
+    }
+}
+
+/// The window-free result of one backward scan over a recorded stream:
+/// `next_use`, plus each access's distance to the nearest future access
+/// to its block by a different core. Any window below `u32::MAX` derives
+/// its [`Annotations`] from it with one pass over the distances, so a
+/// recording is scanned once however many windows and LLC sizes read
+/// it. It costs 12 bytes per reference and lives as long as the
+/// recording (see [`compute_annotations`]).
+#[derive(Debug)]
+struct AnnotationScan {
+    next_use: Arc<Vec<u64>>,
+    /// Distance to the nearest differing-core access, saturated:
+    /// `u32::MAX` means none, or one at least `u32::MAX` accesses away.
+    share_dist: Vec<u32>,
+}
+
+impl AnnotationScan {
+    /// Scans `stream` once, backwards.
+    fn new(stream: &RecordedStream) -> Self {
+        let mut share_dist = vec![u32::MAX; stream.len()];
+        let next_use = scan_backward(stream, |i, next_diff| {
+            if next_diff != u64::MAX {
+                share_dist[i] = u32::try_from(next_diff - i as u64).unwrap_or(u32::MAX);
+            }
+        });
+        AnnotationScan {
+            next_use: Arc::new(next_use),
+            share_dist,
+        }
+    }
+
+    /// The bytes the scan holds.
+    fn bytes(&self) -> u64 {
+        (self.next_use.len() * std::mem::size_of::<u64>()
+            + self.share_dist.len() * std::mem::size_of::<u32>()) as u64
+    }
+
+    /// The annotations of `window`, sharing this scan's `next_use`.
+    /// `window` must be below `u32::MAX`, where a saturated distance
+    /// still answers exactly ([`compute_annotations`] takes the direct
+    /// path from there on).
+    fn annotations(&self, window: u64) -> Annotations {
+        let window = u32::try_from(window)
+            .ok()
+            .filter(|&w| w < u32::MAX)
+            .expect("compute_annotations answers windows of u32::MAX and above directly");
+        Annotations {
+            next_use: Arc::clone(&self.next_use),
+            shared_soon: Arc::new(self.share_dist.iter().map(|&d| d <= window).collect()),
+        }
     }
 }
 
@@ -906,7 +1059,11 @@ impl WorkloadId {
     }
 }
 
-/// Cache key: workload identity × thread count × scale × hierarchy.
+/// A stream's identity: workload × thread count × scale × hierarchy. It
+/// has two fingerprints: [`fingerprint`](Self::fingerprint) names the
+/// stream node that replay and annotation nodes hang off, one per LLC
+/// size; [`recording_fingerprint`](Self::recording_fingerprint) names
+/// the recording itself, which every non-inclusive LLC size shares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamKey {
     /// The workload.
@@ -920,14 +1077,28 @@ pub struct StreamKey {
 }
 
 impl StreamKey {
-    /// A stable 64-bit fingerprint of the key, safe to persist: it
-    /// content-addresses `.llcs` recordings in an on-disk
-    /// [`StreamStore`], so — unlike `Hash` — it is an [`llc_sim::Fold`]
-    /// over the workload name, thread count, scale and the hierarchy's
-    /// own stable fingerprint, and does not change across Rust
+    /// A stable 64-bit fingerprint of the stream node, safe to persist:
+    /// replay and annotation nodes of the artifact DAG are keyed under
+    /// it, so — unlike `Hash` — it is an [`llc_sim::Fold`] over the
+    /// workload name, thread count, scale and the hierarchy's full
+    /// fingerprint (LLC included), and does not change across Rust
     /// releases, platforms or process restarts.
     pub fn fingerprint(&self) -> u64 {
-        Fold::new(0x4c4c_4353_4b45_5931) // "LLCSKEY1"
+        self.fold(0x4c4c_4353_4b45_5931, self.config.fingerprint()) // "LLCSKEY1"
+    }
+
+    /// A stable 64-bit fingerprint of the recording: the same fold over
+    /// the hierarchy's
+    /// [`recording_fingerprint`](HierarchyConfig::recording_fingerprint),
+    /// so every non-inclusive LLC size of one workload has the same
+    /// one. It keys the [`StreamCache`] and content-addresses `.llcs`
+    /// recordings in an on-disk [`StreamStore`].
+    pub fn recording_fingerprint(&self) -> u64 {
+        self.fold(0x4c4c_4353_524b_5931, self.config.recording_fingerprint()) // "LLCSRKY1"
+    }
+
+    fn fold(&self, seed: u64, config_fp: u64) -> u64 {
+        Fold::new(seed)
             .u64(match self.workload {
                 WorkloadId::App(_) => 1,
                 WorkloadId::Mix(_) => 2,
@@ -935,7 +1106,7 @@ impl StreamKey {
             .str(self.workload.label())
             .u64(self.cores as u64)
             .str(&self.scale.to_string())
-            .u64(self.config.fingerprint())
+            .u64(config_fp)
             .finish()
     }
 }
@@ -957,13 +1128,15 @@ pub struct StreamCacheStats {
     /// if any, survive).
     pub evictions: u64,
     /// Stored-copy failures that were recovered by re-recording (a
-    /// corrupt `.llcs` file, or one recorded under another hierarchy) or
+    /// corrupt `.llcs` file, or one whose header names another recording
+    /// fingerprint) or
     /// shrugged off (a failed persist).
     pub disk_errors: u64,
     /// Corrupt or foreign `.llcs` files moved into the store's
     /// `quarantine/` directory (a subset of `disk_errors`).
     pub quarantined: u64,
-    /// Encoded bytes currently held in memory.
+    /// Bytes currently charged against the cap: each resident stream's
+    /// encoded size, plus its annotation scan once one is built.
     pub bytes: u64,
     /// The configured in-memory byte cap, if any.
     pub limit: Option<u64>,
@@ -976,13 +1149,15 @@ struct CacheEntry {
     slot: Slot,
     /// Recency stamp (monotone per-cache counter; larger = fresher).
     stamp: u64,
-    /// Encoded size once recorded; 0 while the recording is in flight.
+    /// Charged size once recorded (see [`StreamCacheStats::bytes`]); 0
+    /// while the recording is in flight.
     bytes: u64,
 }
 
 #[derive(Debug, Default)]
 struct CacheInner {
-    map: HashMap<StreamKey, CacheEntry>,
+    /// Entries by [`StreamKey::recording_fingerprint`].
+    map: HashMap<u64, CacheEntry>,
     clock: u64,
     limit: Option<u64>,
     store: Option<StreamStore>,
@@ -991,8 +1166,10 @@ struct CacheInner {
 
 /// A keyed, thread-safe cache of recorded streams, shared by every
 /// experiment in a suite (or every job in an `llc-serve` daemon) so each
-/// (workload, hierarchy) pair is recorded exactly once no matter how many
-/// policies replay it — including from parallel workers.
+/// (workload, private hierarchy) pair is recorded exactly once no matter
+/// how many policies and non-inclusive LLC sizes replay it — including
+/// from parallel workers. Entries are keyed by
+/// [`StreamKey::recording_fingerprint`].
 ///
 /// Locking is two-level: a brief outer lock resolves the key to a
 /// per-key slot, and recording happens under the slot's own lock, so two
@@ -1003,20 +1180,21 @@ struct CacheInner {
 /// Two optional behaviours, both off by default:
 ///
 /// * **A byte cap** ([`StreamCache::set_limit`]): the cache tracks the
-///   encoded size of every resident stream and evicts the
-///   least-recently-used entries when an insert pushes the total over
-///   the cap (the newest entry is never evicted, so a single oversized
-///   stream still caches). Counters are exposed via
+///   encoded size of every resident stream, plus its annotation scan
+///   (see [`compute_annotations`]) once one is built, and evicts the
+///   least-recently-used entries when an insert or a scan pushes the
+///   total over the cap (the entry being charged is never evicted, so a
+///   single oversized stream still caches). Counters are exposed via
 ///   [`StreamCache::stats`].
 /// * **A persistent backing store** ([`StreamCache::with_store`]): the
 ///   in-memory cache becomes a read-through layer over an on-disk
-///   [`StreamStore`] keyed by [`StreamKey::fingerprint`]. A miss first
+///   [`StreamStore`] keyed by [`StreamKey::recording_fingerprint`]. A miss first
 ///   tries the store (a *disk hit* skips the recording simulation
 ///   entirely, even in a fresh process); a recording is persisted back.
 ///   A disk hit is decoded once into an owned [`RecordedStream`]. A
-///   corrupt stored file, or one recorded under another hierarchy, is
-///   counted, quarantined, re-recorded and overwritten — never an error
-///   for the caller.
+///   corrupt stored file, or one whose header holds another recording
+///   fingerprint, is counted, quarantined, re-recorded and overwritten —
+///   never an error for the caller.
 #[derive(Debug, Clone, Default)]
 pub struct StreamCache {
     inner: Arc<Mutex<CacheInner>>,
@@ -1067,10 +1245,11 @@ impl StreamCache {
     /// the attached store, `None` otherwise. Never records, loads or
     /// touches LRU state, so planning a spec cannot perturb the cache.
     pub fn probe(&self, key: &StreamKey) -> Option<u64> {
+        let id = key.recording_fingerprint();
         let (slot, store) = {
             let inner = lock_recovering(&self.inner);
             (
-                inner.map.get(key).map(|e| Arc::clone(&e.slot)),
+                inner.map.get(&id).map(|e| Arc::clone(&e.slot)),
                 inner.store.clone(),
             )
         };
@@ -1079,7 +1258,7 @@ impl StreamCache {
                 return Some(stream.encoded_len() as u64);
             }
         }
-        store?.size_of(key.fingerprint())
+        store?.size_of(id)
     }
 
     /// `true` if `key`'s stream is resident in memory right now — the
@@ -1088,16 +1267,21 @@ impl StreamCache {
     pub fn resident(&self, key: &StreamKey) -> bool {
         let slot = {
             let inner = lock_recovering(&self.inner);
-            inner.map.get(key).map(|e| Arc::clone(&e.slot))
+            inner
+                .map
+                .get(&key.recording_fingerprint())
+                .map(|e| Arc::clone(&e.slot))
         };
         slot.is_some_and(|slot| lock_recovering(&slot).is_some())
     }
 
     /// Returns the stream for `key`: from memory if resident, else from
     /// the attached store's `.llcs` file if present, intact and recorded
-    /// under `key.config` (see [`StreamStore::fetch`]), else by recording
-    /// it via `make_trace` under `key.config` (and persisting the
-    /// recording if a store is attached).
+    /// under `key.config`'s recording fingerprint (see
+    /// [`StreamStore::fetch`]), else by recording it via `make_trace`
+    /// under `key.config` (and persisting the recording if a store is
+    /// attached). Keys that differ only in a non-inclusive LLC share one
+    /// entry.
     ///
     /// # Errors
     ///
@@ -1113,11 +1297,12 @@ impl StreamCache {
         W: TraceSource,
         F: FnOnce() -> W,
     {
+        let id = key.recording_fingerprint();
         let (slot, store) = {
             let mut inner = lock_recovering(&self.inner);
             inner.clock += 1;
             let clock = inner.clock;
-            let entry = inner.map.entry(key).or_default();
+            let entry = inner.map.entry(id).or_default();
             entry.stamp = clock;
             (Arc::clone(&entry.slot), inner.store.clone())
         };
@@ -1125,7 +1310,7 @@ impl StreamCache {
         if let Some(stream) = guard.as_ref() {
             let stream = Arc::clone(stream);
             drop(guard);
-            let size = stream.encoded_len() as u64;
+            let size = stream.encoded_len() as u64 + stream_registry::scan_bytes(&stream);
             let mut inner = lock_recovering(&self.inner);
             inner.stats.hits += 1;
             METRICS.cache_hits.inc();
@@ -1135,9 +1320,9 @@ impl StreamCache {
             // handle pins stay accounted — otherwise the next request
             // would load a second copy of a stream still resident,
             // double-charging the cap in real memory.
-            if !inner.map.contains_key(&key) {
-                Self::charge(&mut inner, key, &slot, size);
-                Self::evict_over_limit(&mut inner, Some(&key));
+            if !inner.map.contains_key(&id) {
+                Self::charge(&mut inner, id, &slot, size);
+                Self::evict_over_limit(&mut inner, Some(id));
             }
             return Ok(stream);
         }
@@ -1145,8 +1330,11 @@ impl StreamCache {
         // Not in memory: try the persistent store, then record. Both
         // happen under the slot lock so concurrent requesters of the same
         // key share one load/recording.
-        let (fp, config_fp) = (key.fingerprint(), key.config.fingerprint());
-        let loaded = match store.as_ref().map_or(Ok(None), |s| s.fetch(fp, config_fp)) {
+        let recording_fp = key.config.recording_fingerprint();
+        let loaded = match store
+            .as_ref()
+            .map_or(Ok(None), |s| s.fetch(id, recording_fp))
+        {
             Ok(loaded) => loaded,
             Err(e) => {
                 // Unreadable, corrupt or foreign stored copy (the load
@@ -1170,7 +1358,7 @@ impl StreamCache {
             None => {
                 let stream = Arc::new(record_stream(&key.config, make_trace())?);
                 if let Some(store) = &store {
-                    if store.save(fp, &stream).is_err() {
+                    if store.save(id, &stream).is_err() {
                         lock_recovering(&self.inner).stats.disk_errors += 1;
                         METRICS.cache_disk_errors.inc();
                     }
@@ -1180,10 +1368,17 @@ impl StreamCache {
         };
         *guard = Some(Arc::clone(&stream));
         drop(guard);
-        // Cached streams get a shard-index map: replays of this stream
+        // Cached streams get a registry entry: replays of this stream
         // can now share lazily built `ShardIndex`es (see
-        // `shard_index_for`), which live exactly as long as the stream.
-        shard_registry::register(&stream);
+        // `shard_index_for`) and one annotation scan (see
+        // `compute_annotations`), which live exactly as long as the
+        // stream. The scan is charged to this entry.
+        let owner = stream_registry::Owner {
+            cache: Arc::downgrade(&self.inner),
+            id,
+            slot: Arc::downgrade(&slot),
+        };
+        stream_registry::register(&stream, Some(owner));
 
         // Account the insert and enforce the cap (never evicting the
         // entry just inserted).
@@ -1195,10 +1390,30 @@ impl StreamCache {
             inner.stats.misses += 1;
             METRICS.cache_misses.inc();
         }
-        let size = stream.encoded_len() as u64;
-        Self::charge(&mut inner, key, &slot, size);
-        Self::evict_over_limit(&mut inner, Some(&key));
+        // A requester that hit the slot meanwhile may have built the
+        // scan already.
+        let size = stream.encoded_len() as u64 + stream_registry::scan_bytes(&stream);
+        Self::charge(&mut inner, id, &slot, size);
+        Self::evict_over_limit(&mut inner, Some(id));
         Ok(stream)
+    }
+
+    /// Re-charges the entry `owner` names at `size` (its stream plus
+    /// the scan just built) and enforces the cap, as long as the entry
+    /// still holds the stream; an evicted entry stays evicted.
+    fn charge_scan(owner: &stream_registry::Owner, size: u64) {
+        let (Some(cache), Some(slot)) = (owner.cache.upgrade(), owner.slot.upgrade()) else {
+            return;
+        };
+        let mut inner = lock_recovering(&cache);
+        if inner
+            .map
+            .get(&owner.id)
+            .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+        {
+            Self::charge(&mut inner, owner.id, &slot, size);
+            Self::evict_over_limit(&mut inner, Some(owner.id));
+        }
     }
 
     /// Charges exactly `size` bytes for `key`'s filled `slot`, keeping
@@ -1209,7 +1424,7 @@ impl StreamCache {
     /// already re-created the entry around a *different* slot, that copy
     /// owns the accounting and this one is left as a transient duplicate
     /// rather than double-charging the key.
-    fn charge(inner: &mut CacheInner, key: StreamKey, slot: &Slot, size: u64) {
+    fn charge(inner: &mut CacheInner, key: u64, slot: &Slot, size: u64) {
         inner.clock += 1;
         let clock = inner.clock;
         let entry = inner.map.entry(key).or_insert_with(|| CacheEntry {
@@ -1228,15 +1443,17 @@ impl StreamCache {
     }
 
     /// Evicts least-recently-used recorded entries until the cache fits
-    /// its cap again. `keep` (the entry being inserted) and in-flight
-    /// recordings (`bytes == 0`) are never evicted.
-    fn evict_over_limit(inner: &mut CacheInner, keep: Option<&StreamKey>) {
+    /// its cap again. `keep` (the entry being charged) and in-flight
+    /// recordings (`bytes == 0`) are never evicted. The registry entries
+    /// of evicted streams nothing else holds go with them.
+    fn evict_over_limit(inner: &mut CacheInner, keep: Option<u64>) {
         let Some(limit) = inner.limit else { return };
+        let evictions = inner.stats.evictions;
         while inner.stats.bytes > limit {
             let victim = inner
                 .map
                 .iter()
-                .filter(|&(k, e)| e.bytes > 0 && Some(k) != keep)
+                .filter(|&(&k, e)| e.bytes > 0 && Some(k) != keep)
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(k, _)| *k);
             let Some(victim) = victim else { break };
@@ -1247,6 +1464,9 @@ impl StreamCache {
             inner.stats.evictions += 1;
             METRICS.cache_bytes.add(-(entry.bytes as i64));
             METRICS.cache_evictions.inc();
+        }
+        if inner.stats.evictions > evictions {
+            stream_registry::prune();
         }
     }
 }
@@ -1335,12 +1555,187 @@ mod tests {
             replay_kind(&inclusive, PolicyKind::Lru, &stream, vec![]),
             Err(RunError::Sim(SimError::Config(_)))
         ));
-        let mut other = cfg();
-        other.llc = llc_sim::CacheConfig::from_kib(128, 8).expect("valid");
-        assert!(matches!(
-            replay_kind(&other, PolicyKind::Lru, &stream, vec![]),
-            Err(RunError::Sim(SimError::Config(_)))
-        ));
+        let mut other_l1 = cfg();
+        other_l1.l1 = llc_sim::CacheConfig::from_kib(4, 2).expect("valid");
+        let mut with_l2 = cfg();
+        with_l2.l2 = Some(llc_sim::CacheConfig::from_kib(8, 4).expect("valid"));
+        for other in [other_l1, with_l2] {
+            assert!(matches!(
+                replay_kind(&other, PolicyKind::Lru, &stream, vec![]),
+                Err(RunError::Sim(SimError::Config(_)))
+            ));
+        }
+    }
+
+    #[test]
+    fn one_recording_replays_exactly_at_every_non_inclusive_llc_size() {
+        let stream = stream_of(App::Dedup);
+        for (kib, ways) in [(64, 8), (128, 8), (128, 16)] {
+            let mut c = cfg();
+            c.llc = llc_sim::CacheConfig::from_kib(kib, ways).expect("valid");
+            for desc in [
+                ReplayDesc::plain(PolicyKind::Lru),
+                ReplayDesc::plain(PolicyKind::Opt),
+                ReplayDesc::oracle(
+                    PolicyKind::Srrip,
+                    llc_policies::ProtectMode::Eviction,
+                    crate::runner::oracle_window(&c),
+                ),
+            ] {
+                let fast = replay(&c, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+                let slow = crate::runner::simulate(
+                    &c,
+                    &desc,
+                    &mut || App::Dedup.workload(4, Scale::Tiny),
+                    vec![],
+                )
+                .expect("simulate");
+                assert_eq!(
+                    fast.llc,
+                    slow.llc,
+                    "{} at {kib} KiB {ways}-way",
+                    desc.label()
+                );
+            }
+        }
+    }
+
+    fn at_llc(key: StreamKey, kib: u64) -> StreamKey {
+        let mut key = key;
+        key.config.llc = llc_sim::CacheConfig::from_kib(kib, 8).expect("valid");
+        key
+    }
+
+    #[test]
+    fn two_non_inclusive_llc_sizes_share_one_recording_and_no_node() {
+        use llc_dag::{annotations_fp, replay_fp};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!("llc-cache-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StreamStore::open(&dir).expect("open store");
+        let cache = StreamCache::with_store(store.clone(), None);
+        let recordings = AtomicUsize::new(0);
+        let make = || {
+            recordings.fetch_add(1, Ordering::SeqCst);
+            App::Fft.workload(4, Scale::Tiny)
+        };
+        let (small, big) = (
+            at_llc(key_for(App::Fft), 64),
+            at_llc(key_for(App::Fft), 128),
+        );
+        let a = cache.get_or_record(small, make).expect("record");
+        let b = cache.get_or_record(big, make).expect("shared");
+        assert_eq!(recordings.load(Ordering::SeqCst), 1, "one record");
+        assert!(Arc::ptr_eq(&a, &b), "one cache entry");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(stats.bytes, a.encoded_len() as u64);
+        assert_eq!(small.recording_fingerprint(), big.recording_fingerprint());
+        assert_eq!(store.disk_stats().expect("stats").0, 1, "one .llcs");
+        assert!(store.contains(small.recording_fingerprint()));
+        assert!(cache.resident(&big));
+        assert_eq!(cache.probe(&big), Some(a.encoded_len() as u64));
+
+        // Replay and annotation nodes stay per LLC size.
+        let (fs, fb) = (small.fingerprint(), big.fingerprint());
+        assert_ne!(fs, fb);
+        for desc in [
+            ReplayDesc::plain(PolicyKind::Lru),
+            ReplayDesc::oracle(PolicyKind::Lru, llc_policies::ProtectMode::Eviction, 4096),
+        ] {
+            assert_ne!(
+                replay_fp(fs, desc.fingerprint()),
+                replay_fp(fb, desc.fingerprint())
+            );
+        }
+        assert_ne!(annotations_fp(fs, 4096), annotations_fp(fb, 4096));
+
+        // An inclusive LLC shapes the stream: one recording per size.
+        let inclusive = |key: StreamKey| StreamKey {
+            config: HierarchyConfig {
+                inclusion: Inclusion::Inclusive,
+                ..key.config
+            },
+            ..key
+        };
+        let c = cache.get_or_record(inclusive(small), make).expect("record");
+        let d = cache.get_or_record(inclusive(big), make).expect("record");
+        assert_eq!(recordings.load(Ordering::SeqCst), 3, "one record per size");
+        assert!(!Arc::ptr_eq(&c, &d));
+        assert_ne!(c.fingerprint, d.fingerprint);
+        assert_eq!(store.disk_stats().expect("stats").0, 3);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_stream_under_the_full_config_fingerprint_is_quarantined_and_re_recorded() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let dir = std::env::temp_dir().join(format!("llc-cache-old-fp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = StreamStore::open(&dir).expect("open store");
+        let key = key_for(App::Swaptions);
+        // A recording whose header holds the hierarchy's full-config
+        // fingerprint, as `.llcs` files recorded before the recording
+        // fingerprint did, stored under the recording's name.
+        let mut old = stream_of(App::Swaptions);
+        old.fingerprint = key.config.fingerprint();
+        store.save(key.recording_fingerprint(), &old).expect("save");
+
+        let recordings = AtomicUsize::new(0);
+        let cache = StreamCache::with_store(store.clone(), None);
+        let stream = cache
+            .get_or_record(key, || {
+                recordings.fetch_add(1, Ordering::SeqCst);
+                App::Swaptions.workload(4, Scale::Tiny)
+            })
+            .expect("recover");
+        assert_eq!(recordings.load(Ordering::SeqCst), 1, "re-recorded");
+        let stats = cache.stats();
+        assert_eq!(
+            (stats.disk_hits, stats.disk_errors, stats.quarantined),
+            (0, 1, 1)
+        );
+        assert_eq!(stream.fingerprint, key.config.recording_fingerprint());
+        assert!(replay_kind(&key.config, PolicyKind::Lru, &stream, vec![]).is_ok());
+        // The old header never replays either.
+        assert!(replay_kind(&key.config, PolicyKind::Lru, &old, vec![]).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn scan_derived_annotations_equal_the_direct_recurrence() {
+        let ctx = crate::ExperimentCtx::test();
+        let c = ctx.main_config().expect("config");
+        let lines = c.llc.lines();
+        let windows = [
+            0,
+            1,
+            lines,
+            4 * lines,
+            16 * lines,
+            u64::from(u32::MAX) - 1,
+            u64::from(u32::MAX),
+            u64::MAX,
+        ];
+        for &app in &ctx.apps {
+            // A cached stream is registered, so its windows below
+            // `u32::MAX` derive from its one scan; an ad-hoc recording of
+            // the same app takes the direct recurrence.
+            let cached = ctx.stream(app, &c).expect("stream");
+            let ad_hoc = record_stream(&c, ctx.workload(app)).expect("record");
+            for window in windows {
+                let direct = direct_annotations(&ad_hoc, window);
+                let ann = compute_annotations(&cached, window);
+                assert_eq!(ann.next_use, direct.next_use, "{app} w={window}");
+                assert_eq!(ann.shared_soon, direct.shared_soon, "{app} w={window}");
+            }
+            // Every window over the cached recording shares one scan.
+            let (a, b) = (
+                compute_annotations(&cached, 1),
+                compute_annotations(&cached, 4 * lines),
+            );
+            assert!(Arc::ptr_eq(&a.next_use, &b.next_use), "{app}: one scan");
+        }
     }
 
     #[test]
@@ -1387,6 +1782,31 @@ mod tests {
     }
 
     #[test]
+    fn recording_fingerprints_are_stable_and_distinct() {
+        let key = key_for(App::Fft);
+        // Pin the value: it names every stored recording.
+        assert_eq!(key.recording_fingerprint(), 0x232f_0ea4_247d_2a80);
+        assert_ne!(key.recording_fingerprint(), key.fingerprint());
+        assert_eq!(
+            key.recording_fingerprint(),
+            at_llc(key, 128).recording_fingerprint()
+        );
+        assert_ne!(
+            key.recording_fingerprint(),
+            key_for(App::Dedup).recording_fingerprint()
+        );
+        assert_ne!(
+            StreamKey {
+                workload: WorkloadId::Mix("fft"),
+                ..key
+            }
+            .recording_fingerprint(),
+            key.recording_fingerprint(),
+            "an app and a mix with the same name must not collide"
+        );
+    }
+
+    #[test]
     fn stream_key_fingerprints_are_stable_and_distinct() {
         let key = key_for(App::Fft);
         assert_eq!(key.fingerprint(), key.fingerprint());
@@ -1413,6 +1833,32 @@ mod tests {
             key.fingerprint(),
             "an app and a mix with the same name must not collide"
         );
+    }
+
+    #[test]
+    fn annotation_scans_are_charged_to_their_cache_entry() {
+        let cache = StreamCache::new();
+        let fft = cache
+            .get_or_record(key_for(App::Fft), || App::Fft.workload(4, Scale::Tiny))
+            .expect("record");
+        let window = crate::runner::oracle_window(&cfg());
+        compute_annotations(&fft, window);
+        compute_annotations(&fft, 2 * window);
+        let charged = |s: &RecordedStream| s.encoded_len() as u64 + 12 * s.len() as u64;
+        assert_eq!(cache.stats().bytes, charged(&fft), "one scan, charged once");
+
+        // A cap that holds fft with its scan and dedup without one: the
+        // dedup scan pushes the cache over and evicts fft, the LRU entry.
+        let dedup = cache
+            .get_or_record(key_for(App::Dedup), || App::Dedup.workload(4, Scale::Tiny))
+            .expect("record");
+        cache.set_limit(Some(charged(&fft) + dedup.encoded_len() as u64));
+        assert_eq!(cache.stats().evictions, 0);
+        compute_annotations(&dedup, window);
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, 1);
+        assert!(!cache.resident(&key_for(App::Fft)));
+        assert_eq!(stats.bytes, charged(&dedup));
     }
 
     #[test]
@@ -1511,7 +1957,7 @@ mod tests {
         let first = StreamCache::with_store(store.clone(), None);
         let a = first.get_or_record(key, make).expect("record");
         assert_eq!(recordings.load(Ordering::SeqCst), 1);
-        assert!(store.contains(key.fingerprint()));
+        assert!(store.contains(key.recording_fingerprint()));
         assert_eq!(first.stats().misses, 1);
 
         // "Restart": a fresh cache over the same directory must serve the
@@ -1530,7 +1976,7 @@ mod tests {
         // Corrupt the stored copy: the next fresh cache falls back to
         // re-recording (typed error internally, never surfaced) and
         // overwrites the bad file.
-        let path = store.path_for(key.fingerprint());
+        let path = store.path_for(key.recording_fingerprint());
         let bytes = std::fs::read(&path).expect("read");
         std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
         let third = StreamCache::with_store(store.clone(), None);
@@ -1548,7 +1994,7 @@ mod tests {
         );
         assert!(
             dir.join(llc_trace::QUARANTINE_DIR)
-                .join(format!("{:016x}.llcs", key.fingerprint()))
+                .join(format!("{:016x}.llcs", key.recording_fingerprint()))
                 .exists(),
             "quarantined evidence file exists"
         );
@@ -1580,10 +2026,10 @@ mod tests {
             .get_or_record(key, make)
             .expect("record");
 
-        // One flipped bit in the header's hierarchy fingerprint (bytes
+        // One flipped bit in the header's recording fingerprint (bytes
         // 40..48): the file is still well formed, but answers for another
         // hierarchy than its key names.
-        let path = store.path_for(key.fingerprint());
+        let path = store.path_for(key.recording_fingerprint());
         let mut bytes = std::fs::read(&path).expect("read");
         bytes[40] ^= 1;
         std::fs::write(&path, &bytes).expect("flip");

@@ -369,25 +369,34 @@ mod tests {
             vec![&mut rec],
         )
         .expect("run");
-        let window = 64u64;
         let stream = record_stream(&c, make(App::Dedup)()).expect("record");
-        let fast = compute_annotations(&stream, window).shared_soon;
-        assert_eq!(fast.len(), rec.blocks.len());
-        // Brute force on a prefix (quadratic).
+        // Brute force on a prefix (quadratic): the distance from each
+        // access to the next access to its block by another core.
         let n = rec.blocks.len().min(3000);
-        for (i, &got) in fast.iter().enumerate().take(n) {
-            let mut expected = false;
-            for j in i + 1..rec.blocks.len().min(i + 1 + window as usize) {
-                if rec.blocks[j] == rec.blocks[i] && rec.cores[j] != rec.cores[i] {
-                    expected = true;
-                    break;
-                }
+        let brute: Vec<Option<usize>> = (0..n)
+            .map(|i| {
+                (i + 1..rec.blocks.len())
+                    .find(|&j| rec.blocks[j] == rec.blocks[i] && rec.cores[j] != rec.cores[i])
+                    .map(|j| j - i)
+            })
+            .collect();
+        let lines = c.llc.lines();
+        // Windows the scan derives, and `u32::MAX`, which is answered by
+        // the direct recurrence.
+        for window in [0, 1, 64, lines, 4 * lines, 16 * lines, u64::from(u32::MAX)] {
+            let fast = compute_annotations(&stream, window).shared_soon;
+            assert_eq!(fast.len(), rec.blocks.len());
+            for (i, (&got, dist)) in fast.iter().zip(&brute).enumerate() {
+                let expected = dist.is_some_and(|d| d as u64 <= window);
+                assert_eq!(got, expected, "window {window}: mismatch at position {i}");
             }
-            assert_eq!(got, expected, "mismatch at stream position {i}");
+            // Nothing is shared within 0 accesses; the workload has
+            // sharing, so a window of 64 or more finds some.
+            if window == 0 || window >= 64 {
+                assert_eq!(fast.iter().any(|&b| b), window > 0, "window {window}");
+            }
+            assert!(fast.iter().any(|&b| !b), "window {window}");
         }
-        // The workload has sharing, so some positions must be positive.
-        assert!(fast.iter().any(|&b| b));
-        assert!(fast.iter().any(|&b| !b));
     }
 
     #[test]

@@ -188,7 +188,8 @@ impl<R: Read> TraceSource for IngestSource<R> {
 /// A stable content-addressed fingerprint for an ingested trace:
 /// FNV-1a over the raw input bytes folded (an [`llc_sim::Fold`] seeded
 /// `"LLCSING1"`) with the format, the core limit and the recording
-/// hierarchy's own fingerprint. Used to key ingested `.llcs` recordings
+/// hierarchy's fingerprint (`repro ingest` passes its
+/// `recording_fingerprint`). Used to key ingested `.llcs` recordings
 /// in a [`StreamStore`](llc_trace::StreamStore) without perturbing the
 /// synthetic workloads' `StreamKey` fingerprint scheme.
 pub fn ingest_fingerprint(

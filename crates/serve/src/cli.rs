@@ -588,7 +588,8 @@ fn run_ingest(
     let source = IngestSource::open(format, raw.as_slice(), cores)
         .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
     let stream = llc_sharing::record_stream(&config, source)?;
-    let fingerprint = ingest_fingerprint(format, &raw, cores, config.fingerprint());
+    let recording_fp = config.recording_fingerprint();
+    let fingerprint = ingest_fingerprint(format, &raw, cores, recording_fp);
     let bytes = stream
         .to_vec()
         .map_err(|e| ServeError::Run(llc_sharing::RunError::Trace(e)))?;
@@ -601,14 +602,13 @@ fn run_ingest(
         .map_err(|e| crate::io_err(format!("writing {}", saved.display()), e))?;
     let mut text = format!(
         "ingested {} ({format}): {} accesses, {} upgrades, {} instructions\n\
-         recorded under {} cores / {llc_mib} MiB LLC (config {:016x})\n\
+         recorded under {} cores / {llc_mib} MiB LLC (recording {recording_fp:016x})\n\
          stream fingerprint {fingerprint:016x} → {}\n",
         input.display(),
         stream.len(),
         stream.upgrades.len(),
         stream.instructions,
         config.cores,
-        config.fingerprint(),
         saved.display(),
     );
     if replay {

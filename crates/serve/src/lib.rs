@@ -9,8 +9,9 @@
 //! memoized in a persistent content-addressed store:
 //!
 //! * **Streams** — recorded `.llcs` LLC reference streams, keyed by
-//!   [`StreamKey::fingerprint`](llc_sharing::StreamKey::fingerprint)
-//!   (workload × threads × scale × hierarchy). The in-process
+//!   [`StreamKey::recording_fingerprint`](llc_sharing::StreamKey::recording_fingerprint)
+//!   (workload × threads × scale × private hierarchy, so every
+//!   non-inclusive LLC size shares one file). The in-process
 //!   [`StreamCache`](llc_sharing::StreamCache) is a bounded read-through
 //!   layer over this store.
 //! * **Results** — rendered experiment tables, keyed by a fingerprint of

@@ -259,9 +259,9 @@ impl HierarchyConfig {
         Ok(())
     }
 
-    /// A stable 64-bit fingerprint of the configuration, used to key
-    /// on-disk stream recordings (`.llcs` files) to the hierarchy that
-    /// produced them.
+    /// A stable 64-bit fingerprint of the whole configuration: the
+    /// hierarchy a replay, an annotation window or a job result answers
+    /// for.
     ///
     /// A [`Fold`] over the geometry fields, so the value is stable
     /// across Rust releases and platforms and safe to persist.
@@ -281,6 +281,35 @@ impl HierarchyConfig {
                 Inclusion::Inclusive => 1,
             })
             .finish()
+    }
+
+    /// A stable 64-bit fingerprint of what a recorded LLC reference
+    /// stream depends on: the cores, the private levels and the
+    /// inclusion mode, plus the LLC only when it is inclusive. A
+    /// non-inclusive LLC never feeds back into the private levels, so
+    /// every LLC size of such a hierarchy records the same stream and
+    /// shares one fingerprint; an inclusive LLC's back-invalidations
+    /// shape the stream, so its geometry is part of the identity.
+    ///
+    /// It is the header value of a `.llcs` recording and the value a
+    /// replay checks the stream against.
+    pub fn recording_fingerprint(&self) -> u64 {
+        let mut f = Fold::new(0x4c4c_4353_5245_4331); // "LLCSREC1"
+        f.u64(self.cores as u64)
+            .u64(self.l1.capacity_bytes)
+            .u64(self.l1.ways as u64);
+        match self.l2 {
+            Some(l2) => f.u64(1).u64(l2.capacity_bytes).u64(l2.ways as u64),
+            None => f.u64(0),
+        };
+        match self.inclusion {
+            Inclusion::NonInclusive => f.u64(0),
+            Inclusion::Inclusive => f
+                .u64(1)
+                .u64(self.llc.capacity_bytes)
+                .u64(self.llc.ways as u64),
+        };
+        f.finish()
     }
 }
 
@@ -374,6 +403,43 @@ mod tests {
         cfg.l2 = Some(CacheConfig::from_kib(256, 8).expect("valid L2"));
         cfg.inclusion = Inclusion::Inclusive;
         assert_eq!(cfg.fingerprint(), 0xd434_0360_6ce9_de5c);
+    }
+
+    #[test]
+    fn recording_fingerprint_ignores_only_a_non_inclusive_llc() {
+        let base = HierarchyConfig::tiny();
+        let fp = base.recording_fingerprint();
+        let mut bigger = base;
+        bigger.llc = CacheConfig::from_kib(128, 8).unwrap();
+        assert_eq!(fp, bigger.recording_fingerprint());
+        bigger.llc = CacheConfig::from_kib(64, 16).unwrap();
+        assert_eq!(fp, bigger.recording_fingerprint());
+        assert_ne!(fp, base.fingerprint(), "a separate key kind");
+
+        let mut inclusive = base;
+        inclusive.inclusion = Inclusion::Inclusive;
+        assert_ne!(fp, inclusive.recording_fingerprint());
+        let mut inclusive_bigger = inclusive;
+        inclusive_bigger.llc = CacheConfig::from_kib(128, 8).unwrap();
+        assert_ne!(
+            inclusive.recording_fingerprint(),
+            inclusive_bigger.recording_fingerprint(),
+            "an inclusive LLC shapes the stream"
+        );
+
+        let mut with_l2 = base;
+        with_l2.l2 = Some(CacheConfig::from_kib(8, 4).unwrap());
+        assert_ne!(fp, with_l2.recording_fingerprint());
+        let mut other_l1 = base;
+        other_l1.l1 = CacheConfig::from_kib(4, 2).unwrap();
+        assert_ne!(fp, other_l1.recording_fingerprint());
+        let mut more_cores = base;
+        more_cores.cores = 8;
+        assert_ne!(fp, more_cores.recording_fingerprint());
+
+        // Pin the value: it names every `.llcs` file (through
+        // `StreamKey`) and sits in its header.
+        assert_eq!(fp, 0xdf59_ff81_b397_da43);
     }
 
     #[test]

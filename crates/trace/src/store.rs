@@ -399,8 +399,8 @@ impl StreamStore {
         StreamView::new(bytes.into())
     }
 
-    /// Loads the recording stored under `fp`, recorded under the
-    /// hierarchy whose fingerprint is `config_fp`, as an owned
+    /// Loads the recording stored under `fp`, recorded under a
+    /// hierarchy whose recording fingerprint is `config_fp`, as an owned
     /// [`RecordedStream`], or `Ok(None)` if there is none. The one load
     /// path of `llc_sharing`'s `StreamCache`: the file is validated,
     /// its embedded hierarchy fingerprint checked and the records decoded

@@ -20,7 +20,7 @@
 //! header (128 bytes):
 //!   magic "LLCS" | u16 version | u16 reserved
 //!   | u64 access count | u64 upgrade count
-//!   | u64 instructions | u64 trace accesses | u64 config fingerprint
+//!   | u64 instructions | u64 trace accesses | u64 recording fingerprint
 //!   | 5 x u64 L1 stats | 5 x u64 L2 stats
 //! access record (26 bytes):
 //!   u8 core | u8 kind (0 = read, 1 = write) | u64 pc | u64 block
@@ -81,10 +81,12 @@ pub struct UpgradeEvent {
 /// since the previous LLC access (u64: a delta sums many `u32` gaps).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecordedStream {
-    /// Fingerprint of the [`HierarchyConfig`](llc_sim::HierarchyConfig)
-    /// the stream was recorded under (see
-    /// `HierarchyConfig::fingerprint`). Replaying against a different
-    /// hierarchy is meaningless; callers should check this.
+    /// Recording fingerprint of the
+    /// [`HierarchyConfig`](llc_sim::HierarchyConfig) the stream was
+    /// recorded under (see `HierarchyConfig::recording_fingerprint`:
+    /// cores, private levels and inclusion, plus an inclusive LLC).
+    /// Replaying against a hierarchy with another one is meaningless;
+    /// callers should check this.
     pub fingerprint: u64,
     /// Block of each LLC access.
     pub blocks: Vec<BlockAddr>,

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     cfg.cores = 4;
     let source = IngestSource::open(format, raw.as_slice(), cfg.cores)?;
     let stream = record_stream(&cfg, source)?;
-    let fp = ingest_fingerprint(format, &raw, cfg.cores, cfg.fingerprint());
+    let fp = ingest_fingerprint(format, &raw, cfg.cores, cfg.recording_fingerprint());
     println!("ingested {} as {format}", path.display());
     println!(
         "  {} accesses, {} upgrades, {} instructions, fingerprint {fp:016x}",

@@ -40,8 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         config: cfg,
     };
     let store = StreamStore::open(&dir)?;
-    let path = store.path_for(key.fingerprint());
-    println!("stream key fingerprint : {:016x}", key.fingerprint());
+    let path = store.path_for(key.recording_fingerprint());
+    println!(
+        "recording fingerprint  : {:016x}",
+        key.recording_fingerprint()
+    );
     println!("persistent store entry : {}", path.display());
 
     // Phase 1 — a store-backed cache. The first process to ask records

@@ -64,13 +64,18 @@ fn llcs_files_round_trip_and_replay_identically() {
     let recorded = cache
         .get_or_record(key, || App::Bodytrack.workload(cfg.cores, Scale::Tiny))
         .expect("record");
-    assert!(store.contains(key.fingerprint()), "recording is persisted");
+    // Stored recordings are named by the recording fingerprint, which
+    // every non-inclusive LLC size of the key shares.
+    assert!(
+        store.contains(key.recording_fingerprint()),
+        "recording is persisted"
+    );
 
     // A second store handle (same directory, fresh state — a "new run")
     // loads the identical stream.
     let reopened = StreamStore::open(&dir).expect("reopen store");
     let loaded = reopened
-        .load_view(key.fingerprint())
+        .load_view(key.recording_fingerprint())
         .expect("load")
         .expect("present")
         .to_owned_stream()
@@ -104,12 +109,12 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
 
     // Truncate the stored file: a direct load is a typed TraceError,
     // never a panic.
-    let path = store.path_for(key.fingerprint());
+    let path = store.path_for(key.recording_fingerprint());
     let bytes = std::fs::read(&path).expect("read");
     std::fs::write(&path, &bytes[..bytes.len() / 3]).expect("truncate");
     assert!(
         matches!(
-            store.load_view(key.fingerprint()),
+            store.load_view(key.recording_fingerprint()),
             Err(TraceError::Truncated { .. })
         ),
         "truncation surfaces as TraceError::Truncated"
@@ -132,7 +137,7 @@ fn corruption_is_a_typed_error_and_the_cache_re_records() {
     assert_eq!(stats.disk_errors, 1, "the bad copy was counted");
     assert_eq!(stats.misses, 1, "recovery ran one recording simulation");
     let healed = store
-        .load_view(key.fingerprint())
+        .load_view(key.recording_fingerprint())
         .expect("healed load")
         .expect("present")
         .to_owned_stream()

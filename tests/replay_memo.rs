@@ -160,12 +160,26 @@ fn the_test_campaign_replays_each_node_once() {
     let _serial = serial();
     let ctx = ExperimentCtx::test();
     let before = replays();
+    let records_before = counter("llc_stream_records_total");
+    let scans_before = counter("llc_annotation_scans_total");
     for id in ExperimentId::ALL {
         run_experiment(id, &ctx).unwrap_or_else(|e| panic!("{id} failed: {e}"));
     }
     let (n, refs) = replays();
     let (n, refs) = (n - before.0, refs - before.1);
-    eprintln!("test campaign, report order: {n} replays over {refs} LLC refs");
+    let records = counter("llc_stream_records_total") - records_before;
+    let scans = counter("llc_annotation_scans_total") - scans_before;
+    eprintln!(
+        "test campaign, report order: {n} replays over {refs} LLC refs, \
+         {records} recordings, {scans} annotation scans"
+    );
+    // One recording per app for both LLC sizes (it was one per app and
+    // size, 15 in all): 4 apps, 3 abl5 mixes and abl2's 4 inclusive
+    // ad-hoc recordings.
+    assert_eq!(records, 11, "recordings");
+    // One annotation scan per recording an annotated descriptor reads
+    // (it was one per (stream, window, descriptor) request, 75 in all).
+    assert!(scans <= 11, "{scans} annotation scans");
     // Every replay ran once per call before the memo: 362 over 26.49 M.
     // The memo made it 214 over 15.84 M; one LRU pass per app for all of
     // an experiment's predictor studies makes it 182 over 13.54 M.
