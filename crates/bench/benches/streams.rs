@@ -130,7 +130,7 @@ fn replay_suite(cfg: &HierarchyConfig) -> u64 {
             .misses();
     }
     let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(cfg));
-    misses += replay(cfg, &oracle, &stream, None, Exec::Auto, vec![])
+    misses += replay(cfg, &oracle, &stream, None, Exec::Shards(1), vec![])
         .expect("oracle replay runs")
         .llc
         .misses();

@@ -223,13 +223,14 @@ impl ExperimentCtx {
 
 /// Runs `f` once per app and returns the results in app order, fanned
 /// out through [`pool::map`](crate::suite::pool::map): `--jobs` bounds
-/// concurrent experiments, and each experiment's apps (like its shards)
-/// fan out over at most twice the host's hardware threads. Workloads are
-/// rebuilt inside each closure, so nothing non-`Send` crosses threads.
+/// concurrent experiments, and their apps (like their shards) run on
+/// the caller plus helper threads from one process-wide count, at most
+/// twice the host's hardware threads minus one. Workloads are rebuilt
+/// inside each closure, so nothing non-`Send` crosses threads.
 ///
 /// A panicking app is re-raised on the calling thread (with the original
 /// payload) so the suite runner's `catch_unwind` isolation sees it, after
-/// every worker has joined.
+/// every helper has joined.
 pub fn per_app<T, F>(apps: &[App], f: F) -> Vec<T>
 where
     T: Send,

@@ -50,7 +50,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod awareness;
-pub mod budget;
 pub mod characterize;
 pub mod epochs;
 pub mod error;
@@ -82,7 +81,7 @@ pub use replay::{
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{oracle_window, simulate, simulate_on, RunResult, StreamRecorder};
-pub use suite::pool::{scoped_workers, set_host_thread_override};
+pub use suite::pool::{busy_helpers, scoped_workers, set_host_thread_override};
 pub use suite::{
     run_guarded, run_suite, run_suite_with, ExperimentOutcome, GuardedOutcome, SuiteConfig,
     SuiteReport,

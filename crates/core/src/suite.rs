@@ -295,17 +295,10 @@ where
     let checkpoint_errors = Mutex::new(checkpoint_errors);
     let next = AtomicUsize::new(0);
     let workers = config.effective_jobs().min(pending.len().max(1));
-    // Workers the `--jobs` grant covers but the suite cannot use (fewer
-    // runnable experiments than jobs) are donated to set-sharded replay
-    // up front; each worker re-donates itself when it runs out of
-    // claimable experiments, so the tail of a suite — a few long
-    // stragglers on an otherwise idle machine — still saturates it.
-    crate::budget::reset(config.effective_jobs().saturating_sub(workers));
     let suite_start = Instant::now();
     pool::scoped_workers(workers, |_| loop {
         let w = next.fetch_add(1, Ordering::SeqCst);
         let Some(&(slot, id)) = pending.get(w) else {
-            crate::budget::donate(1);
             break;
         };
         // Queue wait: how long the experiment sat behind others before a

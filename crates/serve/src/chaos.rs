@@ -27,7 +27,7 @@ pub enum ChaosPoint {
     /// (the client sees a legitimate-looking 429).
     QueueFull,
     /// The job body panics mid-run (exercises `catch_unwind` + the
-    /// worker-budget and in-flight accounting unwind paths).
+    /// in-flight accounting unwind paths).
     WorkerPanic,
     /// A result-store read fails with a typed error (exercises the
     /// recompute-on-corruption path).

@@ -39,9 +39,9 @@
 //! | `GET /sessions/{id}/stats` | the session's current characterization   |
 //! | `DELETE /sessions/{id}`| close the session and drop its checkpoint    |
 //! | `GET /store/stats`     | hit/miss/eviction counters, bytes on disk,   |
-//! |                        | worker-budget state                          |
+//! |                        | admission state                              |
 //! | `GET /metrics`         | Prometheus text exposition (jobs, request    |
-//! |                        | latencies, stream cache, worker budget)      |
+//! |                        | latencies, stream cache)                     |
 //! | `GET /healthz`         | liveness probe                               |
 //!
 //! The `repro` binary wires this up as `repro serve` (daemon) and

@@ -359,8 +359,7 @@ struct ServerState {
     store: Store,
     streams: StreamCache,
     timeout: Option<Duration>,
-    /// The `--jobs` worker grant, reported as `budget.granted` in
-    /// `GET /store/stats`.
+    /// The `--jobs` worker grant: how many jobs run at once.
     workers: usize,
     queue: JobQueue,
     max_inflight: usize,
@@ -568,11 +567,6 @@ impl Server {
             let timer = timer.thread();
             restore_checkpoint(state);
             state.sessions.restore();
-            // Every idle job worker is a donated spare worker: a lone
-            // submitted job borrows them for set-sharded replay and
-            // saturates the machine; each job reclaims one permit while
-            // it runs (see `execute_job`).
-            llc_sharing::budget::reset(self.workers);
             scoped_workers(self.workers + 1, |w| {
                 if w == 0 {
                     accept_loop(listener, state);
@@ -1166,13 +1160,6 @@ fn store_stats(state: &ServerState) -> Response {
                 ("session_cap", num(state.sessions.cap() as u64)),
             ]),
         ),
-        (
-            "budget",
-            Value::object(vec![
-                ("granted", num(state.workers as u64)),
-                ("available", num(llc_sharing::budget::available() as u64)),
-            ]),
-        ),
     ]);
     Response::json(200, doc.render())
 }
@@ -1275,11 +1262,6 @@ fn execute_job(state: &ServerState, id: JobId) {
             .transition(id, JobState::Done { from_store: true });
         return;
     }
-    // This worker is busy from here on: take its permit out of the
-    // spare-worker pool (donated back when the guard drops, even on
-    // unwind) so concurrent jobs and sharded replays never
-    // over-subscribe the `--jobs` grant.
-    let _busy = llc_sharing::budget::reclaim_scoped(1);
     let mut ctx = job.spec.build_ctx();
     // All jobs share the daemon's bounded, store-backed stream cache and
     // the artifact DAG: memoizable replays resolve through cached

@@ -99,8 +99,8 @@ fn daemon_serves_jobs_and_survives_restart() {
     );
     assert_eq!(stat(&stats, "results", "disk_files"), 1);
     assert!(
-        stat(&stats, "budget", "granted") >= 1,
-        "worker-budget state is exposed"
+        stat(&stats, "admission", "inflight_cap") >= 1,
+        "admission state is exposed"
     );
 
     // The Prometheus exposition covers the completed job, the HTTP

@@ -349,7 +349,7 @@ mod tests {
     use std::time::Duration;
 
     /// The span globals are process-wide; serialize the tests that
-    /// toggle them (same pattern as `llc_sharing::budget`).
+    /// toggle them.
     static SERIAL: Mutex<()> = Mutex::new(());
 
     fn isolated() -> MutexGuard<'static, ()> {

@@ -1,18 +1,25 @@
-//! `per_app` (and every other fan-out through `pool::map`) runs at most
-//! the host-thread cap of closures at once, returns results in app
-//! order, runs inline with a cap of 1, and re-raises a panicking app
-//! after its siblings finish.
+//! `per_app` (and every other fan-out through `pool::map`) runs on its
+//! caller plus helper threads taken from one process-wide count bounded
+//! by the cap minus one: a lone fan-out runs at most the cap of closures
+//! at once, concurrent and nested fan-outs share the same helpers, a cap
+//! of 1 runs everything on the caller, a panicking app is re-raised
+//! after its siblings finish, and every helper is given back.
+//! `Exec::Auto` shards only while a helper is idle.
 //!
-//! The cap is process-global, so these tests live in their own
-//! integration-test binary (their own process) and take turns on
-//! [`CAP`]: the test harness runs them on parallel threads.
+//! The cap and the helper count are process-global, so these tests live
+//! in their own integration-test binary (their own process) and take
+//! turns on [`CAP`]: the test harness runs them on parallel threads.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{per_app, set_host_thread_override};
+use sharing_aware_llc::sharing::{
+    busy_helpers, per_app, record_stream, replay, set_host_thread_override, Exec, ReplayDesc,
+};
+use sharing_aware_llc::telemetry::metrics::global;
+use sharing_aware_llc::trace::VecSource;
 
 /// Held by every test that sets the host-thread cap.
 static CAP: Mutex<()> = Mutex::new(());
@@ -37,22 +44,39 @@ impl Drop for Cap {
     }
 }
 
+/// The most closures that ran at once through [`Peak::run`].
+#[derive(Default)]
+struct Peak {
+    running: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Peak {
+    /// Runs one closure body: counted while it sleeps for `ms`.
+    fn run(&self, ms: u64) {
+        let now = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(now, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(ms));
+        self.running.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    fn get(&self) -> usize {
+        self.peak.load(Ordering::SeqCst)
+    }
+}
+
 #[test]
 fn capped_fan_out_never_exceeds_the_cap_and_keeps_app_order() {
     let _cap = Cap::set(2);
-    let running = AtomicUsize::new(0);
-    let peak = AtomicUsize::new(0);
+    let peak = Peak::default();
     let labels = per_app(&App::ALL, |app| {
-        let now = running.fetch_add(1, Ordering::SeqCst) + 1;
-        peak.fetch_max(now, Ordering::SeqCst);
-        std::thread::sleep(Duration::from_millis(2));
-        running.fetch_sub(1, Ordering::SeqCst);
+        peak.run(2);
         app.label()
     });
     assert_eq!(App::ALL.len(), 16);
     let expected: Vec<_> = App::ALL.iter().map(|a| a.label()).collect();
     assert_eq!(labels, expected);
-    let peak = peak.load(Ordering::SeqCst);
+    let peak = peak.get();
     assert!(peak <= 2, "{peak} closures ran at once under a cap of 2");
 }
 
@@ -62,6 +86,47 @@ fn a_cap_of_one_runs_every_app_on_the_caller() {
     let caller = std::thread::current().id();
     let threads = per_app(&App::ALL, |_| std::thread::current().id());
     assert!(threads.iter().all(|&t| t == caller));
+}
+
+/// Two suite workers (`--jobs 2`) each fanning out their apps run at
+/// most their two callers plus `cap − 1` shared helpers at once.
+#[test]
+fn concurrent_fan_outs_share_one_helper_count() {
+    let cap = 3;
+    let _cap = Cap::set(cap);
+    let peak = Peak::default();
+    let start = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|| {
+                start.wait();
+                per_app(&App::ALL, |_| peak.run(2));
+            });
+        }
+    });
+    // Two callers plus `cap − 1` helpers.
+    let peak = peak.get();
+    assert!(
+        peak <= cap + 1,
+        "{peak} closures ran at once from two callers under a cap of {cap}"
+    );
+    assert_eq!(busy_helpers(), 0);
+}
+
+/// A fan-out inside a fan-out's item takes its helpers from the same
+/// count, so the whole tree runs at most `1 + cap − 1` closures at once.
+#[test]
+fn a_nested_fan_out_never_exceeds_the_cap() {
+    let cap = 3;
+    let _cap = Cap::set(cap);
+    let peak = Peak::default();
+    per_app(&App::ALL[..4], |_| per_app(&App::ALL, |_| peak.run(1)));
+    let peak = peak.get();
+    assert!(
+        peak <= cap,
+        "{peak} nested closures ran at once under a cap of {cap}"
+    );
+    assert_eq!(busy_helpers(), 0);
 }
 
 #[test]
@@ -80,4 +145,59 @@ fn a_panicking_app_is_re_raised_after_its_siblings_finish() {
     let payload = run.expect_err("the app's panic must reach the caller");
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected app panic"));
     assert_eq!(finished.load(Ordering::SeqCst), App::ALL.len() - 1);
+    assert_eq!(busy_helpers(), 0, "a panicking item gives its helper back");
+}
+
+/// Shard indexes built or reused so far (`llc_dag_node_{hits,misses}_total`
+/// for `kind="index"`): one per set-sharded replay.
+fn shard_index_lookups() -> u64 {
+    global()
+        .encode()
+        .lines()
+        .filter(|l| l.starts_with("llc_dag_node_") && l.contains("{kind=\"index\"} "))
+        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
+        .sum()
+}
+
+/// With helpers idle, `Exec::Auto` shards per-set policies — OPT
+/// included — and stays bit-identical to the sequential path; at a cap
+/// of 1 (no helper to idle) it replays sequentially; either way every
+/// helper is back afterwards.
+#[test]
+fn auto_shards_from_idle_helpers_and_stays_exact() {
+    let cfg = HierarchyConfig {
+        cores: 4,
+        l1: CacheConfig::from_kib(1, 2).expect("valid L1"),
+        l2: Some(CacheConfig::from_kib(2, 2).expect("valid L2")),
+        llc: CacheConfig::from_kib(8, 8).expect("valid LLC"),
+        inclusion: Inclusion::NonInclusive,
+    };
+    let trace: Vec<MemAccess> = (0..2000usize)
+        .map(|i| MemAccess {
+            core: CoreId::new(i % 4),
+            pc: Pc::new(0x400 + (i % 7) as u64 * 4),
+            addr: Addr::new((i as u64 * 13 % 160) * 64),
+            kind: if i % 5 == 0 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            },
+            instr_gap: 3,
+        })
+        .collect();
+    let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
+
+    for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
+        let desc = ReplayDesc::plain(kind);
+        let seq = replay(&cfg, &desc, &stream, None, Exec::Shards(1), vec![]).expect("sequential");
+        for (cap, shards) in [(4, true), (1, false)] {
+            let _cap = Cap::set(cap);
+            let before = shard_index_lookups();
+            let auto = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("auto");
+            let sharded = shard_index_lookups() > before;
+            assert_eq!(sharded, shards, "kind {} at cap {cap}", kind.label());
+            assert_eq!(seq, auto, "kind {} at cap {cap}", kind.label());
+            assert_eq!(busy_helpers(), 0, "auto-shard gives its helpers back");
+        }
+    }
 }

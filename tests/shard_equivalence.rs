@@ -5,13 +5,11 @@
 //! sequential path with identical results.
 //!
 //! Baselines use an explicit shard count of 1 (`Exec::Shards(1)` is
-//! documented to take the sequential path), so these tests stay
-//! deterministic even while the donated-worker budget test below is
-//! running in a sibling thread.
+//! documented to take the sequential path).
 
 use std::sync::Arc;
 
-use llc_sharing::{budget, oracle_window, record_stream, replay, replay_kind, Exec, ReplayDesc};
+use llc_sharing::{oracle_window, record_stream, replay, Exec, ReplayDesc};
 use llc_sim::LlcStats;
 use proptest::prelude::*;
 use sharing_aware_llc::prelude::*;
@@ -189,48 +187,6 @@ proptest! {
         }
         prop_assert_eq!(forward, backward);
         prop_assert_eq!(forward, tree[0]);
-    }
-}
-
-/// Donated spare workers make `replay_kind` (`Exec::Auto`) shard
-/// automatically — OPT included — and the result must still be
-/// bit-identical to the sequential path. (Other tests in this binary use
-/// explicit `Exec::Shards(1)` baselines, so this test's donation cannot
-/// perturb them.)
-#[test]
-fn donated_budget_auto_shards_and_stays_exact() {
-    let cfg = cfg_16_sets();
-    let trace: Vec<MemAccess> = (0..2000usize)
-        .map(|i| MemAccess {
-            core: CoreId::new(i % 4),
-            pc: Pc::new(0x400 + (i % 7) as u64 * 4),
-            addr: Addr::new((i as u64 * 13 % 160) * 64),
-            kind: if i % 5 == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            instr_gap: 3,
-        })
-        .collect();
-    let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
-    let stream = Arc::new(stream);
-
-    for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        let seq = replay_sharded(&cfg, ReplayDesc::plain(kind), &stream, 1);
-        budget::donate(3);
-        let auto = replay_kind(&cfg, kind, &stream, vec![]).expect("auto-sharded");
-        // The replay borrows workers for its own duration only; the pool
-        // must be whole again afterwards.
-        let drained = budget::borrow(usize::MAX);
-        assert_eq!(
-            drained.count(),
-            3,
-            "auto-shard must return its borrowed workers"
-        );
-        drop(drained);
-        budget::reclaim(3);
-        assert_eq!(seq, auto, "kind {}", kind.label());
     }
 }
 
