@@ -295,7 +295,7 @@ mod seed {
     /// denominator. Decisions are bit-identical to the current policies
     /// (asserted below), only the work per decision differs.
     mod policies {
-        use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView, StateScope};
+        use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView};
 
         pub const RRPV_MAX: u8 = 3;
         pub const RRPV_LONG: u8 = RRPV_MAX - 1;
@@ -335,9 +335,6 @@ mod seed {
                 view.allowed_ways()
                     .min_by_key(|&w| self.stamps[set * self.ways + w])
                     .expect("victim candidates must be non-empty")
-            }
-            fn state_scope(&self) -> StateScope {
-                StateScope::PerSet
             }
         }
 
@@ -385,9 +382,6 @@ mod seed {
             fn choose_victim(&mut self, set: usize, view: &SetView<'_>, _ctx: &AccessCtx) -> usize {
                 let rrpv = &mut self.rrpv[set * self.ways..(set + 1) * self.ways];
                 rescan_victim(rrpv, view)
-            }
-            fn state_scope(&self) -> StateScope {
-                StateScope::PerSet
             }
         }
 
@@ -453,9 +447,6 @@ mod seed {
                 let rrpv = &mut self.rrpv[set * self.ways..(set + 1) * self.ways];
                 rescan_victim(rrpv, view)
             }
-            fn state_scope(&self) -> StateScope {
-                StateScope::Global
-            }
         }
     }
 
@@ -510,7 +501,7 @@ mod seed {
 }
 
 fn config() -> HierarchyConfig {
-    // Same paper-style hierarchy as the shard/streams benches.
+    // Same paper-style hierarchy as the streams bench.
     HierarchyConfig {
         cores: CORES,
         l1: CacheConfig::from_kib(32, 8).unwrap(),

@@ -7,8 +7,7 @@
 //! per-block state that it touches on every fill or generation end. This
 //! bench records one LLC stream per app and replays plain LRU over it:
 //!
-//! * **plain** — no observer (the set-sharded path is off: every row
-//!   runs `Exec::Shards(1)`, as observed replays always do);
+//! * **plain** — no observer;
 //! * **seed** — each observer as it stood with `std::HashMap` (SipHash)
 //!   state, from `llc_bench::siphash_observers`: victimization with two
 //!   maps (three accesses per fill, two per generation end), profile
@@ -36,7 +35,7 @@ use llc_bench::siphash_observers::{
 use llc_policies::PolicyKind;
 use llc_predictors::{build_predictor_with, ConfusionMatrix, PredictorStudy, TableConfig};
 use llc_sharing::{
-    record_stream, replay, Exec, ReplayDesc, SharingProfile, VictimizationStats, FIG9_DESIGNS,
+    record_stream, replay, ReplayDesc, SharingProfile, VictimizationStats, FIG9_DESIGNS,
 };
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion, LlcObserver};
 use llc_trace::{App, RecordedStream, Scale};
@@ -56,7 +55,7 @@ const SAMPLES: usize = 5;
 const MIN_SPEEDUP: f64 = 1.1;
 
 fn config() -> HierarchyConfig {
-    // Same paper-style hierarchy as the kernel/shard/record benches.
+    // Same paper-style hierarchy as the kernel/record benches.
     HierarchyConfig {
         cores: CORES,
         l1: CacheConfig::from_kib(32, 8).unwrap(),
@@ -78,7 +77,6 @@ fn replay_lru(
             &ReplayDesc::plain(PolicyKind::Lru),
             stream,
             None,
-            Exec::Shards(1),
             observers,
         )
         .expect("replay runs"),

@@ -372,7 +372,7 @@ mod seed {
 }
 
 fn config() -> HierarchyConfig {
-    // Same paper-style hierarchy as the kernel/shard/streams benches.
+    // Same paper-style hierarchy as the kernel/streams benches.
     HierarchyConfig {
         cores: CORES,
         l1: CacheConfig::from_kib(32, 8).unwrap(),

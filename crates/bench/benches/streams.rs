@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use llc_policies::{build_policy, OracleWrap, PolicyKind, ProtectMode};
 use llc_sharing::{
     compute_annotations, oracle_window, record_stream, replay, replay_kind, simulate_on,
-    AnnotationFeed, Exec, ReplayDesc,
+    AnnotationFeed, ReplayDesc,
 };
 use llc_sim::{CacheConfig, HierarchyConfig, Inclusion};
 use llc_trace::{App, Scale};
@@ -130,7 +130,7 @@ fn replay_suite(cfg: &HierarchyConfig) -> u64 {
             .misses();
     }
     let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(cfg));
-    misses += replay(cfg, &oracle, &stream, None, Exec::Shards(1), vec![])
+    misses += replay(cfg, &oracle, &stream, None, vec![])
         .expect("oracle replay runs")
         .llc
         .misses();

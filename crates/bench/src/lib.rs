@@ -78,8 +78,8 @@ options:
   --timeout <secs>           per-experiment wall-clock budget (0 disables; default 1800)
   --jobs <n>                 experiments run concurrently (0 = all cores, the
                              default; pass 1 to force sequential runs); their
-                             apps and shards share helper threads, at most
-                             twice the host's hardware threads minus one
+                             apps share helper threads, at most twice the
+                             host's hardware threads minus one
   --stream-cache-mb <n>      in-memory stream cache cap in MiB (default sized
                              off --jobs: 512 MiB per job, 2 GiB floor)
   --trace-out <path>         write a Chrome-trace JSON timeline of the run

@@ -12,7 +12,7 @@ use llc_bench::siphash_observers::{
     self as old, assert_profile_matches, assert_victimization_matches,
 };
 use llc_policies::PolicyKind;
-use llc_sharing::{replay, Exec, ExperimentCtx, ReplayDesc, SharingProfile, VictimizationStats};
+use llc_sharing::{replay, ExperimentCtx, ReplayDesc, SharingProfile, VictimizationStats};
 use llc_sim::LlcObserver;
 
 #[test]
@@ -39,15 +39,7 @@ fn fx_observers_count_what_the_siphash_observers_counted() {
                     observers.push(new);
                     observers.push(old);
                 }
-                replay(
-                    &cfg,
-                    &ReplayDesc::plain(kind),
-                    &stream,
-                    None,
-                    Exec::Shards(1),
-                    observers,
-                )
-                .expect("replay");
+                replay(&cfg, &ReplayDesc::plain(kind), &stream, None, observers).expect("replay");
                 for (new, old) in new_victims.iter().zip(&old_victims) {
                     let what = format!("{what} window {}", old.window());
                     assert_victimization_matches(new, old, &what);

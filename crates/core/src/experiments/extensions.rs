@@ -10,7 +10,7 @@ use llc_trace::{App, Multiprogram};
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
 use crate::model::LatencyModel;
-use crate::replay::{direct_annotations, replay, replay_kind, Exec, StreamKey, WorkloadId};
+use crate::replay::{direct_annotations, replay, replay_kind, StreamKey, WorkloadId};
 use crate::report::f3;
 use crate::report::{mean, pct, Table};
 use crate::runner::oracle_window;
@@ -145,7 +145,6 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, window),
             &stream,
             Some(&direct_annotations(&stream, window)),
-            Exec::Auto,
             vec![],
         )?;
         Ok(vec![

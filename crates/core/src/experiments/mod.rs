@@ -223,9 +223,9 @@ impl ExperimentCtx {
 
 /// Runs `f` once per app and returns the results in app order, fanned
 /// out through [`pool::map`](crate::suite::pool::map): `--jobs` bounds
-/// concurrent experiments, and their apps (like their shards) run on
-/// the caller plus helper threads from one process-wide count, at most
-/// twice the host's hardware threads minus one. Workloads are rebuilt
+/// concurrent experiments, and their apps run on the caller plus helper
+/// threads from one process-wide count, at most twice the host's
+/// hardware threads minus one. Workloads are rebuilt
 /// inside each closure, so nothing non-`Send` crosses threads.
 ///
 /// A panicking app is re-raised on the calling thread (with the original

@@ -199,7 +199,7 @@ fn table3_keys() -> Vec<(PredictorKind, TableConfig)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{replay, Exec};
+    use crate::replay::replay;
     use llc_predictors::{build_predictor_with, PredictorStudy};
     use llc_trace::App;
 
@@ -231,7 +231,6 @@ mod tests {
                         &ReplayDesc::plain(PolicyKind::Lru),
                         &stream,
                         None,
-                        Exec::Shards(1),
                         vec![&mut study],
                     )
                     .expect("replay");

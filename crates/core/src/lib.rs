@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use llc_policies::{PolicyKind, ProtectMode};
-//! use llc_sharing::{oracle_window, record_stream, replay, Exec, ReplayDesc, SharingProfile};
+//! use llc_sharing::{oracle_window, record_stream, replay, ReplayDesc, SharingProfile};
 //! use llc_sim::HierarchyConfig;
 //! use llc_trace::{App, Scale};
 //!
@@ -35,12 +35,12 @@
 //! // ... then replay any descriptor over it.
 //! let mut profile = SharingProfile::new();
 //! let lru = ReplayDesc::plain(PolicyKind::Lru);
-//! let result = replay(&cfg, &lru, &stream, None, Exec::Auto, vec![&mut profile])?;
+//! let result = replay(&cfg, &lru, &stream, None, vec![&mut profile])?;
 //! assert!(result.llc.accesses > 0);
 //! // bodytrack's shared model makes shared generations matter:
 //! assert!(profile.shared_hit_fraction() > 0.0);
 //! let oracle = ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg));
-//! let protected = replay(&cfg, &oracle, &stream, None, Exec::Auto, vec![])?;
+//! let protected = replay(&cfg, &oracle, &stream, None, vec![])?;
 //! assert_eq!(protected.llc.accesses, result.llc.accesses);
 //! # Ok(())
 //! # }
@@ -76,8 +76,8 @@ pub use model::LatencyModel;
 pub use online::{OnlineCharacterizer, OnlineStats, OnlineTally};
 pub use planner::{configs_for, plan_experiment, replay_lineup};
 pub use replay::{
-    compute_annotations, record_stream, register_stream, replay, replay_kind, replay_on,
-    AnnotationFeed, Annotations, Exec, StreamCache, StreamCacheStats, StreamKey, WorkloadId,
+    compute_annotations, record_stream, replay, replay_kind, replay_on, AnnotationFeed,
+    Annotations, StreamCache, StreamCacheStats, StreamKey, WorkloadId,
 };
 pub use report::{f2, f3, geomean, mean, pct, Table};
 pub use runner::{oracle_window, simulate, simulate_on, RunResult, StreamRecorder};

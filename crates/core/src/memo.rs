@@ -41,9 +41,8 @@
 //!   (six design × budget keys) replay each app once.
 //!
 //! A product run also records its LRU [`RunResult`] under the LRU node:
-//! observers never change policy behaviour, and sharded and sequential
-//! replays are bit-identical, so the counters are the stats tier's.
-//! Observed replays always run sequentially (see [`replay`]).
+//! observers never change policy behaviour, so the counters are the
+//! stats tier's.
 //!
 //! # Not memoized
 //!
@@ -89,7 +88,7 @@ use llc_trace::{App, RecordedStream};
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
-use crate::replay::{compute_annotations, lock_recovering, replay, Annotations, Exec};
+use crate::replay::{compute_annotations, lock_recovering, replay, Annotations};
 use crate::runner::RunResult;
 
 /// Memo lookups by outcome, over every tier and product.
@@ -254,7 +253,7 @@ impl ExperimentCtx {
             let ann = desc
                 .annotation_window()
                 .map(|window| resolve_annotations(dag.map(|d| (d, stream_fp)), &stream, window));
-            let result = replay(config, desc, &stream, ann.as_ref(), Exec::Auto, vec![])?;
+            let result = replay(config, desc, &stream, ann.as_ref(), vec![])?;
             if let Some(dag) = dag {
                 dag.record_replay_executed();
                 if dag.save_replay(node_fp, &result).is_err() {
@@ -363,7 +362,6 @@ impl ExperimentCtx {
             &ReplayDesc::plain(PolicyKind::Lru),
             &stream,
             None,
-            Exec::Auto,
             observers,
         )?;
         self.memo.record(lru, &result);

@@ -8,14 +8,14 @@
 //! non-inclusive oracle. Observer products
 //! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_studies`]) are
 //! memoized in process only and never persisted, and fig6, fig11 and
-//! abl5 replay directly, so those experiments plan stream/index nodes
+//! abl5 replay directly, so those experiments plan stream nodes
 //! only. A test runs every experiment against a fresh store and checks
 //! that the replay and annotation nodes it saves are exactly the planned
 //! ones. A plan is advisory: the run itself re-resolves every
 //! node, so a stale plan can never corrupt a result, only mispredict the
 //! work.
 
-use llc_dag::{annotations_fp, index_fp, DagStore, NodeKind, Plan, ReplayDesc};
+use llc_dag::{annotations_fp, DagStore, NodeKind, Plan, ReplayDesc};
 use llc_policies::{PolicyKind, ProtectMode};
 use llc_predictors::PredictorKind;
 use llc_sim::{HierarchyConfig, Inclusion};
@@ -135,8 +135,8 @@ pub fn configs_for(id: ExperimentId, ctx: &ExperimentCtx) -> Vec<HierarchyConfig
 
 /// Plans `id` against the context's stream cache and an optional DAG
 /// store, returning one node per artifact the run would resolve:
-/// stream and (memory-resident) shard-index nodes for every
-/// (config, app) pair, plus deduplicated annotation nodes and
+/// a stream node for every (config, app) pair, plus deduplicated
+/// annotation nodes and
 /// per-policy replay nodes for memoizable experiments. The serve layer
 /// appends the merged-table node, which is keyed by the whole job spec.
 pub fn plan_experiment(id: ExperimentId, ctx: &ExperimentCtx, dag: Option<&DagStore>) -> Plan {
@@ -154,16 +154,6 @@ pub fn plan_experiment(id: ExperimentId, ctx: &ExperimentCtx, dag: Option<&DagSt
                 format!("{} @{}KB", app.label(), cap_kb),
                 stream_bytes.is_some(),
                 stream_bytes.unwrap_or(0),
-            );
-            // Shard indexes are memory-only artifacts keyed by the live
-            // stream allocation; a memory-resident stream means its
-            // registered index is reusable, anything else rebuilds.
-            plan.push(
-                NodeKind::Index,
-                index_fp(stream_fp, config.llc.sets(), 0),
-                format!("{} @{}KB shard index", app.label(), cap_kb),
-                ctx.streams.resident(&key),
-                0,
             );
             let Some(descs) = &lineup else { continue };
             let mut windows: Vec<u64> = descs
@@ -298,7 +288,6 @@ mod tests {
         assert_eq!(plan.hits(), 0);
         let n = ctx.llc_capacities.len() * ctx.apps.len();
         assert_eq!(plan.misses_of(NodeKind::Stream), n);
-        assert_eq!(plan.misses_of(NodeKind::Index), n);
         assert_eq!(plan.misses_of(NodeKind::Annotations), n);
         assert_eq!(plan.misses_of(NodeKind::Replay), 2 * n);
     }

@@ -11,7 +11,8 @@
 //! are exact"). [`record_stream`] captures that stream (plus the L1/L2
 //! counters and instruction totals, which are equally policy-independent)
 //! from one full-hierarchy run; [`replay`] then drives a bare
-//! [`Llc`] with it, producing **bit-identical** [`LlcStats`] to a full
+//! [`Llc`] with it, producing **bit-identical**
+//! [`LlcStats`](llc_sim::LlcStats) to a full
 //! [`simulate_on`](crate::simulate_on) run of the same policy.
 //!
 //! # The inclusive-hierarchy caveat
@@ -27,7 +28,7 @@
 //!
 //! # One stream type
 //!
-//! Every driver here — [`replay`], [`replay_on`], the sharded driver and
+//! Every entry point here — [`replay`], its driver [`replay_on`] and
 //! [`compute_annotations`] — takes a `&`[`RecordedStream`], the owned
 //! plane representation. A [`StreamCache`] hands out
 //! `Arc<RecordedStream>` whether it recorded the stream or loaded it
@@ -56,16 +57,15 @@ use llc_policies::{mono, with_policy, OracleWrap, PolicyKind, ReactiveWrap};
 use llc_predictors::{build_predictor, PredictorWrap};
 use llc_sim::{
     Aux, AuxProvider, BlockAddr, Cmp, ConfigError, CoreId, Fold, HierarchyConfig, Inclusion, Llc,
-    LlcObserver, LlcStats, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
-    ReplacementPolicy, SimError, StateScope,
+    LlcObserver, MemAccess, MultiObserver, NullObserver, PrivateCacheStats, RecordCmp,
+    ReplacementPolicy, SimError,
 };
 use llc_telemetry::metrics::{global, Counter, Gauge};
 use llc_telemetry::spans;
-use llc_trace::{App, LoadError, RecordedStream, Scale, ShardIndex, StreamStore, TraceSource};
+use llc_trace::{App, LoadError, RecordedStream, Scale, StreamStore, TraceSource};
 
 use crate::error::RunError;
 use crate::runner::{RunResult, StreamRecorder};
-use crate::suite::pool;
 
 /// Global mirrors of [`StreamCacheStats`] plus the stream-recording
 /// counter, resolved once and then touched with relaxed atomics only.
@@ -79,8 +79,6 @@ struct ReplayMetrics {
     cache_evictions: Arc<Counter>,
     cache_disk_errors: Arc<Counter>,
     cache_bytes: Arc<Gauge>,
-    index_hits: Arc<Counter>,
-    index_misses: Arc<Counter>,
     replays: Arc<Counter>,
     replay_refs: Arc<Counter>,
     annotation_scans: Arc<Counter>,
@@ -114,18 +112,6 @@ static METRICS: LazyLock<ReplayMetrics> = LazyLock::new(|| ReplayMetrics {
     cache_bytes: global().gauge(
         "llc_stream_cache_bytes",
         "Encoded stream bytes currently held in memory across all caches",
-    ),
-    // Shard indexes are memory-resident DAG nodes; their hit/miss
-    // series share the llc_dag_* names so one scrape covers the graph.
-    index_hits: global().counter_with(
-        "llc_dag_node_hits_total",
-        "DAG nodes resolved from a cached artifact, by node kind",
-        &[("kind", "index")],
-    ),
-    index_misses: global().counter_with(
-        "llc_dag_node_misses_total",
-        "DAG nodes that had to be computed, by node kind",
-        &[("kind", "index")],
     ),
     replays: global().counter(
         "llc_replays_total",
@@ -310,31 +296,13 @@ fn check_replayable(config: &HierarchyConfig, stream: &RecordedStream) -> Result
     Ok(())
 }
 
-/// How [`replay`] spreads an observer-free replay of a per-set-state
-/// policy ([`StateScope::PerSet`]) over worker threads. The choice only
-/// changes wall-clock time: sharded replay is bit-identical to
-/// sequential replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exec {
-    /// Replay sequentially when the worker pool has no idle helper
-    /// thread (see [`crate::suite::pool`]); otherwise split into one
-    /// set-range shard per hardware thread (at least 2, at most 64),
-    /// which run on the caller plus whatever helpers are idle. The
-    /// shard index is built for the replay and dropped after it, never
-    /// cached.
-    Auto,
-    /// Split the stream into (at most) this many set-range shards,
-    /// whatever the pool's load. `Shards(1)` is the sequential path.
-    Shards(usize),
-}
-
 /// Replays the policy `desc` names over a [`RecordedStream`]: the one
-/// entry point for every base policy, wrap and execution strategy. Only
-/// the LLC is simulated; the result's L1/L2 counters and instruction
-/// totals come from the recording. For any non-inclusive configuration
-/// the returned [`LlcStats`] are bit-identical to a full-hierarchy
+/// entry point for every base policy and wrap. Only the LLC is
+/// simulated; the result's L1/L2 counters and instruction totals come
+/// from the recording. For any non-inclusive configuration the returned
+/// [`LlcStats`](llc_sim::LlcStats) are bit-identical to a full-hierarchy
 /// [`simulate_on`](crate::simulate_on) of the same policy over the same
-/// workload, whichever [`Exec`] drives it.
+/// workload.
 ///
 /// * `ann` supplies the descriptor's annotation vectors (see
 ///   [`ReplayDesc::annotation_window`]) when the caller already holds
@@ -342,15 +310,13 @@ pub enum Exec {
 ///   derives them with [`compute_annotations`], from the recording's
 ///   one cached scan when the stream came from a [`StreamCache`];
 ///   descriptors that need no annotations ignore the argument.
-/// * Non-empty `observers` replay sequentially, fed in stream order.
-///   Without observers a per-set-state policy runs set-sharded when
-///   `exec` yields more than one shard and the stream is indexable
-///   (positions fit `u32`); global-state policies — DIP/DRRIP (PSEL),
-///   SHiP (SHCT) and predictor wraps — always run sequentially.
+/// * `observers` are fed in stream order.
 ///
-/// The policy is built once per shard straight from its monomorphized
-/// constructor, so every inner loop is specialized to the concrete
-/// policy and observer types.
+/// The replay is one sequential pass on the calling thread; parallelism
+/// comes from running replays of different apps and descriptors side by
+/// side. The policy is built once, straight from its monomorphized
+/// constructor, so the inner loop is specialized to the concrete policy
+/// and observer types.
 ///
 /// # Errors
 ///
@@ -362,7 +328,6 @@ pub fn replay(
     desc: &ReplayDesc,
     stream: &RecordedStream,
     ann: Option<&Annotations>,
-    exec: Exec,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
     METRICS.replays.inc();
@@ -379,15 +344,13 @@ pub fn replay(
     let task = Execute {
         config,
         stream,
-        exec,
         observers,
     };
     dispatch(desc, config.llc.sets() as usize, config.llc.ways, ann, task)
 }
 
-/// Replays a bare `kind` sequentially: shorthand for [`replay`] of
-/// [`ReplayDesc::plain`] with [`Exec::Shards(1)`](Exec::Shards), so it
-/// times one sequential pass whatever else runs in the process.
+/// Replays a bare `kind`: shorthand for [`replay`] of
+/// [`ReplayDesc::plain`].
 ///
 /// # Errors
 ///
@@ -398,14 +361,7 @@ pub fn replay_kind(
     stream: &RecordedStream,
     observers: Vec<&mut dyn LlcObserver>,
 ) -> Result<RunResult, RunError> {
-    replay(
-        config,
-        &ReplayDesc::plain(kind),
-        stream,
-        None,
-        Exec::Shards(1),
-        observers,
-    )
+    replay(config, &ReplayDesc::plain(kind), stream, None, observers)
 }
 
 /// A computation over the concrete policy a [`ReplayDesc`] names: what
@@ -413,18 +369,19 @@ pub fn replay_kind(
 pub(crate) trait PolicyTask {
     type Output;
 
-    /// Runs with a factory of the descriptor's concrete policy (called
-    /// once per LLC instance, e.g. once per shard) and the descriptor's
-    /// annotation feed, `None` for a descriptor that reads none.
-    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
-    where
-        P: ReplacementPolicy + 'static,
-        FP: Fn() -> P + Sync;
+    /// Runs with the descriptor's concrete policy and its annotation
+    /// feed, boxed for an LLC's aux slot; `None` for a descriptor that
+    /// reads none.
+    fn run<P: ReplacementPolicy + 'static>(
+        self,
+        policy: P,
+        aux: Option<Box<dyn AuxProvider>>,
+    ) -> Self::Output;
 }
 
 /// The one place a [`ReplayDesc`] becomes a running policy: one
 /// [`with_policy!`] dispatch on the base kind and one `match` on the
-/// wrap build the concrete policy factory (`P`, `OracleWrap<P>`,
+/// wrap build the concrete policy (`P`, `OracleWrap<P>`,
 /// `ReactiveWrap<P>` or `PredictorWrap<P>`), which `task` runs with the
 /// descriptor's [`AnnotationFeed`] out of `ann`: the descriptor's
 /// annotations, `None` exactly when it has no
@@ -437,81 +394,53 @@ pub(crate) fn dispatch<T: PolicyTask>(
     task: T,
 ) -> T::Output {
     debug_assert_eq!(desc.annotation_window().is_some(), ann.is_some());
-    let feed = ann.map(|ann| AnnotationFeed::new(desc, ann));
-    let feed = feed.as_ref();
+    let feed = ann.map(|ann| Box::new(AnnotationFeed::new(desc, ann)) as Box<dyn AuxProvider>);
     with_policy!(desc.kind, |ctor| match desc.wrap {
-        ReplayWrap::Plain => task.run(&|| ctor(sets, ways), feed),
+        ReplayWrap::Plain => task.run(ctor(sets, ways), feed),
         ReplayWrap::Oracle { mode, .. } => task.run(
-            &|| OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
+            OracleWrap::with_mode(ctor(sets, ways), sets, ways, mode),
             feed,
         ),
-        ReplayWrap::Reactive => task.run(&|| ReactiveWrap::new(ctor(sets, ways)), feed),
+        ReplayWrap::Reactive => task.run(ReactiveWrap::new(ctor(sets, ways)), feed),
         ReplayWrap::Predictor(predictor) => task.run(
-            &|| PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
+            PredictorWrap::new(ctor(sets, ways), build_predictor(predictor), sets, ways),
             feed,
         ),
     })
 }
 
-/// `feed` boxed for an LLC's aux slot.
-pub(crate) fn boxed_feed(feed: Option<&AnnotationFeed>) -> Option<Box<dyn AuxProvider>> {
-    feed.map(|feed| Box::new(feed.clone()) as Box<dyn AuxProvider>)
-}
-
-/// The execution decision [`replay`] makes for every descriptor.
+/// One [`replay_on`] pass of the descriptor's policy, which [`replay`]
+/// runs for every descriptor.
 struct Execute<'a, 'o> {
     config: &'a HierarchyConfig,
     stream: &'a RecordedStream,
-    exec: Exec,
     observers: Vec<&'o mut dyn LlcObserver>,
 }
 
 impl PolicyTask for Execute<'_, '_> {
     type Output = Result<RunResult, RunError>;
 
-    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
-    where
-        P: ReplacementPolicy + 'static,
-        FP: Fn() -> P + Sync,
-    {
+    fn run<P: ReplacementPolicy + 'static>(
+        self,
+        policy: P,
+        aux: Option<Box<dyn AuxProvider>>,
+    ) -> Self::Output {
         let Execute {
             config,
             stream,
-            exec,
             observers,
         } = self;
-        if !observers.is_empty() {
-            return replay_on(
+        if observers.is_empty() {
+            replay_on(config, policy, aux, stream, &mut NullObserver)
+        } else {
+            replay_on(
                 config,
-                make_policy(),
-                boxed_feed(feed),
+                policy,
+                aux,
                 stream,
                 &mut MultiObserver::new(observers),
-            );
+            )
         }
-        let policy = make_policy();
-        if policy.state_scope() == StateScope::PerSet {
-            let sets = config.llc.sets();
-            let index = match exec {
-                Exec::Shards(n) if n > 1 => shard_index_for(stream, sets, n),
-                // Built for this replay and dropped after it: an index
-                // holds gathered planes about the stream's own size, and
-                // caching one per (stream, LLC size) raised e2ebench
-                // quick-campaign peak RSS by half. One shard per hardware
-                // thread: the cap's four on two threads only added build
-                // and merge work (serve-warm-mix set-up +9–13%).
-                Exec::Auto if pool::helper_idle() => {
-                    METRICS.index_misses.inc();
-                    let shards = pool::cap_threads().clamp(2, MAX_AUTO_SHARDS);
-                    ShardIndex::build(stream, sets, shards).map(Arc::new)
-                }
-                _ => None,
-            };
-            if let Some(index) = index {
-                return replay_sharded_on(config, make_policy, feed, stream, &index);
-            }
-        }
-        replay_on(config, policy, boxed_feed(feed), stream, &mut NullObserver)
     }
 }
 
@@ -584,147 +513,19 @@ where
     })
 }
 
-/// The most set-range shards [`Exec::Auto`] splits a replay into — a
-/// sanity bound far above any realistic core count, not a tuning knob.
-const MAX_AUTO_SHARDS: usize = 64;
-
-/// Replays a stream split into contiguous set-range shards, one LLC (and
-/// one policy instance) per shard, fanned out through
-/// [`pool::map`](crate::suite::pool::map) — the parallel twin of
-/// [`replay_on`].
-///
-/// Each shard's LLC covers only its set range but keeps the full
-/// geometry for indexing, and is driven with the *global* stream index
-/// as its logical clock ([`Llc::seek_time`]), so for any policy whose
-/// state is per-set ([`StateScope::PerSet`]) the merged result is
-/// **bit-identical** to the sequential replay: sets never interact, every
-/// timestamp matches, and [`LlcStats`] merging is pure `u64` addition in
-/// fixed shard order. The caller is responsible for the scope check —
-/// [`replay`] falls back to sequential replay for [`StateScope::Global`]
-/// policies.
-///
-/// Generic over the policy factory's return type, so [`replay`]
-/// constructs one *concrete* policy per shard — no `Box<dyn>`
-/// allocation and no virtual dispatch inside any shard's loop. The loop
-/// itself walks the shard's own gathered access planes
-/// ([`llc_trace::StreamShard`]) front to back: sequential reads of
-/// shard-compact arrays instead of strided gathers through the full
-/// stream, which is what makes k shards on one host thread cost ~the
-/// sequential replay instead of k× its memory traffic.
-fn replay_sharded_on<P, FP>(
-    config: &HierarchyConfig,
-    make_policy: &FP,
-    feed: Option<&AnnotationFeed>,
-    stream: &RecordedStream,
-    index: &ShardIndex,
-) -> Result<RunResult, RunError>
-where
-    P: ReplacementPolicy,
-    FP: Fn() -> P + Sync,
-{
-    check_replayable(config, stream)?;
-    if index.sets() != config.llc.sets() {
-        return Err(ConfigError::new(format!(
-            "shard index built for {} sets cannot drive an LLC with {} sets",
-            index.sets(),
-            config.llc.sets()
-        ))
-        .into());
-    }
-    let shards = index.shards();
-    let _span = spans::span_with(|| format!("replay_sharded x{}", shards.len()));
-    // `pool::map` runs the shards on the caller plus whatever helpers
-    // are idle — all of them inline when none is, which is what makes
-    // k-shard replay under a cap of 1 cost ~the sequential replay.
-    // Results come back in shard order, so the merge order — and the
-    // merged bits — don't depend on who ran what.
-    let per_shard = pool::map(shards.len(), |w| {
-        let shard = &shards[w];
-        let _span = spans::span_with(|| format!("shard {w}"));
-        let mut llc = Llc::new_range(config.llc, make_policy(), shard.set_base, shard.set_len);
-        if let Some(aux) = boxed_feed(feed) {
-            llc.set_aux_provider(aux);
-        }
-        let upgrades = &stream.upgrades;
-        let mut up = 0usize;
-        let mut next_at = shard
-            .upgrades
-            .first()
-            .map_or(u64::MAX, |&u| upgrades[u as usize].at);
-        // Zipped like the sequential inner loop: one bounds check for the
-        // whole walk instead of four per access.
-        let planes = shard
-            .accesses
-            .iter()
-            .zip(&shard.blocks)
-            .zip(&shard.pcs)
-            .zip(&shard.cores)
-            .zip(&shard.kinds);
-        for ((((&pos, &block), &pc), &core), &kind) in planes {
-            let i = pos as u64;
-            // Upgrades recorded at LLC time `i` happened before access
-            // `i`; only this shard's upgrades touch this shard's lines.
-            if i >= next_at {
-                while up < shard.upgrades.len() {
-                    let u = &upgrades[shard.upgrades[up] as usize];
-                    if u.at > i {
-                        break;
-                    }
-                    llc.note_upgrade(u.block, u.core);
-                    up += 1;
-                }
-                next_at = shard
-                    .upgrades
-                    .get(up)
-                    .map_or(u64::MAX, |&u| upgrades[u as usize].at);
-            }
-            // The shard's logical clock is the *global* stream index, so
-            // every timestamp the policy sees (LRU order, OPT next-use
-            // chains) matches the sequential run exactly.
-            llc.seek_time(i);
-            llc.access(block, pc, core, kind, &mut NullObserver);
-        }
-        while up < shard.upgrades.len() {
-            let u = &upgrades[shard.upgrades[up] as usize];
-            llc.note_upgrade(u.block, u.core);
-            up += 1;
-        }
-        llc.seek_time(stream.len() as u64);
-        llc.flush(&mut NullObserver);
-        (llc.policy().name(), llc.stats())
-    });
-    let _merge_span = spans::span("merge shards");
-    let mut llc_stats = LlcStats::default();
-    let mut policy = String::new();
-    for (name, stats) in per_shard {
-        llc_stats += stats;
-        policy = name;
-    }
-    Ok(RunResult {
-        policy,
-        llc: llc_stats,
-        l1: stream.l1,
-        l2: stream.l2,
-        instructions: stream.instructions,
-        trace_accesses: stream.trace_accesses,
-    })
-}
-
 /// Process-global registry associating streams handed out by a
-/// [`StreamCache`] with what is derived from them lazily: their
-/// [`ShardIndex`]es and their one `AnnotationScan`, so every replay
-/// of the same recording shares one index build per shard count and
-/// one annotation scan. Streams are matched by allocation identity (the
+/// [`StreamCache`] with what is derived from them lazily, their one
+/// `AnnotationScan`, so every replay of the same recording shares one
+/// annotation scan. Streams are matched by allocation identity (the
 /// `Arc` the cache holds), which is stable for as long as the stream is
 /// alive; entries whose stream has been dropped (e.g. evicted by the
 /// cache's byte cap) are pruned on the next registration or eviction,
-/// which bounds the registry — and the artifacts it keeps alive — by
-/// the cache contents.
+/// which bounds the registry — and the scans it keeps alive — by the
+/// cache contents.
 mod stream_registry {
-    use std::collections::HashMap;
     use std::sync::{Arc, Mutex, OnceLock, Weak};
 
-    use llc_trace::{RecordedStream, ShardIndex};
+    use llc_trace::RecordedStream;
 
     use super::{lock_recovering, AnnotationScan, CacheInner, StreamCache};
 
@@ -737,16 +538,12 @@ mod stream_registry {
     }
 
     /// What one registered stream has derived so far.
-    #[derive(Default)]
     pub(super) struct Derived {
-        /// Shard indices, keyed by (set count, shard count).
-        pub(super) indexes: Mutex<HashMap<(u64, usize), Arc<ShardIndex>>>,
         /// The stream's annotation scan, built by its first requester
         /// while concurrent requesters wait for it.
         scan: OnceLock<AnnotationScan>,
-        /// Where the scan is charged; `None` for streams registered
-        /// through [`register_stream`](super::register_stream).
-        owner: Option<Owner>,
+        /// Where the scan is charged.
+        owner: Owner,
     }
 
     impl Derived {
@@ -755,9 +552,7 @@ mod stream_registry {
         pub(super) fn scan(&self, stream: &RecordedStream) -> &AnnotationScan {
             self.scan.get_or_init(|| {
                 let scan = AnnotationScan::new(stream);
-                if let Some(owner) = &self.owner {
-                    StreamCache::charge_scan(owner, stream.encoded_len() as u64 + scan.bytes());
-                }
+                StreamCache::charge_scan(&self.owner, stream.encoded_len() as u64 + scan.bytes());
                 scan
             })
         }
@@ -766,8 +561,8 @@ mod stream_registry {
     static REGISTRY: Mutex<Vec<(Weak<RecordedStream>, Arc<Derived>)>> = Mutex::new(Vec::new());
 
     /// Registers a stream (idempotent), pruning dead entries; `owner`
-    /// is the cache entry holding it, if any.
-    pub(super) fn register(stream: &Arc<RecordedStream>, owner: Option<Owner>) {
+    /// is the cache entry holding it.
+    pub(super) fn register(stream: &Arc<RecordedStream>, owner: Owner) {
         let mut reg = lock_recovering(&REGISTRY);
         reg.retain(|(weak, _)| weak.strong_count() > 0);
         if reg
@@ -777,14 +572,14 @@ mod stream_registry {
             return;
         }
         let derived = Derived {
+            scan: OnceLock::new(),
             owner,
-            ..Derived::default()
         };
         reg.push((Arc::downgrade(stream), Arc::new(derived)));
     }
 
     /// Drops the entries of streams that are gone, and with them their
-    /// indexes and scans.
+    /// scans.
     pub(super) fn prune() {
         lock_recovering(&REGISTRY).retain(|(weak, _)| weak.strong_count() > 0);
     }
@@ -812,45 +607,11 @@ mod stream_registry {
     }
 }
 
-/// Registers `stream` with the process-global stream registry, so
-/// subsequent replays of the *same* [`Arc`] share one [`ShardIndex`]
-/// build per [`Exec::Shards`] count and one annotation scan instead of
-/// re-deriving them on every call. Streams handed out by a
-/// [`StreamCache`] are registered automatically; call this for ad-hoc
-/// streams (benchmarks, tests, external drivers) that replay more than
-/// once. Idempotent; entries die with their stream's last `Arc`.
-pub fn register_stream(stream: &Arc<RecordedStream>) {
-    stream_registry::register(stream, None);
-}
-
-/// Builds (or fetches) the shard index an [`Exec::Shards`] replay splits
-/// `stream` over `shards` contiguous set ranges with ([`Exec::Auto`]
-/// builds its own per replay). Streams handed out by a [`StreamCache`] cache
-/// their indices in the allocation-identity registry, so concurrent
-/// replays of the same recording share one build; ad-hoc streams build
-/// privately (see [`register_stream`]). Returns `None` for streams too
-/// large for `u32` index positions (the caller replays sequentially).
-fn shard_index_for(stream: &RecordedStream, sets: u64, shards: usize) -> Option<Arc<ShardIndex>> {
-    let Some(derived) = stream_registry::lookup(stream) else {
-        METRICS.index_misses.inc();
-        return ShardIndex::build(stream, sets, shards).map(Arc::new);
-    };
-    let mut map = lock_recovering(&derived.indexes);
-    if let Some(index) = map.get(&(sets, shards)) {
-        METRICS.index_hits.inc();
-        return Some(Arc::clone(index));
-    }
-    METRICS.index_misses.inc();
-    let index = Arc::new(ShardIndex::build(stream, sets, shards)?);
-    map.insert((sets, shards), Arc::clone(&index));
-    Some(index)
-}
-
 /// Both offline annotation vectors of one window over a recorded stream
 /// (see [`compute_annotations`]).
 ///
-/// The vectors sit behind [`Arc`] so every shard of a set-sharded replay
-/// shares one copy.
+/// The vectors sit behind [`Arc`] so the windows derived from one scan
+/// share its `next_use`, and a replay's feed shares the caller's copy.
 #[derive(Debug, Clone, Default)]
 pub struct Annotations {
     /// For each access, the stream index of the next access to the same
@@ -872,9 +633,8 @@ pub struct Annotations {
 /// retention horizon proportional to the LLC capacity (see
 /// [`oracle_window`](crate::oracle_window)).
 ///
-/// A stream handed out by a [`StreamCache`] (or passed to
-/// [`register_stream`]) is scanned once, window-free, by its first
-/// requester; every window over it — from any LLC size, descriptor or
+/// A stream handed out by a [`StreamCache`] is scanned once, window-free,
+/// by its first requester; every window over it — from any LLC size, descriptor or
 /// experiment — is then derived from that scan with one cheap pass over
 /// its per-access distances. A window of `u32::MAX` or more, which the
 /// scan's saturated distances cannot resolve, and an ad-hoc stream are
@@ -1009,9 +769,8 @@ impl AnnotationScan {
 
 /// The aux provider feeding a descriptor its annotations: Belady
 /// next-use chains to an OPT base, the oracle's shared-soon answers to
-/// an oracle wrap, and both to `Oracle(OPT)`. Clones share the vectors,
-/// so every shard of a set-sharded replay gets its own feed without
-/// copying them.
+/// an oracle wrap, and both to `Oracle(OPT)`. It shares the vectors of
+/// the [`Annotations`] it is built from.
 #[derive(Debug, Clone)]
 pub struct AnnotationFeed {
     next_use: Option<Arc<Vec<u64>>>,
@@ -1268,9 +1027,8 @@ impl StreamCache {
         store?.size_of(id)
     }
 
-    /// `true` if `key`'s stream is resident in memory right now — the
-    /// condition under which its registered shard indexes are alive (a
-    /// planner's approximation of the index node's hit state).
+    /// `true` if `key`'s stream is resident in memory right now: whether
+    /// the byte cap has evicted it (what byte-accounting tests check).
     pub fn resident(&self, key: &StreamKey) -> bool {
         let slot = {
             let inner = lock_recovering(&self.inner);
@@ -1376,16 +1134,15 @@ impl StreamCache {
         *guard = Some(Arc::clone(&stream));
         drop(guard);
         // Cached streams get a registry entry: replays of this stream
-        // can now share lazily built `ShardIndex`es (see
-        // `shard_index_for`) and one annotation scan (see
-        // `compute_annotations`), which live exactly as long as the
-        // stream. The scan is charged to this entry.
+        // can now share one annotation scan (see `compute_annotations`),
+        // which lives exactly as long as the stream. The scan is charged
+        // to this entry.
         let owner = stream_registry::Owner {
             cache: Arc::downgrade(&self.inner),
             id,
             slot: Arc::downgrade(&slot),
         };
-        stream_registry::register(&stream, Some(owner));
+        stream_registry::register(&stream, owner);
 
         // Account the insert and enforce the cap (never evicting the
         // entry just inserted).
@@ -1541,7 +1298,7 @@ mod tests {
                 llc_policies::ProtectMode::Eviction,
                 crate::runner::oracle_window(&c),
             );
-            let fast = replay(&c, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+            let fast = replay(&c, &desc, &stream, None, vec![]).expect("replay");
             let slow = crate::runner::simulate(
                 &c,
                 &desc,
@@ -1589,7 +1346,7 @@ mod tests {
                     crate::runner::oracle_window(&c),
                 ),
             ] {
-                let fast = replay(&c, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+                let fast = replay(&c, &desc, &stream, None, vec![]).expect("replay");
                 let slow = crate::runner::simulate(
                     &c,
                     &desc,

@@ -31,10 +31,7 @@ use llc_sim::{
 use llc_trace::{TraceSource, UpgradeEvent};
 
 use crate::error::RunError;
-use crate::replay::{
-    boxed_feed, compute_annotations, dispatch, record_stream, replay, AnnotationFeed, Exec,
-    PolicyTask,
-};
+use crate::replay::{compute_annotations, dispatch, record_stream, replay, PolicyTask};
 
 pub use llc_dag::RunResult;
 
@@ -113,7 +110,7 @@ where
         Some(window) => {
             let stream = record_stream(config, make_trace())?;
             if config.inclusion != Inclusion::Inclusive {
-                return replay(config, desc, &stream, None, Exec::Auto, observers);
+                return replay(config, desc, &stream, None, observers);
             }
             Some(compute_annotations(&stream, window))
         }
@@ -143,15 +140,15 @@ struct FullHierarchy<'a, 'o, W> {
 impl<W: TraceSource> PolicyTask for FullHierarchy<'_, '_, W> {
     type Output = Result<RunResult, RunError>;
 
-    fn run<P, FP>(self, make_policy: &FP, feed: Option<&AnnotationFeed>) -> Self::Output
-    where
-        P: ReplacementPolicy + 'static,
-        FP: Fn() -> P + Sync,
-    {
+    fn run<P: ReplacementPolicy + 'static>(
+        self,
+        policy: P,
+        aux: Option<Box<dyn AuxProvider>>,
+    ) -> Self::Output {
         simulate_on(
             self.config,
-            Box::new(make_policy()),
-            boxed_feed(feed),
+            Box::new(policy),
+            aux,
             self.trace,
             self.observers,
         )

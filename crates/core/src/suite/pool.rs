@@ -11,11 +11,10 @@
 //! * [`map`] fans `n` items out over its caller plus *helper* threads
 //!   taken from one process-wide count, bounded by the cap minus one
 //!   (the cap is two per hardware thread, see [`set_host_thread_override`]).
-//!   Per-app items, set-range shards and [`Exec::Auto`](crate::Exec::Auto)
-//!   replays all draw on that count, so nested and concurrent fan-outs
-//!   run at most `(top-level callers) + cap − 1` items at once. Taking
-//!   helpers never blocks — a fan-out that finds none runs its items on
-//!   its caller — so nesting cannot deadlock.
+//!   Per-app and per-mix items all draw on that count, so nested and
+//!   concurrent fan-outs run at most `(top-level callers) + cap − 1`
+//!   items at once. Taking helpers never blocks — a fan-out that finds
+//!   none runs its items on its caller — so nesting cannot deadlock.
 //!
 //! `std::thread::scope` means borrowed state (caches, checkpoints, job
 //! tables) can be shared without `'static` gymnastics, and neither call
@@ -44,16 +43,15 @@ const ITEMS_PER_HOST_THREAD: usize = 2;
 /// helpers — to `threads`; `None` restores the default of two per
 /// hardware thread.
 ///
-/// A measurement knob, not a tuning knob: `benches/shard.rs` records the
-/// 1-thread floor with `Some(1)` (no helpers: every shard runs on its
-/// caller). The cap is process-global: changing it mid-run only changes
-/// how many helpers the *next* fan-out may take, never the computed bits.
+/// A measurement knob, not a tuning knob: `Some(1)` gives no helpers, so
+/// every item runs on its caller. The cap is process-global: changing it
+/// mid-run only changes how many helpers the *next* fan-out may take,
+/// never the computed bits.
 pub fn set_host_thread_override(threads: Option<usize>) {
     HOST_THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// The host's hardware threads, asked once: every [`map`] and every
-/// [`Exec::Auto`](crate::Exec::Auto) replay reads the cap.
+/// The host's hardware threads, asked once: every [`map`] reads the cap.
 static HOST_THREADS: LazyLock<usize> =
     LazyLock::new(|| thread::available_parallelism().map_or(1, |host| host.get()));
 
@@ -65,21 +63,10 @@ fn cap() -> usize {
     }
 }
 
-/// Hardware threads the cap stands for: the host's, or an override's
-/// share of them ([`Exec::Auto`](crate::Exec::Auto)'s shard count).
-pub(crate) fn cap_threads() -> usize {
-    cap().div_ceil(ITEMS_PER_HOST_THREAD)
-}
-
 /// Helper threads currently held by running [`map`] calls, process-wide
 /// (0 whenever no fan-out is in flight).
 pub fn busy_helpers() -> usize {
     BUSY_HELPERS.load(Ordering::SeqCst)
-}
-
-/// Whether a [`map`] started now would get at least one helper.
-pub(crate) fn helper_idle() -> bool {
-    busy_helpers() + 1 < cap()
 }
 
 /// One helper taken from [`BUSY_HELPERS`]; given back on drop, so a

@@ -21,19 +21,6 @@ pub fn annotations_fp(stream_fp: u64, window: u64) -> u64 {
         .finish()
 }
 
-/// Fingerprint of a shard-index node: `stream_fp` split into `shards`
-/// contiguous ranges of `sets` sets. Indexes are memory-resident (they
-/// rebuild for about the cost of loading the stream), but they are still
-/// first-class plan nodes so `repro explain` shows when a replay will
-/// pay an index build.
-pub fn index_fp(stream_fp: u64, sets: u64, shards: u64) -> u64 {
-    Fold::new(0x4c4c_4344_4944_5831) // "LLCDIDX1"
-        .u64(stream_fp)
-        .u64(sets)
-        .u64(shards)
-        .finish()
-}
-
 /// Fingerprint of a per-policy replay node: the [`crate::ReplayDesc`]
 /// fingerprint applied to `stream_fp`. The stream fingerprint already
 /// covers workload, thread count, scale and the full hierarchy geometry,
@@ -56,7 +43,6 @@ mod tests {
             Fold::new(1).u64(3).u64(2).finish()
         );
         assert_ne!(annotations_fp(7, 0), replay_fp(7, 0));
-        assert_ne!(annotations_fp(7, 0), index_fp(7, 0, 0));
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //!
 //! A `JobSpec` fingerprint is all-or-nothing: tweak one policy parameter
 //! and the monolithic key misses, so the daemon re-records the stream,
-//! rebuilds shard indexes, re-runs the oracle pre-passes and replays
-//! every policy from scratch. This crate keys each intermediate artifact
+//! re-runs the oracle pre-passes and replays every policy from scratch.
+//! This crate keys each intermediate artifact
 //! by a fingerprint of its *own* inputs instead, turning the pipeline
 //! into a small build graph:
 //!
 //! ```text
 //! stream(workload × cores × scale × hierarchy)        .llcs  (StreamStore)
-//!   ├─ index(stream, sets, shards)                    memory (shard registry)
 //!   ├─ annotations(stream, window)                    .llca  (DagStore)
 //!   │    └─ replay(stream, policy descriptor)         .llcr  (DagStore)
 //!   └─ replay(stream, policy descriptor)              .llcr  (DagStore)
@@ -43,7 +42,7 @@ pub mod node;
 pub mod store;
 
 pub use desc::{ReplayDesc, ReplayWrap};
-pub use fingerprint::{annotations_fp, index_fp, replay_fp};
+pub use fingerprint::{annotations_fp, replay_fp};
 pub use llc_sim::{fnv1a64, Fold};
 pub use node::{NodeKind, Plan, PlanNode};
 pub use store::{

@@ -41,11 +41,14 @@ const ANN_MAGIC: &[u8; 8] = b"LLCDANN1";
 const REPLAY_MAGIC: &[u8; 8] = b"LLCDRPL1";
 const MANIFEST_MAGIC: &[u8; 8] = b"LLCDMAN1";
 
+/// Number of node kinds, the length of every per-kind counter array.
+const KINDS: usize = NodeKind::ALL.len();
+
 /// Global node-level counters, labeled per [`NodeKind`]. Resolved once,
 /// bumped with relaxed atomics on the hot path.
 struct DagMetrics {
-    hits: [Arc<Counter>; 5],
-    misses: [Arc<Counter>; 5],
+    hits: [Arc<Counter>; KINDS],
+    misses: [Arc<Counter>; KINDS],
     replayed: Arc<Counter>,
     disk_errors: Arc<Counter>,
 }
@@ -85,8 +88,8 @@ pub fn register_metrics() {
 /// stay attributable to one store, which is what tests assert against.
 #[derive(Debug, Default)]
 struct DagStats {
-    hits: [AtomicU64; 5],
-    misses: [AtomicU64; 5],
+    hits: [AtomicU64; KINDS],
+    misses: [AtomicU64; KINDS],
     replayed: AtomicU64,
     quarantined: AtomicU64,
     disk_errors: AtomicU64,
@@ -96,9 +99,9 @@ struct DagStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DagStatsSnapshot {
     /// Node hits by [`NodeKind::ordinal`].
-    pub hits: [u64; 5],
+    pub hits: [u64; KINDS],
     /// Node misses by [`NodeKind::ordinal`].
-    pub misses: [u64; 5],
+    pub misses: [u64; KINDS],
     /// Per-policy replays actually executed.
     pub replayed: u64,
     /// Corrupt artifacts moved to quarantine.
@@ -394,7 +397,9 @@ pub fn encode_manifest(fp: u64, manifest: &Manifest) -> Vec<u8> {
     enc.finish()
 }
 
-/// Decodes a spec manifest.
+/// Decodes a spec manifest. Entries of the retired shard-index kind
+/// ([`NodeKind::RETIRED_CODE`]) are skipped; any other unknown kind is
+/// an error.
 pub fn decode_manifest(raw: &[u8], expect_fp: u64) -> Result<Manifest, String> {
     let mut dec = Dec::open(raw, MANIFEST_MAGIC, expect_fp)?;
     let n = usize::try_from(dec.u64()?).map_err(|_| "length overflow".to_string())?;
@@ -408,8 +413,15 @@ pub fn decode_manifest(raw: &[u8], expect_fp: u64) -> Result<Manifest, String> {
         }
         let (code, rest) = dec.0.split_first().expect("non-empty");
         dec.0 = rest;
-        let kind = NodeKind::from_code(*code).ok_or_else(|| "unknown node kind".to_string())?;
-        nodes.push((kind, dec.u64()?));
+        let kind = match NodeKind::from_code(*code) {
+            Some(kind) => Some(kind),
+            None if *code == NodeKind::RETIRED_CODE => None,
+            None => return Err("unknown node kind".into()),
+        };
+        let node_fp = dec.u64()?;
+        if let Some(kind) = kind {
+            nodes.push((kind, node_fp));
+        }
     }
     dec.done()?;
     Ok(Manifest { nodes })
@@ -458,8 +470,8 @@ impl DagStore {
     pub fn stats(&self) -> DagStatsSnapshot {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         DagStatsSnapshot {
-            hits: [0, 1, 2, 3, 4].map(|i| load(&self.stats.hits[i])),
-            misses: [0, 1, 2, 3, 4].map(|i| load(&self.stats.misses[i])),
+            hits: std::array::from_fn(|i| load(&self.stats.hits[i])),
+            misses: std::array::from_fn(|i| load(&self.stats.misses[i])),
             replayed: load(&self.stats.replayed),
             quarantined: load(&self.stats.quarantined),
             disk_errors: load(&self.stats.disk_errors),
@@ -658,6 +670,44 @@ mod tests {
             decode_manifest(&encode_manifest(7, &manifest), 7).expect("decode"),
             manifest
         );
+    }
+
+    /// A manifest of raw `(code, node fp)` entries, as older daemons
+    /// could write it: code 2 named the retired shard-index node.
+    fn raw_manifest(fp: u64, entries: &[(u8, u64)]) -> Vec<u8> {
+        let mut enc = Enc::new(MANIFEST_MAGIC);
+        enc.u64(fp);
+        enc.u64(entries.len() as u64);
+        for &(code, node_fp) in entries {
+            enc.0.push(code);
+            enc.u64(node_fp);
+        }
+        enc.finish()
+    }
+
+    #[test]
+    fn retired_index_entries_are_skipped_and_other_unknown_kinds_rejected() {
+        let raw = raw_manifest(7, &[(1, 10), (2, 11), (3, 12), (4, 13), (5, 14)]);
+        assert_eq!(
+            decode_manifest(&raw, 7).expect("decode"),
+            Manifest {
+                nodes: vec![
+                    (NodeKind::Stream, 10),
+                    (NodeKind::Annotations, 12),
+                    (NodeKind::Replay, 13),
+                    (NodeKind::Table, 14),
+                ],
+            }
+        );
+        for code in [0, 6, 0xff] {
+            let raw = raw_manifest(7, &[(3, 12), (code, 11)]);
+            assert!(decode_manifest(&raw, 7).is_err(), "code {code}");
+        }
+        // A retired entry cut short is still a truncated manifest.
+        let raw = raw_manifest(7, &[(2, 11)]);
+        let mut cut = raw[..raw.len() - 12].to_vec();
+        cut.extend_from_slice(&fnv1a64(&cut[8..]).to_le_bytes());
+        assert!(decode_manifest(&cut, 7).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! native [`MemAccess`] record through a
 //! [`TraceSource`] implementation, so an ingested trace flows through the
 //! exact same `StreamRecorder` → `.llcs` → replay path as a synthetic
-//! workload — the DAG, the sharded replay drivers and the stream store
-//! all work unchanged.
+//! workload — the DAG, the replay driver and the stream store all work
+//! unchanged.
 //!
 //! Three formats are supported (see [`IngestFormat`]):
 //!

@@ -1,7 +1,7 @@
 //! The DIP family: LIP, BIP and set-dueling DIP (Qureshi et al., ISCA
 //! 2007), built on an LRU recency stack.
 
-use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView};
 
 use crate::duel::SetDuel;
 
@@ -123,15 +123,6 @@ impl ReplacementPolicy for Dip {
             .expect("victim candidates must be non-empty")
     }
 
-    /// LIP and BIP keep only per-set state (stamps compared within one set,
-    /// per-set bimodal counters; the clock is global but only relative
-    /// order within a set matters). DIP proper duels with a global PSEL.
-    fn state_scope(&self) -> StateScope {
-        match self.flavor {
-            DipFlavor::Lip | DipFlavor::Bip => StateScope::PerSet,
-            DipFlavor::Dip => StateScope::Global,
-        }
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

@@ -235,7 +235,7 @@ pub mod mono {
 /// generic implementation.
 ///
 /// The constructor is a `Copy` function item, so `$body` can call it any
-/// number of times (e.g. once per shard) or wrap it in `Sync` closures.
+/// number of times or wrap it in `Sync` closures.
 ///
 /// ```
 /// use llc_policies::{with_policy, PolicyKind};

@@ -1,6 +1,6 @@
 //! True least-recently-used replacement.
 
-use llc_sim::{AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, ReplacementPolicy, SetView};
 
 /// True LRU: evicts the candidate whose last touch is oldest.
 ///
@@ -69,13 +69,6 @@ impl ReplacementPolicy for Lru {
             .expect("victim candidates must be non-empty")
     }
 
-    /// Per-set: the clock is global, but victim selection only ever
-    /// *compares* stamps within one set, and replaying a set's accesses in
-    /// stream order preserves their relative recency regardless of what the
-    /// clock counts in between.
-    fn state_scope(&self) -> StateScope {
-        StateScope::PerSet
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

@@ -1,6 +1,6 @@
 //! Not-recently-used replacement (one reference bit per line).
 
-use llc_sim::{AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, ReplacementPolicy, SetView};
 
 /// NRU: each line has one reference bit, set on fill and on hit. The victim
 /// is the first candidate (in way order, starting from a per-set rotating
@@ -64,10 +64,6 @@ impl ReplacementPolicy for Nru {
             .expect("victim candidates must be non-empty")
     }
 
-    /// Per-set: reference bits and the scan pointer are both keyed by set.
-    fn state_scope(&self) -> StateScope {
-        StateScope::PerSet
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

@@ -13,7 +13,7 @@
 //! sharing-aware": a block about to be re-referenced by another core has a
 //! near next-use and is retained automatically.
 
-use llc_sim::{AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, ReplacementPolicy, SetView};
 
 /// Belady's OPT, driven by next-use annotations.
 #[derive(Debug, Clone)]
@@ -72,11 +72,6 @@ impl ReplacementPolicy for Opt {
             .expect("victim candidates must be non-empty")
     }
 
-    /// Per-set: next-use annotations are per line and expressed as global
-    /// stream indices, which sharded replay preserves.
-    fn state_scope(&self) -> StateScope {
-        StateScope::PerSet
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

@@ -18,7 +18,7 @@
 //! The same wrapper, fed by a realistic predictor instead of the oracle, is
 //! `llc-predictors`' `PredictorWrap`.
 
-use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView};
 
 /// Where the wrapper applies sharing protection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -135,12 +135,6 @@ impl<P: ReplacementPolicy> ReplacementPolicy for OracleWrap<P> {
             *view
         };
         self.base.choose_victim(set, &restricted, ctx)
-    }
-
-    /// The wrapper's own state (per-line predicted-shared bits) is per-set;
-    /// the overall scope is whatever the base policy declares.
-    fn state_scope(&self) -> StateScope {
-        self.base.state_scope()
     }
 
     /// The wrapper only restricts the candidate mask; `lines` is read

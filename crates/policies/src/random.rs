@@ -1,6 +1,6 @@
 //! Uniform-random replacement.
 
-use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView};
 
 /// Evicts a uniformly random candidate way.
 ///
@@ -8,7 +8,7 @@ use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView, StateScope};
 /// SplitMix64, so simulations are exactly reproducible. Each set draws from
 /// its own SplitMix64 chain (seeded from the policy seed and the set index),
 /// so the victim chosen in one set never depends on how many evictions other
-/// sets have suffered — the property that makes set-sharded replay exact.
+/// sets have suffered.
 #[derive(Debug, Clone)]
 pub struct Random {
     base: u64,
@@ -65,10 +65,6 @@ impl ReplacementPolicy for Random {
             .expect("k < candidate count")
     }
 
-    /// Per-set: each set owns an independent SplitMix64 chain.
-    fn state_scope(&self) -> StateScope {
-        StateScope::PerSet
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

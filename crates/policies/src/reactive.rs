@@ -14,7 +14,7 @@
 //! save. The gap ReactiveWrap leaves to the oracle quantifies exactly how
 //! much of the oracle's gain requires prediction.
 
-use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView};
 
 /// Reactive sharing protection around a base policy.
 #[derive(Debug, Clone)]
@@ -71,13 +71,6 @@ impl<P: ReplacementPolicy> ReplacementPolicy for ReactiveWrap<P> {
             *view
         };
         self.base.choose_victim(set, &restricted, ctx)
-    }
-
-    /// The base policy's scope: the wrapper's only extra input is each
-    /// line's sharer count, which lives in the set and is maintained by
-    /// that set's own accesses and upgrades.
-    fn state_scope(&self) -> StateScope {
-        self.base.state_scope()
     }
 }
 

@@ -6,7 +6,7 @@
 //! the distant future". Victims are lines with the maximum RRPV; if none
 //! exists, all RRPVs in the set are incremented until one appears.
 
-use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{splitmix64, AccessCtx, ReplacementPolicy, SetView};
 
 use crate::duel::{SetDuel, ThreadAwareDuel};
 
@@ -257,15 +257,6 @@ impl ReplacementPolicy for Rrip {
         choose_rrip_victim(rrpv, view)
     }
 
-    /// SRRIP and BRRIP keep only per-set state (RRPVs and the per-set
-    /// bimodal counter); the dueling flavors share PSEL counters across
-    /// sets and must replay sequentially.
-    fn state_scope(&self) -> StateScope {
-        match self.flavor {
-            RripFlavor::Static | RripFlavor::Bimodal => StateScope::PerSet,
-            RripFlavor::Dynamic | RripFlavor::ThreadAware => StateScope::Global,
-        }
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

@@ -8,7 +8,7 @@
 //! proposals" whose sharing-awareness the paper characterizes: it is
 //! PC-correlated but not sharing-aware.
 
-use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView, StateScope};
+use llc_sim::{AccessCtx, GenerationEnd, ReplacementPolicy, SetView};
 
 use crate::rrip::{RRPV_LONG, RRPV_MAX};
 
@@ -136,12 +136,6 @@ impl ReplacementPolicy for Ship {
         crate::rrip::choose_rrip_victim(rrpv, view)
     }
 
-    /// Global: the signature history counter table is shared by every set,
-    /// so insertion decisions in one set depend on generation outcomes in
-    /// all the others.
-    fn state_scope(&self) -> StateScope {
-        StateScope::Global
-    }
     /// Victims come from this policy's own state; `lines` is never read.
     fn needs_line_views(&self) -> bool {
         false

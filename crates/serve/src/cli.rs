@@ -562,7 +562,7 @@ pub fn run(command: &ServeCommand) -> Result<String, ServeError> {
 /// `repro ingest`: decode a foreign trace through the hardened parser
 /// for its format, push it through the normal LLC-free recording kernel
 /// and persist the resulting `.llcs` stream — after which every
-/// downstream layer (replay, DAG, sharding, the stream store) treats it
+/// downstream layer (replay, DAG, the stream store) treats it
 /// exactly like a recorded synthetic workload.
 fn run_ingest(
     input: &std::path::Path,

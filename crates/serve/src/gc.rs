@@ -453,6 +453,41 @@ mod tests {
     }
 
     #[test]
+    fn verify_keeps_the_partials_of_a_manifest_with_a_retired_index_entry() {
+        use llc_dag::{fnv1a64, AnnotationsData, DagStore, RunResult};
+        let root = temp_root("retired");
+        let dag = DagStore::open(root.join("dag")).expect("open dag");
+        dag.save_annotations(0xA1, &AnnotationsData::default())
+            .expect("save ann");
+        dag.save_replay(0xB1, &RunResult::default())
+            .expect("save replay");
+        // A manifest as older daemons wrote it, with a shard-index entry
+        // (node code 2) between its stream and its partials.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&0xF1u64.to_le_bytes());
+        payload.extend_from_slice(&4u64.to_le_bytes());
+        for (code, fp) in [(1u8, 0x51u64), (2, 0x52), (3, 0xA1), (4, 0xB1)] {
+            payload.push(code);
+            payload.extend_from_slice(&fp.to_le_bytes());
+        }
+        let mut raw = b"LLCDMAN1".to_vec();
+        raw.extend_from_slice(&payload);
+        raw.extend_from_slice(&fnv1a64(&payload).to_le_bytes());
+        llc_trace::atomic_write(&dag.manifests().path_for(0xF1), &raw).expect("write");
+
+        let report = sweep(&root, None, true).expect("sweep");
+        assert_eq!(
+            (report.quarantined_files, report.orphaned_files),
+            (0, 0),
+            "{report:?}"
+        );
+        assert!(dag.manifests().contains(0xF1), "the manifest stays");
+        assert!(dag.load_annotations(0xA1).is_some(), "referenced ann stays");
+        assert!(dag.load_replay(0xB1).is_some(), "referenced replay stays");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn verify_walks_session_checkpoints() {
         let root = temp_root("sessions");
         // A real checkpoint written by a drain, plus a corrupt one.

@@ -73,7 +73,5 @@ pub use llc::{
     EvictCause, GenerationEnd, LiveGeneration, Llc, LlcAccess, LlcObserver, MultiObserver,
     NullObserver,
 };
-pub use replace::{
-    AccessCtx, Aux, AuxProvider, LineView, NoAux, ReplacementPolicy, SetView, StateScope,
-};
+pub use replace::{AccessCtx, Aux, AuxProvider, LineView, NoAux, ReplacementPolicy, SetView};
 pub use stats::{LlcStats, PrivateCacheStats};

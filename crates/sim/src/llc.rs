@@ -218,18 +218,9 @@ pub struct LlcAccess {
 
 /// The shared last-level cache, generic over its replacement policy.
 ///
-/// An `Llc` normally covers every set of the configured geometry, but it can
-/// also be constructed over a contiguous *set range* (see
-/// [`Llc::new_range`]): line storage then covers only `[set_base,
-/// set_base + set_len)` while set indexing, tag extraction and block
-/// reconstruction keep using the full geometry, so a set-range `Llc` is
-/// bit-identical to the corresponding slice of a full one. The sharded
-/// replay path in `llc-core` is built on this.
-///
 /// # Storage layout
 ///
-/// Line state is split by access pattern, indexed by `(set - set_base) *
-/// ways + way`:
+/// Line state is split by access pattern, indexed by `set * ways + way`:
 ///
 /// * **probe planes** — `tags` (one contiguous `u64` row per set; a
 ///   16-way set is exactly two cache lines) and a per-set `u64` `valid`
@@ -244,13 +235,7 @@ pub struct LlcAccess {
 ///   ones per access (measured slower than the old array-of-structs
 ///   layout it replaced — see DESIGN.md §15).
 pub struct Llc<P> {
-    /// Total sets in the *full* geometry (used for set/tag arithmetic even
-    /// when this instance only stores a sub-range).
     sets: u64,
-    /// First set covered by the line planes.
-    set_base: u64,
-    /// Number of consecutive sets covered by the line planes.
-    set_len: u64,
     ways: usize,
     /// Probe plane: the tag of each way. Stale values of evicted lines
     /// stay in place and are masked out by `valid`.
@@ -283,39 +268,15 @@ impl<P: ReplacementPolicy> Llc<P> {
     /// Panics if the associativity exceeds 64 (the width of the victim
     /// candidate mask).
     pub fn new(config: CacheConfig, policy: P) -> Self {
-        let sets = config.sets();
-        Self::new_range(config, policy, 0, sets)
-    }
-
-    /// Creates an empty LLC covering only sets `[set_base, set_base +
-    /// set_len)` of the full geometry.
-    ///
-    /// Set-index and tag arithmetic still use the *full* set count, so a
-    /// block maps to the same `(set, tag)` pair as in a full LLC; only line
-    /// storage is restricted. Accessing a block outside the range is a
-    /// logic error (checked in debug builds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the associativity exceeds 64, if the range is empty, or if
-    /// it extends past the last set.
-    pub fn new_range(config: CacheConfig, policy: P, set_base: u64, set_len: u64) -> Self {
         assert!(config.ways <= 64, "associativity above 64 is unsupported");
         let sets = config.sets();
-        assert!(set_len > 0, "empty set range");
-        assert!(
-            set_base.checked_add(set_len).is_some_and(|end| end <= sets),
-            "set range [{set_base}, {set_base}+{set_len}) exceeds {sets} sets"
-        );
         let ways = config.ways;
-        let slots = (set_len * ways as u64) as usize;
+        let slots = (sets * ways as u64) as usize;
         Llc {
             sets,
-            set_base,
-            set_len,
             ways,
             tags: vec![0; slots],
-            valid: vec![0; set_len as usize],
+            valid: vec![0; sets as usize],
             meta: vec![LineMeta::default(); slots],
             view_buf: vec![
                 LineView {
@@ -373,39 +334,10 @@ impl<P: ReplacementPolicy> Llc<P> {
         self.time
     }
 
-    /// First set covered by this instance (0 for a full LLC).
-    pub fn set_base(&self) -> u64 {
-        self.set_base
-    }
-
-    /// Number of consecutive sets covered by this instance.
-    pub fn set_len(&self) -> u64 {
-        self.set_len
-    }
-
-    /// Forces the logical clock to `time`.
-    ///
-    /// Sharded replay drives each set-range `Llc` with the *global* stream
-    /// index so that fill/end timestamps, OPT's next-use comparisons and
-    /// policy clocks match the sequential run bit for bit: it seeks to the
-    /// access's global index before each [`Llc::access`] and to the stream
-    /// length before [`Llc::flush`].
-    pub fn seek_time(&mut self, time: u64) {
-        debug_assert!(time >= self.time, "logical time must not move backwards");
-        self.time = time;
-    }
-
-    /// Line-storage index of the first way of `set`, which must lie inside
-    /// this instance's range.
+    /// Line-storage index of the first way of `set`.
     #[inline]
     fn set_slot(&self, set: u64) -> usize {
-        debug_assert!(
-            set >= self.set_base && set < self.set_base + self.set_len,
-            "set {set} outside range [{}, {})",
-            self.set_base,
-            self.set_base + self.set_len
-        );
-        ((set - self.set_base) as usize) * self.ways
+        set as usize * self.ways
     }
 
     /// Branchless tag match: bit `w` of the result is set iff way `w`
@@ -420,7 +352,7 @@ impl<P: ReplacementPolicy> Llc<P> {
         for (w, &t) in tags.iter().enumerate() {
             mask |= u64::from(t == tag) << w;
         }
-        mask & self.valid[(set - self.set_base) as usize]
+        mask & self.valid[set as usize]
     }
 
     /// Returns the way holding `tag` in `set`, if resident.
@@ -492,7 +424,7 @@ impl<P: ReplacementPolicy> Llc<P> {
         let set = block.set_index(self.sets);
         let tag = block.tag(self.sets);
         let base = self.set_slot(set);
-        let set_idx = (set - self.set_base) as usize;
+        let set_idx = set as usize;
 
         // Hit path.
         let mask = self.match_mask(set, tag);
@@ -594,7 +526,7 @@ impl<P: ReplacementPolicy> Llc<P> {
         now: u64,
         cause: EvictCause,
     ) -> GenerationEnd {
-        let set_idx = (set - self.set_base) as usize;
+        let set_idx = set as usize;
         let slot = self.set_slot(set) + way;
         debug_assert!(
             self.valid[set_idx] & (1u64 << way) != 0,
@@ -624,9 +556,9 @@ impl<P: ReplacementPolicy> Llc<P> {
     /// so that per-generation statistics cover the whole run.
     pub fn flush<O: LlcObserver + ?Sized>(&mut self, obs: &mut O) {
         let now = self.time;
-        for set in self.set_base..self.set_base + self.set_len {
+        for set in 0..self.sets {
             // Ascending-way order, exactly as the per-way scan reported.
-            let mut live = self.valid[(set - self.set_base) as usize];
+            let mut live = self.valid[set as usize];
             while live != 0 {
                 let way = live.trailing_zeros() as usize;
                 live &= live - 1;

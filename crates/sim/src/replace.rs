@@ -95,24 +95,6 @@ impl SetView<'_> {
     }
 }
 
-/// How a replacement policy's mutable state is partitioned across sets.
-///
-/// Declared by [`ReplacementPolicy::state_scope`] and consulted by the
-/// sharded replay path: replaying a stream split by set index is *exact*
-/// precisely when no decision in one set can observe state written from
-/// another set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StateScope {
-    /// Every piece of mutable state is keyed by `(set, way)` — accesses to
-    /// different sets never read or write the same state, so replay may be
-    /// partitioned by set index without changing a single decision.
-    PerSet,
-    /// Some state is shared across sets (a set-dueling PSEL counter, a
-    /// global signature table, …). Sharded replay would diverge; callers
-    /// must fall back to the sequential path.
-    Global,
-}
-
 /// An LLC replacement policy.
 ///
 /// The LLC calls the hooks in this order:
@@ -151,17 +133,6 @@ pub trait ReplacementPolicy {
     /// debug builds.
     fn choose_victim(&mut self, set: usize, view: &SetView<'_>, ctx: &AccessCtx) -> usize;
 
-    /// Declares how this policy's mutable state is partitioned across sets.
-    ///
-    /// The default is [`StateScope::Global`] — the conservative answer that
-    /// keeps sharded replay disabled. Policies whose state is entirely
-    /// per-(set, way) override this to [`StateScope::PerSet`]; the
-    /// `tests/shard_equivalence.rs` property tests hold the override to its
-    /// word (sharded replay must stay bit-identical to sequential).
-    fn state_scope(&self) -> StateScope {
-        StateScope::Global
-    }
-
     /// Declares whether [`ReplacementPolicy::choose_victim`] reads
     /// [`SetView::lines`].
     ///
@@ -197,9 +168,6 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
     #[inline]
     fn choose_victim(&mut self, set: usize, view: &SetView<'_>, ctx: &AccessCtx) -> usize {
         (**self).choose_victim(set, view, ctx)
-    }
-    fn state_scope(&self) -> StateScope {
-        (**self).state_scope()
     }
     fn needs_line_views(&self) -> bool {
         (**self).needs_line_views()

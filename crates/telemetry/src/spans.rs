@@ -10,7 +10,7 @@
 //! Tracing is **off by default**. A span taken while tracing is
 //! disabled costs a single relaxed atomic load and records nothing, so
 //! instrumentation can stay in hot code permanently — the streams and
-//! shard bench gates run with this layer compiled in.
+//! kernel bench gates run with this layer compiled in.
 //!
 //! Threads that exit before export (the suite's guarded experiment
 //! threads, the daemon's per-job watchdogs) *retire* their buffer into
@@ -150,7 +150,7 @@ pub fn span(name: &'static str) -> SpanGuard {
     span_cow(Cow::Borrowed(name))
 }
 
-/// Starts a span with a computed name (e.g. `format!("shard {i}")`).
+/// Starts a span with a computed name (e.g. `format!("replay {name}")`).
 #[must_use = "a span measures until the guard drops; binding it to _ discards it immediately"]
 pub fn span_owned(name: String) -> SpanGuard {
     span_cow(Cow::Owned(name))

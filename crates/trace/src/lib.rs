@@ -31,7 +31,6 @@ pub mod fault;
 pub mod layout;
 pub mod multiprogram;
 pub mod patterns;
-pub mod shard;
 pub mod source;
 pub mod store;
 pub mod stream;
@@ -48,7 +47,6 @@ pub use patterns::{
     pipeline_channel, Consumer, LockHot, Migratory, Pattern, PatternAccess, PhaseAlternate,
     PrivateStream, PrivateWorkingSet, Producer, SharedReadOnly, Stencil, Transpose,
 };
-pub use shard::{ShardIndex, StreamShard};
 pub use source::{TraceSource, VecSource};
 pub use store::{
     atomic_write, sync_dir, ArtifactDir, ArtifactEntry, LoadError, StreamStore, QUARANTINE_DIR,

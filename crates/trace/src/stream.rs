@@ -7,8 +7,8 @@
 //! that sequence once; any number of replacement policies can then be
 //! replayed directly against the LLC, skipping trace generation and private
 //! cache simulation entirely (see `llc_sharing::replay`). It is the one
-//! replayable representation: every replay driver, the shard index and
-//! the annotation pre-pass walk its owned planes.
+//! replayable representation: the replay driver and the annotation
+//! pre-pass walk its owned planes.
 //!
 //! The binary format is a fixed little-endian header and fixed-size
 //! records. It has exactly one decoder, [`StreamView::new`], which maps

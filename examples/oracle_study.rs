@@ -36,7 +36,7 @@ fn main() {
         let stream = record_stream(&cfg, app.workload(cfg.cores, Scale::Small)).expect("record");
         let ann = compute_annotations(&stream, window);
         let misses = |desc: &ReplayDesc, ann| {
-            replay(&cfg, desc, &stream, ann, Exec::Auto, vec![])
+            replay(&cfg, desc, &stream, ann, vec![])
                 .expect("replay")
                 .llc
                 .misses()

@@ -71,7 +71,7 @@ pub mod prelude {
     };
     pub use llc_sharing::{
         oracle_window, replay, run_experiment, run_suite, run_suite_with, simulate, simulate_on,
-        EpochSeries, Exec, ExperimentCtx, ExperimentId, ExperimentOutcome, ReplayDesc, RunError,
+        EpochSeries, ExperimentCtx, ExperimentId, ExperimentOutcome, ReplayDesc, RunError,
         RunResult, SharingProfile, SuiteConfig, SuiteReport, Table, VictimizationStats,
     };
     pub use llc_sim::{

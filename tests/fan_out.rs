@@ -4,7 +4,6 @@
 //! at once, concurrent and nested fan-outs share the same helpers, a cap
 //! of 1 runs everything on the caller, a panicking app is re-raised
 //! after its siblings finish, and every helper is given back.
-//! `Exec::Auto` shards only while a helper is idle.
 //!
 //! The cap and the helper count are process-global, so these tests live
 //! in their own integration-test binary (their own process) and take
@@ -15,11 +14,7 @@ use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use sharing_aware_llc::prelude::*;
-use sharing_aware_llc::sharing::{
-    busy_helpers, per_app, record_stream, replay, set_host_thread_override, Exec, ReplayDesc,
-};
-use sharing_aware_llc::telemetry::metrics::global;
-use sharing_aware_llc::trace::VecSource;
+use sharing_aware_llc::sharing::{busy_helpers, per_app, set_host_thread_override};
 
 /// Held by every test that sets the host-thread cap.
 static CAP: Mutex<()> = Mutex::new(());
@@ -146,58 +141,4 @@ fn a_panicking_app_is_re_raised_after_its_siblings_finish() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"injected app panic"));
     assert_eq!(finished.load(Ordering::SeqCst), App::ALL.len() - 1);
     assert_eq!(busy_helpers(), 0, "a panicking item gives its helper back");
-}
-
-/// Shard indexes built or reused so far (`llc_dag_node_{hits,misses}_total`
-/// for `kind="index"`): one per set-sharded replay.
-fn shard_index_lookups() -> u64 {
-    global()
-        .encode()
-        .lines()
-        .filter(|l| l.starts_with("llc_dag_node_") && l.contains("{kind=\"index\"} "))
-        .filter_map(|l| l.rsplit(' ').next()?.parse::<u64>().ok())
-        .sum()
-}
-
-/// With helpers idle, `Exec::Auto` shards per-set policies — OPT
-/// included — and stays bit-identical to the sequential path; at a cap
-/// of 1 (no helper to idle) it replays sequentially; either way every
-/// helper is back afterwards.
-#[test]
-fn auto_shards_from_idle_helpers_and_stays_exact() {
-    let cfg = HierarchyConfig {
-        cores: 4,
-        l1: CacheConfig::from_kib(1, 2).expect("valid L1"),
-        l2: Some(CacheConfig::from_kib(2, 2).expect("valid L2")),
-        llc: CacheConfig::from_kib(8, 8).expect("valid LLC"),
-        inclusion: Inclusion::NonInclusive,
-    };
-    let trace: Vec<MemAccess> = (0..2000usize)
-        .map(|i| MemAccess {
-            core: CoreId::new(i % 4),
-            pc: Pc::new(0x400 + (i % 7) as u64 * 4),
-            addr: Addr::new((i as u64 * 13 % 160) * 64),
-            kind: if i % 5 == 0 {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            },
-            instr_gap: 3,
-        })
-        .collect();
-    let stream = record_stream(&cfg, VecSource::new(trace)).expect("record");
-
-    for kind in [PolicyKind::Lru, PolicyKind::Srrip, PolicyKind::Opt] {
-        let desc = ReplayDesc::plain(kind);
-        let seq = replay(&cfg, &desc, &stream, None, Exec::Shards(1), vec![]).expect("sequential");
-        for (cap, shards) in [(4, true), (1, false)] {
-            let _cap = Cap::set(cap);
-            let before = shard_index_lookups();
-            let auto = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("auto");
-            let sharded = shard_index_lookups() > before;
-            assert_eq!(sharded, shards, "kind {} at cap {cap}", kind.label());
-            assert_eq!(seq, auto, "kind {} at cap {cap}", kind.label());
-            assert_eq!(busy_helpers(), 0, "auto-shard gives its helpers back");
-        }
-    }
 }

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use llc_sharing::{
     compute_annotations, oracle_window, record_stream, replay, replay_kind, replay_on, simulate,
-    simulate_on, AnnotationFeed, Annotations, Exec, ReplayDesc, ReplayWrap,
+    simulate_on, AnnotationFeed, Annotations, ReplayDesc, ReplayWrap,
 };
 use llc_sim::{AccessCtx, AuxProvider, LiveGeneration};
 use proptest::prelude::*;
@@ -156,9 +156,7 @@ proptest! {
 
     /// LLC-only replay is bit-identical to full-hierarchy simulation for
     /// every policy kind and for the reactive and predictor-driven wraps,
-    /// on hierarchies with and without an L2. The wraps hold global
-    /// state, so an explicit shard request must take the sequential
-    /// fallback and give the same bits.
+    /// on hierarchies with and without an L2.
     #[test]
     fn replay_matches_full_simulation(trace in trace_strategy(600)) {
         for cfg in [no_l2_cfg(), with_l2_cfg()] {
@@ -173,17 +171,12 @@ proptest! {
                 let full = simulate_on(
                     &cfg, boxed_policy(&desc, sets, ways), None,
                     VecSource::new(trace.clone()), vec![]).expect("full run");
-                let fast = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("replay");
+                let fast = replay(&cfg, &desc, &stream, None, vec![]).expect("replay");
                 prop_assert_eq!(full.llc, fast.llc, "{}", desc.label());
                 prop_assert_eq!(full.l1, fast.l1);
                 prop_assert_eq!(full.l2, fast.l2);
                 prop_assert_eq!(full.instructions, fast.instructions);
                 prop_assert_eq!(full.trace_accesses, fast.trace_accesses);
-                if desc.wrap != ReplayWrap::Plain {
-                    let sharded = replay(&cfg, &desc, &stream, None, Exec::Shards(4), vec![])
-                        .expect("sharded replay");
-                    prop_assert_eq!(&fast, &sharded, "{} at 4 shards", desc.label());
-                }
             }
         }
     }
@@ -242,7 +235,7 @@ proptest! {
                 vec![],
             ).expect("legacy oracle run");
             let stream = record_stream(&cfg, VecSource::new(trace.clone())).expect("record");
-            let fast = replay(&cfg, &desc, &stream, None, Exec::Auto, vec![])
+            let fast = replay(&cfg, &desc, &stream, None, vec![])
                 .expect("oracle replay");
             prop_assert_eq!(full.llc, fast.llc, "base {}", base.label());
         }
@@ -431,8 +424,7 @@ fn monomorphized_oracle_matches_dyn_for_every_base() {
             &mut NullObserver,
         )
         .expect("dyn oracle replay");
-        let mono_run =
-            replay(&cfg, &desc, &stream, None, Exec::Auto, vec![]).expect("mono oracle replay");
+        let mono_run = replay(&cfg, &desc, &stream, None, vec![]).expect("mono oracle replay");
         assert_eq!(dyn_run.llc, mono_run.llc, "oracle base {}", base.label());
     }
 }
@@ -442,16 +434,13 @@ proptest! {
 
     /// Kernel-edge sweep: associativities across the whole supported
     /// range — including `ways = 64`, where the branchless scan's
-    /// `full_mask` must saturate to all-ones without overflowing — and
-    /// shard counts that do not divide the set count (non-power-of-two
-    /// per-shard set ranges). Monomorphized sequential, `Box<dyn>`
-    /// sequential and monomorphized sharded replay must all agree.
+    /// `full_mask` must saturate to all-ones without overflowing — over
+    /// 1 to 8 sets. Monomorphized and `Box<dyn>` replay must agree.
     #[test]
     fn kernel_edges_ways_and_shard_sweep(
         trace in trace_strategy(300),
         ways in 1usize..=64,
         sets_pow in 0u32..4,
-        shards in 1usize..=7,
     ) {
         let sets = 1u64 << sets_pow;
         let cfg = HierarchyConfig {
@@ -475,15 +464,9 @@ proptest! {
                 &mut NullObserver,
             ).expect("dyn replay");
             let mono_run = replay_kind(&cfg, kind, &stream, vec![]).expect("mono replay");
-            let sharded = replay(&cfg, &desc, &stream, None, Exec::Shards(shards), vec![])
-                .expect("sharded");
             prop_assert_eq!(
                 &dyn_run.llc, &mono_run.llc,
                 "mono vs dyn, kind {} ways {} sets {}", kind.label(), ways, sets);
-            prop_assert_eq!(
-                &mono_run.llc, &sharded.llc,
-                "sharded vs sequential, kind {} ways {} sets {} shards {}",
-                kind.label(), ways, sets, shards);
         }
     }
 }
