@@ -80,8 +80,10 @@ options:
                              default; pass 1 to force sequential runs); their
                              apps share helper threads, at most twice the
                              host's hardware threads minus one
-  --stream-cache-mb <n>      in-memory stream cache cap in MiB (default sized
-                             off --jobs: 512 MiB per job, 2 GiB floor)
+  --stream-cache-mb <n>      in-memory stream cache cap in MiB, over each
+                             resident stream plus its annotation scan (12 B
+                             per reference); default sized off --jobs:
+                             512 MiB per job, 2 GiB floor
   --trace-out <path>         write a Chrome-trace JSON timeline of the run
                              (open in chrome://tracing or ui.perfetto.dev)
   -h, --help                 show this help

@@ -10,7 +10,7 @@ use llc_trace::{App, Multiprogram};
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
 use crate::model::LatencyModel;
-use crate::replay::{direct_annotations, replay, replay_kind, StreamKey, WorkloadId};
+use crate::replay::{replay, replay_kind, StreamKey, WorkloadId};
 use crate::report::f3;
 use crate::report::{mean, pct, Table};
 use crate::runner::oracle_window;
@@ -134,17 +134,15 @@ pub(crate) fn abl5(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
             .streams
             .get_or_record(key, || Multiprogram::new(&apps, 2, ctx.scale))?;
         // Not memoized: mix streams are read by this experiment only.
-        // For the same reason their annotations are computed for the one
-        // oracle replay and dropped with it: a kept scan would never be
-        // read again.
+        // For the same reason the oracle replay computes its annotations
+        // and drops them: a kept scan would never be read again.
         let mut profile = crate::characterize::SharingProfile::new();
         let lru = replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut profile])?;
-        let window = oracle_window(&cfg);
         let oracle = replay(
             &cfg,
-            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, window),
+            &ReplayDesc::oracle(PolicyKind::Lru, ProtectMode::Eviction, oracle_window(&cfg)),
             &stream,
-            Some(&direct_annotations(&stream, window)),
+            None,
             vec![],
         )?;
         Ok(vec![

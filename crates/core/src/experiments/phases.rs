@@ -1,12 +1,12 @@
 //! `fig11`: epoch-resolved sharing for phase-structured applications.
 
+use llc_dag::ReplayDesc;
 use llc_policies::PolicyKind;
 use llc_trace::App;
 
 use crate::epochs::EpochSeries;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
 use crate::report::{f3, pct, Table};
 
 /// Number of epochs the time series is resampled to.
@@ -49,7 +49,8 @@ pub(crate) fn fig11(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         let epoch_len = (stream.len() as u64 / SERIES_POINTS as u64).max(1);
         // Not memoized: no other experiment reads an epoch series.
         let mut series = EpochSeries::new(epoch_len);
-        replay_kind(&cfg, PolicyKind::Lru, &stream, vec![&mut series])?;
+        let lru = ReplayDesc::plain(PolicyKind::Lru);
+        ctx.replay_observed(app, &cfg, &lru, vec![&mut series])?;
         let mut cells = vec![app.label().to_string(), f3(series.sharing_burstiness())];
         for i in 0..SERIES_POINTS {
             let v = series

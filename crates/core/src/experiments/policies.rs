@@ -12,7 +12,6 @@ use llc_policies::PolicyKind;
 use crate::awareness::VictimizationStats;
 use crate::error::RunError;
 use crate::experiments::{per_app_try, ExperimentCtx};
-use crate::replay::replay_kind;
 use crate::report::{f3, geomean, pct, Table};
 
 /// The policy lineup of the comparison figures.
@@ -104,12 +103,11 @@ pub(crate) fn fig6(ctx: &ExperimentCtx) -> Result<Vec<Table>, RunError> {
         &headers.iter().map(String::as_str).collect::<Vec<_>>(),
     );
     let rows = per_app_try(&ctx.apps, |app| {
-        let stream = ctx.stream(app, &cfg)?;
         let mut cells = vec![app.label().to_string()];
         for &kind in &policies {
             // Not memoized: no other experiment reads victimization stats.
             let mut stats = VictimizationStats::new(window);
-            replay_kind(&cfg, kind, &stream, vec![&mut stats])?;
+            ctx.replay_observed(app, &cfg, &ReplayDesc::plain(kind), vec![&mut stats])?;
             cells.push(pct(stats.premature_rate()));
             cells.push(pct(stats.shared_victimization_rate()));
         }

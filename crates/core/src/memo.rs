@@ -4,9 +4,9 @@
 //! streams, so the same baselines (plain LRU, Oracle(LRU) at the default
 //! window, the LRU sharing profile) recur across the whole campaign.
 //! [`ExperimentCtx`] owns a replay memo — the in-process tier in front
-//! of the optional [`DagStore`] — and every replay whose output can be
-//! memoized resolves through it, so one campaign executes each
-//! (stream, descriptor) node at most once.
+//! of the optional [`DagStore`](llc_dag::DagStore) — and every replay
+//! whose output can be memoized resolves through it, so one campaign
+//! executes each (stream, descriptor) node at most once.
 //!
 //! # Stats tier
 //!
@@ -20,8 +20,8 @@
 //!    fills the memo.
 //! 3. **Annotation node** (`annotations_fp(stream_fp, window)`), for
 //!    descriptors that need a pre-pass (oracle wraps, OPT): loaded from
-//!    the store, or derived from the recording's one annotation scan
-//!    and persisted.
+//!    the store, or derived from the recording's one annotation scan,
+//!    which its stream-cache entry keeps, and persisted.
 //! 4. The replay executes through [`replay`] over the stream cache's
 //!    owned [`RecordedStream`] with the resolved annotations injected; the
 //!    result is persisted as a new replay node and memoized.
@@ -40,21 +40,22 @@
 //!   replay, one observer each, so `fig9` (six designs) and `table3`
 //!   (six design × budget keys) replay each app once.
 //!
-//! A product run also records its LRU [`RunResult`] under the LRU node:
-//! observers never change policy behaviour, so the counters are the
-//! stats tier's.
+//! These and every other observed replay run through one path,
+//! `ExperimentCtx::replay_observed`, which takes the descriptor's
+//! annotations from the stream's cache entry and records the
+//! [`RunResult`] under the replay's node: observers never change policy
+//! behaviour, so the counters are the stats tier's. Nothing is persisted.
 //!
 //! # Not memoized
 //!
 //! Victimization stats (fig6), epoch series (fig11) and the
 //! multi-programmed mixes (abl5) are read by one experiment each, so an
-//! entry would never be hit. Annotations are not memoized here: they are
-//! shared per recording instead. Each cached recording is scanned once
-//! for every window (12 B per reference, living as long as the
-//! recording), and each window's vectors are derived from that scan on
-//! request (see [`compute_annotations`]), so a DAG annotation miss and
-//! fig6's OPT reuse the one scan. abl5's mix streams are annotated by
-//! one replay each, so they keep no scan.
+//! entry would never be hit. Annotations are not memoized here: each
+//! cached recording's stream-cache entry keeps one scan for every window
+//! (12 B per reference, charged to the entry and dropped with it), so a
+//! DAG annotation miss and fig6's OPT derive their windows from it.
+//! abl5's mix streams are annotated by their one oracle replay each, so
+//! they keep no scan.
 //!
 //! # Sharing and failure
 //!
@@ -70,13 +71,13 @@
 //! artifacts store the exact vectors the scan produced, so warm and cold
 //! paths feed byte-identical inputs to byte-identical kernels.
 //! Persistence failures only bump counters; corruption is quarantined
-//! inside [`DagStore`] and surfaces here as a miss.
+//! inside [`DagStore`](llc_dag::DagStore) and surfaces here as a miss.
 
 use std::hash::Hash;
 use std::sync::{Arc, LazyLock, Mutex, TryLockError};
 
 use fxhash::FxHashMap;
-use llc_dag::{annotations_fp, replay_fp, AnnotationsData, DagStore, NodeKind, ReplayDesc};
+use llc_dag::{annotations_fp, replay_fp, AnnotationsData, NodeKind, ReplayDesc};
 use llc_policies::PolicyKind;
 use llc_predictors::{
     build_predictor_with, ConfusionMatrix, PredictorKind, PredictorStudy, TableConfig,
@@ -88,7 +89,7 @@ use llc_trace::{App, RecordedStream};
 use crate::characterize::SharingProfile;
 use crate::error::RunError;
 use crate::experiments::ExperimentCtx;
-use crate::replay::{compute_annotations, lock_recovering, replay, Annotations};
+use crate::replay::{lock_recovering, replay, Annotations, StreamKey};
 use crate::runner::RunResult;
 
 /// Memo lookups by outcome, over every tier and product.
@@ -159,7 +160,7 @@ impl ReplayMemo {
     }
 
     /// Records a result that executed outside the stats tier (an
-    /// observer product's run) under its node. Never waits: a slot that
+    /// observed replay) under its node. Never waits: a slot that
     /// is being filled right now gets the same bits from its filler.
     fn record(&self, node_fp: u64, result: &RunResult) {
         let slot = self.stats_slot(node_fp);
@@ -172,46 +173,6 @@ impl ReplayMemo {
     }
 }
 
-/// Resolves the annotation vectors for `window` over `stream`: from the
-/// DAG store when attached and intact, otherwise derived from the
-/// recording's annotation scan (persisted back when a store is
-/// attached). The loaded artifact
-/// is shape-checked against the stream — a mismatch (which the
-/// fingerprint should make impossible) recomputes rather than corrupts.
-fn resolve_annotations(
-    dag: Option<(&DagStore, u64)>,
-    stream: &RecordedStream,
-    window: u64,
-) -> Annotations {
-    let Some((dag, stream_fp)) = dag else {
-        return compute_annotations(stream, window);
-    };
-    let fp = annotations_fp(stream_fp, window);
-    if let Some(data) = dag.load_annotations(fp) {
-        if data.window == window && data.next_use.len() == stream.len() {
-            dag.record_hit(NodeKind::Annotations);
-            return Annotations {
-                next_use: Arc::new(data.next_use),
-                shared_soon: Arc::new(data.shared_soon),
-            };
-        }
-    }
-    dag.record_miss(NodeKind::Annotations);
-    let ann = compute_annotations(stream, window);
-    let saved = dag.save_annotations(
-        fp,
-        &AnnotationsData {
-            window,
-            next_use: ann.next_use.to_vec(),
-            shared_soon: ann.shared_soon.to_vec(),
-        },
-    );
-    if saved.is_err() {
-        dag.record_disk_error();
-    }
-    ann
-}
-
 impl ExperimentCtx {
     /// The node key of plain LRU over `app`'s stream under `config`: the
     /// node the observer products belong to.
@@ -220,6 +181,48 @@ impl ExperimentCtx {
             self.stream_key(app, config).fingerprint(),
             ReplayDesc::plain(PolicyKind::Lru).fingerprint(),
         )
+    }
+
+    /// Resolves the annotation vectors for `window` over `stream`,
+    /// `key`'s recording: from the DAG store when attached and intact,
+    /// otherwise derived from the recording's annotation scan in its
+    /// stream-cache entry (persisted back when a store is attached). The
+    /// loaded artifact is shape-checked against the stream — a mismatch
+    /// (which the fingerprint should make impossible) recomputes rather
+    /// than corrupts.
+    fn resolve_annotations(
+        &self,
+        key: &StreamKey,
+        stream: &Arc<RecordedStream>,
+        window: u64,
+    ) -> Annotations {
+        let Some(dag) = self.dag.as_ref() else {
+            return self.streams.annotations(key, stream, window);
+        };
+        let fp = annotations_fp(key.fingerprint(), window);
+        if let Some(data) = dag.load_annotations(fp) {
+            if data.window == window && data.next_use.len() == stream.len() {
+                dag.record_hit(NodeKind::Annotations);
+                return Annotations {
+                    next_use: Arc::new(data.next_use),
+                    shared_soon: Arc::new(data.shared_soon),
+                };
+            }
+        }
+        dag.record_miss(NodeKind::Annotations);
+        let ann = self.streams.annotations(key, stream, window);
+        let saved = dag.save_annotations(
+            fp,
+            &AnnotationsData {
+                window,
+                next_use: ann.next_use.to_vec(),
+                shared_soon: ann.shared_soon.to_vec(),
+            },
+        );
+        if saved.is_err() {
+            dag.record_disk_error();
+        }
+        ann
     }
 
     /// Replays `desc` for `app` under `config`, resolving through the
@@ -238,8 +241,8 @@ impl ExperimentCtx {
         config: &HierarchyConfig,
         desc: &ReplayDesc,
     ) -> Result<RunResult, RunError> {
-        let stream_fp = self.stream_key(app, config).fingerprint();
-        let node_fp = replay_fp(stream_fp, desc.fingerprint());
+        let key = self.stream_key(app, config);
+        let node_fp = replay_fp(key.fingerprint(), desc.fingerprint());
         resolve(&self.memo.stats_slot(node_fp), || {
             let dag = self.dag.as_ref();
             if let Some(dag) = dag {
@@ -252,7 +255,7 @@ impl ExperimentCtx {
             let stream = self.stream(app, config)?;
             let ann = desc
                 .annotation_window()
-                .map(|window| resolve_annotations(dag.map(|d| (d, stream_fp)), &stream, window));
+                .map(|window| self.resolve_annotations(&key, &stream, window));
             let result = replay(config, desc, &stream, ann.as_ref(), vec![])?;
             if let Some(dag) = dag {
                 dag.record_replay_executed();
@@ -283,7 +286,8 @@ impl ExperimentCtx {
         let slot = slot(&mut lock_recovering(&self.memo.entries).profiles, lru);
         resolve(&slot, || {
             let mut profile = SharingProfile::new();
-            let result = self.replay_lru_observed(app, &config, lru, vec![&mut profile])?;
+            let desc = ReplayDesc::plain(PolicyKind::Lru);
+            let result = self.replay_observed(app, &config, &desc, vec![&mut profile])?;
             profile.compact();
             Ok((result, profile))
         })
@@ -333,7 +337,7 @@ impl ExperimentCtx {
                 .iter_mut()
                 .map(|study| study as &mut dyn LlcObserver)
                 .collect();
-            self.replay_lru_observed(app, config, lru, observers)?;
+            self.replay_observed(app, config, &ReplayDesc::plain(PolicyKind::Lru), observers)?;
             for (&i, study) in missing.iter().zip(&studies) {
                 *guards[i] = Some(study.matrix());
             }
@@ -347,24 +351,30 @@ impl ExperimentCtx {
             .collect())
     }
 
-    /// Replays plain LRU over `app`'s stream with `observers` attached
-    /// and records the run under its node, `lru`.
-    fn replay_lru_observed(
+    /// Replays `desc` over `app`'s cached stream under `config` with
+    /// `observers` attached: the one path for observed replays. The
+    /// descriptor's annotations come from the stream's cache entry, and
+    /// the run is recorded under its node in the memo; nothing is
+    /// persisted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates recording/replay errors.
+    pub(crate) fn replay_observed(
         &self,
         app: App,
         config: &HierarchyConfig,
-        lru: u64,
+        desc: &ReplayDesc,
         observers: Vec<&mut dyn LlcObserver>,
     ) -> Result<RunResult, RunError> {
+        let key = self.stream_key(app, config);
         let stream = self.stream(app, config)?;
-        let result = replay(
-            config,
-            &ReplayDesc::plain(PolicyKind::Lru),
-            &stream,
-            None,
-            observers,
-        )?;
-        self.memo.record(lru, &result);
+        let ann = desc
+            .annotation_window()
+            .map(|window| self.streams.annotations(&key, &stream, window));
+        let result = replay(config, desc, &stream, ann.as_ref(), observers)?;
+        self.memo
+            .record(replay_fp(key.fingerprint(), desc.fingerprint()), &result);
         Ok(result)
     }
 }

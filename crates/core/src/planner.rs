@@ -5,11 +5,11 @@
 //! Every experiment whose replays resolve through
 //! [`ExperimentCtx::replay_cached`] has a replay lineup: `fig5`, `fig7`,
 //! `fig8`, `fig10`, `fig12`, `abl1`, `abl3`, `abl4`, and `abl2`'s
-//! non-inclusive oracle. Observer products
-//! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_studies`]) are
-//! memoized in process only and never persisted, and fig6, fig11 and
-//! abl5 replay directly, so those experiments plan stream nodes
-//! only. A test runs every experiment against a fresh store and checks
+//! non-inclusive oracle. Observed replays — the observer products
+//! ([`ExperimentCtx::profile`], [`ExperimentCtx::predictor_studies`]),
+//! fig6 and fig11 — run through one in-process path that records each
+//! run in the memo and never persists it, and abl5 replays its mixes
+//! directly, so those experiments plan stream nodes only. A test runs every experiment against a fresh store and checks
 //! that the replay and annotation nodes it saves are exactly the planned
 //! ones. A plan is advisory: the run itself re-resolves every
 //! node, so a stale plan can never corrupt a result, only mispredict the

@@ -44,12 +44,12 @@
 //! inclusive. So every non-inclusive LLC size of one workload replays
 //! one recording, one cache entry and one `.llcs` file, while replay and
 //! annotation nodes stay keyed per LLC size by [`StreamKey::fingerprint`].
-//! Each cached recording is also scanned at most once for annotations;
-//! every window any descriptor asks of it is derived from that scan (see
-//! [`compute_annotations`]).
+//! Each cached recording is also scanned at most once for annotations:
+//! the scan lives in the recording's cache entry, and every window any
+//! descriptor asks of it is derived from that scan.
 
 use std::collections::HashMap;
-use std::sync::{Arc, LazyLock, Mutex};
+use std::sync::{Arc, LazyLock, Mutex, OnceLock};
 
 use fxhash::FxHashMap;
 use llc_dag::{ReplayDesc, ReplayWrap};
@@ -306,10 +306,10 @@ fn check_replayable(config: &HierarchyConfig, stream: &RecordedStream) -> Result
 ///
 /// * `ann` supplies the descriptor's annotation vectors (see
 ///   [`ReplayDesc::annotation_window`]) when the caller already holds
-///   them — the DAG memo layer loads them from its store. `None`
-///   derives them with [`compute_annotations`], from the recording's
-///   one cached scan when the stream came from a [`StreamCache`];
-///   descriptors that need no annotations ignore the argument.
+///   them — the DAG memo layer loads them from its store or derives
+///   them from the recording's cached scan. `None` computes them with
+///   [`compute_annotations`] and keeps nothing; descriptors that need no
+///   annotations ignore the argument.
 /// * `observers` are fed in stream order.
 ///
 /// The replay is one sequential pass on the calling thread; parallelism
@@ -513,100 +513,6 @@ where
     })
 }
 
-/// Process-global registry associating streams handed out by a
-/// [`StreamCache`] with what is derived from them lazily, their one
-/// `AnnotationScan`, so every replay of the same recording shares one
-/// annotation scan. Streams are matched by allocation identity (the
-/// `Arc` the cache holds), which is stable for as long as the stream is
-/// alive; entries whose stream has been dropped (e.g. evicted by the
-/// cache's byte cap) are pruned on the next registration or eviction,
-/// which bounds the registry — and the scans it keeps alive — by the
-/// cache contents.
-mod stream_registry {
-    use std::sync::{Arc, Mutex, OnceLock, Weak};
-
-    use llc_trace::RecordedStream;
-
-    use super::{lock_recovering, AnnotationScan, CacheInner, StreamCache};
-
-    /// The cache entry a registered stream's scan is charged to: the
-    /// cache, the entry's key and the slot that holds the stream.
-    pub(super) struct Owner {
-        pub(super) cache: Weak<Mutex<CacheInner>>,
-        pub(super) id: u64,
-        pub(super) slot: Weak<Mutex<Option<Arc<RecordedStream>>>>,
-    }
-
-    /// What one registered stream has derived so far.
-    pub(super) struct Derived {
-        /// The stream's annotation scan, built by its first requester
-        /// while concurrent requesters wait for it.
-        scan: OnceLock<AnnotationScan>,
-        /// Where the scan is charged.
-        owner: Owner,
-    }
-
-    impl Derived {
-        /// The scan of `stream` (the stream this entry belongs to),
-        /// built on first request and charged to the owning cache entry.
-        pub(super) fn scan(&self, stream: &RecordedStream) -> &AnnotationScan {
-            self.scan.get_or_init(|| {
-                let scan = AnnotationScan::new(stream);
-                StreamCache::charge_scan(&self.owner, stream.encoded_len() as u64 + scan.bytes());
-                scan
-            })
-        }
-    }
-
-    static REGISTRY: Mutex<Vec<(Weak<RecordedStream>, Arc<Derived>)>> = Mutex::new(Vec::new());
-
-    /// Registers a stream (idempotent), pruning dead entries; `owner`
-    /// is the cache entry holding it.
-    pub(super) fn register(stream: &Arc<RecordedStream>, owner: Owner) {
-        let mut reg = lock_recovering(&REGISTRY);
-        reg.retain(|(weak, _)| weak.strong_count() > 0);
-        if reg
-            .iter()
-            .any(|(weak, _)| weak.upgrade().is_some_and(|s| Arc::ptr_eq(&s, stream)))
-        {
-            return;
-        }
-        let derived = Derived {
-            scan: OnceLock::new(),
-            owner,
-        };
-        reg.push((Arc::downgrade(stream), Arc::new(derived)));
-    }
-
-    /// Drops the entries of streams that are gone, and with them their
-    /// scans.
-    pub(super) fn prune() {
-        lock_recovering(&REGISTRY).retain(|(weak, _)| weak.strong_count() > 0);
-    }
-
-    /// The bytes `stream`'s scan holds, 0 until it is built.
-    pub(super) fn scan_bytes(stream: &RecordedStream) -> u64 {
-        lookup(stream)
-            .and_then(|derived| derived.scan.get().map(AnnotationScan::bytes))
-            .unwrap_or(0)
-    }
-
-    /// The derived artifacts of the registered stream `stream` is the
-    /// allocation of, or `None` for ad-hoc streams that never went
-    /// through a cache. The `Weak` upgrade makes the pointer comparison
-    /// safe: a live registered allocation cannot share an address with
-    /// anything else.
-    pub(super) fn lookup(stream: &RecordedStream) -> Option<Arc<Derived>> {
-        let reg = lock_recovering(&REGISTRY);
-        reg.iter()
-            .find(|(weak, _)| {
-                weak.upgrade()
-                    .is_some_and(|s| std::ptr::eq(Arc::as_ptr(&s), stream))
-            })
-            .map(|(_, derived)| Arc::clone(derived))
-    }
-}
-
 /// Both offline annotation vectors of one window over a recorded stream
 /// (see [`compute_annotations`]).
 ///
@@ -633,13 +539,10 @@ pub struct Annotations {
 /// retention horizon proportional to the LLC capacity (see
 /// [`oracle_window`](crate::oracle_window)).
 ///
-/// A stream handed out by a [`StreamCache`] is scanned once, window-free,
-/// by its first requester; every window over it — from any LLC size, descriptor or
-/// experiment — is then derived from that scan with one cheap pass over
-/// its per-access distances. A window of `u32::MAX` or more, which the
-/// scan's saturated distances cannot resolve, and an ad-hoc stream are
-/// answered by the same backward recurrence with the window applied
-/// directly.
+/// This is the pure backward recurrence with the window applied inside
+/// it: nothing is kept or charged. Experiments read the same vectors
+/// from the recording's one cached scan instead, which a
+/// [`StreamCache`] entry keeps for every window and LLC size.
 ///
 /// A stream recorded on an [`Inclusion::Inclusive`] hierarchy is *not*
 /// policy-independent (back-invalidations feed back into the private
@@ -647,13 +550,13 @@ pub struct Annotations {
 /// ablation quantifies the effect.
 pub fn compute_annotations(stream: &RecordedStream, window: u64) -> Annotations {
     let _span = spans::span("compute_annotations");
-    if window >= u64::from(u32::MAX) {
-        return direct_annotations(stream, window);
-    }
-    match stream_registry::lookup(stream) {
-        Some(derived) => derived.scan(stream).annotations(window),
-        // An ad-hoc stream has nowhere to keep a scan for a later window.
-        None => direct_annotations(stream, window),
+    let mut shared_soon = vec![false; stream.len()];
+    let next_use = scan_backward(stream, |i, next_diff| {
+        shared_soon[i] = next_diff != u64::MAX && next_diff - i as u64 <= window;
+    });
+    Annotations {
+        next_use: Arc::new(next_use),
+        shared_soon: Arc::new(shared_soon),
     }
 }
 
@@ -700,28 +603,13 @@ fn scan_backward(stream: &RecordedStream, mut diff: impl FnMut(usize, u64)) -> V
     next_use
 }
 
-/// [`compute_annotations`] without the scan: the recurrence with the
-/// window applied inside it, for ad-hoc streams, for windows the scan
-/// cannot resolve, and for a cached stream only one replay annotates
-/// (no scan is kept for it).
-pub(crate) fn direct_annotations(stream: &RecordedStream, window: u64) -> Annotations {
-    let mut shared_soon = vec![false; stream.len()];
-    let next_use = scan_backward(stream, |i, next_diff| {
-        shared_soon[i] = next_diff != u64::MAX && next_diff - i as u64 <= window;
-    });
-    Annotations {
-        next_use: Arc::new(next_use),
-        shared_soon: Arc::new(shared_soon),
-    }
-}
-
 /// The window-free result of one backward scan over a recorded stream:
 /// `next_use`, plus each access's distance to the nearest future access
 /// to its block by a different core. Any window below `u32::MAX` derives
 /// its [`Annotations`] from it with one pass over the distances, so a
 /// recording is scanned once however many windows and LLC sizes read
-/// it. It costs 12 bytes per reference and lives as long as the
-/// recording (see [`compute_annotations`]).
+/// it. It costs 12 bytes per reference and lives in the recording's
+/// [`StreamCache`] entry (see [`StreamCache::annotations`]).
 #[derive(Debug)]
 struct AnnotationScan {
     next_use: Arc<Vec<u64>>,
@@ -753,13 +641,13 @@ impl AnnotationScan {
 
     /// The annotations of `window`, sharing this scan's `next_use`.
     /// `window` must be below `u32::MAX`, where a saturated distance
-    /// still answers exactly ([`compute_annotations`] takes the direct
-    /// path from there on).
+    /// still answers exactly ([`compute_annotations`] answers from there
+    /// on).
     fn annotations(&self, window: u64) -> Annotations {
         let window = u32::try_from(window)
             .ok()
             .filter(|&w| w < u32::MAX)
-            .expect("compute_annotations answers windows of u32::MAX and above directly");
+            .expect("compute_annotations answers windows of u32::MAX and above");
         Annotations {
             next_use: Arc::clone(&self.next_use),
             shared_soon: Arc::new(self.share_dist.iter().map(|&d| d <= window).collect()),
@@ -877,7 +765,25 @@ impl StreamKey {
     }
 }
 
-type Slot = Arc<Mutex<Option<Arc<RecordedStream>>>>;
+/// A filled cache slot: the recording and its annotation scan, built by
+/// the first requester of any window (see [`StreamCache::annotations`])
+/// and dropped with the slot. The `Arc` lets the scan be built outside
+/// every cache lock while concurrent requesters wait for it.
+#[derive(Debug, Clone)]
+struct Resident {
+    stream: Arc<RecordedStream>,
+    scan: Arc<OnceLock<AnnotationScan>>,
+}
+
+impl Resident {
+    /// The bytes charged for this slot: the stream's encoded size, plus
+    /// its scan once built.
+    fn bytes(&self) -> u64 {
+        self.stream.encoded_len() as u64 + self.scan.get().map_or(0, AnnotationScan::bytes)
+    }
+}
+
+type Slot = Arc<Mutex<Option<Resident>>>;
 
 /// Counters of a [`StreamCache`] and its optional disk backing — the
 /// numbers `llc-serve` reports under `GET /store/stats`.
@@ -947,7 +853,7 @@ struct CacheInner {
 ///
 /// * **A byte cap** ([`StreamCache::set_limit`]): the cache tracks the
 ///   encoded size of every resident stream, plus its annotation scan
-///   (see [`compute_annotations`]) once one is built, and evicts the
+///   (12 B per reference) once one is built, and evicts the
 ///   least-recently-used entries when an insert or a scan pushes the
 ///   total over the cap (the entry being charged is never evicted, so a
 ///   single oversized stream still caches). Counters are exposed via
@@ -990,9 +896,11 @@ impl StreamCache {
     }
 
     /// The default in-memory byte cap for a run with `jobs` concurrent
-    /// experiments: 512 MiB of encoded streams per job — comfortably the
-    /// working set of a paper-scale experiment — with a 2 GiB floor so
-    /// small worker counts never thrash the suite's shared recordings.
+    /// experiments: 512 MiB per job of resident streams, each charged at
+    /// its encoded size plus its annotation scan (12 B per reference)
+    /// once one is built — comfortably the working set of a paper-scale
+    /// experiment — with a 2 GiB floor so small worker counts never
+    /// thrash the suite's shared recordings.
     pub fn default_limit(jobs: usize) -> u64 {
         ((jobs.max(1) as u64) * (512 << 20)).max(2 << 30)
     }
@@ -1012,32 +920,25 @@ impl StreamCache {
     /// touches LRU state, so planning a spec cannot perturb the cache.
     pub fn probe(&self, key: &StreamKey) -> Option<u64> {
         let id = key.recording_fingerprint();
-        let (slot, store) = {
-            let inner = lock_recovering(&self.inner);
-            (
-                inner.map.get(&id).map(|e| Arc::clone(&e.slot)),
-                inner.store.clone(),
-            )
-        };
-        if let Some(slot) = slot {
-            if let Some(stream) = lock_recovering(&slot).as_ref() {
-                return Some(stream.encoded_len() as u64);
-            }
+        if let Some((_, resident)) = self.filled(id) {
+            return Some(resident.stream.encoded_len() as u64);
         }
+        let store = lock_recovering(&self.inner).store.clone();
         store?.size_of(id)
     }
 
     /// `true` if `key`'s stream is resident in memory right now: whether
     /// the byte cap has evicted it (what byte-accounting tests check).
     pub fn resident(&self, key: &StreamKey) -> bool {
-        let slot = {
-            let inner = lock_recovering(&self.inner);
-            inner
-                .map
-                .get(&key.recording_fingerprint())
-                .map(|e| Arc::clone(&e.slot))
-        };
-        slot.is_some_and(|slot| lock_recovering(&slot).is_some())
+        self.filled(key.recording_fingerprint()).is_some()
+    }
+
+    /// Entry `id`'s slot and what it holds, if the entry is filled.
+    /// Touches no LRU state.
+    fn filled(&self, id: u64) -> Option<(Slot, Resident)> {
+        let slot = Arc::clone(&lock_recovering(&self.inner).map.get(&id)?.slot);
+        let resident = lock_recovering(&slot).clone()?;
+        Some((slot, resident))
     }
 
     /// Returns the stream for `key`: from memory if resident, else from
@@ -1072,19 +973,18 @@ impl StreamCache {
             (Arc::clone(&entry.slot), inner.store.clone())
         };
         let mut guard = lock_recovering(&slot);
-        if let Some(stream) = guard.as_ref() {
-            let stream = Arc::clone(stream);
+        if let Some(resident) = guard.as_ref() {
+            let (stream, size) = (Arc::clone(&resident.stream), resident.bytes());
             drop(guard);
-            let size = stream.encoded_len() as u64 + stream_registry::scan_bytes(&stream);
             let mut inner = lock_recovering(&self.inner);
             inner.stats.hits += 1;
             METRICS.cache_hits.inc();
             // A hit can race the byte cap: eviction may have removed the
             // map entry between slot resolution and here while this Arc
-            // kept the stream alive. Re-adopt the slot so the bytes this
-            // handle pins stay accounted — otherwise the next request
-            // would load a second copy of a stream still resident,
-            // double-charging the cap in real memory.
+            // kept the stream alive. Re-adopt the slot, scan included,
+            // so the bytes this handle pins stay accounted — otherwise
+            // the next request would load a second copy of a stream
+            // still resident, double-charging the cap in real memory.
             if !inner.map.contains_key(&id) {
                 Self::charge(&mut inner, id, &slot, size);
                 Self::evict_over_limit(&mut inner, Some(id));
@@ -1131,18 +1031,12 @@ impl StreamCache {
                 stream
             }
         };
-        *guard = Some(Arc::clone(&stream));
-        drop(guard);
-        // Cached streams get a registry entry: replays of this stream
-        // can now share one annotation scan (see `compute_annotations`),
-        // which lives exactly as long as the stream. The scan is charged
-        // to this entry.
-        let owner = stream_registry::Owner {
-            cache: Arc::downgrade(&self.inner),
-            id,
-            slot: Arc::downgrade(&slot),
+        let resident = Resident {
+            stream: Arc::clone(&stream),
+            scan: Arc::default(),
         };
-        stream_registry::register(&stream, owner);
+        *guard = Some(resident.clone());
+        drop(guard);
 
         // Account the insert and enforce the cap (never evicting the
         // entry just inserted).
@@ -1156,28 +1050,56 @@ impl StreamCache {
         }
         // A requester that hit the slot meanwhile may have built the
         // scan already.
-        let size = stream.encoded_len() as u64 + stream_registry::scan_bytes(&stream);
-        Self::charge(&mut inner, id, &slot, size);
+        Self::charge(&mut inner, id, &slot, resident.bytes());
         Self::evict_over_limit(&mut inner, Some(id));
         Ok(stream)
     }
 
-    /// Re-charges the entry `owner` names at `size` (its stream plus
-    /// the scan just built) and enforces the cap, as long as the entry
-    /// still holds the stream; an evicted entry stays evicted.
-    fn charge_scan(owner: &stream_registry::Owner, size: u64) {
-        let (Some(cache), Some(slot)) = (owner.cache.upgrade(), owner.slot.upgrade()) else {
-            return;
-        };
-        let mut inner = lock_recovering(&cache);
-        if inner
-            .map
-            .get(&owner.id)
-            .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
-        {
-            Self::charge(&mut inner, owner.id, &slot, size);
-            Self::evict_over_limit(&mut inner, Some(owner.id));
+    /// The annotations of `window` over `stream`, the recording this
+    /// cache holds for `key`, derived from the entry's annotation scan.
+    /// The first request builds the scan outside the cache locks, while
+    /// concurrent requesters wait for it, and charges it to the entry,
+    /// which may evict others. An entry that no longer holds `stream`
+    /// (evicted, or never cached) and a window of `u32::MAX` or more,
+    /// which the scan's saturated distances cannot resolve, get
+    /// [`compute_annotations`]: same vectors, nothing kept or charged.
+    pub(crate) fn annotations(
+        &self,
+        key: &StreamKey,
+        stream: &Arc<RecordedStream>,
+        window: u64,
+    ) -> Annotations {
+        if window >= u64::from(u32::MAX) {
+            return compute_annotations(stream, window);
         }
+        let id = key.recording_fingerprint();
+        let Some((slot, resident)) = self
+            .filled(id)
+            .filter(|(_, resident)| Arc::ptr_eq(&resident.stream, stream))
+        else {
+            return compute_annotations(stream, window);
+        };
+        let _span = spans::span("compute_annotations");
+        let mut built = false;
+        let scan = resident.scan.get_or_init(|| {
+            built = true;
+            AnnotationScan::new(stream)
+        });
+        // Charged once the scan is visible in the slot, so an insert or
+        // re-adoption that reads the slot afterwards charges it too. An
+        // entry evicted meanwhile stays evicted.
+        if built {
+            let mut inner = lock_recovering(&self.inner);
+            if inner
+                .map
+                .get(&id)
+                .is_some_and(|entry| Arc::ptr_eq(&entry.slot, &slot))
+            {
+                Self::charge(&mut inner, id, &slot, resident.bytes());
+                Self::evict_over_limit(&mut inner, Some(id));
+            }
+        }
+        scan.annotations(window)
     }
 
     /// Charges exactly `size` bytes for `key`'s filled `slot`, keeping
@@ -1208,11 +1130,10 @@ impl StreamCache {
 
     /// Evicts least-recently-used recorded entries until the cache fits
     /// its cap again. `keep` (the entry being charged) and in-flight
-    /// recordings (`bytes == 0`) are never evicted. The registry entries
-    /// of evicted streams nothing else holds go with them.
+    /// recordings (`bytes == 0`) are never evicted. An evicted entry's
+    /// scan goes with its slot.
     fn evict_over_limit(inner: &mut CacheInner, keep: Option<u64>) {
         let Some(limit) = inner.limit else { return };
-        let evictions = inner.stats.evictions;
         while inner.stats.bytes > limit {
             let victim = inner
                 .map
@@ -1228,9 +1149,6 @@ impl StreamCache {
             inner.stats.evictions += 1;
             METRICS.cache_bytes.add(-(entry.bytes as i64));
             METRICS.cache_evictions.inc();
-        }
-        if inner.stats.evictions > evictions {
-            stream_registry::prune();
         }
     }
 }
@@ -1482,21 +1400,22 @@ mod tests {
             u64::MAX,
         ];
         for &app in &ctx.apps {
-            // A cached stream is registered, so its windows below
-            // `u32::MAX` derive from its one scan; an ad-hoc recording of
-            // the same app takes the direct recurrence.
+            // A cached stream's windows below `u32::MAX` derive from its
+            // entry's one scan; an ad-hoc recording of the same app takes
+            // the direct recurrence.
+            let key = ctx.stream_key(app, &c);
             let cached = ctx.stream(app, &c).expect("stream");
             let ad_hoc = record_stream(&c, ctx.workload(app)).expect("record");
             for window in windows {
-                let direct = direct_annotations(&ad_hoc, window);
-                let ann = compute_annotations(&cached, window);
+                let direct = compute_annotations(&ad_hoc, window);
+                let ann = ctx.streams.annotations(&key, &cached, window);
                 assert_eq!(ann.next_use, direct.next_use, "{app} w={window}");
                 assert_eq!(ann.shared_soon, direct.shared_soon, "{app} w={window}");
             }
             // Every window over the cached recording shares one scan.
             let (a, b) = (
-                compute_annotations(&cached, 1),
-                compute_annotations(&cached, 4 * lines),
+                ctx.streams.annotations(&key, &cached, 1),
+                ctx.streams.annotations(&key, &cached, 4 * lines),
             );
             assert!(Arc::ptr_eq(&a.next_use, &b.next_use), "{app}: one scan");
         }
@@ -1599,30 +1518,83 @@ mod tests {
         );
     }
 
+    /// The bytes a cached stream with its annotation scan is charged.
+    fn charged(stream: &RecordedStream) -> u64 {
+        stream.encoded_len() as u64 + 12 * stream.len() as u64
+    }
+
     #[test]
     fn annotation_scans_are_charged_to_their_cache_entry() {
         let cache = StreamCache::new();
+        let (fft_key, dedup_key) = (key_for(App::Fft), key_for(App::Dedup));
         let fft = cache
-            .get_or_record(key_for(App::Fft), || App::Fft.workload(4, Scale::Tiny))
+            .get_or_record(fft_key, || App::Fft.workload(4, Scale::Tiny))
             .expect("record");
         let window = crate::runner::oracle_window(&cfg());
-        compute_annotations(&fft, window);
-        compute_annotations(&fft, 2 * window);
-        let charged = |s: &RecordedStream| s.encoded_len() as u64 + 12 * s.len() as u64;
+        cache.annotations(&fft_key, &fft, window);
+        cache.annotations(&fft_key, &fft, 2 * window);
         assert_eq!(cache.stats().bytes, charged(&fft), "one scan, charged once");
 
         // A cap that holds fft with its scan and dedup without one: the
         // dedup scan pushes the cache over and evicts fft, the LRU entry.
         let dedup = cache
-            .get_or_record(key_for(App::Dedup), || App::Dedup.workload(4, Scale::Tiny))
+            .get_or_record(dedup_key, || App::Dedup.workload(4, Scale::Tiny))
             .expect("record");
         cache.set_limit(Some(charged(&fft) + dedup.encoded_len() as u64));
         assert_eq!(cache.stats().evictions, 0);
-        compute_annotations(&dedup, window);
+        cache.annotations(&dedup_key, &dedup, window);
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
-        assert!(!cache.resident(&key_for(App::Fft)));
+        assert!(!cache.resident(&fft_key));
         assert_eq!(stats.bytes, charged(&dedup));
+    }
+
+    #[test]
+    fn compute_annotations_on_a_cached_stream_keeps_and_charges_nothing() {
+        let cache = StreamCache::new();
+        let key = key_for(App::Fft);
+        let fft = cache
+            .get_or_record(key, || App::Fft.workload(4, Scale::Tiny))
+            .expect("record");
+        let window = crate::runner::oracle_window(&cfg());
+        let direct = compute_annotations(&fft, window);
+        assert_eq!(cache.stats().bytes, fft.encoded_len() as u64);
+        // The entry's scan is built by the cache call alone, and answers
+        // the same vectors.
+        let ann = cache.annotations(&key, &fft, window);
+        assert!(!Arc::ptr_eq(&ann.next_use, &direct.next_use), "not kept");
+        assert_eq!(ann.next_use, direct.next_use);
+        assert_eq!(ann.shared_soon, direct.shared_soon);
+        assert_eq!(cache.stats().bytes, charged(&fft));
+    }
+
+    #[test]
+    fn annotations_of_an_evicted_entry_are_computed_directly_and_not_charged() {
+        let cache = StreamCache::new();
+        let (fft_key, dedup_key) = (key_for(App::Fft), key_for(App::Dedup));
+        let fft = cache
+            .get_or_record(fft_key, || App::Fft.workload(4, Scale::Tiny))
+            .expect("record");
+        let dedup = cache
+            .get_or_record(dedup_key, || App::Dedup.workload(4, Scale::Tiny))
+            .expect("record");
+        // Room for dedup only: fft, the LRU entry, goes.
+        cache.set_limit(Some(dedup.encoded_len() as u64));
+        assert!(!cache.resident(&fft_key));
+        let bytes = cache.stats().bytes;
+        let window = crate::runner::oracle_window(&cfg());
+        for w in [0, window] {
+            let ann = cache.annotations(&fft_key, &fft, w);
+            let direct = compute_annotations(&fft, w);
+            assert_eq!(ann.next_use, direct.next_use, "w={w}");
+            assert_eq!(ann.shared_soon, direct.shared_soon, "w={w}");
+        }
+        let a = cache.annotations(&fft_key, &fft, 1);
+        let b = cache.annotations(&fft_key, &fft, 1);
+        assert!(!Arc::ptr_eq(&a.next_use, &b.next_use), "no scan is kept");
+        let stats = cache.stats();
+        assert_eq!((stats.bytes, stats.evictions), (bytes, 1));
+        assert!(!cache.resident(&fft_key));
     }
 
     #[test]
